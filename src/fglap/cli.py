@@ -24,8 +24,7 @@ from .fractional import OperatorConfig
 from .orlicz import GridFunction, Mesh, modular_W_parts
 from .solver import (ProblemData, SolveReport, boundary_energy_report,
                      monotone_scheme)
-from .young import (YoungFunction, estimate_growth_bounds, make_young,
-                    verify_declared_growth)
+from .young import YoungFunction, estimate_growth_bounds, make_young
 
 FAMILY_PARAMS = {
     "power": ("p",),

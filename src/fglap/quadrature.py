@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
+from scipy.special import roots_genlaguerre
 
 from .errors import ConvergenceError, DomainError
 
@@ -29,12 +30,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule on [-1, 1] with weight (1-x)^alpha (1+x)^beta."""
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n, alpha, beta)
-    return x, w
+def gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre rule on [0, inf) with weight v^alpha e^(-v), cached."""
+    return roots_genlaguerre(n, alpha)
 
 
 def invert_monotone(func, y, *, lo: float = BRACKET_LO, hi: float = BRACKET_HI,

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglap.errors import ConfigurationError, DomainError
+from fglap.quadrature import adaptive_quad
 from fglap.young import (
+    _LAGUERRE_BLOCK,
     DoublePowerYoung,
     LogTypeYoung,
     PhiWeight,
     PowerYoung,
+    YoungFunction,
     estimate_growth_bounds,
     eval_G,
     eval_Gbar,
@@ -21,6 +24,7 @@ from fglap.young import (
     invert_G,
     make_young,
     sobolev_conjugate_inv,
+    standard_grid,
     submultiplicativity_constant,
     verify_declared_growth,
 )
@@ -67,6 +71,32 @@ class TestClosedForms:
             for t in (0.01, 0.5, 1.0, 7.0, 300.0):
                 y = eval_G(yf, t)
                 assert invert_G(yf, y) == pytest.approx(t, rel=1e-9)
+
+
+class TestLaguerreKernel:
+    """The base-class Gauss-Laguerre G and Lambda, which every family
+    without a closed form uses."""
+
+    def test_matches_closed_forms(self, power4, dp34):
+        # the steep members only pass with the rule scaled by p_minus
+        t = standard_grid()
+        for yf in (power4, dp34, PowerYoung(40.0), DoublePowerYoung(2.1, 9.0)):
+            np.testing.assert_allclose(YoungFunction._G_pos(yf, t), yf._G_pos(t),
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(YoungFunction._lambda_pos(yf, t),
+                                       yf._lambda_pos(t), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("y", [1e-3, 1.0, 300.0])
+    def test_log_type_lambda_oracle(self, log221, y):
+        # Lambda(y) = int_0^y G(tau)/tau dtau by adaptive quadrature
+        oracle = adaptive_quad(lambda tau: log221.G(tau) / tau, 0.0, y)
+        assert log221.lam(y) == pytest.approx(oracle, rel=1e-10)
+
+    def test_blocks_match_pointwise(self, log221):
+        t = np.logspace(-3.0, 3.0, 3 * _LAGUERRE_BLOCK + 7)
+        for primitive in (log221.G, log221.lam):
+            pointwise = np.array([primitive(x) for x in t])
+            np.testing.assert_allclose(primitive(t), pointwise, rtol=1e-14, atol=0.0)
 
 
 class TestGrowthWindow:
