@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fractional import OperatorConfig
 from .orlicz import GridFunction, Mesh
-from .young import PhiWeight, YoungFunction, eval_Gbar
+from .young import PhiWeight, YoungFunction, estimate_growth_bounds, eval_Gbar
 
 DEFAULT_SEED = 0x5EED
 SAMPLE_LO = 1e-3
@@ -63,6 +63,23 @@ def _worst(margins: np.ndarray, payload: dict) -> tuple[float, dict]:
     k = int(np.argmin(margins))
     sample = {key: float(np.asarray(val)[k]) for key, val in payload.items()}
     return float(margins[k]), sample
+
+
+def check_growth_bounds(yf: YoungFunction, n_grid: int = 512) -> CheckOutcome:
+    """Sampled growth window 1 + t g'/g on the standard grid against the
+    declared [p_minus, p_plus]; the margin is the tighter of the two ends,
+    the same margins `verify_declared_growth` raises from."""
+    est = estimate_growth_bounds(yf, n_grid)
+    lower, upper = est.margins(yf)
+    offending = None
+    if min(lower, upper) < -1e-6:
+        offending = {"t": est.t_at_min if lower < upper else est.t_at_max,
+                     "p_minus_hat": est.p_minus_hat,
+                     "p_plus_hat": est.p_plus_hat}
+    return CheckOutcome("growth_bounds", yf.label, n_grid, min(lower, upper),
+                        1e-6, offending=offending,
+                        info={"p_minus_hat": est.p_minus_hat,
+                              "p_plus_hat": est.p_plus_hat})
 
 
 def check_delta2(yf: YoungFunction, n_samples: int = 1000, *,

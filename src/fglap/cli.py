@@ -17,14 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import DEFAULT_SEED, CheckOutcome, check_comparison, run_check_suite
+from .checks import (DEFAULT_SEED, CheckOutcome, check_comparison,
+                     check_growth_bounds, run_check_suite)
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      FglapError, InvariantError)
 from .fractional import OperatorConfig
 from .orlicz import GridFunction, Mesh, modular_W_parts
 from .solver import (ProblemData, SolveReport, boundary_energy_report,
                      monotone_scheme)
-from .young import YoungFunction, estimate_growth_bounds, make_young
+from .young import YoungFunction, make_young
 
 FAMILY_PARAMS = {
     "power": ("p",),
@@ -107,6 +108,15 @@ def _as_float(raw: dict, key: str, default=None) -> float:
             f"config key {key!r} must be a number, got {raw[key]!r}") from None
 
 
+def _as_int(raw: dict, key: str, default: int) -> int:
+    """Integer keys accept integral numbers only ("3", "3.0", "1e3")."""
+    val = _as_float(raw, key, float(default))
+    if not val.is_integer():
+        raise ConfigurationError(
+            f"config key {key!r} must be an integer, got {raw[key]!r}")
+    return int(val)
+
+
 def _as_int_list(raw: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
     """Empty default means "key absent"; commands fill their own default."""
     if key not in raw:
@@ -164,13 +174,13 @@ def load_config(path: str | Path) -> RunConfig:
         q_star=_as_float(raw, "q_star", 2.0),
         delta=_as_float(raw, "delta", 0.25),
         n_schedule=_as_int_list(raw, "n_schedule", (1, 2, 4, 8, 16)),
-        seed=int(_as_float(raw, "seed", float(DEFAULT_SEED))),
+        seed=_as_int(raw, "seed", DEFAULT_SEED),
         out=Path(raw["out"]) if "out" in raw else Path("."),
         plot=_as_bool(raw, "plot", True),
-        near_band=int(_as_float(raw, "near_band", 1.0)),
+        near_band=_as_int(raw, "near_band", 1),
         r_far=_as_float(raw, "r_far", 100.0),
         tail_mode=tail_mode,
-        samples=int(_as_float(raw, "samples", 1000.0)),
+        samples=_as_int(raw, "samples", 1000),
         eps=_as_float(raw, "eps", 1.0),
         declared_p_minus=(None if "declared_p_minus" not in raw
                           else _as_float(raw, "declared_p_minus")),
@@ -303,25 +313,9 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # subcommands
 
 
-def _growth_outcome(yf: YoungFunction) -> CheckOutcome:
-    est = estimate_growth_bounds(yf)
-    margin = min(est.p_minus_hat - yf.p_minus, yf.p_plus - est.p_plus_hat)
-    offending = None
-    if margin < -1e-6:
-        t_bad = (est.t_at_min
-                 if est.p_minus_hat - yf.p_minus < yf.p_plus - est.p_plus_hat
-                 else est.t_at_max)
-        offending = {"t": t_bad, "p_minus_hat": est.p_minus_hat,
-                     "p_plus_hat": est.p_plus_hat}
-    return CheckOutcome("growth_bounds", yf.label, 512, margin, 1e-6,
-                        offending=offending,
-                        info={"p_minus_hat": est.p_minus_hat,
-                              "p_plus_hat": est.p_plus_hat})
-
-
 def run_verification(rc: RunConfig, yf: YoungFunction,
                      mesh: Mesh) -> list[CheckOutcome]:
-    outcomes = [_growth_outcome(yf)]
+    outcomes = [check_growth_bounds(yf)]
     outcomes += run_check_suite(yf, q_star=rc.q_star, eps=rc.eps,
                                 n_samples=rc.samples, seed=rc.seed)
     cfg = build_operator(rc, yf)

@@ -6,6 +6,12 @@ closed-form exterior strips all share their quadrature between energy and
 form. Coercivity against the modular and honest energy identities then
 hold at round-off level instead of at quadrature-error level.
 
+All geometry comes from the cached `orlicz.Discretization` for the mesh
+size and operator settings. With du = (u_i - u_j) / ds over its far-pair
+kernel, each far term is one expression: residual g(du) kr, Newton
+Jacobian 2 g'(du) kr / ds, secant 2 (g(du)/du) kr / ds, weak form
+g(du) dv kr (the energy is G(du) kr ds).
+
 The strong-form evaluator is separate and deliberately different in
 texture: graded panels against the |x - y|^(-1-s) singularity over the
 first cell, exact piecewise-linear values at cell midpoints outside the
@@ -20,11 +26,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .orlicz import (
+    Discretization,
     GridFunction,
-    _band_layout,
-    _check_args,
-    _far_geometry,
-    _strip_factors,
+    Mesh,
+    _require_zero_boundary,
+    discretization,
 )
 from .quadrature import gauss_legendre, graded_panel_depth, panel_edges_graded
 from .young import YoungFunction
@@ -52,63 +58,37 @@ class OperatorConfig:
             raise ConfigurationError("r_far must exceed 1")
 
 
-def _band_w(yf: YoungFunction, sigma: np.ndarray, radii: np.ndarray,
-            s: float) -> np.ndarray:
-    """W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s)): the sigma-derivative
-    of the band energy density. Odd in sigma, zero at zero."""
-    ex = 1.0 - s
-    args = sigma * radii ** ex
-    out = np.zeros(np.broadcast_shapes(sigma.shape, radii.shape))
-    nz = np.broadcast_to(sigma != 0.0, out.shape)
+def _disc(cfg: OperatorConfig, mesh: Mesh) -> Discretization:
+    return discretization(mesh.m, cfg.near_band, cfg.s, cfg.r_far,
+                          cfg.tail_mode)
+
+
+def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
+                mode: str = "value") -> np.ndarray:
+    """Per-cell x-integral, over both clipped windows, of the sigma-derivative
+    of the band energy density, W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s))
+    (mode "value"), of dW/dsigma for Newton assembly ("newton"), or of the
+    secant ratio W/sigma ("secant"). W is odd in sigma and zero at zero."""
+    ex = 1.0 - disc.s
+    total = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = yf.G(args) / (np.broadcast_to(sigma, out.shape) * ex)
-    out[nz] = vals[nz]
-    return out
+        for rho in (disc.rho_l, disc.rho_r):
+            args = sigma * rho
+            if mode == "value":
+                total = total + yf.G(args) / (sigma * ex)
+            elif mode == "newton":
+                total = total + ((yf.g(args) * rho * sigma - yf.G(args))
+                                 / (sigma ** 2 * ex))
+            else:
+                total = total + yf.G(args) / (sigma ** 2 * ex)
+    return np.sum(disc.xw * np.where(sigma != 0.0, total, 0.0), axis=1)
 
 
-def _band_w_slope(yf: YoungFunction, sigma: np.ndarray, radii: np.ndarray,
-                  s: float, mode: str) -> np.ndarray:
-    """d W / d sigma for Newton assembly, or the secant ratio W/sigma."""
-    ex = 1.0 - s
-    rho = radii ** ex
-    args = sigma * rho
-    out = np.zeros(np.broadcast_shapes(sigma.shape, radii.shape))
-    nz = np.broadcast_to(sigma != 0.0, out.shape)
-    sig = np.broadcast_to(sigma, out.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if mode == "newton":
-            vals = (yf.g(args) * rho * sig - yf.G(args)) / (sig ** 2 * ex)
-        else:
-            vals = yf.G(args) / (sig ** 2 * ex)
-    out[nz] = vals[nz]
-    return out
-
-
-def _strip_coeffs(cfg: OperatorConfig, mesh) -> tuple[np.ndarray, ...]:
-    return _strip_factors(mesh, cfg.s, cfg.r_far, cfg.tail_mode)
-
-
-def _strip_e(cfg: OperatorConfig, c: np.ndarray, coeffs) -> np.ndarray:
+def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
+             mode: str = "value") -> np.ndarray:
     """One-point exterior term [G(c a_l) + G(c a_r)] / (s c), odd in c,
-    minus the truncated windows in zero mode."""
-    yf = cfg.young
-    a_l, a_r, z_l, z_r = coeffs
-    out = np.zeros_like(c)
-    nz = c != 0.0
-    if not nz.any():
-        return out
-    cv = c[nz]
-    num = yf.G(cv * a_l[nz]) + yf.G(cv * a_r[nz])
-    if cfg.tail_mode == "zero":
-        num = num - yf.G(cv * z_l[nz]) - yf.G(cv * z_r[nz])
-    out[nz] = num / (cfg.s * cv)
-    return out
-
-
-def _strip_e_slope(cfg: OperatorConfig, c: np.ndarray, coeffs,
-                   mode: str) -> np.ndarray:
-    yf = cfg.young
-    a_l, a_r, z_l, z_r = coeffs
+    minus the truncated windows in zero mode; its c-derivative with mode
+    "newton", its ratio to c with mode "secant"."""
     out = np.zeros_like(c)
     nz = c != 0.0
     if not nz.any():
@@ -117,21 +97,24 @@ def _strip_e_slope(cfg: OperatorConfig, c: np.ndarray, coeffs,
 
     def side(a):
         av = a[nz]
+        if mode == "value":
+            return yf.G(cv * av)
         if mode == "newton":
-            return (yf.g(cv * av) * av * cv - yf.G(cv * av)) / (cfg.s * cv ** 2)
-        return yf.G(cv * av) / (cfg.s * cv ** 2)
+            return (yf.g(cv * av) * av * cv - yf.G(cv * av)) / (disc.s * cv ** 2)
+        return yf.G(cv * av) / (disc.s * cv ** 2)
 
-    val = side(a_l) + side(a_r)
-    if cfg.tail_mode == "zero":
-        val = val - side(z_l) - side(z_r)
-    out[nz] = val
+    val = side(disc.a_l) + side(disc.a_r)
+    if disc.z_l is not None:
+        val = val - side(disc.z_l) - side(disc.z_r)
+    out[nz] = val / (disc.s * cv) if mode == "value" else val
     return out
 
 
 def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     """Ordered-pair bilinear pairing of the operator at u with the test
     function v; equals d/de of the modular energy of u + e v at e = 0."""
-    _check_args(u, cfg.young, cfg.s, cfg.near_band, cfg.r_far, cfg.tail_mode)
+    disc = _disc(cfg, u.mesh)
+    _require_zero_boundary(u)
     if not v.vanishes_on_boundary():
         raise DomainError("test functions must vanish on the boundary")
     if v.mesh.m != u.mesh.m:
@@ -140,21 +123,16 @@ def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     mesh = u.mesh
     uv, vv = u.values, v.values
 
-    mask, dist, ww = _far_geometry(mesh.m, cfg.near_band)
-    du = (uv[:, None] - uv[None, :]) / dist ** cfg.s
-    dv = vv[:, None] - vv[None, :]
-    far = float(np.sum(np.where(mask, ww * yf.g(du) * dv / dist ** (1.0 + cfg.s), 0.0)))
+    far_mat = yf.g(disc.quotients(uv))
+    far_mat *= np.subtract.outer(vv, vv)
+    far_mat *= disc.kr
+    far = float(far_mat.sum())
 
-    xq, xw, tl, tr = _band_layout(mesh.m, cfg.near_band)
-    su = np.diff(uv)[:, None] / mesh.h
-    sv = np.diff(vv) / mesh.h
-    cell = np.sum(xw * (_band_w(yf, su, tl, cfg.s) + _band_w(yf, su, tr, cfg.s)),
-                  axis=1)
-    band = float(np.sum(cell * sv))
+    cell = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h)
+    band = float(np.sum(cell * (np.diff(vv) / mesh.h)))
 
-    coeffs = _strip_coeffs(cfg, mesh)
     wi = mesh.weights[1:-1]
-    strip = 2.0 * float(np.sum(wi * vv[1:-1] * _strip_e(cfg, uv[1:-1], coeffs)))
+    strip = 2.0 * float(np.sum(wi * vv[1:-1] * _strip_e(yf, disc, uv[1:-1])))
     return far + band + strip
 
 
@@ -162,26 +140,22 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
     Boundary entries are pinned to zero."""
-    _check_args(u, cfg.young, cfg.s, cfg.near_band, cfg.r_far, cfg.tail_mode)
+    disc = _disc(cfg, u.mesh)
+    _require_zero_boundary(u)
     yf = cfg.young
     mesh = u.mesh
     uv = u.values
     rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
 
-    mask, dist, ww = _far_geometry(mesh.m, cfg.near_band)
-    du = (uv[:, None] - uv[None, :]) / dist ** cfg.s
-    far_mat = np.where(mask, ww * yf.g(du) / dist ** (1.0 + cfg.s), 0.0)
+    far_mat = yf.g(disc.quotients(uv))
+    far_mat *= disc.kr
     r = 2.0 * far_mat.sum(axis=1)
 
-    xq, xw, tl, tr = _band_layout(mesh.m, cfg.near_band)
-    su = np.diff(uv)[:, None] / mesh.h
-    cell = np.sum(xw * (_band_w(yf, su, tl, cfg.s) + _band_w(yf, su, tr, cfg.s)),
-                  axis=1) / mesh.h
+    cell = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h) / mesh.h
     r[1:] += cell
     r[:-1] -= cell
 
-    coeffs = _strip_coeffs(cfg, mesh)
-    r[1:-1] += 2.0 * mesh.weights[1:-1] * _strip_e(cfg, uv[1:-1], coeffs)
+    r[1:-1] += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1])
 
     r[1:-1] -= mesh.weights[1:-1] * rhs_vals[1:-1]
     r[0] = r[-1] = 0.0
@@ -195,36 +169,34 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction,
     positive semidefinite in both modes."""
     if mode not in ("newton", "secant"):
         raise ConfigurationError("assembly mode must be 'newton' or 'secant'")
+    disc = _disc(cfg, u.mesh)
     yf = cfg.young
     mesh = u.mesh
     uv = u.values
     m = mesh.m
 
-    mask, dist, ww = _far_geometry(m, cfg.near_band)
-    du = (uv[:, None] - uv[None, :]) / dist ** cfg.s
+    # far pairs: 2 g'(du) kr / ds, or the secant ratio g(du)/du in place of g'
+    du = disc.quotients(uv)
     if mode == "newton":
-        coeff = yf.g_prime(du)
+        jac = yf.g_prime(du)
     else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            coeff = np.where(du != 0.0, yf.g(du) / du, 0.0)
-    far = np.where(mask, 2.0 * ww * coeff / dist ** (1.0 + 2.0 * cfg.s), 0.0)
-    jac = np.diag(far.sum(axis=1)) - far
+        jac = np.divide(yf.g(du), du, out=np.zeros_like(du), where=du != 0.0)
+    jac *= disc.kr
+    jac /= disc.ds
+    jac *= 2.0
+    row = jac.sum(axis=1)
+    np.negative(jac, out=jac)
+    jac.flat[::m + 1] += row
 
-    xq, xw, tl, tr = _band_layout(m, cfg.near_band)
-    su = np.diff(uv)[:, None] / mesh.h
-    cp = np.sum(xw * (_band_w_slope(yf, su, tl, cfg.s, mode)
-                      + _band_w_slope(yf, su, tr, cfg.s, mode)),
-                axis=1) / mesh.h ** 2
+    cp = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h, mode) / mesh.h ** 2
     k = np.arange(m - 1)
     np.add.at(jac, (k, k), cp)
     np.add.at(jac, (k + 1, k + 1), cp)
     np.add.at(jac, (k, k + 1), -cp)
     np.add.at(jac, (k + 1, k), -cp)
 
-    coeffs = _strip_coeffs(cfg, mesh)
-    diag = 2.0 * mesh.weights[1:-1] * _strip_e_slope(cfg, uv[1:-1], coeffs, mode)
     idx = np.arange(1, m - 1)
-    jac[idx, idx] += diag
+    jac[idx, idx] += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1], mode)
 
     return jac[1:-1, 1:-1]
 
@@ -315,17 +287,11 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
                                + (0 if sgn < 0 else -1), 0, m - 2)
             diff = ui - mids[cell_idx]
             vals = yf.g(diff / tau_k[None, :] ** s) * kern[None, :] * h
-            out += np.sum(np.where(live, vals, 0.0), axis=1)
+            out += np.sum(vals * live, axis=1)
 
-    # exterior strips, closed form
-    coeffs = _strip_coeffs(cfg, mesh)
-    out += _strip_e_apply(cfg, uv[interior], coeffs)
+    # exterior strips, closed form: the weak side's term, carried once
+    out += _strip_e(yf, _disc(cfg, mesh), uv[interior])
     return out
-
-
-def _strip_e_apply(cfg: OperatorConfig, c: np.ndarray, coeffs) -> np.ndarray:
-    # same as the weak-side strip term; the strong form carries one copy
-    return _strip_e(cfg, c, coeffs)
 
 
 def apply(cfg: OperatorConfig, u: GridFunction, i: int) -> float:

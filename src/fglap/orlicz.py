@@ -13,11 +13,16 @@ weak form is the exact gradient of the modular energy:
 * strips: the exterior contribution, in closed form through Lambda after
   the substitution w = z^(-s) (`tail_mode="analytic"`), or truncated at
   ``r_far`` with the discarded mass reported (`tail_mode="zero"`).
+
+The energy here and the residual, Jacobian and weak form in `fractional`
+read all three regions' geometry from one cached `Discretization` per mesh
+size and operator setting, so none of them rebuilds pair geometry or takes
+distance powers per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,8 +30,6 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .quadrature import gauss_legendre
 from .young import YoungFunction
-
-TAIL_MODES = ("analytic", "zero")
 
 # x-quadrature order inside band cells; exact where the window is unclipped
 # and ample for the linear clipping near the endpoints
@@ -37,7 +40,8 @@ class Mesh:
     """Uniform nodes on [-1, 1] including the endpoints.
 
     Node weights are trapezoidal. Two meshes are interchangeable whenever
-    their node counts agree, so geometry caches key on ``m`` alone.
+    their node counts agree, so `discretization` keys on ``m`` (with the
+    operator's scalars) rather than on a mesh object.
     """
 
     def __init__(self, m: int):
@@ -84,10 +88,6 @@ class GridFunction:
             raise DomainError("grid function values must be finite")
 
     @classmethod
-    def from_callable(cls, mesh: Mesh, fn) -> "GridFunction":
-        return cls(mesh, np.asarray(fn(mesh.nodes), dtype=float))
-
-    @classmethod
     def zeros(cls, mesh: Mesh) -> "GridFunction":
         return cls(mesh, np.zeros(mesh.m))
 
@@ -104,87 +104,101 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def as_grid(mesh: Mesh, source) -> GridFunction:
-    if isinstance(source, GridFunction):
-        if source.mesh.m != mesh.m:
-            raise DomainError("grid function lives on a different mesh")
-        return source
-    if callable(source):
-        return GridFunction.from_callable(mesh, source)
-    return GridFunction(mesh, np.asarray(source, dtype=float))
-
-
 # ---------------------------------------------------------------------------
-# geometry caches
+# cached discretization
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """Geometry shared by the energy, residual, Jacobian, weak form and the
+    strong form's exterior, for one mesh size and operator setting. Built
+    and cached by `discretization`; every array is read-only because all
+    callers share it.
+
+    * far-pair kernel: ``ds = dist^s`` and ``kr = w_i w_j / dist^(1+s)`` on
+      node pairs more than ``near_band`` indices apart, ds = 1 and kr = 0 on
+      near pairs, so each far term is one expression in du = (u_i - u_j) / ds;
+    * band: x-quadrature weights ``xw`` (the same in every cell) and, per
+      cell and node, the clipped window radii toward each endpoint to the
+      power 1 - s, ``rho_l`` and ``rho_r``;
+    * strips: d^(-s) per side at the interior nodes, ``a_l`` and ``a_r``, and
+      in zero mode the truncated windows' ``z_l`` and ``z_r`` (else None).
+    """
+
+    s: float
+    ds: np.ndarray
+    kr: np.ndarray
+    xw: np.ndarray
+    rho_l: np.ndarray
+    rho_r: np.ndarray
+    a_l: np.ndarray
+    a_r: np.ndarray
+    z_l: np.ndarray | None
+    z_r: np.ndarray | None
+
+    def quotients(self, uv: np.ndarray) -> np.ndarray:
+        """du = (u_i - u_j) / ds: far-pair difference quotients, plain
+        differences on near pairs (where kr vanishes)."""
+        du = np.subtract.outer(uv, uv)
+        du /= self.ds
+        return du
 
 
 @lru_cache(maxsize=32)
-def _far_geometry(m: int, near_band: int):
-    mesh = Mesh(m)
-    idx = np.arange(m)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    mask = gap > near_band
-    dist = np.abs(mesh.nodes[:, None] - mesh.nodes[None, :])
-    dist_safe = np.where(mask, dist, 1.0)
-    ww = np.outer(mesh.weights, mesh.weights)
-    return mask, dist_safe, ww
-
-
-@lru_cache(maxsize=32)
-def _band_layout(m: int, near_band: int):
-    """Per-cell x-quadrature and clipped window radii.
-
-    Returns xw (cells, q) weights, tl/tr (cells, q) window radii toward each
-    endpoint, evaluated at the cell's Gauss points.
-    """
-    mesh = Mesh(m)
-    radius = near_band * mesh.h
-    gx, gw = gauss_legendre(_BAND_XQ)
-    left = mesh.nodes[:-1]
-    xq = left[:, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
-    xw = np.broadcast_to(gw[None, :] * (mesh.h / 2.0), xq.shape).copy()
-    tl = np.minimum(radius, 1.0 + xq)
-    tr = np.minimum(radius, 1.0 - xq)
-    return xq, xw, tl, tr
-
-
-def _validate_band(mesh: Mesh, near_band: int) -> None:
-    if near_band < 1:
-        raise ConfigurationError("near_band must be at least 1")
-    if near_band * mesh.h >= 1.0:
-        raise ConfigurationError(
-            f"band radius {near_band * mesh.h:g} must stay below half the domain")
-
-
-def _strip_factors(mesh: Mesh, s: float, r_far: float, tail_mode: str):
-    """Closed-form strip coefficients A = d^(-s) per side, interior nodes.
-
-    In zero mode the windows stop at |y| = r_far and the dropped coefficient
-    pair is returned for the tail report.
-    """
-    x = mesh.nodes[1:-1]
-    a_left = (1.0 + x) ** (-s)
-    a_right = (1.0 - x) ** (-s)
-    if tail_mode == "analytic":
-        return a_left, a_right, None, None
-    z_left = (r_far + x) ** (-s)
-    z_right = (r_far - x) ** (-s)
-    return a_left, a_right, z_left, z_right
-
-
-def _check_args(u: GridFunction, yf: YoungFunction, s: float, near_band: int,
-                r_far: float, tail_mode: str) -> None:
+def discretization(m: int, near_band: int, s: float, r_far: float,
+                   tail_mode: str) -> Discretization:
+    """The shared geometry of the uniform m-node mesh. Settings are
+    validated here, once per key, with the messages every entry point
+    reports."""
     if not (0.0 < s < 1.0):
         raise ConfigurationError(f"s must lie in (0, 1), got {s}")
-    if tail_mode not in TAIL_MODES:
-        raise ConfigurationError(f"tail_mode must be one of {TAIL_MODES}")
+    if tail_mode not in ("analytic", "zero"):
+        raise ConfigurationError(
+            "tail_mode must be one of ('analytic', 'zero')")
     if tail_mode == "zero" and r_far <= 1.0:
         raise ConfigurationError("r_far must exceed 1 when truncating the tail")
+    if near_band < 1:
+        raise ConfigurationError("near_band must be at least 1")
+    mesh = Mesh(m)
+    radius = near_band * mesh.h
+    if radius >= 1.0:
+        raise ConfigurationError(
+            f"band radius {radius:g} must stay below half the domain")
+
+    idx = np.arange(m)
+    near = np.abs(np.subtract.outer(idx, idx)) <= near_band
+    dist = np.abs(np.subtract.outer(mesh.nodes, mesh.nodes))
+    dist[near] = 1.0
+    ds = np.power(dist, s)
+    kr = np.outer(mesh.weights, mesh.weights)
+    kr /= np.power(dist, 1.0 + s, out=dist)
+    kr[near] = 0.0
+
+    gx, gw = gauss_legendre(_BAND_XQ)
+    xq = mesh.nodes[:-1, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
+    xw = gw * (mesh.h / 2.0)
+    rho_l = np.minimum(radius, 1.0 + xq) ** (1.0 - s)
+    rho_r = np.minimum(radius, 1.0 - xq) ** (1.0 - s)
+
+    x = mesh.nodes[1:-1]
+    z_l = z_r = None
+    if tail_mode == "zero":
+        z_l, z_r = _frozen((r_far + x) ** (-s)), _frozen((r_far - x) ** (-s))
+    return Discretization(s, *map(_frozen, (ds, kr, xw, rho_l, rho_r,
+                                            (1.0 + x) ** (-s), (1.0 - x) ** (-s))),
+                          z_l, z_r)
+
+
+def _require_zero_boundary(u: GridFunction) -> None:
     if not u.vanishes_on_boundary():
         raise DomainError(
             "nonlocal energies need boundary values exactly zero; "
             "the exterior strip diverges otherwise")
-    _validate_band(u.mesh, near_band)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +233,12 @@ def _luxemburg(rho_of_lam, u: GridFunction, tol: float) -> float:
         val = rho_of_lam(mid)
         if abs(val - 1.0) <= tol:
             return float(mid)
-        if val > 1.0:
-            lo = mid
-        else:
+        # an overflowing modular (inf, or nan from inf * 0 on near pairs)
+        # counts as above 1
+        if val <= 1.0:
             hi = mid
+        else:
+            lo = mid
         if hi / lo - 1.0 < 1e-15:
             break
     return float(np.sqrt(lo * hi))
@@ -245,31 +261,27 @@ def modular_W_parts(u: GridFunction, yf: YoungFunction, s: float, *,
                     tail_mode: str = "analytic") -> dict:
     """Far, band, strip pieces of the nonlocal modular, plus the exact mass
     a truncated tail would drop (zero unless tail_mode="zero")."""
-    _check_args(u, yf, s, near_band, r_far, tail_mode)
+    disc = discretization(u.mesh.m, near_band, s, r_far, tail_mode)
+    _require_zero_boundary(u)
     mesh = u.mesh
     v = u.values
 
-    mask, dist, ww = _far_geometry(mesh.m, near_band)
-    diff = v[:, None] - v[None, :]
-    far = float(np.sum(np.where(mask, ww * yf.G(diff / dist ** s) / dist, 0.0)))
+    far_mat = yf.G(disc.quotients(v))
+    far_mat *= disc.kr
+    far_mat *= disc.ds
+    far = float(far_mat.sum())
 
-    xq, xw, tl, tr = _band_layout(mesh.m, near_band)
-    slope = np.abs(np.diff(v)) / mesh.h
-    ex = 1.0 - s
-    args_l = slope[:, None] * tl ** ex
-    args_r = slope[:, None] * tr ** ex
-    band = float(np.sum(xw * (yf.lam(args_l) + yf.lam(args_r))) / ex)
+    slope = np.abs(np.diff(v))[:, None] / mesh.h
+    band = float(np.sum(disc.xw * (yf.lam(slope * disc.rho_l)
+                                   + yf.lam(slope * disc.rho_r))) / (1.0 - s))
 
-    a_l, a_r, z_l, z_r = _strip_factors(mesh, s, r_far, tail_mode)
     wi = mesh.weights[1:-1]
     c = np.abs(v[1:-1])
-    strip_full = np.sum(wi * (yf.lam(c * a_l) + yf.lam(c * a_r))) / s
-    if tail_mode == "analytic":
-        strip = float(strip_full)
-        tail = 0.0
-    else:
-        tail = float(np.sum(wi * (yf.lam(c * z_l) + yf.lam(c * z_r))) / s)
-        strip = float(strip_full) - tail
+    strip = float(np.sum(wi * (yf.lam(c * disc.a_l) + yf.lam(c * disc.a_r))) / s)
+    tail = 0.0
+    if disc.z_l is not None:
+        tail = float(np.sum(wi * (yf.lam(c * disc.z_l) + yf.lam(c * disc.z_r))) / s)
+        strip -= tail
 
     # ordered pairs: both (x, y) and (y, x) cross the boundary
     total = far + band + 2.0 * strip

@@ -188,9 +188,11 @@ def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
             break
 
         jac = assemble_matrix(cfg, GridFunction(mesh, u), "newton")
-        scale = float(np.max(np.abs(np.diag(jac)))) or 1.0
+        if lam > 0.0:
+            scale = float(np.max(np.abs(np.diag(jac)))) or 1.0
+            jac[np.diag_indices_from(jac)] += lam * scale
         try:
-            delta = np.linalg.solve(jac + lam * scale * np.eye(jac.shape[0]), -r)
+            delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             lam = max(lam * 10.0, 1e-8)
             continue

@@ -159,13 +159,12 @@ class YoungFunction:
     # -- construction-time sanity -----------------------------------------
 
     def _check_growth_window(self) -> None:
-        t = standard_grid(64)
-        ratio = t * self._g_prime_pos(t) / self._g_pos(t)
-        lo, hi = self.p_minus - 1.0, self.p_plus - 1.0
-        if ratio.min() < lo - 1e-9 or ratio.max() > hi + 1e-9:
+        est = estimate_growth_bounds(self, 64)
+        if min(est.margins(self)) < -1e-9:
             raise ConfigurationError(
-                f"{self.family_tag}: t g'/g leaves [{lo:g}, {hi:g}] "
-                f"(observed [{ratio.min():.6g}, {ratio.max():.6g}])")
+                f"{self.family_tag}: 1 + t g'/g leaves [{self.p_minus:g}, "
+                f"{self.p_plus:g}] (observed [{est.p_minus_hat:.6g}, "
+                f"{est.p_plus_hat:.6g}])")
 
 
 class PowerYoung(YoungFunction):
@@ -354,6 +353,11 @@ class GrowthEstimate(NamedTuple):
     t_at_min: float
     t_at_max: float
 
+    def margins(self, yf: YoungFunction) -> tuple[float, float]:
+        """Room inside the declared window at each end, p_minus_hat - p_minus
+        and p_plus - p_plus_hat; negative where the sampled window escapes."""
+        return self.p_minus_hat - yf.p_minus, yf.p_plus - self.p_plus_hat
+
 
 def estimate_growth_bounds(yf: YoungFunction, n_grid: int = 512) -> GrowthEstimate:
     """Empirical growth window from 1 + t g'(t)/g(t) on the standard grid."""
@@ -369,11 +373,12 @@ def verify_declared_growth(yf: YoungFunction, n_grid: int = 512,
                            tol: float = 1e-6) -> GrowthEstimate:
     """Raise InvariantError when the sampled window escapes the declared one."""
     est = estimate_growth_bounds(yf, n_grid)
-    if est.p_minus_hat < yf.p_minus - tol:
+    lower, upper = est.margins(yf)
+    if lower < -tol:
         raise InvariantError(
             f"estimated p_minus {est.p_minus_hat:.8g} at t={est.t_at_min:.6g} "
             f"undershoots declared {yf.p_minus:g}")
-    if est.p_plus_hat > yf.p_plus + tol:
+    if upper < -tol:
         raise InvariantError(
             f"estimated p_plus {est.p_plus_hat:.8g} at t={est.t_at_max:.6g} "
             f"overshoots declared {yf.p_plus:g}")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fglap.cli import main
+from fglap.cli import load_config, main
 
 
 def write_cfg(tmp_path: Path, body: str, name: str = "run.cfg") -> str:
@@ -56,6 +56,18 @@ class TestExitCodes:
     def test_negative_load(self, tmp_path):
         code, _ = run(tmp_path, BASE.replace("f = const:1", "f = const:-1"))
         assert code == 2
+
+    @pytest.mark.parametrize("key,value", [("near_band", "1.7"),
+                                           ("samples", "1000.9"),
+                                           ("seed", "3.9")])
+    def test_integer_key_rejects_fraction(self, tmp_path, capsys, key, value):
+        code, _ = run(tmp_path, BASE + f"{key} = {value}\n", cmd="check-young")
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_integer_key_accepts_integral_float(self, tmp_path):
+        rc = load_config(write_cfg(tmp_path, BASE + "samples = 1e3\nnear_band = 2.0\n"))
+        assert (rc.samples, rc.near_band) == (1000, 2)
 
     def test_bad_s(self, tmp_path):
         code, _ = run(tmp_path, BASE.replace("s = 0.3", "s = 1.3"))

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from fglap.errors import ConfigurationError, DomainError
-from fglap.fractional import OperatorConfig, apply, apply_interior, weak_form
-from fglap.orlicz import GridFunction, Mesh, modular_W
+from fglap.fractional import (OperatorConfig, apply, apply_interior,
+                              assemble_matrix, residual, weak_form)
+from fglap.orlicz import (GridFunction, Mesh, discretization, modular_W,
+                          modular_W_parts)
+from fglap.quadrature import gauss_legendre
 from fglap.young import PowerYoung
 
 from conftest import PROFILE_TAGS, profile_values
@@ -161,3 +164,167 @@ class TestStrongForm:
                 b = apply_interior(cfg2, u)
                 scale = np.max(np.abs(a))
                 assert np.max(np.abs(a - b)) / scale < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# the shared discretization against the per-call formulas it replaced
+
+SETTINGS = [(nb, tail) for nb in (1, 2) for tail in ("analytic", "zero")]
+
+
+def random_interior(mesh, seed):
+    vals = np.random.default_rng(seed).uniform(0.1, 1.5, mesh.m)
+    vals[0] = vals[-1] = 0.0
+    return GridFunction(mesh, vals)
+
+
+class _Reference:
+    """The operator pieces built per call, as before the far-pair kernel
+    was cached: a boolean far mask, distances set to 1 on near pairs, the
+    trapezoid weight matrix, distance powers taken on every evaluation and
+    np.where masking, band radii raised to 1 - s inside each formula, and
+    strip coefficients rebuilt from the nodes."""
+
+    def __init__(self, cfg, m):
+        self.yf, self.s = cfg.young, cfg.s
+        mesh = self.mesh = Mesh(m)
+        idx = np.arange(m)
+        self.mask = np.abs(idx[:, None] - idx[None, :]) > cfg.near_band
+        self.dist = np.where(
+            self.mask, np.abs(mesh.nodes[:, None] - mesh.nodes[None, :]), 1.0)
+        self.ww = np.outer(mesh.weights, mesh.weights)
+        gx, gw = gauss_legendre(8)
+        xq = mesh.nodes[:-1, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
+        self.xw = np.broadcast_to(gw * (mesh.h / 2.0), xq.shape)
+        radius = cfg.near_band * mesh.h
+        self.radii = (np.minimum(radius, 1.0 + xq), np.minimum(radius, 1.0 - xq))
+        x = mesh.nodes[1:-1]
+        s = cfg.s
+        self.sides = [(1.0, (1.0 + x) ** (-s)), (1.0, (1.0 - x) ** (-s))]
+        if cfg.tail_mode == "zero":
+            self.sides += [(-1.0, (cfg.r_far + x) ** (-s)),
+                           (-1.0, (cfg.r_far - x) ** (-s))]
+
+    def du(self, uv):
+        return (uv[:, None] - uv[None, :]) / self.dist ** self.s
+
+    def band_w(self, sigma, newton=False):
+        yf, ex = self.yf, 1.0 - self.s
+        total = 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for radii in self.radii:
+                args = sigma * radii ** ex
+                if newton:
+                    val = ((yf.g(args) * radii ** ex * sigma - yf.G(args))
+                           / (sigma ** 2 * ex))
+                else:
+                    val = yf.G(args) / (sigma * ex)
+                total = total + np.where(sigma != 0.0, val, 0.0)
+        return np.sum(self.xw * total, axis=1)
+
+    def strip(self, c, slope=False):
+        yf, s = self.yf, self.s
+        out = 0.0
+        for sign, a in self.sides:
+            if slope:
+                out = out + sign * (yf.g(c * a) * a * c - yf.G(c * a)) / (s * c ** 2)
+            else:
+                out = out + sign * yf.G(c * a) / (s * c)
+        return out
+
+    def energy(self, uv):
+        yf, s, mesh = self.yf, self.s, self.mesh
+        far = np.sum(np.where(self.mask, self.ww * yf.G(self.du(uv)) / self.dist, 0.0))
+        slope = np.abs(np.diff(uv))[:, None] / mesh.h
+        band = np.sum(self.xw * sum(yf.lam(slope * r ** (1.0 - s))
+                                    for r in self.radii)) / (1.0 - s)
+        c = np.abs(uv[1:-1])
+        strip = sum(sign * np.sum(mesh.weights[1:-1] * yf.lam(c * a)) / s
+                    for sign, a in self.sides)
+        return far + band + 2.0 * strip
+
+    def residual(self, uv):
+        mesh = self.mesh
+        far = np.where(self.mask, self.ww * self.yf.g(self.du(uv))
+                       / self.dist ** (1.0 + self.s), 0.0)
+        r = 2.0 * far.sum(axis=1)
+        cell = self.band_w(np.diff(uv)[:, None] / mesh.h) / mesh.h
+        r[1:] += cell
+        r[:-1] -= cell
+        r[1:-1] += 2.0 * mesh.weights[1:-1] * self.strip(uv[1:-1])
+        r[0] = r[-1] = 0.0
+        return r
+
+    def jacobian(self, uv):
+        mesh, m = self.mesh, self.mesh.m
+        far = np.where(self.mask, 2.0 * self.ww * self.yf.g_prime(self.du(uv))
+                       / self.dist ** (1.0 + 2.0 * self.s), 0.0)
+        jac = np.diag(far.sum(axis=1)) - far
+        cp = self.band_w(np.diff(uv)[:, None] / mesh.h, newton=True) / mesh.h ** 2
+        k = np.arange(m - 1)
+        np.add.at(jac, (k, k), cp)
+        np.add.at(jac, (k + 1, k + 1), cp)
+        np.add.at(jac, (k, k + 1), -cp)
+        np.add.at(jac, (k + 1, k), -cp)
+        idx = np.arange(1, m - 1)
+        jac[idx, idx] += 2.0 * mesh.weights[1:-1] * self.strip(uv[1:-1], slope=True)
+        return jac[1:-1, 1:-1]
+
+    def weak_form(self, uv, vv):
+        mesh = self.mesh
+        dv = vv[:, None] - vv[None, :]
+        far = np.sum(np.where(self.mask, self.ww * self.yf.g(self.du(uv)) * dv
+                              / self.dist ** (1.0 + self.s), 0.0))
+        band = np.sum(self.band_w(np.diff(uv)[:, None] / mesh.h)
+                      * np.diff(vv) / mesh.h)
+        strip = 2.0 * np.sum(mesh.weights[1:-1] * vv[1:-1] * self.strip(uv[1:-1]))
+        return far + band + strip
+
+
+def assert_close(got, ref, rel):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestSharedDiscretization:
+    @pytest.mark.parametrize("near_band,tail_mode", SETTINGS)
+    def test_secant_matrix_reproduces_residual(self, families, mesh33,
+                                               near_band, tail_mode):
+        # the frozen-ratio operator applied to u is the unloaded residual
+        u = random_interior(mesh33, 5)
+        for yf in families:
+            cfg = OperatorConfig(young=yf, s=0.3, near_band=near_band,
+                                 tail_mode=tail_mode)
+            sec = assemble_matrix(cfg, u, "secant")
+            ref = residual(cfg, u, np.zeros(mesh33.m)).values[1:-1]
+            assert_close(sec @ u.values[1:-1], ref, 1e-12)
+
+    @pytest.mark.parametrize("m", [17, 33])
+    @pytest.mark.parametrize("near_band,tail_mode", SETTINGS)
+    def test_matches_per_call_formulas(self, families, m, near_band, tail_mode):
+        mesh = Mesh(m)
+        u = random_interior(mesh, 7)
+        v = random_interior(mesh, 8)
+        for yf in families:
+            cfg = OperatorConfig(young=yf, s=0.3, near_band=near_band,
+                                 tail_mode=tail_mode)
+            ref = _Reference(cfg, m)
+            assert_close(residual(cfg, u, np.zeros(m)).values,
+                         ref.residual(u.values), 1e-13)
+            assert_close(assemble_matrix(cfg, u, "newton"),
+                         ref.jacobian(u.values), 1e-13)
+            assert weak_form(cfg, u, v) == pytest.approx(
+                ref.weak_form(u.values, v.values), rel=1e-13)
+            parts = modular_W_parts(u, yf, 0.3, near_band=near_band,
+                                    r_far=cfg.r_far, tail_mode=tail_mode)
+            assert parts["total"] == pytest.approx(ref.energy(u.values), rel=1e-13)
+
+    def test_cached_arrays_are_read_only(self):
+        disc = discretization(33, 1, 0.3, 100.0, "zero")
+        assert disc is discretization(33, 1, 0.3, 100.0, "zero")
+        arrays = {name: val for name, val in vars(disc).items()
+                  if isinstance(val, np.ndarray)}
+        assert sum(a.shape == (33, 33) for a in arrays.values()) == 2
+        for name, arr in arrays.items():
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0

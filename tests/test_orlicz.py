@@ -197,3 +197,16 @@ class TestNonlocalSeminorm:
             worst[m] = max(rs)
         assert worst[33] <= 1.0
         assert worst[33] == pytest.approx(worst[65], rel=0.10)
+
+    def test_bisection_survives_overflow(self):
+        # for a pure power the gauge is W(u)^(1/p); with p = 60 the trial
+        # scales far below it overflow G, on near pairs as well as far ones,
+        # and the bisection must read that as "above 1"
+        p60 = PowerYoung(60.0)
+        mesh = Mesh(17)
+        u = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tiny = GridFunction(mesh, u.values / 1e-6)
+            assert not np.isfinite(modular_W(tiny, p60, 0.3))
+            got = luxemburg_seminorm_W(u, p60, 0.3)
+        assert got == pytest.approx(modular_W(u, p60, 0.3) ** (1.0 / 60.0), rel=1e-8)
