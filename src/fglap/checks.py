@@ -19,6 +19,7 @@ from .orlicz import GridFunction, Mesh
 from .young import PhiWeight, YoungFunction, estimate_growth_bounds, eval_Gbar
 
 DEFAULT_SEED = 0x5EED
+GROWTH_GRID = 512
 SAMPLE_LO = 1e-3
 SAMPLE_HI = 1e3
 
@@ -65,19 +66,19 @@ def _worst(margins: np.ndarray, payload: dict) -> tuple[float, dict]:
     return float(margins[k]), sample
 
 
-def check_growth_bounds(yf: YoungFunction, n_grid: int = 512) -> CheckOutcome:
+def check_growth_bounds(yf: YoungFunction) -> CheckOutcome:
     """Sampled growth window 1 + t g'/g on the standard grid against the
     declared [p_minus, p_plus]; the margin is the tighter of the two ends,
     the same margins `verify_declared_growth` raises from."""
-    est = estimate_growth_bounds(yf, n_grid)
+    est = estimate_growth_bounds(yf, GROWTH_GRID)
     lower, upper = est.margins(yf)
     offending = None
     if min(lower, upper) < -1e-6:
         offending = {"t": est.t_at_min if lower < upper else est.t_at_max,
                      "p_minus_hat": est.p_minus_hat,
                      "p_plus_hat": est.p_plus_hat}
-    return CheckOutcome("growth_bounds", yf.label, n_grid, min(lower, upper),
-                        1e-6, offending=offending,
+    return CheckOutcome("growth_bounds", yf.label, GROWTH_GRID,
+                        min(lower, upper), 1e-6, offending=offending,
                         info={"p_minus_hat": est.p_minus_hat,
                               "p_plus_hat": est.p_plus_hat})
 

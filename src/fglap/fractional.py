@@ -32,7 +32,8 @@ from .orlicz import (
     _require_zero_boundary,
     discretization,
 )
-from .quadrature import gauss_legendre, graded_panel_depth, panel_edges_graded
+from .quadrature import (gauss_legendre, graded_panel_depth, integrate_panels,
+                         panel_edges_graded)
 from .young import YoungFunction
 
 
@@ -59,8 +60,8 @@ class OperatorConfig:
 
 
 def _disc(cfg: OperatorConfig, mesh: Mesh) -> Discretization:
-    return discretization(mesh.m, cfg.near_band, cfg.s, cfg.r_far,
-                          cfg.tail_mode)
+    r_far = cfg.r_far if cfg.tail_mode == "zero" else None
+    return discretization(mesh.m, cfg.near_band, cfg.s, r_far, cfg.tail_mode)
 
 
 def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
@@ -217,14 +218,9 @@ def _first_cell_integral(cfg: OperatorConfig, sigma: np.ndarray,
     expo = yf.p_minus * (1.0 - s) - 2.0
     depth = graded_panel_depth(expo)
     edges = panel_edges_graded(np.full(sigma.shape, h), depth)
-    x, w = gauss_legendre(16)
-    lo = edges[..., :-1, None]
-    hi = edges[..., 1:, None]
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    tau = mid + half * x
-    vals = yf.g(sigma[..., None, None] * tau ** (1.0 - s)) * tau ** (-1.0 - s)
-    return np.sum(np.sum(vals * w, axis=-1) * half[..., 0], axis=-1)
+    sig = sigma[..., None, None]
+    return integrate_panels(lambda tau: yf.g(sig * tau ** (1.0 - s)) * tau ** (-1.0 - s),
+                            edges, n_nodes=16)
 
 
 def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:

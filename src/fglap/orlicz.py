@@ -150,11 +150,12 @@ class Discretization:
 
 
 @lru_cache(maxsize=32)
-def discretization(m: int, near_band: int, s: float, r_far: float,
+def discretization(m: int, near_band: int, s: float, r_far: float | None,
                    tail_mode: str) -> Discretization:
     """The shared geometry of the uniform m-node mesh. Settings are
     validated here, once per key, with the messages every entry point
-    reports."""
+    reports. Only zero mode reads ``r_far``; callers pass None otherwise,
+    so one analytic entry serves every r_far."""
     if not (0.0 < s < 1.0):
         raise ConfigurationError(f"s must lie in (0, 1), got {s}")
     if tail_mode not in ("analytic", "zero"):
@@ -261,7 +262,8 @@ def modular_W_parts(u: GridFunction, yf: YoungFunction, s: float, *,
                     tail_mode: str = "analytic") -> dict:
     """Far, band, strip pieces of the nonlocal modular, plus the exact mass
     a truncated tail would drop (zero unless tail_mode="zero")."""
-    disc = discretization(u.mesh.m, near_band, s, r_far, tail_mode)
+    disc = discretization(u.mesh.m, near_band, s,
+                          r_far if tail_mode == "zero" else None, tail_mode)
     _require_zero_boundary(u)
     mesh = u.mesh
     v = u.values

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, InvariantError
 from .quadrature import (
     gauss_laguerre,
-    gauss_legendre,
     graded_panel_depth,
     integrate_panels,
     invert_monotone,
@@ -360,9 +359,16 @@ class GrowthEstimate(NamedTuple):
 
 
 def estimate_growth_bounds(yf: YoungFunction, n_grid: int = 512) -> GrowthEstimate:
-    """Empirical growth window from 1 + t g'(t)/g(t) on the standard grid."""
+    """Empirical growth window from 1 + t g'(t)/g(t) on the standard grid,
+    left out where g under- or overflows (all nan if nothing is left)."""
     t = standard_grid(n_grid)
-    ratio = 1.0 + t * yf.g_prime(t) / np.maximum(yf.g(t), 1e-300)
+    with np.errstate(all="ignore"):
+        g = yf.g(t)
+        ratio = 1.0 + t * yf.g_prime(t) / g
+    keep = (g >= np.finfo(float).tiny) & np.isfinite(g) & np.isfinite(ratio)
+    if not keep.any():
+        return GrowthEstimate(np.nan, np.nan, np.nan, np.nan)
+    t, ratio = t[keep], ratio[keep]
     i_min = int(np.argmin(ratio))
     i_max = int(np.argmax(ratio))
     return GrowthEstimate(float(ratio[i_min]), float(ratio[i_max]),
@@ -462,17 +468,13 @@ class PhiWeight:
             ks = np.arange(57)
             edges = sig[:, None] * (1.0 - 2.0 ** (-ks))[None, :]
             edges = np.concatenate([edges, sig[:, None]], axis=1)
-            x, w = gauss_legendre(16)
-            lo = edges[:, :-1, None]
-            hi = edges[:, 1:, None]
-            mid = 0.5 * (hi + lo)
-            half = 0.5 * (hi - lo)
-            pts = mid + half * x
-            with np.errstate(divide="ignore", over="ignore"):
-                logG = np.log(np.maximum(self.base._G_pos(pts.reshape(-1)), 1e-300))
-                vals = np.exp(beta * (logG - np.log(self._G1))).reshape(pts.shape)
-            inner = np.sum(np.sum(vals * w, axis=-1) * half[..., 0], axis=-1)
-            out[pos] = tv * sig - inner
+
+            def integrand(pts):
+                with np.errstate(divide="ignore", over="ignore"):
+                    logG = np.log(np.maximum(self.base._G_pos(pts.reshape(-1)), 1e-300))
+                    return np.exp(beta * (logG - np.log(self._G1))).reshape(pts.shape)
+
+            out[pos] = tv * sig - integrate_panels(integrand, edges, n_nodes=16)
         return _restore(out, scalar)
 
     def mvt_constant(self, n_grid: int = 512) -> float:

@@ -8,6 +8,7 @@ from fglap.errors import ConfigurationError, DomainError
 from fglap.orlicz import (
     GridFunction,
     Mesh,
+    discretization,
     luxemburg_norm_LG,
     luxemburg_seminorm_W,
     modular_LG,
@@ -175,6 +176,15 @@ class TestNonlocalModular:
         a = modular_W(bump, power4, 0.3, r_far=50.0)
         b = modular_W(bump, power4, 0.3, r_far=200.0)
         assert a == pytest.approx(b, rel=1e-10)
+
+    def test_analytic_mode_shares_one_discretization(self, power4):
+        # r_far is unused in analytic mode, so it must not split the cache
+        mesh = Mesh(37)
+        bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
+        misses = discretization.cache_info().misses
+        for r_far in (50.0, 200.0):
+            modular_W(bump, power4, 0.3, r_far=r_far)
+        assert discretization.cache_info().misses - misses == 1
 
 
 class TestNonlocalSeminorm:

@@ -124,6 +124,15 @@ class TestGrowthWindow:
         assert est.p_minus_hat == pytest.approx(3.0007204674494066, rel=1e-10)
         assert est.p_plus_hat == pytest.approx(3.3733619255495473, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [102.0, 150.0])
+    def test_steep_power_reads_exact_window(self, p):
+        # g = t^(p-1) underflows or overflows at the grid ends for these p;
+        # those points are left out rather than clamped, so the window is
+        # the exact p and construction (64 points) accepts the family
+        est = estimate_growth_bounds(PowerYoung(p))
+        assert est.p_minus_hat == pytest.approx(p, rel=1e-12)
+        assert est.p_plus_hat == pytest.approx(p, rel=1e-12)
+
     def test_verify_declared_growth_passes(self, families):
         for yf in families:
             verify_declared_growth(yf)
