@@ -413,7 +413,7 @@ def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict,
         rows.append([f"seminorm[{report.energy_case}]", str(n),
                      _fmt(diag["energies"][k])])
         rows.append(["fixed_point_iterations", str(n),
-                     str(report.fixed_point_iters[k])])
+                     str(report.stage_iterations[k])])
         rows.append(["residual_sup", str(n), _fmt(report.residual_sups[k])])
         if k > 0:
             rows.append(["sup_diff_prev_stage", str(n),

@@ -29,6 +29,7 @@ from .orlicz import (
     Discretization,
     GridFunction,
     Mesh,
+    _check_settings,
     _require_zero_boundary,
     discretization,
 )
@@ -49,12 +50,8 @@ class OperatorConfig:
     tail_mode: str = "analytic"
 
     def __post_init__(self):
-        if not (0.0 < self.s < 1.0):
-            raise ConfigurationError(f"s must lie in (0, 1), got {self.s}")
-        if self.near_band < 1:
-            raise ConfigurationError("near_band must be at least 1")
-        if self.tail_mode not in ("analytic", "zero"):
-            raise ConfigurationError("tail_mode must be 'analytic' or 'zero'")
+        object.__setattr__(self, "near_band", _check_settings(
+            self.s, self.near_band, self.tail_mode))
         if self.r_far <= 1.0:
             raise ConfigurationError("r_far must exceed 1")
 

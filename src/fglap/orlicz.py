@@ -149,6 +149,22 @@ class Discretization:
         return du
 
 
+def _check_settings(s: float, near_band, tail_mode: str) -> int:
+    """Validate the settings every entry point shares; return near_band as
+    a whole number of cells (2.0 passes: a fraction would set a band radius
+    that the far kernel, starting at whole index gaps, does not match)."""
+    if not (0.0 < s < 1.0):
+        raise ConfigurationError(f"s must lie in (0, 1), got {s}")
+    if tail_mode not in ("analytic", "zero"):
+        raise ConfigurationError("tail_mode must be 'analytic' or 'zero'")
+    if not float(near_band).is_integer():
+        raise ConfigurationError(
+            f"near_band must be a whole number of cells, got {near_band!r}")
+    if near_band < 1:
+        raise ConfigurationError("near_band must be at least 1")
+    return int(near_band)
+
+
 @lru_cache(maxsize=32)
 def discretization(m: int, near_band: int, s: float, r_far: float | None,
                    tail_mode: str) -> Discretization:
@@ -156,15 +172,9 @@ def discretization(m: int, near_band: int, s: float, r_far: float | None,
     validated here, once per key, with the messages every entry point
     reports. Only zero mode reads ``r_far``; callers pass None otherwise,
     so one analytic entry serves every r_far."""
-    if not (0.0 < s < 1.0):
-        raise ConfigurationError(f"s must lie in (0, 1), got {s}")
-    if tail_mode not in ("analytic", "zero"):
-        raise ConfigurationError(
-            "tail_mode must be one of ('analytic', 'zero')")
+    near_band = _check_settings(s, near_band, tail_mode)
     if tail_mode == "zero" and r_far <= 1.0:
         raise ConfigurationError("r_far must exceed 1 when truncating the tail")
-    if near_band < 1:
-        raise ConfigurationError("near_band must be at least 1")
     mesh = Mesh(m)
     radius = near_band * mesh.h
     if radius >= 1.0:

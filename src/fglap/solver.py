@@ -1,11 +1,11 @@
 """Regularized solve pipeline for the singular problem.
 
-The chain mirrors the existence construction: a damped Newton solver for
-the monotone auxiliary problem with a fixed right-hand side, a fixed-point
-loop over the frozen singular term, and an outer family of truncated
-problems indexed by n whose solutions increase toward the final one.
-Barriers, boundary energies, and an interior regularity estimate provide
-the a posteriori diagnostics.
+The chain mirrors the existence construction: truncated problems indexed
+by n whose solutions increase toward the final one. One damped Newton loop
+solves the auxiliary problem with a fixed right-hand side and each stage
+with its singular term coupled in; `fixed_point_S`, the paper's iteration
+over the frozen term, is kept as the oracle. Barriers, boundary energies,
+and an interior regularity estimate provide the a posteriori diagnostics.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class SolveReport:
     cfg: OperatorConfig | None = None
     n_values: list[int] = field(default_factory=list)
     solutions: list[GridFunction] = field(default_factory=list)
-    fixed_point_iters: list[int] = field(default_factory=list)
+    stage_iterations: list[int] = field(default_factory=list)
     residual_sups: list[float] = field(default_factory=list)
     sup_diffs: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
@@ -108,20 +108,18 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary problem: fixed right-hand side
+# one Newton loop: fixed loads and coupled stage loads
 
 
-def _cone_values(mesh: Mesh, height: float = 1.0) -> np.ndarray:
-    return height * (1.0 - np.abs(mesh.nodes))
-
-def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray) -> np.ndarray:
+def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
+                    what: str) -> np.ndarray:
     """Scalar pre-seed: scale a cone until the summed residual changes sign.
 
     The operator is odd and monotone, so t -> sum residual(t cone) is
     strictly increasing and negative at t = 0 whenever the load is
     nontrivial; geometric bisection on t is cheap and global.
     """
-    cone = _cone_values(mesh)
+    cone = 1.0 - np.abs(mesh.nodes)
 
     def total(t: float) -> float:
         r = residual(cfg, GridFunction(mesh, t * cone), rhs)
@@ -133,7 +131,7 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray) -> np.ndar
             break
         hi *= 4.0
     else:
-        raise ConvergenceError("seeding: residual never changed sign")
+        raise ConvergenceError(f"{what}: cone seeding never changed the residual's sign")
     lo = hi / 4.0 if hi > 1.0 else 1e-10
     for _ in range(40):
         mid = np.sqrt(lo * hi)
@@ -144,101 +142,83 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray) -> np.ndar
     return np.sqrt(lo * hi) * cone
 
 
-def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
-                    warm_start: GridFunction | None = None,
-                    tol: float | None = None,
-                    max_iter: int = 200) -> tuple[GridFunction, dict]:
-    """Damped Newton for the monotone problem  A(u) = rhs  with zero
-    boundary values.
-
-    The Hessian degenerates at u = 0 (the derivative of g vanishes there
-    for our growth class), so cold starts are seeded by scaling a cone.
-    A Levenberg shift grows tenfold whenever a line search fails, and five
-    consecutive failures trigger one frozen-ratio secant (Picard) sweep,
-    which for this operator reproduces the residual exactly and is
-    unconditionally solvable.
-    """
-    rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
-    if rhs_vals.shape != (mesh.m,):
-        raise ConfigurationError("rhs must provide one value per node")
-    if float(rhs_vals.min()) < 0.0:
-        raise DomainError("the auxiliary problem expects a nonnegative load")
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(rhs_vals))))
-
+def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | None,
+            tol: float | None, max_iter: int, what: str) -> tuple[GridFunction, dict]:
+    """Damped Newton for  A(u) = rhs(u)  with zero boundary values; load(u)
+    returns rhs(u) and its nodal u-derivative d (None for a fixed load).
+    Loads here are nonincreasing in u, so -w d adds a nonnegative diagonal
+    and the matrix stays SPD. The default tolerance is 1e-8 (1 + max rhs)
+    at the current iterate. A Levenberg shift grows tenfold after a failed
+    line search and decays tenfold after an accepted step."""
     if warm_start is not None and warm_start.sup_norm() > 0.0:
         u = warm_start.values.copy()
-    elif np.max(np.abs(rhs_vals[1:-1])) == 0.0:
-        zero = GridFunction.zeros(mesh)
-        return zero, {"iterations": 0, "residual_sup": 0.0, "picard_steps": 0}
     else:
-        u = _seed_from_cone(cfg, mesh, rhs_vals)
+        rhs0, _ = load(np.zeros(mesh.m))
+        if np.max(np.abs(rhs0[1:-1])) == 0.0:
+            return GridFunction.zeros(mesh), {"iterations": 0, "residual_sup": 0.0}
+        u = _seed_from_cone(cfg, mesh, rhs0, what)
     u[0] = u[-1] = 0.0
 
     lam = 0.0
-    fails = 0
-    picard_steps = 0
-    stats = {}
     for it in range(max_iter):
-        r = residual(cfg, GridFunction(mesh, u), rhs_vals).values[1:-1]
+        rhs, d = load(u)
+        lim = 1e-8 * (1.0 + float(np.max(np.abs(rhs)))) if tol is None else tol
+        r = residual(cfg, GridFunction(mesh, u), rhs).values[1:-1]
         rn = float(np.max(np.abs(r)))
-        if rn <= tol:
-            stats = {"iterations": it, "residual_sup": rn,
-                     "picard_steps": picard_steps}
+        if rn <= lim:
             break
 
         jac = assemble_matrix(cfg, GridFunction(mesh, u), "newton")
+        diag = np.diag_indices_from(jac)
+        if d is not None:
+            jac[diag] -= mesh.weights[1:-1] * d[1:-1]
         if lam > 0.0:
-            scale = float(np.max(np.abs(np.diag(jac)))) or 1.0
-            jac[np.diag_indices_from(jac)] += lam * scale
+            jac[diag] += lam * (float(np.max(np.abs(np.diag(jac)))) or 1.0)
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             lam = max(lam * 10.0, 1e-8)
             continue
 
-        step = 1.0
-        accepted = False
-        for _ in range(8):
+        for step in (0.5 ** k for k in range(8)):
             trial = u.copy()
             trial[1:-1] += step * delta
-            rt = residual(cfg, GridFunction(mesh, trial), rhs_vals).values[1:-1]
+            try:
+                rt = residual(cfg, GridFunction(mesh, trial), load(trial)[0]).values[1:-1]
+            except DomainError:  # g overflowed at a far trial: reject it like any other
+                rt = np.inf
             if float(np.max(np.abs(rt))) < rn:
                 u = trial
-                accepted = True
+                lam = lam * 0.1 if lam * 0.1 >= 1e-14 else 0.0
                 break
-            step *= 0.5
-        if accepted:
-            fails = 0
-            lam *= 0.1
-            if lam < 1e-14:
-                lam = 0.0
-            continue
-
-        fails += 1
-        lam = max(lam * 10.0, 1e-8)
-        if fails >= 5:
-            # frozen-ratio sweep: strictly solvable and globally stabilizing
-            sec = assemble_matrix(cfg, GridFunction(mesh, u), "secant")
-            u_new = np.zeros(mesh.m)
-            u_new[1:-1] = np.linalg.solve(
-                sec, mesh.weights[1:-1] * rhs_vals[1:-1])
-            u = u_new
-            picard_steps += 1
-            fails = 0
-            lam = 0.0
+        else:
+            lam = max(lam * 10.0, 1e-8)
     else:
         raise ConvergenceError(
-            f"auxiliary solve exhausted {max_iter} iterations "
-            f"(residual sup {rn:.3e}, tol {tol:.3e})")
+            f"{what} exhausted {max_iter} iterations "
+            f"(residual sup {rn:.3e}, tol {lim:.3e})")
 
     floor = float(u.min())
-    if floor < 0.0:
-        if floor < -1e-9 * (1.0 + float(np.max(np.abs(u)))):
-            raise InvariantError(
-                f"nonnegative load produced a solution dipping to {floor:.3e}")
-        u = np.maximum(u, 0.0)
-    return GridFunction(mesh, u), stats
+    if floor < -1e-9 * (1.0 + float(np.max(np.abs(u)))):
+        raise InvariantError(
+            f"{what}: nonnegative load produced a solution dipping to {floor:.3e}")
+    return GridFunction(mesh, np.maximum(u, 0.0)), {"iterations": it, "residual_sup": rn}
+
+
+def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
+                    warm_start: GridFunction | None = None,
+                    tol: float | None = None,
+                    max_iter: int = 200) -> tuple[GridFunction, dict]:
+    """`_newton` for  A(u) = rhs  with a fixed nonnegative load. The
+    Hessian degenerates at u = 0 (g' vanishes there for our growth class),
+    so cold starts are seeded by scaling a cone."""
+    rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
+    if rhs_vals.shape != (mesh.m,):
+        raise ConfigurationError("rhs must provide one value per node")
+    if float(rhs_vals.min()) < 0.0:
+        raise DomainError("the auxiliary problem expects a nonnegative load")
+    return _newton(cfg, mesh, lambda u: (rhs_vals, None), warm_start, tol,
+                   max_iter, "auxiliary solve")
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +254,14 @@ def fixed_point_S(cfg: OperatorConfig, data: ProblemData, n: int, *,
 # monotone truncation scheme
 
 
+def _stage_load(data: ProblemData, mesh: Mesh, n: int):
+    """Stage n's coupled load and its u-derivative (zero where u_+ is flat)."""
+    def load(u: np.ndarray):
+        rhs = data.singular_rhs(GridFunction(mesh, u), n)
+        return rhs, np.where(u > 0.0, -data.q.values * rhs / (u + 1.0 / n), 0.0)
+    return load
+
+
 def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
                     mesh: Mesh | None = None,
                     n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16),
@@ -281,7 +269,9 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
                     tol_mono: float = 1e-7) -> SolveReport:
     """Solve the truncated problems along the n schedule, enforcing nodal
     monotonicity between stages and stopping early once consecutive stages
-    agree to tol_stop in the sup norm."""
+    agree to tol_stop in the sup norm. Each stage is one coupled Newton
+    solve, started from the previous stage: a subsolution, because f_n and
+    (t + 1/n)^(-q) both increase with n."""
     if mesh is None:
         mesh = data.f.mesh
     if len(n_schedule) < 1 or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
@@ -293,10 +283,11 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     report.energy_case = data.case
     prev: GridFunction | None = None
     for n in n_schedule:
-        u, stats = fixed_point_S(cfg, data, n, mesh=mesh)
+        u, stats = _newton(cfg, mesh, _stage_load(data, mesh, n), prev, None,
+                           200, f"stage n = {n} (m = {mesh.m})")
         report.n_values.append(n)
         report.solutions.append(u)
-        report.fixed_point_iters.append(stats["iterations"])
+        report.stage_iterations.append(stats["iterations"])
         report.residual_sups.append(stats["residual_sup"])
         report.energies.append(modular_W(
             _energy_carrier(u, weight), cfg.young, cfg.s,

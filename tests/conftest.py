@@ -65,5 +65,11 @@ def smoke_corpus(mesh65):
             for tag in PROFILE_TAGS}
 
 
+def stalled_matrix(cfg, u, mode="newton"):
+    """Stand-in Newton matrix far too stiff to converge: every step is
+    tiny, so a solve runs out of iterations with finite iterates."""
+    return 1e6 * np.eye(u.mesh.m - 2)
+
+
 def cfg_for(yf, s: float, **kw) -> OperatorConfig:
     return OperatorConfig(young=yf, s=s, **kw)

@@ -6,7 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fglap.cli as cli
+import fglap.solver as solver
 from fglap.cli import load_config, main
+
+from conftest import stalled_matrix
 
 
 def write_cfg(tmp_path: Path, body: str, name: str = "run.cfg") -> str:
@@ -112,6 +116,26 @@ class TestExitCodes:
         body = BASE.replace("mesh = 33", "mesh = 33,49")
         code, _ = run(tmp_path, body, cmd="convergence")
         assert code == 2
+
+    def test_steep_power_solves(self, tmp_path):
+        body = BASE.replace("p = 4", "p = 20").replace("s = 0.3", "s = 0.1")
+        code, _ = run(tmp_path, body)
+        assert code == 0
+
+    def test_stage_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        # stall only the stage solves, after the check battery has passed
+        scheme = cli.monotone_scheme
+
+        def stalled_scheme(*args, **kw):
+            monkeypatch.setattr(solver, "assemble_matrix", stalled_matrix)
+            return scheme(*args, **kw)
+
+        monkeypatch.setattr(cli, "monotone_scheme", stalled_scheme)
+        code, _ = run(tmp_path, BASE)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "stage n = 1 (m = 33) exhausted" in err
+        assert "Traceback" not in err
 
     def test_convergence_happy_path(self, tmp_path):
         body = BASE.replace("mesh = 33", "mesh = 17,33")

@@ -38,6 +38,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             OperatorConfig(young=power4, s=0.3, tail_mode="clip")
 
+    def test_band_must_be_whole_cells(self, power4):
+        # a fractional band radius would not match the far kernel, which
+        # starts at the next whole index gap
+        with pytest.raises(ConfigurationError):
+            OperatorConfig(young=power4, s=0.3, near_band=1.5)
+        cfg = OperatorConfig(young=power4, s=0.3, near_band=2.0)
+        assert cfg.near_band == 2 and isinstance(cfg.near_band, int)
+
 
 class TestWeakForm:
     def test_gradient_of_energy(self, families, mesh33):

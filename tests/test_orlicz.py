@@ -186,6 +186,14 @@ class TestNonlocalModular:
             modular_W(bump, power4, 0.3, r_far=r_far)
         assert discretization.cache_info().misses - misses == 1
 
+    def test_band_must_be_whole_cells(self, power4):
+        mesh = Mesh(33)
+        bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
+        with pytest.raises(ConfigurationError):
+            modular_W(bump, power4, 0.3, near_band=1.5)
+        assert (modular_W(bump, power4, 0.3, near_band=2.0)
+                == modular_W(bump, power4, 0.3, near_band=2))
+
 
 class TestNonlocalSeminorm:
     def test_homogeneity(self, power4):

@@ -4,6 +4,7 @@ fixed point, the stage scheme, barriers, and the report diagnostics."""
 import numpy as np
 import pytest
 
+import fglap.solver as solver
 from fglap.errors import ConfigurationError, ConvergenceError, DomainError
 from fglap.fractional import OperatorConfig, apply_interior, residual, weak_form
 from fglap.orlicz import GridFunction, Mesh
@@ -16,7 +17,9 @@ from fglap.solver import (
     monotone_scheme,
     solve_auxiliary,
 )
-from fglap.young import PowerYoung
+from fglap.young import LogTypeYoung, PowerYoung
+
+from conftest import stalled_matrix
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +219,59 @@ class TestScheme:
         big = monotone_scheme(cfg, data_big, mesh=mesh33, n_schedule=(1, 2, 4))
         gap = big.final.values - small.final.values
         assert float(gap.min()) >= -1e-9
+
+
+class TestCoupledStages:
+    @pytest.mark.parametrize("p,s", [(40.0, 0.5), (20.0, 0.1)])
+    def test_steep_power_auxiliary(self, p, s):
+        mesh = Mesh(17)
+        cfg = OperatorConfig(young=PowerYoung(p), s=s)
+        rhs = np.ones(mesh.m)
+        u, stats = solve_auxiliary(cfg, mesh, rhs)
+        # the default tolerance, 1e-8 (1 + max rhs)
+        assert float(np.max(np.abs(residual(cfg, u, rhs).values))) <= 2e-8
+        assert stats["residual_sup"] <= 2e-8
+
+    def test_overflowing_trial_rejected(self):
+        # the first full Newton step from the cone overshoots by ~5e7 and
+        # g = t^39 overflows there; that trial must count as a failed one
+        mesh = Mesh(17)
+        cfg = OperatorConfig(young=PowerYoung(40.0), s=0.1)
+        rhs = np.random.default_rng(5122).uniform(0.1, 2.0, mesh.m)
+        u, stats = solve_auxiliary(cfg, mesh, rhs)
+        assert stats["residual_sup"] <= 1e-8 * (1.0 + rhs.max())
+        assert np.all(u.values[1:-1] > 0.0)
+
+    @pytest.mark.parametrize("yf,s", [(PowerYoung(20.0), 0.1),
+                                      (PowerYoung(40.0), 0.3),
+                                      (LogTypeYoung(30.0, 2.0, 1.0), 0.3)])
+    def test_steep_families_complete(self, yf, s, mesh33):
+        report = monotone_scheme(OperatorConfig(young=yf, s=s),
+                                 unit_data(mesh33), mesh=mesh33,
+                                 n_schedule=(1, 2, 4, 8))
+        assert report.n_values == [1, 2, 4, 8]
+        # stage rhs is at most f n^q = 8^0.5, which bounds the tolerance
+        assert all(r <= 1e-8 * (1.0 + 8.0 ** 0.5) for r in report.residual_sups)
+
+    def test_stages_match_fixed_point_oracle(self, families, mesh33):
+        # the coupled Newton stage and the paper's frozen-term iteration
+        # solve the same truncated problem
+        data = unit_data(mesh33)
+        for yf in families:
+            cfg = OperatorConfig(young=yf, s=0.3)
+            report = monotone_scheme(cfg, data, mesh=mesh33,
+                                     n_schedule=(1, 2, 4, 8))
+            for n, u in zip(report.n_values, report.solutions):
+                u_fp, _ = fixed_point_S(cfg, data, n)
+                assert np.max(np.abs(u.values - u_fp.values)) <= 1e-6, (yf, n)
+
+    def test_failure_names_the_stage(self, cfg, monkeypatch):
+        mesh = Mesh(17)
+        monkeypatch.setattr(solver, "assemble_matrix", stalled_matrix)
+        with pytest.raises(ConvergenceError, match=r"^stage n = 3 \(m = 17\) exhausted"):
+            monotone_scheme(cfg, unit_data(mesh), mesh=mesh, n_schedule=(3, 6))
+        with pytest.raises(ConvergenceError, match=r"^auxiliary solve exhausted"):
+            solve_auxiliary(cfg, mesh, np.ones(mesh.m))
 
 
 class TestBarrier:
