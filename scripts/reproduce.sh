@@ -2,6 +2,7 @@
 # end-to-end reproduction: solve every shipped config, then the refinement study
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 out="${1:-out/repro}"
 python3 -m fglap.cli solve --config configs/smoke_main1.cfg --out "$out/main1"

@@ -162,7 +162,7 @@ def check_conjugate(yf: YoungFunction, n_samples: int = 1000, *,
                     seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Conjugate sandwich (p_minus - 1) G(t) <= Gbar(g(t)) <=
     (p_plus - 1) G(t), relative margins. The middle term stacks the
-    numeric inverse of g inside a panel quadrature, hence the looser
+    numeric inverse of g inside the Laguerre quadrature, hence the looser
     tolerance."""
     rng = _rng(seed, "conjugate")
     t = _log_uniform(rng, n_samples)

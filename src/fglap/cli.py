@@ -415,6 +415,8 @@ def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict,
         rows.append(["fixed_point_iterations", str(n),
                      str(report.stage_iterations[k])])
         rows.append(["residual_sup", str(n), _fmt(report.residual_sups[k])])
+        rows.append(["seed_residual_evaluations", str(n),
+                     str(report.seed_evaluations[k])])
         if k > 0:
             rows.append(["sup_diff_prev_stage", str(n),
                          _fmt(report.sup_diffs[k - 1])])

@@ -3,7 +3,8 @@
 Everything here is vectorized over numpy arrays: the heavy callers
 (conjugate evaluation, boundary-weight integrals, check batteries)
 evaluate thousands of points per call and cannot afford per-scalar
-adaptive quadrature.
+adaptive quadrature. scipy is imported only where a rule is built, so
+importing the package does not pay for it.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import roots_genlaguerre
 
 from .errors import ConvergenceError, DomainError
 
-# Bracket guards for monotone root finding. Arguments outside this range
-# overflow float64 for the growth rates we admit.
-BRACKET_LO = 1e-300
-BRACKET_HI = 1e300
+# Newton steps allowed per point. Inside its growth window a shipped family
+# needs at most 4 (the tests cap them at 6); a function that leaves its
+# window runs out instead.
+INVERT_MAX_ITER = 40
 
 
 @lru_cache(maxsize=64)
@@ -32,46 +31,89 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Generalized Gauss-Laguerre rule on [0, inf) with weight v^alpha e^(-v), cached."""
+    from scipy.special import roots_genlaguerre
+
     return roots_genlaguerre(n, alpha)
 
 
-def invert_monotone(func, y, *, lo: float = BRACKET_LO, hi: float = BRACKET_HI,
-                    iters: int = 64) -> np.ndarray:
-    """Solve func(t) = y for a strictly increasing func with func(0) = 0.
+def invert_monotone(func, y, window: tuple[float, float], *, deriv=None,
+                    rtol: float = 1e-9,
+                    max_iter: int = INVERT_MAX_ITER) -> np.ndarray:
+    """Solve func(t) = y for an increasing func with func(0) = 0 whose
+    elasticity t func'(t)/func(t) stays inside window = (e_lo, e_hi), e_lo > 0.
 
-    Vectorized geometric bisection: brackets are refined through their
-    geometric midpoint so the relative argument error halves in log space,
-    reaching ~1e-14 relative accuracy in 64 iterations from the full
-    [1e-300, 1e300] bracket. Exact zeros map to zero.
+    The window brackets every root: func(t)/func(1) lies between t^e_lo and
+    t^e_hi, so log t lies between log(y/func(1))/e_hi and
+    log(y/func(1))/e_lo. Newton runs on log func against log t, where the
+    slope is the elasticity: t deriv(t)/func(t) when ``deriv`` is given,
+    else the secant slope of the last two iterates (the first anchored at
+    t = 1); either is clamped to the window. A step leaving the bracket is
+    replaced by the bracket's midpoint. A point stops after taking a step
+    of at most rtol in log t; with ``deriv`` the error after that step is
+    of order rtol^2, so the default ends at rounding level. Exact zeros map
+    to zero. A point still moving after max_iter steps raises
+    ConvergenceError: func left its window, or has no root.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("invert_monotone: target values must be finite")
     if np.any(y < 0.0):
         raise DomainError("invert_monotone: target values must be nonnegative")
+    e_lo, e_hi = map(float, window)
+    if not (0.0 < e_lo <= e_hi):
+        raise DomainError("invert_monotone: the growth window needs 0 < e_lo <= e_hi")
 
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y).astype(float)
-    out = np.zeros_like(y)
-    live = y > 0.0
-    if not live.any():
-        return out[0] if scalar else out
+    shape = y.shape
+    y = y.ravel()
+    out = np.zeros(y.size)
+    live = np.flatnonzero(y > 0.0)
+    if live.size == 0:
+        return out.reshape(shape)[()]
 
-    yl = y[live]
-    lo_a = np.full(yl.shape, lo)
-    hi_a = np.full(yl.shape, hi)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        f_lo = func(lo_a)
-        f_hi = func(hi_a)
-        if np.any(f_lo > yl) or np.any(f_hi < yl):
-            raise ConvergenceError("invert_monotone: target escapes the global bracket")
-        for _ in range(iters):
-            mid = np.sqrt(lo_a * hi_a)
-            below = func(mid) < yl
-            lo_a = np.where(below, mid, lo_a)
-            hi_a = np.where(below, hi_a, mid)
-    out[live] = np.sqrt(lo_a * hi_a)
-    return out[0] if scalar else out
+    with np.errstate(all="ignore"):
+        f1 = func(np.ones(1))[0]
+        if deriv is not None:
+            slope = float(np.clip(deriv(np.ones(1))[0] / f1, e_lo, e_hi))
+        else:
+            slope = 0.5 * (e_lo + e_hi)
+        yl = y[live]
+        ell = np.log(yl) - np.log(f1)  # y/f(1) can underflow
+        # windows are verified to ~1e-9, and a pure power's bracket has width 0
+        pad = 1e-9 * (1.0 + np.abs(ell))
+        lo = np.minimum(ell / e_hi, ell / e_lo) - pad
+        hi = np.maximum(ell / e_hi, ell / e_lo) + pad
+        x = ell / slope
+        t = np.exp(x)
+        # secant memory starts at the anchor t = 1, where log(func/y) = -ell
+        x_prev, phi_prev = np.zeros(live.size), -ell
+        for _ in range(max_iter):
+            f = func(t)
+            phi = np.log(f / yl)
+            hi = np.where(phi > 0.0, x, hi)
+            lo = np.where(phi < 0.0, x, lo)
+            if deriv is not None:
+                s = t * deriv(t) / f
+            else:
+                s = (phi - phi_prev) / (x - x_prev)
+                x_prev, phi_prev = x, phi
+            step = np.where(phi == 0.0, 0.0, -phi / np.clip(s, e_lo, e_hi))
+            # a step this small lands on a root whatever the bracket says: it
+            # may round onto the bracket's end, and bisecting there would crawl
+            done = np.abs(step) <= rtol
+            x_new = x + step
+            take = done | ((x_new > lo) & (x_new < hi))
+            t = np.where(take, t * np.exp(step), np.exp(0.5 * (lo + hi)))
+            x = np.where(take, x_new, 0.5 * (lo + hi))
+            out[live[done]] = t[done]
+            keep = ~done
+            if not keep.any():
+                return out.reshape(shape)[()]
+            live, yl, t, x, lo, hi = (a[keep] for a in (live, yl, t, x, lo, hi))
+            x_prev, phi_prev = x_prev[keep], phi_prev[keep]
+    raise ConvergenceError(
+        f"invert_monotone: {live.size} target(s) unresolved after {max_iter} "
+        f"steps, e.g. y = {yl[0]:.6g}; the function leaves its growth window "
+        f"{tuple(window)} or never reaches the target")
 
 
 def panel_edges_graded(upper, n_panels: int, ratio: float = 2.0) -> np.ndarray:
@@ -118,5 +160,7 @@ def graded_panel_depth(exponent: float, rel_tol: float = 1e-13,
 
 def adaptive_quad(func, a: float, b: float, *, rel_tol: float = 1e-10) -> float:
     """Scalar adaptive quadrature wrapper used by oracles and generic paths."""
+    from scipy import integrate
+
     val, _ = integrate.quad(func, a, b, epsrel=rel_tol, epsabs=0.0, limit=400)
     return val

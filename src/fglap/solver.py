@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError, InvariantError
 from .fractional import OperatorConfig, apply_interior, assemble_matrix, residual
 from .orlicz import GridFunction, Mesh, luxemburg_seminorm_W, modular_W
+from .quadrature import invert_monotone
 from .young import PhiWeight, submultiplicativity_constant
 
 SUBMULT_GATE = 1e-12
@@ -90,6 +91,7 @@ class SolveReport:
     n_values: list[int] = field(default_factory=list)
     solutions: list[GridFunction] = field(default_factory=list)
     stage_iterations: list[int] = field(default_factory=list)
+    seed_evaluations: list[int] = field(default_factory=list)
     residual_sups: list[float] = field(default_factory=list)
     sup_diffs: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
@@ -112,34 +114,32 @@ class SolveReport:
 
 
 def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
-                    what: str) -> np.ndarray:
-    """Scalar pre-seed: scale a cone until the summed residual changes sign.
+                    what: str) -> tuple[np.ndarray, int]:
+    """Scalar pre-seed: the cone scale t at which the summed residual
+    vanishes, and the residual evaluations spent finding it.
 
-    The operator is odd and monotone, so t -> sum residual(t cone) is
-    strictly increasing and negative at t = 0 whenever the load is
-    nontrivial; geometric bisection on t is cheap and global.
+    Summed over the interior, the interior pairs of A(t cone) cancel and
+    what is left is a positive sum of g-terms, so t -> sum A(t cone) grows
+    with elasticity in [p_minus - 1, p_plus - 1]; the growth-window
+    inverter solves sum A(t cone) = sum w rhs to 1e-3 in t.
     """
     cone = 1.0 - np.abs(mesh.nodes)
+    zero = np.zeros(mesh.m)
+    evaluations = 0
 
-    def total(t: float) -> float:
-        r = residual(cfg, GridFunction(mesh, t * cone), rhs)
-        return float(np.sum(r.values[1:-1]))
+    def total(t: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += t.size
+        return np.array([np.sum(residual(cfg, GridFunction(mesh, tk * cone),
+                                         zero).values[1:-1]) for tk in t])
 
-    hi = 1.0
-    for _ in range(80):
-        if total(hi) > 0.0:
-            break
-        hi *= 4.0
-    else:
-        raise ConvergenceError(f"{what}: cone seeding never changed the residual's sign")
-    lo = hi / 4.0 if hi > 1.0 else 1e-10
-    for _ in range(40):
-        mid = np.sqrt(lo * hi)
-        if total(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return np.sqrt(lo * hi) * cone
+    lo, hi = cfg.young.window
+    target = float(np.sum(mesh.weights[1:-1] * rhs[1:-1]))
+    try:
+        scale = invert_monotone(total, target, (lo - 1.0, hi - 1.0), rtol=1e-3)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{what}: cone seeding failed ({exc})") from None
+    return scale * cone, evaluations
 
 
 def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | None,
@@ -149,14 +149,18 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     Loads here are nonincreasing in u, so -w d adds a nonnegative diagonal
     and the matrix stays SPD. The default tolerance is 1e-8 (1 + max rhs)
     at the current iterate. A Levenberg shift grows tenfold after a failed
-    line search and decays tenfold after an accepted step."""
+    line search and decays tenfold after an accepted step. The stats hold
+    the Newton steps, the final residual sup and the residual evaluations
+    spent on cone seeding (0 for a warm start)."""
+    seed_evaluations = 0
     if warm_start is not None and warm_start.sup_norm() > 0.0:
         u = warm_start.values.copy()
     else:
         rhs0, _ = load(np.zeros(mesh.m))
         if np.max(np.abs(rhs0[1:-1])) == 0.0:
-            return GridFunction.zeros(mesh), {"iterations": 0, "residual_sup": 0.0}
-        u = _seed_from_cone(cfg, mesh, rhs0, what)
+            return GridFunction.zeros(mesh), {"iterations": 0, "residual_sup": 0.0,
+                                              "seed_evaluations": 0}
+        u, seed_evaluations = _seed_from_cone(cfg, mesh, rhs0, what)
     u[0] = u[-1] = 0.0
 
     lam = 0.0
@@ -202,7 +206,8 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     if floor < -1e-9 * (1.0 + float(np.max(np.abs(u)))):
         raise InvariantError(
             f"{what}: nonnegative load produced a solution dipping to {floor:.3e}")
-    return GridFunction(mesh, np.maximum(u, 0.0)), {"iterations": it, "residual_sup": rn}
+    return GridFunction(mesh, np.maximum(u, 0.0)), {
+        "iterations": it, "residual_sup": rn, "seed_evaluations": seed_evaluations}
 
 
 def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
@@ -288,6 +293,7 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         report.n_values.append(n)
         report.solutions.append(u)
         report.stage_iterations.append(stats["iterations"])
+        report.seed_evaluations.append(stats["seed_evaluations"])
         report.residual_sups.append(stats["residual_sup"])
         report.energies.append(modular_W(
             _energy_carrier(u, weight), cfg.young, cfg.s,

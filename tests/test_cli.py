@@ -174,6 +174,16 @@ class TestFileFormats:
                     "n_sequence_converged", "energies_bounded"):
             assert key in text, key
 
+    def test_seed_evaluations_row_per_stage(self, tmp_path):
+        # the cold first stage spends residual evaluations on the cone
+        # seed; every warm-started stage after it spends none
+        _, out = run(tmp_path, BASE)
+        rows = [line.split(",") for line in
+                (out / "diagnostics.csv").read_text().splitlines()]
+        seeds = [(n, int(v)) for q, n, v in rows if q == "seed_residual_evaluations"]
+        assert [n for n, _ in seeds] == ["1", "2"]
+        assert seeds[0][1] >= 2 and seeds[1][1] == 0
+
     def test_lf_endings(self, tmp_path):
         _, out = run(tmp_path, BASE)
         for name in ("solution.csv", "diagnostics.csv", "checks.csv"):

@@ -1,5 +1,10 @@
 """Quadrature and root-finding primitives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,43 +19,128 @@ from fglap.quadrature import (
     invert_monotone,
     panel_edges_graded,
 )
+from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestInvertMonotone:
     def test_cube_root_scalar(self):
-        t = invert_monotone(lambda x: x**3, 8.0)
+        t = invert_monotone(lambda x: x**3, 8.0, (3.0, 3.0))
         assert t == pytest.approx(2.0, rel=1e-13)
         assert np.ndim(t) == 0
 
     def test_vector_round_trip(self):
         g = lambda x: x**3 + x**4
         y = np.array([1e-8, 0.5, 3.0, 1e6])
-        t = invert_monotone(g, y)
+        t = invert_monotone(g, y, (3.0, 4.0))
         assert np.allclose(g(t), y, rtol=1e-12)
 
     def test_zero_maps_to_zero(self):
-        t = invert_monotone(lambda x: x**3, np.array([0.0, 1.0, 0.0]))
+        t = invert_monotone(lambda x: x**3, np.array([0.0, 1.0, 0.0]), (3.0, 3.0))
         assert t[0] == 0.0 and t[2] == 0.0
 
     def test_rejects_negative_target(self):
         with pytest.raises(DomainError):
-            invert_monotone(lambda x: x**3, -1.0)
+            invert_monotone(lambda x: x**3, -1.0, (3.0, 3.0))
 
     def test_rejects_nonfinite_target(self):
         with pytest.raises(DomainError):
-            invert_monotone(lambda x: x**3, np.inf)
+            invert_monotone(lambda x: x**3, np.inf, (3.0, 3.0))
 
     def test_escaping_bracket(self):
-        # bounded func can never reach 2.0
+        # tanh declares elasticity 1 but flattens out (its elasticity falls
+        # toward 0) and never reaches 2.0: the root escapes the bracket
         with pytest.raises(ConvergenceError):
-            invert_monotone(lambda x: np.tanh(x), 2.0, lo=1e-6, hi=1e6)
+            invert_monotone(lambda x: np.tanh(x), 2.0, (1.0, 1.0))
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, y):
         g = lambda x: x**3 / 3.0
-        t = invert_monotone(g, y)
+        t = invert_monotone(g, y, (3.0, 3.0))
         assert g(t) == pytest.approx(y, rel=1e-12)
+
+
+# the shipped families' extremes; each round trip's truth is the t that
+# produced its target
+WINDOW_FAMILIES = [PowerYoung(4.0), PowerYoung(40.0), PowerYoung(102.0),
+                   DoublePowerYoung(3.0, 4.0), LogTypeYoung(2.0, 2.0, 1.0),
+                   LogTypeYoung(30.0, 2.0, 1.0)]
+
+
+def _window_targets(yf, kind):
+    """Seeded log-uniform t on [1e-3, 1e3] plus a dense band on
+    [0.30, 0.34], where Newton on double-power g converges from one side and
+    its last steps round onto the bracket's end, kept where the forward
+    value is a normal float; and the forward values f(t)."""
+    rng = np.random.default_rng(11)
+    t = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 4000)),
+                        np.linspace(0.30, 0.34, 401)])
+    f = yf._G_pos if kind == "G" else yf._g_pos
+    with np.errstate(over="ignore", under="ignore"):
+        y = f(t)
+    keep = (y >= np.finfo(float).tiny) & np.isfinite(y)
+    return t[keep], y[keep]
+
+
+class TestWindowInverter:
+    """The growth-window Newton on every family the package ships, under a
+    hard cap of six steps per point."""
+
+    @pytest.mark.parametrize("yf", WINDOW_FAMILIES, ids=lambda yf: yf.label)
+    @pytest.mark.parametrize("kind", ["G", "g"])
+    def test_round_trip_to_rounding(self, yf, kind):
+        t, y = _window_targets(yf, kind)
+        lo, hi = yf.window
+        if kind == "G":
+            got = invert_monotone(yf._G_pos, y, (lo, hi), deriv=yf._g_pos,
+                                  max_iter=6)
+        else:
+            got = invert_monotone(yf._g_pos, y, (lo - 1.0, hi - 1.0),
+                                  deriv=yf._g_prime_pos, max_iter=6)
+        np.testing.assert_allclose(got, t, rtol=2e-15, atol=0.0)
+
+    def test_secant_mode(self):
+        # without a derivative the secant slope drives the step; rtol bounds
+        # the last step, and the error after it is far smaller
+        g = lambda x: x**3 + x**4
+        t = np.logspace(-3.0, 3.0, 61)
+        loose = invert_monotone(g, g(t), (3.0, 4.0), rtol=1e-3, max_iter=12)
+        tight = invert_monotone(g, g(t), (3.0, 4.0), max_iter=12)
+        np.testing.assert_allclose(loose, t, rtol=1e-3, atol=0.0)
+        np.testing.assert_allclose(tight, t, rtol=1e-12, atol=0.0)
+
+    def test_wrong_window_raises(self):
+        # x^3 declared with elasticity 4: the bracket misses the root
+        with pytest.raises(ConvergenceError):
+            invert_monotone(lambda x: x**3, 8.0, (4.0, 4.0), deriv=lambda x: 3 * x**2)
+
+    def test_subnormal_target(self):
+        # subnormal targets are solved to their own precision; the smallest
+        # is below f(1)/2, so y/f(1) underflows
+        y = np.array([5e-324, 1e-320, 1e-310])
+        p = PowerYoung(102.0)
+        got = invert_monotone(p._g_pos, y, (101.0, 101.0), deriv=p._g_prime_pos)
+        np.testing.assert_allclose(got, y ** (1.0 / 101.0), rtol=1e-3)
+        got = invert_monotone(lambda x: x**3 + x**4, y, (3.0, 4.0),
+                              deriv=lambda x: 3 * x**2 + 4 * x**3)
+        np.testing.assert_allclose(got, y ** (1.0 / 3.0), rtol=1e-3)
+
+    def test_window_verified_to_tolerance(self):
+        # growth windows are verified to ~1e-9, so an elasticity just past
+        # the declared one must still invert; far from t = 1 its root lies
+        # ~4e-8 outside the unpadded bracket
+        e = 3.0 + 5e-10
+        y = np.array([1e-300, 1e300])
+        got = invert_monotone(lambda x: x**e, y, (3.0, 3.0), deriv=lambda x: e * x ** (e - 1.0))
+        np.testing.assert_allclose(got**e, y, rtol=1e-14)
+
+    def test_shape_preserved(self):
+        y = np.array([[1.0, 8.0], [0.0, 27.0]])
+        got = invert_monotone(lambda x: x**3, y, (3.0, 3.0))
+        assert got.shape == (2, 2)
+        np.testing.assert_allclose(got, [[1.0, 2.0], [0.0, 3.0]], rtol=1e-15)
 
 
 class TestPanels:
@@ -93,3 +183,13 @@ def test_gauss_legendre_cached_and_exact():
 def test_adaptive_quad_matches_closed_form():
     val = adaptive_quad(lambda t: np.exp(-t), 0.0, np.log(2.0))
     assert val == pytest.approx(0.5, rel=1e-10)
+
+
+def test_scipy_stays_off_the_import_path():
+    # scipy is imported where a rule is built, never by importing the CLI
+    code = ("import sys, fglap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"

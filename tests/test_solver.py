@@ -274,6 +274,33 @@ class TestCoupledStages:
             solve_auxiliary(cfg, mesh, np.ones(mesh.m))
 
 
+class TestConeSeed:
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_seed_solves_summed_equation(self, name, request, mesh33):
+        # the seed's scale solves sum A(t cone) = sum w rhs to 1e-3 in t,
+        # so the summed residual is off by at most ~(p_plus - 1) 1e-3
+        yf = request.getfixturevalue(name)
+        cfg = OperatorConfig(young=yf, s=0.3)
+        rhs = np.random.default_rng(3).uniform(0.1, 2.0, mesh33.m)
+        u0, evaluations = solver._seed_from_cone(cfg, mesh33, rhs, "seed")
+        total = float(np.sum(residual(cfg, GridFunction(mesh33, u0), rhs).values))
+        load = float(np.sum(mesh33.weights[1:-1] * rhs[1:-1]))
+        assert abs(total) <= 1e-3 * (yf.p_plus - 1.0) * load
+        assert 2 <= evaluations <= 6
+
+    def test_stats_count_seed_evaluations(self, cfg, mesh33):
+        rhs = np.random.default_rng(4).uniform(0.1, 2.0, mesh33.m)
+        u, cold = solve_auxiliary(cfg, mesh33, rhs)
+        _, warm = solve_auxiliary(cfg, mesh33, rhs, warm_start=u)
+        _, zero = solve_auxiliary(cfg, mesh33, np.zeros(mesh33.m))
+        assert cold["seed_evaluations"] >= 2
+        assert warm["seed_evaluations"] == 0 and zero["seed_evaluations"] == 0
+
+    def test_only_the_first_stage_is_seeded(self, report):
+        assert report.seed_evaluations[0] >= 2
+        assert report.seed_evaluations[1:] == [0] * (len(report.n_values) - 1)
+
+
 class TestBarrier:
     def test_power_scaling_ratio(self, cfg, mesh33):
         vals = barrier_check(cfg, mesh33)

@@ -38,6 +38,24 @@ MVT_LOG = 0.7527393527089662
 SUBMULT_DP34 = 1.001999998000002
 SUBMULT_LOG = 0.6941467904158123
 
+# Phi at PHI_T, frozen from the graded-panel Phi that the Laguerre rule
+# replaced (16-node Gauss-Legendre on 57 dyadic panels toward sigma(t))
+PHI_T = (1e-3, 0.05, 0.7, 1.0, 3.3, 40.0, 1e3)
+PHI_FROZEN = {
+    ("dp34", 2.0): (8.835132452229582e-05, 0.015472910479438096,
+                    0.48565895260637315, 0.7714285714285715, 3.6106593927111263,
+                    88.47951155978853, 5255.9484350181265),
+    ("log221", 2.0): (8.369904882459033e-05, 0.014898160471670086,
+                      0.47889873799412763, 0.7640020382265672, 3.636577852411805,
+                      93.50166503512006, 6088.595893795215),
+    ("log221", 1.5): (0.00029299787425321195, 0.027219118693562167,
+                      0.574240000664676, 0.8666655542333235, 3.434514089820203,
+                      60.801328150012765, 2463.188704685559),
+    ("log3021", 2.0): (0.0007770385941962485, 0.04402826178138931,
+                       0.6706387432257709, 0.9690367103620099, 3.322162886221683,
+                       43.60934238971063, 1208.2623506548073),
+}
+
 positive_t = st.floats(min_value=1e-3, max_value=1e3)
 lam_ge_1 = st.floats(min_value=1.0, max_value=1e2)
 
@@ -144,6 +162,16 @@ class TestGrowthWindow:
         with pytest.raises(InvariantError):
             verify_declared_growth(loose)
 
+    def test_numerics_use_the_verified_window(self, log221):
+        # a false declared window moves what the checks compare against,
+        # not the inverses or the rules
+        liar = LogTypeYoung(2.0, 2.0, 1.0)
+        liar.p_minus, liar.p_plus = 5.0, 6.0
+        t = np.logspace(-3.0, 3.0, 25)
+        for fn in (lambda yf: yf.G_inverse(yf.G(t)), lambda yf: yf.g_inverse(yf.g(t)),
+                   lambda yf: eval_Gbar(yf, yf.g(t)), lambda yf: yf.G(t)):
+            np.testing.assert_array_equal(fn(liar), fn(log221))
+
 
 class TestConjugate:
     def test_power_exact(self):
@@ -166,6 +194,17 @@ class TestConjugate:
             at = yf.g(a)
             tight = eval_G(yf, a) + eval_Gbar(yf, at)
             assert np.allclose(a * at, tight, rtol=1e-7)
+
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_laguerre_matches_young_equality(self, name, request):
+        # Gbar(g(t)) = t g(t) - G(t): the equality case of Young's
+        # inequality, used here only as an oracle for the quadrature
+        yf = request.getfixturevalue(name)
+        rng = np.random.default_rng(17)
+        t = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2000))
+        want = t * yf.g(t) - yf.G(t)
+        np.testing.assert_allclose(eval_Gbar(yf, yf.g(t)), want, rtol=1e-13, atol=0.0)
 
 
 class TestSobolevConjugate:
@@ -193,6 +232,21 @@ class TestPhiWeight:
     def test_mvt_constant_regressions(self, dp34, log221):
         assert PhiWeight(dp34, 2.0).mvt_constant() == pytest.approx(MVT_DP34, rel=1e-10)
         assert PhiWeight(log221, 2.0).mvt_constant() == pytest.approx(MVT_LOG, rel=1e-10)
+
+    @pytest.mark.parametrize("key", list(PHI_FROZEN), ids=lambda k: f"{k[0]}-q{k[1]:g}")
+    def test_laguerre_matches_frozen_panels(self, key):
+        families = {"dp34": DoublePowerYoung(3.0, 4.0),
+                    "log221": LogTypeYoung(2.0, 2.0, 1.0),
+                    "log3021": LogTypeYoung(30.0, 2.0, 1.0)}
+        w = PhiWeight(families[key[0]], key[1])
+        np.testing.assert_allclose(w.phi(np.array(PHI_T)), PHI_FROZEN[key],
+                                   rtol=1e-13, atol=0.0)
+
+    def test_power_closed_form_on_grid(self, power4):
+        # Phi(t) = r t^(1/r) for a pure power, across the whole grid
+        w = PhiWeight(power4, 2.0)
+        t = standard_grid()
+        np.testing.assert_allclose(w.phi(t), w.r * t ** (1.0 / w.r), rtol=1e-14, atol=0.0)
 
     def test_inadmissible_exponent_rejected(self, power4):
         broken = PowerYoung(4.0)
