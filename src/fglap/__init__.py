@@ -15,10 +15,11 @@ from .errors import (
     FglapError,
     InvariantError,
 )
-from .fractional import OperatorConfig, apply, apply_interior, weak_form
+from .fractional import apply, apply_interior, weak_form
 from .orlicz import (
     GridFunction,
     Mesh,
+    OperatorConfig,
     luxemburg_norm_LG,
     luxemburg_seminorm_W,
     modular_LG,

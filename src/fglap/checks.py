@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fractional import OperatorConfig
-from .orlicz import GridFunction, Mesh
+from .orlicz import GridFunction, Mesh, OperatorConfig
 from .young import PhiWeight, YoungFunction, estimate_growth_bounds, eval_Gbar
 
 DEFAULT_SEED = 0x5EED

@@ -21,8 +21,7 @@ from .checks import (DEFAULT_SEED, CheckOutcome, check_comparison,
                      check_growth_bounds, run_check_suite)
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      FglapError, InvariantError)
-from .fractional import OperatorConfig
-from .orlicz import GridFunction, Mesh, modular_W_parts
+from .orlicz import GridFunction, Mesh, OperatorConfig, modular_W_parts
 from .solver import (ProblemData, SolveReport, boundary_energy_report,
                      monotone_scheme)
 from .young import YoungFunction, make_young
@@ -373,8 +372,7 @@ def cmd_solve(rc: RunConfig) -> int:
         return 1
 
     diag = boundary_energy_report(report, data)
-    parts = modular_W_parts(report.final, yf, rc.s, near_band=rc.near_band,
-                            r_far=rc.r_far, tail_mode=rc.tail_mode)
+    parts = modular_W_parts(cfg, report.final)
     tail_fraction = (parts["tail_dropped"] / parts["total"]
                      if parts["total"] > 0.0 else 0.0)
     if tail_fraction > 0.01:
@@ -496,9 +494,7 @@ def cmd_convergence(rc: RunConfig) -> int:
     finals: list[GridFunction] = []
     for m in meshes:
         mesh = Mesh(m)
-        data = build_data(rc, mesh)
-        data.validate_family(cfg)
-        report = monotone_scheme(cfg, data, mesh=mesh,
+        report = monotone_scheme(cfg, build_data(rc, mesh), mesh=mesh,
                                  n_schedule=rc.n_schedule,
                                  tol_stop=rc.tol_stop, tol_mono=rc.tol_mono)
         finals.append(report.final)

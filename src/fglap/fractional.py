@@ -6,11 +6,11 @@ closed-form exterior strips all share their quadrature between energy and
 form. Coercivity against the modular and honest energy identities then
 hold at round-off level instead of at quadrature-error level.
 
-All geometry comes from the cached `orlicz.Discretization` for the mesh
-size and operator settings. With du = (u_i - u_j) / ds over its far-pair
-kernel, each far term is one expression: residual g(du) kr, Newton
-Jacobian 2 g'(du) kr / ds, secant 2 (g(du)/du) kr / ds, weak form
-g(du) dv kr (the energy is G(du) kr ds).
+Every entry point takes an `orlicz.OperatorConfig` and reads all geometry
+from its cached `orlicz.Discretization` for the mesh size. With
+du = (u_i - u_j) / ds over its far-pair kernel, each far term is one
+expression: residual g(du) kr, Newton Jacobian 2 g'(du) kr / ds, weak
+form g(du) dv kr (the energy is G(du) kr ds).
 
 The strong-form evaluator is separate and deliberately different in
 texture: graded panels against the |x - y|^(-1-s) singularity over the
@@ -20,73 +20,39 @@ band, and the same closed-form exterior as the weak side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .orlicz import (
-    Discretization,
-    GridFunction,
-    Mesh,
-    _check_settings,
-    _require_zero_boundary,
-    discretization,
-)
+from .orlicz import (Discretization, GridFunction, OperatorConfig,
+                     _require_zero_boundary)
 from .quadrature import (gauss_legendre, graded_panel_depth, integrate_panels,
                          panel_edges_graded)
 from .young import YoungFunction
 
 
-@dataclass(frozen=True)
-class OperatorConfig:
-    """Discretization of the operator: growth family, order, band width,
-    and how the exterior tail is handled."""
-
-    young: YoungFunction
-    s: float
-    near_band: int = 1
-    r_far: float = 100.0
-    tail_mode: str = "analytic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "near_band", _check_settings(
-            self.s, self.near_band, self.tail_mode))
-        if self.r_far <= 1.0:
-            raise ConfigurationError("r_far must exceed 1")
-
-
-def _disc(cfg: OperatorConfig, mesh: Mesh) -> Discretization:
-    r_far = cfg.r_far if cfg.tail_mode == "zero" else None
-    return discretization(mesh.m, cfg.near_band, cfg.s, r_far, cfg.tail_mode)
-
-
 def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
-                mode: str = "value") -> np.ndarray:
+                newton: bool = False) -> np.ndarray:
     """Per-cell x-integral, over both clipped windows, of the sigma-derivative
-    of the band energy density, W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s))
-    (mode "value"), of dW/dsigma for Newton assembly ("newton"), or of the
-    secant ratio W/sigma ("secant"). W is odd in sigma and zero at zero."""
+    of the band energy density, W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s)),
+    or of dW/dsigma for Newton assembly. W is odd in sigma and zero at zero."""
     ex = 1.0 - disc.s
     total = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         for rho in (disc.rho_l, disc.rho_r):
             args = sigma * rho
-            if mode == "value":
-                total = total + yf.G(args) / (sigma * ex)
-            elif mode == "newton":
+            if newton:
                 total = total + ((yf.g(args) * rho * sigma - yf.G(args))
                                  / (sigma ** 2 * ex))
             else:
-                total = total + yf.G(args) / (sigma ** 2 * ex)
+                total = total + yf.G(args) / (sigma * ex)
     return np.sum(disc.xw * np.where(sigma != 0.0, total, 0.0), axis=1)
 
 
 def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
-             mode: str = "value") -> np.ndarray:
+             newton: bool = False) -> np.ndarray:
     """One-point exterior term [G(c a_l) + G(c a_r)] / (s c), odd in c,
-    minus the truncated windows in zero mode; its c-derivative with mode
-    "newton", its ratio to c with mode "secant"."""
+    minus the truncated windows in zero mode; its c-derivative for Newton
+    assembly."""
     out = np.zeros_like(c)
     nz = c != 0.0
     if not nz.any():
@@ -95,23 +61,21 @@ def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
 
     def side(a):
         av = a[nz]
-        if mode == "value":
-            return yf.G(cv * av)
-        if mode == "newton":
+        if newton:
             return (yf.g(cv * av) * av * cv - yf.G(cv * av)) / (disc.s * cv ** 2)
-        return yf.G(cv * av) / (disc.s * cv ** 2)
+        return yf.G(cv * av)
 
     val = side(disc.a_l) + side(disc.a_r)
     if disc.z_l is not None:
         val = val - side(disc.z_l) - side(disc.z_r)
-    out[nz] = val / (disc.s * cv) if mode == "value" else val
+    out[nz] = val if newton else val / (disc.s * cv)
     return out
 
 
 def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     """Ordered-pair bilinear pairing of the operator at u with the test
     function v; equals d/de of the modular energy of u + e v at e = 0."""
-    disc = _disc(cfg, u.mesh)
+    disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     if not v.vanishes_on_boundary():
         raise DomainError("test functions must vanish on the boundary")
@@ -138,7 +102,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
     Boundary entries are pinned to zero."""
-    disc = _disc(cfg, u.mesh)
+    disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
     mesh = u.mesh
@@ -160,25 +124,17 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:
     return GridFunction(mesh, r)
 
 
-def assemble_matrix(cfg: OperatorConfig, u: GridFunction,
-                    mode: str = "newton") -> np.ndarray:
-    """Interior-node system matrix: the residual Jacobian (mode="newton")
-    or the frozen-ratio secant operator (mode="secant"). Symmetric and
-    positive semidefinite in both modes."""
-    if mode not in ("newton", "secant"):
-        raise ConfigurationError("assembly mode must be 'newton' or 'secant'")
-    disc = _disc(cfg, u.mesh)
+def assemble_matrix(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
+    """Interior-node residual Jacobian: symmetric and positive
+    semidefinite."""
+    disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
     mesh = u.mesh
     uv = u.values
     m = mesh.m
 
-    # far pairs: 2 g'(du) kr / ds, or the secant ratio g(du)/du in place of g'
-    du = disc.quotients(uv)
-    if mode == "newton":
-        jac = yf.g_prime(du)
-    else:
-        jac = np.divide(yf.g(du), du, out=np.zeros_like(du), where=du != 0.0)
+    # far pairs: 2 g'(du) kr / ds
+    jac = yf.g_prime(disc.quotients(uv))
     jac *= disc.kr
     jac /= disc.ds
     jac *= 2.0
@@ -186,7 +142,8 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction,
     np.negative(jac, out=jac)
     jac.flat[::m + 1] += row
 
-    cp = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h, mode) / mesh.h ** 2
+    cp = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h,
+                     newton=True) / mesh.h ** 2
     k = np.arange(m - 1)
     np.add.at(jac, (k, k), cp)
     np.add.at(jac, (k + 1, k + 1), cp)
@@ -194,7 +151,8 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction,
     np.add.at(jac, (k + 1, k), -cp)
 
     idx = np.arange(1, m - 1)
-    jac[idx, idx] += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1], mode)
+    jac[idx, idx] += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1],
+                                                         newton=True)
 
     return jac[1:-1, 1:-1]
 
@@ -283,7 +241,7 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
             out += np.sum(vals * live, axis=1)
 
     # exterior strips, closed form: the weak side's term, carried once
-    out += _strip_e(yf, _disc(cfg, mesh), uv[interior])
+    out += _strip_e(yf, cfg.discretization(m), uv[interior])
     return out
 
 

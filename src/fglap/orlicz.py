@@ -1,4 +1,5 @@
-"""Meshes, grid functions, and discrete Orlicz energies on (-1, 1).
+"""Meshes, grid functions, the operator settings, and discrete Orlicz
+energies on (-1, 1).
 
 The nonlocal modular splits the ordered-pair double integral into three
 regions that the operator module reuses with identical quadrature, so the
@@ -14,10 +15,13 @@ weak form is the exact gradient of the modular energy:
   the substitution w = z^(-s) (`tail_mode="analytic"`), or truncated at
   ``r_far`` with the discarded mass reported (`tail_mode="zero"`).
 
-The energy here and the residual, Jacobian and weak form in `fractional`
-read all three regions' geometry from one cached `Discretization` per mesh
-size and operator setting, so none of them rebuilds pair geometry or takes
-distance powers per call.
+Every energy here, like the residual, Jacobian and weak form in
+`fractional`, takes an `OperatorConfig` and reads all three regions'
+geometry from the one cached `Discretization` that
+`OperatorConfig.discretization` returns per mesh size, so none of them
+rebuilds pair geometry or takes distance powers per call. The Luxemburg
+gauges invert the modular along u's ray with the growth-window inverter
+of `quadrature`.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DomainError
-from .quadrature import gauss_legendre
+from .errors import ConfigurationError, DomainError
+from .quadrature import gauss_legendre, invert_monotone
 from .young import YoungFunction
 
 # x-quadrature order inside band cells; exact where the window is unclipped
@@ -40,8 +44,8 @@ class Mesh:
     """Uniform nodes on [-1, 1] including the endpoints.
 
     Node weights are trapezoidal. Two meshes are interchangeable whenever
-    their node counts agree, so `discretization` keys on ``m`` (with the
-    operator's scalars) rather than on a mesh object.
+    their node counts agree, so `OperatorConfig.discretization` keys on
+    ``m`` rather than on a mesh object.
     """
 
     def __init__(self, m: int):
@@ -105,7 +109,7 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# cached discretization
+# operator settings and their cached discretization
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -117,8 +121,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class Discretization:
     """Geometry shared by the energy, residual, Jacobian, weak form and the
     strong form's exterior, for one mesh size and operator setting. Built
-    and cached by `discretization`; every array is read-only because all
-    callers share it.
+    and cached by `OperatorConfig.discretization`; every array is read-only
+    because all callers share it.
 
     * far-pair kernel: ``ds = dist^s`` and ``kr = w_i w_j / dist^(1+s)`` on
       node pairs more than ``near_band`` indices apart, ds = 1 and kr = 0 on
@@ -149,32 +153,45 @@ class Discretization:
         return du
 
 
-def _check_settings(s: float, near_band, tail_mode: str) -> int:
-    """Validate the settings every entry point shares; return near_band as
-    a whole number of cells (2.0 passes: a fraction would set a band radius
-    that the far kernel, starting at whole index gaps, does not match)."""
-    if not (0.0 < s < 1.0):
-        raise ConfigurationError(f"s must lie in (0, 1), got {s}")
-    if tail_mode not in ("analytic", "zero"):
-        raise ConfigurationError("tail_mode must be 'analytic' or 'zero'")
-    if not float(near_band).is_integer():
-        raise ConfigurationError(
-            f"near_band must be a whole number of cells, got {near_band!r}")
-    if near_band < 1:
-        raise ConfigurationError("near_band must be at least 1")
-    return int(near_band)
+@dataclass(frozen=True)
+class OperatorConfig:
+    """Discretization of the operator: growth family, order, band width,
+    and how the exterior tail is handled. Every setting is validated here,
+    once; ``near_band`` must be a whole number of cells (2.0 passes: a
+    fraction would set a band radius that the far kernel, starting at whole
+    index gaps, does not match)."""
+
+    young: YoungFunction
+    s: float
+    near_band: int = 1
+    r_far: float = 100.0
+    tail_mode: str = "analytic"
+
+    def __post_init__(self):
+        if not (0.0 < self.s < 1.0):
+            raise ConfigurationError(f"s must lie in (0, 1), got {self.s}")
+        if self.tail_mode not in ("analytic", "zero"):
+            raise ConfigurationError("tail_mode must be 'analytic' or 'zero'")
+        if not float(self.near_band).is_integer():
+            raise ConfigurationError(f"near_band must be a whole number of "
+                                     f"cells, got {self.near_band!r}")
+        if self.near_band < 1:
+            raise ConfigurationError("near_band must be at least 1")
+        if self.r_far <= 1.0:
+            raise ConfigurationError("r_far must exceed 1")
+        object.__setattr__(self, "near_band", int(self.near_band))
+
+    def discretization(self, m: int) -> Discretization:
+        """The shared geometry of the uniform m-node mesh. Only zero mode
+        reads ``r_far``, so one analytic entry serves every r_far; the
+        cache keys on scalars and keeps no Young family alive."""
+        r_far = self.r_far if self.tail_mode == "zero" else None
+        return _discretization(m, self.near_band, self.s, r_far, self.tail_mode)
 
 
 @lru_cache(maxsize=32)
-def discretization(m: int, near_band: int, s: float, r_far: float | None,
-                   tail_mode: str) -> Discretization:
-    """The shared geometry of the uniform m-node mesh. Settings are
-    validated here, once per key, with the messages every entry point
-    reports. Only zero mode reads ``r_far``; callers pass None otherwise,
-    so one analytic entry serves every r_far."""
-    near_band = _check_settings(s, near_band, tail_mode)
-    if tail_mode == "zero" and r_far <= 1.0:
-        raise ConfigurationError("r_far must exceed 1 when truncating the tail")
+def _discretization(m: int, near_band: int, s: float, r_far: float | None,
+                    tail_mode: str) -> Discretization:
     mesh = Mesh(m)
     radius = near_band * mesh.h
     if radius >= 1.0:
@@ -221,60 +238,44 @@ def modular_LG(u: GridFunction, yf: YoungFunction) -> float:
     return float(np.sum(u.mesh.weights * yf.G(u.values)))
 
 
-def luxemburg_norm_LG(u: GridFunction, yf: YoungFunction,
-                      tol: float = 1e-10) -> float:
-    """Scaling lam with modular_LG(u/lam) = 1, by geometric bisection."""
-    return _luxemburg(lambda lam: modular_LG(_scaled(u, lam), yf), u, tol)
+def luxemburg_norm_LG(u: GridFunction, yf: YoungFunction) -> float:
+    """Scaling lam with modular_LG(u/lam) = 1."""
+    return _luxemburg(lambda v: modular_LG(v, yf), u, yf.window)
 
 
-def _scaled(u: GridFunction, lam: float) -> GridFunction:
-    return GridFunction(u.mesh, u.values / lam)
-
-
-def _luxemburg(rho_of_lam, u: GridFunction, tol: float) -> float:
-    if u.sup_norm() == 0.0:
+def _luxemburg(modular, u: GridFunction, window: tuple[float, float]) -> float:
+    """Gauge lam with modular(u/lam) = 1. Along the ray of the unit-sup
+    direction u_hat = u/||u||_inf, mu -> modular(mu u_hat) grows with
+    elasticity inside the family's growth window, so the growth-window
+    inverter (secant slopes) returns mu, and lam = ||u||_inf / mu scales
+    exactly with u. Its last step is at most 1e-12 in log mu and the
+    secant error after it far smaller, so modular(u/lam) = 1 to rounding."""
+    sup = u.sup_norm()
+    if sup == 0.0:
         return 0.0
-    lo, hi = 1e-12, 1e12
-    if rho_of_lam(lo) < 1.0:
-        return 0.0
-    if rho_of_lam(hi) > 1.0:
-        raise ConvergenceError("Luxemburg bisection: norm exceeds bracket 1e12")
-    for _ in range(90):
-        mid = np.sqrt(lo * hi)
-        val = rho_of_lam(mid)
-        if abs(val - 1.0) <= tol:
-            return float(mid)
-        # an overflowing modular (inf, or nan from inf * 0 on near pairs)
-        # counts as above 1
-        if val <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo - 1.0 < 1e-15:
-            break
-    return float(np.sqrt(lo * hi))
+    unit = u.values / sup
+
+    def rho(mu: np.ndarray) -> np.ndarray:
+        return np.array([modular(GridFunction(u.mesh, mk * unit)) for mk in mu])
+
+    return sup / float(invert_monotone(rho, 1.0, window, rtol=1e-12))
 
 
 # ---------------------------------------------------------------------------
 # nonlocal modular
 
 
-def modular_W(u: GridFunction, yf: YoungFunction, s: float, *,
-              near_band: int = 1, r_far: float = 100.0,
-              tail_mode: str = "analytic") -> float:
-    parts = modular_W_parts(u, yf, s, near_band=near_band, r_far=r_far,
-                            tail_mode=tail_mode)
-    return parts["total"]
+def modular_W(cfg: OperatorConfig, u: GridFunction) -> float:
+    return modular_W_parts(cfg, u)["total"]
 
 
-def modular_W_parts(u: GridFunction, yf: YoungFunction, s: float, *,
-                    near_band: int = 1, r_far: float = 100.0,
-                    tail_mode: str = "analytic") -> dict:
+def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
     """Far, band, strip pieces of the nonlocal modular, plus the exact mass
     a truncated tail would drop (zero unless tail_mode="zero")."""
-    disc = discretization(u.mesh.m, near_band, s,
-                          r_far if tail_mode == "zero" else None, tail_mode)
+    disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
+    yf = cfg.young
+    s = cfg.s
     mesh = u.mesh
     v = u.values
 
@@ -301,14 +302,6 @@ def modular_W_parts(u: GridFunction, yf: YoungFunction, s: float, *,
             "tail_dropped": 2.0 * tail, "total": total}
 
 
-def luxemburg_seminorm_W(u: GridFunction, yf: YoungFunction, s: float, *,
-                         near_band: int = 1, r_far: float = 100.0,
-                         tail_mode: str = "analytic", tol: float = 1e-10) -> float:
-    """Gauge seminorm of the nonlocal modular, geometric bisection as for
-    the local norm."""
-
-    def rho(lam):
-        return modular_W(_scaled(u, lam), yf, s, near_band=near_band,
-                         r_far=r_far, tail_mode=tail_mode)
-
-    return _luxemburg(rho, u, tol)
+def luxemburg_seminorm_W(cfg: OperatorConfig, u: GridFunction) -> float:
+    """Gauge seminorm of the nonlocal modular, found as for the local norm."""
+    return _luxemburg(lambda v: modular_W(cfg, v), u, cfg.young.window)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, InvariantError
-from .fractional import OperatorConfig, apply_interior, assemble_matrix, residual
-from .orlicz import GridFunction, Mesh, luxemburg_seminorm_W, modular_W
+from .fractional import apply_interior, assemble_matrix, residual
+from .orlicz import (GridFunction, Mesh, OperatorConfig, luxemburg_seminorm_W,
+                     modular_W)
 from .quadrature import invert_monotone
 from .young import PhiWeight, submultiplicativity_constant
 
@@ -172,7 +173,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         if rn <= lim:
             break
 
-        jac = assemble_matrix(cfg, GridFunction(mesh, u), "newton")
+        jac = assemble_matrix(cfg, GridFunction(mesh, u))
         diag = np.diag_indices_from(jac)
         if d is not None:
             jac[diag] -= mesh.weights[1:-1] * d[1:-1]
@@ -295,10 +296,7 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         report.stage_iterations.append(stats["iterations"])
         report.seed_evaluations.append(stats["seed_evaluations"])
         report.residual_sups.append(stats["residual_sup"])
-        report.energies.append(modular_W(
-            _energy_carrier(u, weight), cfg.young, cfg.s,
-            near_band=cfg.near_band, r_far=cfg.r_far,
-            tail_mode=cfg.tail_mode))
+        report.energies.append(modular_W(cfg, _energy_carrier(u, weight)))
         if prev is not None:
             drop = float(np.min(u.values - prev.values))
             if drop < -tol_mono:
@@ -373,12 +371,8 @@ def boundary_energy_report(report: SolveReport, data: ProblemData) -> dict:
         raise ConfigurationError("the report carries no operator settings")
     cfg = report.cfg
     weight = PhiWeight(cfg.young, data.q_star) if data.case == "main2" else None
-    energies = []
-    for u in report.solutions:
-        energies.append(luxemburg_seminorm_W(
-            _energy_carrier(u, weight), cfg.young, cfg.s,
-            near_band=cfg.near_band, r_far=cfg.r_far,
-            tail_mode=cfg.tail_mode))
+    energies = [luxemburg_seminorm_W(cfg, _energy_carrier(u, weight))
+                for u in report.solutions]
     ref = float(np.median(energies[-3:])) if energies else 0.0
     bounded = all(e <= 2.0 * ref + 1e-12 for e in energies)
     return {"case": data.case, "energies": energies,

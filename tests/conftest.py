@@ -4,8 +4,7 @@ smooth profile corpus used by the refinement tests."""
 import numpy as np
 import pytest
 
-from fglap.fractional import OperatorConfig
-from fglap.orlicz import GridFunction, Mesh
+from fglap.orlicz import GridFunction, Mesh, OperatorConfig
 from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung
 
 
@@ -65,7 +64,7 @@ def smoke_corpus(mesh65):
             for tag in PROFILE_TAGS}
 
 
-def stalled_matrix(cfg, u, mode="newton"):
+def stalled_matrix(cfg, u):
     """Stand-in Newton matrix far too stiff to converge: every step is
     tiny, so a solve runs out of iterations with finite iterates."""
     return 1e6 * np.eye(u.mesh.m - 2)

@@ -18,8 +18,8 @@ import pytest
 from fglap.checks import run_check_suite
 from fglap.cli import main as cli_main
 from fglap.errors import ConfigurationError
-from fglap.fractional import OperatorConfig, assemble_matrix, residual
-from fglap.orlicz import GridFunction, Mesh, modular_W
+from fglap.fractional import assemble_matrix, residual
+from fglap.orlicz import GridFunction, Mesh, OperatorConfig, modular_W
 from fglap.solver import (
     ProblemData,
     barrier_check,
@@ -114,7 +114,7 @@ def test_criterion_03_fixed_point_oracle():
         sup = float(np.abs(F).max())
         if sup < 1e-11:
             break
-        J = assemble_matrix(cfg, u, "newton")
+        J = assemble_matrix(cfg, u)
         base = np.maximum(u.values[1:-1], 0.0) + 1.0 / n
         qv = data.q.values[1:-1]
         J = J + np.diag(mesh.weights[1:-1] * qv * fn[1:-1]
@@ -231,7 +231,8 @@ def test_criterion_09_refinement_consistency():
     for yf in REFERENCE_FAMILIES:
         for s in (0.3, 0.7):
             for tag in ("bump", "tilt"):
-                vals = [modular_W(GridFunction(m, corpus(m)[tag]), yf, s)
+                vals = [modular_W(OperatorConfig(young=yf, s=s),
+                                  GridFunction(m, corpus(m)[tag]))
                         for m in meshes]
                 for a, b in zip(vals, vals[1:]):
                     worst_pair = max(worst_pair, abs(a - b) / abs(b))

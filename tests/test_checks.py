@@ -16,7 +16,7 @@ from fglap.checks import (
     run_check_suite,
 )
 from fglap.errors import ConfigurationError
-from fglap.fractional import OperatorConfig
+from fglap.orlicz import OperatorConfig
 from fglap.young import PhiWeight, PowerYoung
 
 # exponent budgets under which each family's tail domination holds inside

@@ -117,6 +117,16 @@ class TestExitCodes:
         code, _ = run(tmp_path, body, cmd="convergence")
         assert code == 2
 
+    def test_convergence_rejects_bad_main2_family(self, tmp_path, capsys):
+        # declared p_minus = 1 puts the boundary weight's exponent r q_star
+        # at p_minus, which case main2 does not admit
+        body = (BASE.replace("mesh = 33", "mesh = 17,33")
+                + "case = main2\nq_star = 2\ndeclared_p_minus = 1\n")
+        code, out = run(tmp_path, body, cmd="convergence")
+        assert code == 2
+        assert "must stay below p_minus" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
     def test_steep_power_solves(self, tmp_path):
         body = BASE.replace("p = 4", "p = 20").replace("s = 0.3", "s = 0.1")
         code, _ = run(tmp_path, body)

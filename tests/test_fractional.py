@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fglap.errors import ConfigurationError, DomainError
-from fglap.fractional import (OperatorConfig, apply, apply_interior,
-                              assemble_matrix, residual, weak_form)
-from fglap.orlicz import (GridFunction, Mesh, discretization, modular_W,
+from fglap.fractional import (apply, apply_interior, assemble_matrix,
+                              residual, weak_form)
+from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
                           modular_W_parts)
 from fglap.quadrature import gauss_legendre
 from fglap.young import PowerYoung
@@ -59,7 +59,7 @@ class TestWeakForm:
             eps = 1e-6
             up = GridFunction(mesh33, u.values + eps * v.values)
             um = GridFunction(mesh33, u.values - eps * v.values)
-            fd = (modular_W(up, yf, 0.3) - modular_W(um, yf, 0.3)) / (2.0 * eps)
+            fd = (modular_W(cfg, up) - modular_W(cfg, um)) / (2.0 * eps)
             wf = weak_form(cfg, u, v)
             # difference noise ~ 1e-16 |E| / eps caps the attainable match
             assert wf == pytest.approx(fd, rel=1e-8)
@@ -70,11 +70,11 @@ class TestWeakForm:
         u = bump_on(mesh33)
         for yf in families:
             cfg = OperatorConfig(young=yf, s=0.3)
-            ratio = weak_form(cfg, u, u) / modular_W(u, yf, 0.3)
+            ratio = weak_form(cfg, u, u) / modular_W(cfg, u)
             assert ratio >= yf.p_minus * (1.0 - 1e-8)
         p4 = PowerYoung(4.0)
         cfg = OperatorConfig(young=p4, s=0.3)
-        assert weak_form(cfg, u, u) / modular_W(u, p4, 0.3) == pytest.approx(4.0, rel=1e-12)
+        assert weak_form(cfg, u, u) / modular_W(cfg, u) == pytest.approx(4.0, rel=1e-12)
 
     def test_linear_in_test_function(self, power4, mesh33):
         cfg = OperatorConfig(young=power4, s=0.3)
@@ -296,16 +296,19 @@ def assert_close(got, ref, rel):
 
 class TestSharedDiscretization:
     @pytest.mark.parametrize("near_band,tail_mode", SETTINGS)
-    def test_secant_matrix_reproduces_residual(self, families, mesh33,
-                                               near_band, tail_mode):
-        # the frozen-ratio operator applied to u is the unloaded residual
+    def test_residual_is_weak_form_against_hats(self, families, mesh33,
+                                                near_band, tail_mode):
+        # the unloaded residual's entry at an interior node is the weak
+        # form against that node's hat function
         u = random_interior(mesh33, 5)
         for yf in families:
             cfg = OperatorConfig(young=yf, s=0.3, near_band=near_band,
                                  tail_mode=tail_mode)
-            sec = assemble_matrix(cfg, u, "secant")
-            ref = residual(cfg, u, np.zeros(mesh33.m)).values[1:-1]
-            assert_close(sec @ u.values[1:-1], ref, 1e-12)
+            r = residual(cfg, u, np.zeros(mesh33.m)).values
+            for i in range(1, mesh33.m - 1):
+                hat = GridFunction(mesh33, np.eye(mesh33.m)[i])
+                assert weak_form(cfg, u, hat) == pytest.approx(
+                    r[i], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m", [17, 33])
     @pytest.mark.parametrize("near_band,tail_mode", SETTINGS)
@@ -319,17 +322,17 @@ class TestSharedDiscretization:
             ref = _Reference(cfg, m)
             assert_close(residual(cfg, u, np.zeros(m)).values,
                          ref.residual(u.values), 1e-13)
-            assert_close(assemble_matrix(cfg, u, "newton"),
+            assert_close(assemble_matrix(cfg, u),
                          ref.jacobian(u.values), 1e-13)
             assert weak_form(cfg, u, v) == pytest.approx(
                 ref.weak_form(u.values, v.values), rel=1e-13)
-            parts = modular_W_parts(u, yf, 0.3, near_band=near_band,
-                                    r_far=cfg.r_far, tail_mode=tail_mode)
+            parts = modular_W_parts(cfg, u)
             assert parts["total"] == pytest.approx(ref.energy(u.values), rel=1e-13)
 
     def test_cached_arrays_are_read_only(self):
-        disc = discretization(33, 1, 0.3, 100.0, "zero")
-        assert disc is discretization(33, 1, 0.3, 100.0, "zero")
+        cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3, tail_mode="zero")
+        disc = cfg.discretization(33)
+        assert disc is cfg.discretization(33)
         arrays = {name: val for name, val in vars(disc).items()
                   if isinstance(val, np.ndarray)}
         assert sum(a.shape == (33, 33) for a in arrays.values()) == 2

@@ -4,11 +4,13 @@ with its band/strip/tail split, and the seminorm built on it."""
 import numpy as np
 import pytest
 
+import fglap.orlicz as orlicz
 from fglap.errors import ConfigurationError, DomainError
 from fglap.orlicz import (
     GridFunction,
     Mesh,
-    discretization,
+    OperatorConfig,
+    _discretization,
     luxemburg_norm_LG,
     luxemburg_seminorm_W,
     modular_LG,
@@ -146,13 +148,13 @@ class TestNonlocalModular:
         mesh = Mesh(33)
         u = GridFunction(mesh, np.ones(mesh.m))
         with pytest.raises(DomainError):
-            modular_W(u, power4, 0.3)
+            modular_W(OperatorConfig(power4, 0.3), u)
 
     def test_parts_sum_and_tail_modes(self, power4):
         mesh = Mesh(33)
         bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
-        pa = modular_W_parts(bump, power4, 0.3, tail_mode="analytic")
-        pz = modular_W_parts(bump, power4, 0.3, tail_mode="zero")
+        pa, pz = (modular_W_parts(OperatorConfig(power4, 0.3, tail_mode=mode), bump)
+                  for mode in ("analytic", "zero"))
         for parts in (pa, pz):
             assert parts["total"] == pytest.approx(
                 parts["far"] + parts["band"] + parts["strip"], rel=1e-12)
@@ -164,7 +166,8 @@ class TestNonlocalModular:
     def test_cone_refinement(self, power4):
         coarse = Mesh(33)
         dense = Mesh(257)
-        vals = [modular_W(GridFunction(m, 1.0 - np.abs(m.nodes)), power4, 0.3)
+        cfg = OperatorConfig(power4, 0.3)
+        vals = [modular_W(cfg, GridFunction(m, 1.0 - np.abs(m.nodes)))
                 for m in (coarse, dense)]
         assert vals[0] == pytest.approx(vals[1], rel=0.02)
 
@@ -173,35 +176,35 @@ class TestNonlocalModular:
         # truncation radius must not move the total
         mesh = Mesh(33)
         bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
-        a = modular_W(bump, power4, 0.3, r_far=50.0)
-        b = modular_W(bump, power4, 0.3, r_far=200.0)
+        a = modular_W(OperatorConfig(power4, 0.3, r_far=50.0), bump)
+        b = modular_W(OperatorConfig(power4, 0.3, r_far=200.0), bump)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_analytic_mode_shares_one_discretization(self, power4):
         # r_far is unused in analytic mode, so it must not split the cache
         mesh = Mesh(37)
         bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
-        misses = discretization.cache_info().misses
+        misses = _discretization.cache_info().misses
         for r_far in (50.0, 200.0):
-            modular_W(bump, power4, 0.3, r_far=r_far)
-        assert discretization.cache_info().misses - misses == 1
+            modular_W(OperatorConfig(power4, 0.3, r_far=r_far), bump)
+        assert _discretization.cache_info().misses - misses == 1
 
     def test_band_must_be_whole_cells(self, power4):
         mesh = Mesh(33)
         bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
         with pytest.raises(ConfigurationError):
-            modular_W(bump, power4, 0.3, near_band=1.5)
-        assert (modular_W(bump, power4, 0.3, near_band=2.0)
-                == modular_W(bump, power4, 0.3, near_band=2))
+            modular_W(OperatorConfig(power4, 0.3, near_band=1.5), bump)
+        assert (modular_W(OperatorConfig(power4, 0.3, near_band=2.0), bump)
+                == modular_W(OperatorConfig(power4, 0.3, near_band=2), bump))
 
 
 class TestNonlocalSeminorm:
     def test_homogeneity(self, power4):
         mesh = Mesh(33)
         u = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
-        base = luxemburg_seminorm_W(u, power4, 0.3)
-        scaled = luxemburg_seminorm_W(GridFunction(mesh, 2.5 * u.values),
-                                      power4, 0.3)
+        cfg = OperatorConfig(power4, 0.3)
+        base = luxemburg_seminorm_W(cfg, u)
+        scaled = luxemburg_seminorm_W(cfg, GridFunction(mesh, 2.5 * u.values))
         assert scaled == pytest.approx(2.5 * base, rel=1e-8)
 
     def test_poincare_ratio_stable(self, power4):
@@ -210,21 +213,93 @@ class TestNonlocalSeminorm:
         worst = {}
         for m in (33, 65):
             mesh = Mesh(m)
-            rs = [luxemburg_norm_LG(u, power4) / luxemburg_seminorm_W(u, power4, 0.3)
+            rs = [luxemburg_norm_LG(u, power4)
+                  / luxemburg_seminorm_W(OperatorConfig(power4, 0.3), u)
                   for u in sine_corpus(mesh, 20)]
             worst[m] = max(rs)
         assert worst[33] <= 1.0
         assert worst[33] == pytest.approx(worst[65], rel=0.10)
 
     def test_bisection_survives_overflow(self):
-        # for a pure power the gauge is W(u)^(1/p); with p = 60 the trial
-        # scales far below it overflow G, on near pairs as well as far ones,
-        # and the bisection must read that as "above 1"
-        p60 = PowerYoung(60.0)
+        # for a pure power the gauge is W(u)^(1/p); with p = 60 scales far
+        # below it overflow G, on near pairs as well as far ones, and the
+        # gauge must still come out right
+        cfg = OperatorConfig(PowerYoung(60.0), 0.3)
         mesh = Mesh(17)
         u = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
         with np.errstate(over="ignore", invalid="ignore"):
             tiny = GridFunction(mesh, u.values / 1e-6)
-            assert not np.isfinite(modular_W(tiny, p60, 0.3))
-            got = luxemburg_seminorm_W(u, p60, 0.3)
-        assert got == pytest.approx(modular_W(u, p60, 0.3) ** (1.0 / 60.0), rel=1e-8)
+            assert not np.isfinite(modular_W(cfg, tiny))
+            got = luxemburg_seminorm_W(cfg, u)
+        assert got == pytest.approx(modular_W(cfg, u) ** (1.0 / 60.0), rel=1e-8)
+
+
+
+def tilted_bump(mesh, scale=1.0):
+    inner = 1.0 - mesh.nodes ** 2
+    return GridFunction(mesh, scale * inner * (1.0 + 0.5 * mesh.nodes))
+
+
+class TestGaugeInverter:
+    """Both gauges invert the modular along u's ray with the growth-window
+    inverter: pure powers in closed form, the rest to rounding level, in a
+    handful of modular evaluations, and exactly homogeneous."""
+
+    @pytest.mark.parametrize("p", [4.0, 60.0])
+    def test_power_seminorm_closed_form(self, p):
+        # rho(u/lam) = W(u) lam^(-p) for a pure power
+        cfg = OperatorConfig(PowerYoung(p), 0.3)
+        u = tilted_bump(Mesh(33))
+        assert luxemburg_seminorm_W(cfg, u) == pytest.approx(
+            modular_W(cfg, u) ** (1.0 / p), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["dp34", "log221"])
+    def test_unit_modular_at_the_gauge(self, name, request):
+        yf = request.getfixturevalue(name)
+        cfg = OperatorConfig(yf, 0.3)
+        mesh = Mesh(33)
+        for u in (tilted_bump(mesh), tilted_bump(mesh, 40.0)):
+            lam = luxemburg_norm_LG(u, yf)
+            unit = GridFunction(mesh, u.values / lam)
+            assert modular_LG(unit, yf) == pytest.approx(1.0, abs=1e-12)
+            lam = luxemburg_seminorm_W(cfg, u)
+            unit = GridFunction(mesh, u.values / lam)
+            assert modular_W(cfg, unit) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
+    def test_exact_scaling(self, families, c):
+        mesh = Mesh(33)
+        u, cu = tilted_bump(mesh), tilted_bump(mesh, c)
+        for yf in families:
+            cfg = OperatorConfig(yf, 0.3)
+            assert luxemburg_norm_LG(cu, yf) == pytest.approx(
+                c * luxemburg_norm_LG(u, yf), rel=1e-13, abs=0.0)
+            assert luxemburg_seminorm_W(cfg, cu) == pytest.approx(
+                c * luxemburg_seminorm_W(cfg, u), rel=1e-13, abs=0.0)
+
+    def test_zero_function_has_zero_gauge(self, power4):
+        zero = GridFunction.zeros(Mesh(17))
+        assert luxemburg_norm_LG(zero, power4) == 0.0
+        assert luxemburg_seminorm_W(OperatorConfig(power4, 0.3), zero) == 0.0
+
+    def test_few_modular_evaluations(self, families, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            original = getattr(orlicz, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(orlicz, name, counted)
+
+        counting("modular_LG")
+        counting("modular_W")
+        mesh = Mesh(33)
+        for yf in families:
+            for u in (tilted_bump(mesh), tilted_bump(mesh, 1e3)):
+                calls.update(modular_LG=0, modular_W=0)
+                luxemburg_norm_LG(u, yf)
+                luxemburg_seminorm_W(OperatorConfig(yf, 0.3), u)
+                assert 1 <= calls["modular_LG"] <= 6, (yf.label, calls)
+                assert 1 <= calls["modular_W"] <= 6, (yf.label, calls)

@@ -6,8 +6,8 @@ import pytest
 
 import fglap.solver as solver
 from fglap.errors import ConfigurationError, ConvergenceError, DomainError
-from fglap.fractional import OperatorConfig, apply_interior, residual, weak_form
-from fglap.orlicz import GridFunction, Mesh
+from fglap.fractional import apply_interior, residual, weak_form
+from fglap.orlicz import GridFunction, Mesh, OperatorConfig
 from fglap.solver import (
     ProblemData,
     barrier_check,
