@@ -8,10 +8,11 @@ the primitive ``G``, growth exponents ``p_minus <= p_plus`` with
 
 Every integral from zero (G and Lambda unless a family has a closed form,
 the conjugate, the Sobolev-type conjugate and the boundary weight) comes
-from one generalized Gauss-Laguerre rule after the substitution
-t = y e^(-v/k), with k sized from the integrand's growth at zero. Every
-inverse is a log-log Newton bracketed by the growth window. All entry
-points accept scalars or arrays and are vectorized.
+from one generalized Gauss-Laguerre rule, built with numpy alone in
+``quadrature.gauss_laguerre``, after the substitution t = y e^(-v/k), with
+k sized from the integrand's growth at zero. Every inverse is a log-log
+Newton bracketed by the growth window. All entry points accept scalars or
+arrays and are vectorized.
 """
 
 from __future__ import annotations
@@ -286,22 +287,6 @@ def make_young(family: str, **params) -> YoungFunction:
 
 # ---------------------------------------------------------------------------
 # pointwise operations
-
-
-def eval_g(yf: YoungFunction, t):
-    _require_finite(t, "eval_g")
-    return yf.g(t)
-
-
-def eval_G(yf: YoungFunction, t):
-    _require_finite(t, "eval_G")
-    return yf.G(t)
-
-
-def invert_G(yf: YoungFunction, y):
-    """Nonnegative t with G(t) = y."""
-    _require_finite(y, "invert_G")
-    return yf.G_inverse(y)
 
 
 def eval_Gbar(yf: YoungFunction, t):

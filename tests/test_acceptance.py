@@ -33,9 +33,7 @@ from fglap.young import (
     DoublePowerYoung,
     LogTypeYoung,
     PowerYoung,
-    eval_G,
     eval_Gbar,
-    eval_g,
 )
 
 # tail-domination exponent budget per family; the double-power family
@@ -89,8 +87,8 @@ def test_criterion_02_conjugate_closed_form():
     worst = 0.0
     for p in (3.0, 4.0, 5.0):
         yf = PowerYoung(p)
-        lhs = eval_Gbar(yf, eval_g(yf, t))
-        want = (p - 1.0) * eval_G(yf, t)
+        lhs = eval_Gbar(yf, yf.g(t))
+        want = (p - 1.0) * yf.G(t)
         worst = max(worst, float(np.max(np.abs(lhs - want) / want)))
     ok = worst <= 1e-7
     assert verdict(2, "conjugate identity", ok,

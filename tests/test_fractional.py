@@ -339,3 +339,22 @@ class TestSharedDiscretization:
         for name, arr in arrays.items():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("height,near_finite", [(5e7, True), (2e8, False)])
+    def test_spike_raises_domain_error(self, height, near_finite):
+        # near pairs lie within the band radius, near_band*h < 1, so the band
+        # cells' argument sigma*rho is at least any near pair's plain
+        # difference, and G >= g where g overflows: the band cells overflow
+        # first, and masking near pairs before g would change nothing
+        cfg = OperatorConfig(young=PowerYoung(40.0), s=0.1)
+        mesh = Mesh(17)
+        uv = np.zeros(mesh.m)
+        uv[8] = height
+        disc = cfg.discretization(mesh.m)
+        with np.errstate(over="ignore"):
+            near_g = cfg.young.g(disc.quotients(uv)[disc.kr == 0.0])
+        assert np.all(np.isfinite(near_g)) == near_finite
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            residual(cfg, GridFunction(mesh, uv), np.zeros(mesh.m))

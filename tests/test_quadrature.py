@@ -1,5 +1,6 @@
 """Quadrature and root-finding primitives."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_genlaguerre
 
 from fglap.errors import ConvergenceError, DomainError
 from fglap.quadrature import (
-    adaptive_quad,
+    gauss_laguerre,
     gauss_legendre,
     graded_panel_depth,
     integrate_panels,
@@ -180,16 +182,47 @@ def test_gauss_legendre_cached_and_exact():
     assert gauss_legendre(8) is not None  # cache hit path
 
 
-def test_adaptive_quad_matches_closed_form():
-    val = adaptive_quad(lambda t: np.exp(-t), 0.0, np.log(2.0))
-    assert val == pytest.approx(0.5, rel=1e-10)
+RULES = [(64, 0.0), (64, 1.0), (8, 0.5)]
 
 
-def test_scipy_stays_off_the_import_path():
-    # scipy is imported where a rule is built, never by importing the CLI
-    code = ("import sys, fglap.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "[]"
+class TestGaussLaguerre:
+    """The numpy-built rule against scipy's, and exact on monomials."""
+
+    @pytest.mark.parametrize("n,alpha", RULES)
+    def test_matches_scipy(self, n, alpha):
+        x, w = gauss_laguerre(n, alpha)
+        xs, ws = roots_genlaguerre(n, alpha)
+        np.testing.assert_allclose(x, xs, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(w, ws, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n,alpha", RULES)
+    def test_exact_on_monomials(self, n, alpha):
+        # int_0^inf v^(j + alpha) e^(-v) dv = Gamma(j + alpha + 1); an n-point
+        # rule is exact up to degree 2n - 1
+        x, w = gauss_laguerre(n, alpha)
+        for j in range(min(21, 2 * n)):
+            assert np.sum(w * x ** j) == pytest.approx(math.gamma(j + alpha + 1.0),
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("n,alpha", RULES)
+    def test_weights_positive_and_scalable(self, n, alpha):
+        # the Laguerre integrals multiply every weight by e^v
+        x, w = gauss_laguerre(n, alpha)
+        assert np.all(w > 0.0)
+        assert np.all(np.isfinite(w * np.exp(x)))
+
+
+def test_solve_runs_without_scipy(tmp_path):
+    # the log-type family builds both rules: alpha = 0 for G, 1 for Lambda
+    cfg = tmp_path / "log_type.cfg"
+    cfg.write_text("family = log-type\na = 2\nb = 2\nc = 1\ns = 0.3\nmesh = 33\n"
+                   "f = bump:2\nq = abs-power:0.5,2\nn_schedule = 1,2\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    code = ("import sys; sys.modules['scipy'] = None; import fglap.cli; "
+            f"sys.exit(fglap.cli.main(['solve', '--config', {str(cfg)!r}, "
+            f"'--out', {str(out)!r}, '--no-plot']))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert run.returncode == 0, run.stderr
+    assert (out / "solution.csv").is_file()
