@@ -67,8 +67,8 @@ def _worst(margins: np.ndarray, payload: dict) -> tuple[float, dict]:
 
 def check_growth_bounds(yf: YoungFunction) -> CheckOutcome:
     """Sampled growth window 1 + t g'/g on the standard grid against the
-    declared [p_minus, p_plus]; the margin is the tighter of the two ends,
-    the same margins `verify_declared_growth` raises from."""
+    declared [p_minus, p_plus]; the margin is the tighter of the two ends
+    of `GrowthEstimate.margins`, and the check fails below -1e-6."""
     est = estimate_growth_bounds(yf, GROWTH_GRID)
     lower, upper = est.margins(yf)
     offending = None

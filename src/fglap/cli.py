@@ -21,7 +21,7 @@ from .checks import (DEFAULT_SEED, CheckOutcome, check_comparison,
                      check_growth_bounds, run_check_suite)
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      FglapError, InvariantError)
-from .orlicz import GridFunction, Mesh, OperatorConfig, modular_W_parts
+from .orlicz import GridFunction, Mesh, OperatorConfig
 from .solver import (ProblemData, SolveReport, boundary_energy_report,
                      monotone_scheme)
 from .young import YoungFunction, make_young
@@ -34,9 +34,8 @@ FAMILY_PARAMS = {
 
 _KNOWN_KEYS = {
     "family", "p", "p1", "p2", "a", "b", "c", "s", "mesh", "case", "f", "q",
-    "q_star", "delta", "n_schedule", "seed", "out", "plot", "near_band",
-    "r_far", "tail_mode", "samples", "eps", "declared_p_minus",
-    "declared_p_plus", "tol_stop", "tol_mono",
+    "q_star", "delta", "n_schedule", "seed", "out", "plot", "samples", "eps",
+    "declared_p_minus", "declared_p_plus", "tol_stop", "tol_mono",
 }
 
 _PROFILE_TAGS = ("const", "gaussian", "bump", "abs-power", "file")
@@ -60,9 +59,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     out: Path = field(default_factory=lambda: Path("."))
     plot: bool = True
-    near_band: int = 1
-    r_far: float = 100.0
-    tail_mode: str = "analytic"
     samples: int = 1000
     eps: float = 1.0
     declared_p_minus: float | None = None
@@ -161,7 +157,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(
             f"config key 'case' must be main1 or main2, got {case!r}")
 
-    tail_mode = raw.get("tail_mode", "analytic")
     rc = RunConfig(
         family=family,
         params=params,
@@ -176,9 +171,6 @@ def load_config(path: str | Path) -> RunConfig:
         seed=_as_int(raw, "seed", DEFAULT_SEED),
         out=Path(raw["out"]) if "out" in raw else Path("."),
         plot=_as_bool(raw, "plot", True),
-        near_band=_as_int(raw, "near_band", 1),
-        r_far=_as_float(raw, "r_far", 100.0),
-        tail_mode=tail_mode,
         samples=_as_int(raw, "samples", 1000),
         eps=_as_float(raw, "eps", 1.0),
         declared_p_minus=(None if "declared_p_minus" not in raw
@@ -197,8 +189,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"config key 's' must lie in (0, 1), got {rc.s}")
     for spec, key in ((rc.f_spec, "f"), (rc.q_spec, "q")):
         _validate_profile_spec(spec, key)
-    if any(b <= a for a, b in zip(rc.n_schedule, rc.n_schedule[1:])):
-        raise ConfigurationError("config key 'n_schedule' must be strictly increasing")
+    if rc.n_schedule[0] < 1 or any(b <= a for a, b in zip(rc.n_schedule,
+                                                         rc.n_schedule[1:])):
+        raise ConfigurationError("config key 'n_schedule' must be strictly "
+                                 "increasing and start at 1 or above")
     return rc
 
 
@@ -212,8 +206,7 @@ def build_young(rc: RunConfig) -> YoungFunction:
 
 
 def build_operator(rc: RunConfig, yf: YoungFunction) -> OperatorConfig:
-    return OperatorConfig(yf, rc.s, near_band=rc.near_band,
-                          r_far=rc.r_far, tail_mode=rc.tail_mode)
+    return OperatorConfig(yf, rc.s)
 
 
 def _validate_profile_spec(spec: str, key: str) -> None:
@@ -372,19 +365,12 @@ def cmd_solve(rc: RunConfig) -> int:
         return 1
 
     diag = boundary_energy_report(report, data)
-    parts = modular_W_parts(cfg, report.final)
-    tail_fraction = (parts["tail_dropped"] / parts["total"]
-                     if parts["total"] > 0.0 else 0.0)
-    if tail_fraction > 0.01:
-        report.warnings.append(
-            f"truncated exterior tail holds {100 * tail_fraction:.2f}% of "
-            f"the modular; raise r_far or use tail_mode=analytic")
     if not diag["bounded"]:
         report.warnings.append("boundary energies exceed twice the median "
                                "of the last three stages")
 
     _write_solution(rc, report)
-    _write_diagnostics(rc, report, diag, tail_fraction)
+    _write_diagnostics(rc, report, diag)
     if rc.plot:
         _write_plot(rc, report)
     for line in report.warnings:
@@ -402,8 +388,7 @@ def _write_solution(rc: RunConfig, report: SolveReport) -> None:
     write_csv(rc.out / "solution.csv", header, rows)
 
 
-def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict,
-                       tail_fraction: float) -> None:
+def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict) -> None:
     rows = []
     for k, n in enumerate(report.n_values):
         rows.append([f"modular_energy[{report.energy_case}]", str(n),
@@ -423,7 +408,6 @@ def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict,
     rows.append(["holder_seminorm", "", _fmt(report.holder_seminorm)])
     rows.append(["n_sequence_converged", "", "1" if report.converged else "0"])
     rows.append(["energies_bounded", "", "1" if diag["bounded"] else "0"])
-    rows.append(["tail_dropped_fraction", "", _fmt(tail_fraction)])
     write_csv(rc.out / "diagnostics.csv", ["quantity", "n", "value"], rows)
 
 

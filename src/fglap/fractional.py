@@ -25,8 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .orlicz import (Discretization, GridFunction, OperatorConfig,
                      _require_zero_boundary)
-from .quadrature import (gauss_legendre, graded_panel_depth, integrate_panels,
-                         panel_edges_graded)
+from .quadrature import graded_panel_depth, integrate_panels, panel_edges_graded
 from .young import YoungFunction
 
 
@@ -50,9 +49,8 @@ def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
 
 def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
              newton: bool = False) -> np.ndarray:
-    """One-point exterior term [G(c a_l) + G(c a_r)] / (s c), odd in c,
-    minus the truncated windows in zero mode; its c-derivative for Newton
-    assembly."""
+    """One-point exterior term [G(c a_l) + G(c a_r)] / (s c), odd in c; its
+    c-derivative for Newton assembly."""
     out = np.zeros_like(c)
     nz = c != 0.0
     if not nz.any():
@@ -66,8 +64,6 @@ def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
         return yf.G(cv * av)
 
     val = side(disc.a_l) + side(disc.a_r)
-    if disc.z_l is not None:
-        val = val - side(disc.z_l) - side(disc.z_r)
     out[nz] = val if newton else val / (disc.s * cv)
     return out
 
@@ -207,38 +203,20 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
     out = (_first_cell_integral(cfg, sig_l, h)
            + _first_cell_integral(cfg, sig_r, h))
 
-    # remaining band cells (near_band > 1): smooth, fixed-order Gauss with
-    # exact piecewise-linear values; window clipped at the boundary
-    gx, gw = gauss_legendre(12)
-    for j in range(2, cfg.near_band + 1):
-        lo_j, hi_j = (j - 1) * h, j * h
-        tau = lo_j + (gx + 1.0) * (hi_j - lo_j) / 2.0
-        wj = gw * (hi_j - lo_j) / 2.0
-        for sgn in (-1.0, 1.0):
-            ys = mesh.nodes[interior][:, None] + sgn * tau[None, :]
-            inside = (ys > -1.0) & (ys < 1.0)
-            vals = np.interp(ys, mesh.nodes, uv, left=0.0, right=0.0)
-            diff = uv[interior][:, None] - vals
-            contrib = yf.g(diff / tau[None, :] ** s) / tau[None, :] ** (1.0 + s)
-            out += np.sum(np.where(inside, contrib * wj[None, :], 0.0), axis=1)
-
-    # beyond the band: midpoint cells tile (band radius, distance to each
+    # beyond the first cell: midpoint cells tile (h, distance to each
     # endpoint) exactly; midpoint values of a hat-interpolant are averages
     mids = 0.5 * (uv[:-1] + uv[1:])
-    b = cfg.near_band
-    max_k = m - 1 - b
-    if max_k > 0:
-        ks = np.arange(1, max_k + 1)
-        tau_k = (b + ks - 0.5) * h
-        kern = tau_k ** (-1.0 - s)
-        ui = uv[interior][:, None]
-        for sgn, count in ((-1, interior), (1, (m - 1) - interior)):
-            live = ks[None, :] <= (count - b)[:, None]
-            cell_idx = np.clip(interior[:, None] + sgn * (b + ks[None, :])
-                               + (0 if sgn < 0 else -1), 0, m - 2)
-            diff = ui - mids[cell_idx]
-            vals = yf.g(diff / tau_k[None, :] ** s) * kern[None, :] * h
-            out += np.sum(vals * live, axis=1)
+    ks = np.arange(1, m - 1)
+    tau_k = (ks + 0.5) * h
+    kern = tau_k ** (-1.0 - s)
+    ui = uv[interior][:, None]
+    for sgn, count in ((-1, interior), (1, (m - 1) - interior)):
+        live = ks[None, :] <= (count - 1)[:, None]
+        cell_idx = np.clip(interior[:, None] + sgn * (1 + ks[None, :])
+                           + (0 if sgn < 0 else -1), 0, m - 2)
+        diff = ui - mids[cell_idx]
+        vals = yf.g(diff / tau_k[None, :] ** s) * kern[None, :] * h
+        out += np.sum(vals * live, axis=1)
 
     # exterior strips, closed form: the weak side's term, carried once
     out += _strip_e(yf, cfg.discretization(m), uv[interior])

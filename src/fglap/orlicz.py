@@ -1,19 +1,18 @@
-"""Meshes, grid functions, the operator settings, and discrete Orlicz
+"""Meshes, grid functions, the operator config, and discrete Orlicz
 energies on (-1, 1).
 
 The nonlocal modular splits the ordered-pair double integral into three
 regions that the operator module reuses with identical quadrature, so the
 weak form is the exact gradient of the modular energy:
 
-* far pairs: node pairs more than ``near_band`` indices apart, trapezoid
-  weights in both variables;
-* band: |x - y| below the band radius, integrated exactly for piecewise
+* far pairs: node pairs more than one index apart, trapezoid weights in
+  both variables;
+* band: |x - y| below one cell width h, integrated exactly for piecewise
   linear functions through the one-argument primitive
   Lambda(Y) = int_0^Y G(tau)/tau dtau, with the window clipped near the
   endpoints;
-* strips: the exterior contribution, in closed form through Lambda after
-  the substitution w = z^(-s) (`tail_mode="analytic"`), or truncated at
-  ``r_far`` with the discarded mass reported (`tail_mode="zero"`).
+* strips: the exterior contribution (u = 0 outside the interval), in
+  closed form through Lambda after the substitution w = z^(-s).
 
 Every energy here, like the residual, Jacobian and weak form in
 `fractional`, takes an `OperatorConfig` and reads all three regions'
@@ -56,10 +55,6 @@ class Mesh:
         self.nodes = np.linspace(-1.0, 1.0, self.m)
         self.weights = np.full(self.m, self.h)
         self.weights[0] = self.weights[-1] = self.h / 2.0
-
-    def refined(self) -> "Mesh":
-        """Mesh with one extra node per cell; existing nodes are kept."""
-        return Mesh(2 * self.m - 1)
 
     def middle_half(self) -> np.ndarray:
         return np.abs(self.nodes) <= 0.5 + 1e-12
@@ -109,7 +104,7 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# operator settings and their cached discretization
+# the operator config and its cached discretization
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -120,18 +115,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """Geometry shared by the energy, residual, Jacobian, weak form and the
-    strong form's exterior, for one mesh size and operator setting. Built
-    and cached by `OperatorConfig.discretization`; every array is read-only
-    because all callers share it.
+    strong form's exterior, for one mesh size and order s. Built and cached
+    by `OperatorConfig.discretization`; every array is read-only because
+    all callers share it.
 
     * far-pair kernel: ``ds = dist^s`` and ``kr = w_i w_j / dist^(1+s)`` on
-      node pairs more than ``near_band`` indices apart, ds = 1 and kr = 0 on
-      near pairs, so each far term is one expression in du = (u_i - u_j) / ds;
+      node pairs more than one index apart, ds = 1 and kr = 0 on near pairs,
+      so each far term is one expression in du = (u_i - u_j) / ds;
     * band: x-quadrature weights ``xw`` (the same in every cell) and, per
-      cell and node, the clipped window radii toward each endpoint to the
-      power 1 - s, ``rho_l`` and ``rho_r``;
-    * strips: d^(-s) per side at the interior nodes, ``a_l`` and ``a_r``, and
-      in zero mode the truncated windows' ``z_l`` and ``z_r`` (else None).
+      cell and node, the window radii toward each endpoint, min(h, distance
+      to the endpoint), to the power 1 - s, ``rho_l`` and ``rho_r``;
+    * strips: d^(-s) per side at the interior nodes, ``a_l`` and ``a_r``.
     """
 
     s: float
@@ -142,8 +136,6 @@ class Discretization:
     rho_r: np.ndarray
     a_l: np.ndarray
     a_r: np.ndarray
-    z_l: np.ndarray | None
-    z_r: np.ndarray | None
 
     def quotients(self, uv: np.ndarray) -> np.ndarray:
         """du = (u_i - u_j) / ds: far-pair difference quotients, plain
@@ -155,51 +147,28 @@ class Discretization:
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Discretization of the operator: growth family, order, band width,
-    and how the exterior tail is handled. Every setting is validated here,
-    once; ``near_band`` must be a whole number of cells (2.0 passes: a
-    fraction would set a band radius that the far kernel, starting at whole
-    index gaps, does not match)."""
+    """The operator: growth family and order s, validated here once. The
+    discretization itself has no settings: a one-cell band and the exact
+    exterior."""
 
     young: YoungFunction
     s: float
-    near_band: int = 1
-    r_far: float = 100.0
-    tail_mode: str = "analytic"
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ConfigurationError(f"s must lie in (0, 1), got {self.s}")
-        if self.tail_mode not in ("analytic", "zero"):
-            raise ConfigurationError("tail_mode must be 'analytic' or 'zero'")
-        if not float(self.near_band).is_integer():
-            raise ConfigurationError(f"near_band must be a whole number of "
-                                     f"cells, got {self.near_band!r}")
-        if self.near_band < 1:
-            raise ConfigurationError("near_band must be at least 1")
-        if self.r_far <= 1.0:
-            raise ConfigurationError("r_far must exceed 1")
-        object.__setattr__(self, "near_band", int(self.near_band))
 
     def discretization(self, m: int) -> Discretization:
-        """The shared geometry of the uniform m-node mesh. Only zero mode
-        reads ``r_far``, so one analytic entry serves every r_far; the
-        cache keys on scalars and keeps no Young family alive."""
-        r_far = self.r_far if self.tail_mode == "zero" else None
-        return _discretization(m, self.near_band, self.s, r_far, self.tail_mode)
+        """The shared geometry of the uniform m-node mesh. The cache keys on
+        (m, s) and keeps no Young family alive."""
+        return _discretization(m, self.s)
 
 
 @lru_cache(maxsize=32)
-def _discretization(m: int, near_band: int, s: float, r_far: float | None,
-                    tail_mode: str) -> Discretization:
+def _discretization(m: int, s: float) -> Discretization:
     mesh = Mesh(m)
-    radius = near_band * mesh.h
-    if radius >= 1.0:
-        raise ConfigurationError(
-            f"band radius {radius:g} must stay below half the domain")
-
     idx = np.arange(m)
-    near = np.abs(np.subtract.outer(idx, idx)) <= near_band
+    near = np.abs(np.subtract.outer(idx, idx)) <= 1
     dist = np.abs(np.subtract.outer(mesh.nodes, mesh.nodes))
     dist[near] = 1.0
     ds = np.power(dist, s)
@@ -210,16 +179,12 @@ def _discretization(m: int, near_band: int, s: float, r_far: float | None,
     gx, gw = gauss_legendre(_BAND_XQ)
     xq = mesh.nodes[:-1, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
     xw = gw * (mesh.h / 2.0)
-    rho_l = np.minimum(radius, 1.0 + xq) ** (1.0 - s)
-    rho_r = np.minimum(radius, 1.0 - xq) ** (1.0 - s)
+    rho_l = np.minimum(mesh.h, 1.0 + xq) ** (1.0 - s)
+    rho_r = np.minimum(mesh.h, 1.0 - xq) ** (1.0 - s)
 
     x = mesh.nodes[1:-1]
-    z_l = z_r = None
-    if tail_mode == "zero":
-        z_l, z_r = _frozen((r_far + x) ** (-s)), _frozen((r_far - x) ** (-s))
     return Discretization(s, *map(_frozen, (ds, kr, xw, rho_l, rho_r,
-                                            (1.0 + x) ** (-s), (1.0 - x) ** (-s))),
-                          z_l, z_r)
+                                            (1.0 + x) ** (-s), (1.0 - x) ** (-s))))
 
 
 def _require_zero_boundary(u: GridFunction) -> None:
@@ -270,8 +235,7 @@ def modular_W(cfg: OperatorConfig, u: GridFunction) -> float:
 
 
 def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
-    """Far, band, strip pieces of the nonlocal modular, plus the exact mass
-    a truncated tail would drop (zero unless tail_mode="zero")."""
+    """Far, band and strip pieces of the nonlocal modular, and their total."""
     disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
@@ -291,15 +255,10 @@ def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
     wi = mesh.weights[1:-1]
     c = np.abs(v[1:-1])
     strip = float(np.sum(wi * (yf.lam(c * disc.a_l) + yf.lam(c * disc.a_r))) / s)
-    tail = 0.0
-    if disc.z_l is not None:
-        tail = float(np.sum(wi * (yf.lam(c * disc.z_l) + yf.lam(c * disc.z_r))) / s)
-        strip -= tail
 
     # ordered pairs: both (x, y) and (y, x) cross the boundary
     total = far + band + 2.0 * strip
-    return {"far": far, "band": band, "strip": 2.0 * strip,
-            "tail_dropped": 2.0 * tail, "total": total}
+    return {"far": far, "band": band, "strip": 2.0 * strip, "total": total}
 
 
 def luxemburg_seminorm_W(cfg: OperatorConfig, u: GridFunction) -> float:

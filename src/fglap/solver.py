@@ -280,8 +280,10 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     (t + 1/n)^(-q) both increase with n."""
     if mesh is None:
         mesh = data.f.mesh
-    if len(n_schedule) < 1 or any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
-        raise ConfigurationError("the n schedule must be strictly increasing")
+    if (len(n_schedule) < 1 or n_schedule[0] < 1
+            or any(b <= a for a, b in zip(n_schedule, n_schedule[1:]))):
+        raise ConfigurationError("the n schedule must be strictly increasing "
+                                 "and start at 1 or above")
     data.validate_family(cfg)
 
     report = SolveReport(mesh=mesh, cfg=cfg)

@@ -61,8 +61,7 @@ class TestExitCodes:
         code, _ = run(tmp_path, BASE.replace("f = const:1", "f = const:-1"))
         assert code == 2
 
-    @pytest.mark.parametrize("key,value", [("near_band", "1.7"),
-                                           ("samples", "1000.9"),
+    @pytest.mark.parametrize("key,value", [("samples", "1000.9"),
                                            ("seed", "3.9")])
     def test_integer_key_rejects_fraction(self, tmp_path, capsys, key, value):
         code, _ = run(tmp_path, BASE + f"{key} = {value}\n", cmd="check-young")
@@ -70,8 +69,26 @@ class TestExitCodes:
         assert repr(key) in capsys.readouterr().err
 
     def test_integer_key_accepts_integral_float(self, tmp_path):
-        rc = load_config(write_cfg(tmp_path, BASE + "samples = 1e3\nnear_band = 2.0\n"))
-        assert (rc.samples, rc.near_band) == (1000, 2)
+        rc = load_config(write_cfg(tmp_path, BASE + "samples = 1e3\nseed = 2.0\n"))
+        assert (rc.samples, rc.seed) == (1000, 2)
+
+    @pytest.mark.parametrize("key,value", [("near_band", "1"), ("r_far", "100"),
+                                           ("tail_mode", "analytic")])
+    def test_retired_discretization_keys_rejected(self, tmp_path, capsys,
+                                                  key, value):
+        # the band is one cell and the exterior exact; neither is a setting
+        code, _ = run(tmp_path, BASE + f"{key} = {value}\n", cmd="check-young")
+        assert code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule", ["0,1", "-2,1"])
+    def test_schedule_below_one_rejected(self, tmp_path, capsys, schedule):
+        code, out = run(tmp_path, BASE.replace("n_schedule = 1,2",
+                                               f"n_schedule = {schedule}"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_schedule" in err and "Traceback" not in err
+        assert not (out / "checks.csv").exists()
 
     def test_bad_s(self, tmp_path):
         code, _ = run(tmp_path, BASE.replace("s = 0.3", "s = 1.3"))

@@ -13,8 +13,6 @@ from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
 from fglap.quadrature import gauss_legendre
 from fglap.young import PowerYoung
 
-from conftest import PROFILE_TAGS, profile_values
-
 
 def bump_on(mesh):
     return GridFunction(mesh, 1.0 - mesh.nodes ** 2)
@@ -26,25 +24,6 @@ class TestConfigValidation:
             OperatorConfig(young=power4, s=0.0)
         with pytest.raises(ConfigurationError):
             OperatorConfig(young=power4, s=1.0)
-
-    def test_r_far_floor(self, power4):
-        with pytest.raises(ConfigurationError):
-            OperatorConfig(young=power4, s=0.3, r_far=1.0)
-        OperatorConfig(young=power4, s=0.3, r_far=1.5)
-
-    def test_band_and_tail(self, power4):
-        with pytest.raises(ConfigurationError):
-            OperatorConfig(young=power4, s=0.3, near_band=0)
-        with pytest.raises(ConfigurationError):
-            OperatorConfig(young=power4, s=0.3, tail_mode="clip")
-
-    def test_band_must_be_whole_cells(self, power4):
-        # a fractional band radius would not match the far kernel, which
-        # starts at the next whole index gap
-        with pytest.raises(ConfigurationError):
-            OperatorConfig(young=power4, s=0.3, near_band=1.5)
-        cfg = OperatorConfig(young=power4, s=0.3, near_band=2.0)
-        assert cfg.near_band == 2 and isinstance(cfg.near_band, int)
 
 
 class TestWeakForm:
@@ -156,28 +135,9 @@ class TestStrongForm:
         ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
         assert 1.5 <= ratio <= 4.0
 
-    def test_near_band_insensitive(self, families):
-        # widening the singular band changes the strong form by < 0.5%
-        # on the smooth corpus once the mesh resolves the kernel
-        mesh = Mesh(65)
-        for yf in families:
-            s = 0.3 if yf.p_minus * 0.7 > 1.0 else 0.25
-            if yf.p_minus * (1.0 - s) <= 1.0:
-                continue
-            cfg1 = OperatorConfig(young=yf, s=s, near_band=1)
-            cfg2 = OperatorConfig(young=yf, s=s, near_band=2)
-            for tag in PROFILE_TAGS:
-                u = GridFunction(mesh, profile_values(tag, mesh.nodes))
-                a = apply_interior(cfg1, u)
-                b = apply_interior(cfg2, u)
-                scale = np.max(np.abs(a))
-                assert np.max(np.abs(a - b)) / scale < 5e-3
-
 
 # ---------------------------------------------------------------------------
 # the shared discretization against the per-call formulas it replaced
-
-SETTINGS = [(nb, tail) for nb in (1, 2) for tail in ("analytic", "zero")]
 
 
 def random_interior(mesh, seed):
@@ -197,21 +157,16 @@ class _Reference:
         self.yf, self.s = cfg.young, cfg.s
         mesh = self.mesh = Mesh(m)
         idx = np.arange(m)
-        self.mask = np.abs(idx[:, None] - idx[None, :]) > cfg.near_band
+        self.mask = np.abs(idx[:, None] - idx[None, :]) > 1
         self.dist = np.where(
             self.mask, np.abs(mesh.nodes[:, None] - mesh.nodes[None, :]), 1.0)
         self.ww = np.outer(mesh.weights, mesh.weights)
         gx, gw = gauss_legendre(8)
         xq = mesh.nodes[:-1, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
         self.xw = np.broadcast_to(gw * (mesh.h / 2.0), xq.shape)
-        radius = cfg.near_band * mesh.h
-        self.radii = (np.minimum(radius, 1.0 + xq), np.minimum(radius, 1.0 - xq))
+        self.radii = (np.minimum(mesh.h, 1.0 + xq), np.minimum(mesh.h, 1.0 - xq))
         x = mesh.nodes[1:-1]
-        s = cfg.s
-        self.sides = [(1.0, (1.0 + x) ** (-s)), (1.0, (1.0 - x) ** (-s))]
-        if cfg.tail_mode == "zero":
-            self.sides += [(-1.0, (cfg.r_far + x) ** (-s)),
-                           (-1.0, (cfg.r_far - x) ** (-s))]
+        self.sides = [(1.0 + x) ** (-cfg.s), (1.0 - x) ** (-cfg.s)]
 
     def du(self, uv):
         return (uv[:, None] - uv[None, :]) / self.dist ** self.s
@@ -233,11 +188,11 @@ class _Reference:
     def strip(self, c, slope=False):
         yf, s = self.yf, self.s
         out = 0.0
-        for sign, a in self.sides:
+        for a in self.sides:
             if slope:
-                out = out + sign * (yf.g(c * a) * a * c - yf.G(c * a)) / (s * c ** 2)
+                out = out + (yf.g(c * a) * a * c - yf.G(c * a)) / (s * c ** 2)
             else:
-                out = out + sign * yf.G(c * a) / (s * c)
+                out = out + yf.G(c * a) / (s * c)
         return out
 
     def energy(self, uv):
@@ -247,8 +202,8 @@ class _Reference:
         band = np.sum(self.xw * sum(yf.lam(slope * r ** (1.0 - s))
                                     for r in self.radii)) / (1.0 - s)
         c = np.abs(uv[1:-1])
-        strip = sum(sign * np.sum(mesh.weights[1:-1] * yf.lam(c * a)) / s
-                    for sign, a in self.sides)
+        strip = sum(np.sum(mesh.weights[1:-1] * yf.lam(c * a)) / s
+                    for a in self.sides)
         return far + band + 2.0 * strip
 
     def residual(self, uv):
@@ -295,15 +250,12 @@ def assert_close(got, ref, rel):
 
 
 class TestSharedDiscretization:
-    @pytest.mark.parametrize("near_band,tail_mode", SETTINGS)
-    def test_residual_is_weak_form_against_hats(self, families, mesh33,
-                                                near_band, tail_mode):
+    def test_residual_is_weak_form_against_hats(self, families, mesh33):
         # the unloaded residual's entry at an interior node is the weak
         # form against that node's hat function
         u = random_interior(mesh33, 5)
         for yf in families:
-            cfg = OperatorConfig(young=yf, s=0.3, near_band=near_band,
-                                 tail_mode=tail_mode)
+            cfg = OperatorConfig(young=yf, s=0.3)
             r = residual(cfg, u, np.zeros(mesh33.m)).values
             for i in range(1, mesh33.m - 1):
                 hat = GridFunction(mesh33, np.eye(mesh33.m)[i])
@@ -311,14 +263,12 @@ class TestSharedDiscretization:
                     r[i], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m", [17, 33])
-    @pytest.mark.parametrize("near_band,tail_mode", SETTINGS)
-    def test_matches_per_call_formulas(self, families, m, near_band, tail_mode):
+    def test_matches_per_call_formulas(self, families, m):
         mesh = Mesh(m)
         u = random_interior(mesh, 7)
         v = random_interior(mesh, 8)
         for yf in families:
-            cfg = OperatorConfig(young=yf, s=0.3, near_band=near_band,
-                                 tail_mode=tail_mode)
+            cfg = OperatorConfig(young=yf, s=0.3)
             ref = _Reference(cfg, m)
             assert_close(residual(cfg, u, np.zeros(m)).values,
                          ref.residual(u.values), 1e-13)
@@ -330,7 +280,7 @@ class TestSharedDiscretization:
             assert parts["total"] == pytest.approx(ref.energy(u.values), rel=1e-13)
 
     def test_cached_arrays_are_read_only(self):
-        cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3, tail_mode="zero")
+        cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)
         disc = cfg.discretization(33)
         assert disc is cfg.discretization(33)
         arrays = {name: val for name, val in vars(disc).items()
@@ -344,10 +294,10 @@ class TestSharedDiscretization:
 class TestOverflow:
     @pytest.mark.parametrize("height,near_finite", [(5e7, True), (2e8, False)])
     def test_spike_raises_domain_error(self, height, near_finite):
-        # near pairs lie within the band radius, near_band*h < 1, so the band
-        # cells' argument sigma*rho is at least any near pair's plain
-        # difference, and G >= g where g overflows: the band cells overflow
-        # first, and masking near pairs before g would change nothing
+        # near pairs lie within the one-cell band, h < 1, so the band cells'
+        # argument sigma*rho is at least any near pair's plain difference,
+        # and G >= g where g overflows: the band cells overflow first, and
+        # masking near pairs before g would change nothing
         cfg = OperatorConfig(young=PowerYoung(40.0), s=0.1)
         mesh = Mesh(17)
         uv = np.zeros(mesh.m)

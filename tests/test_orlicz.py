@@ -1,5 +1,5 @@
 """Discrete Orlicz energies: local modular and gauge, the nonlocal modular
-with its band/strip/tail split, and the seminorm built on it."""
+with its far/band/strip split, and the seminorm built on it."""
 
 import numpy as np
 import pytest
@@ -48,8 +48,7 @@ class TestMesh:
 
     def test_refined_keeps_nodes(self):
         coarse = Mesh(17)
-        fine = coarse.refined()
-        assert fine.m == 33
+        fine = Mesh(2 * coarse.m - 1)
         idx = coarse.coarse_index_in(fine)
         assert np.allclose(fine.nodes[idx], coarse.nodes)
 
@@ -150,18 +149,13 @@ class TestNonlocalModular:
         with pytest.raises(DomainError):
             modular_W(OperatorConfig(power4, 0.3), u)
 
-    def test_parts_sum_and_tail_modes(self, power4):
+    def test_parts_sum_to_total(self, power4):
         mesh = Mesh(33)
         bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
-        pa, pz = (modular_W_parts(OperatorConfig(power4, 0.3, tail_mode=mode), bump)
-                  for mode in ("analytic", "zero"))
-        for parts in (pa, pz):
-            assert parts["total"] == pytest.approx(
-                parts["far"] + parts["band"] + parts["strip"], rel=1e-12)
-        assert pa["tail_dropped"] == 0.0
-        assert pz["tail_dropped"] > 0.0
-        # dropping the exterior tail beyond r_far only removes energy
-        assert pz["total"] < pa["total"]
+        parts = modular_W_parts(OperatorConfig(power4, 0.3), bump)
+        assert parts["total"] == pytest.approx(
+            parts["far"] + parts["band"] + parts["strip"], rel=1e-12)
+        assert parts["total"] == modular_W(OperatorConfig(power4, 0.3), bump)
 
     def test_cone_refinement(self, power4):
         coarse = Mesh(33)
@@ -171,31 +165,15 @@ class TestNonlocalModular:
                 for m in (coarse, dense)]
         assert vals[0] == pytest.approx(vals[1], rel=0.02)
 
-    def test_r_far_extension_converges(self, power4):
-        # analytic tail closes the exterior exactly, so widening the
-        # truncation radius must not move the total
-        mesh = Mesh(33)
-        bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
-        a = modular_W(OperatorConfig(power4, 0.3, r_far=50.0), bump)
-        b = modular_W(OperatorConfig(power4, 0.3, r_far=200.0), bump)
-        assert a == pytest.approx(b, rel=1e-10)
-
-    def test_analytic_mode_shares_one_discretization(self, power4):
-        # r_far is unused in analytic mode, so it must not split the cache
+    def test_families_share_one_discretization(self, power4):
+        # the cache keys on (m, s) alone, so a second family at the same
+        # mesh size and order reuses the first one's entry
         mesh = Mesh(37)
         bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
         misses = _discretization.cache_info().misses
-        for r_far in (50.0, 200.0):
-            modular_W(OperatorConfig(power4, 0.3, r_far=r_far), bump)
+        for yf in (power4, PowerYoung(6.0)):
+            modular_W(OperatorConfig(yf, 0.3), bump)
         assert _discretization.cache_info().misses - misses == 1
-
-    def test_band_must_be_whole_cells(self, power4):
-        mesh = Mesh(33)
-        bump = GridFunction(mesh, 1.0 - mesh.nodes ** 2)
-        with pytest.raises(ConfigurationError):
-            modular_W(OperatorConfig(power4, 0.3, near_band=1.5), bump)
-        assert (modular_W(OperatorConfig(power4, 0.3, near_band=2.0), bump)
-                == modular_W(OperatorConfig(power4, 0.3, near_band=2), bump))
 
 
 class TestNonlocalSeminorm:

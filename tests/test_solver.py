@@ -220,6 +220,11 @@ class TestScheme:
         gap = big.final.values - small.final.values
         assert float(gap.min()) >= -1e-9
 
+    def test_schedule_starts_at_one(self, cfg, mesh33):
+        # n = 0 would divide by zero in the truncated load (t + 1/n)^(-q)
+        with pytest.raises(ConfigurationError):
+            monotone_scheme(cfg, unit_data(mesh33), mesh=mesh33, n_schedule=(0, 1))
+
 
 class TestCoupledStages:
     @pytest.mark.parametrize("p,s", [(40.0, 0.5), (20.0, 0.1)])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from fglap.checks import check_growth_bounds
 from fglap.errors import ConfigurationError, DomainError
 from fglap.young import (
     _LAGUERRE_BLOCK,
@@ -23,7 +24,6 @@ from fglap.young import (
     sobolev_conjugate_inv,
     standard_grid,
     submultiplicativity_constant,
-    verify_declared_growth,
 )
 
 # oracle values frozen from scipy.integrate.quad runs; see the matching
@@ -149,16 +149,24 @@ class TestGrowthWindow:
         assert est.p_minus_hat == pytest.approx(p, rel=1e-12)
         assert est.p_plus_hat == pytest.approx(p, rel=1e-12)
 
+    @pytest.mark.parametrize("cls,params", [(PowerYoung, (math.inf,)),
+                                            (PowerYoung, (1e5,)),
+                                            (LogTypeYoung, (math.inf, 2.0, 1.0))],
+                             ids=["power-inf", "power-1e5", "log-type-inf"])
+    def test_window_without_usable_samples_rejected(self, cls, params):
+        # g under- or overflows at every grid point, so no sample of the
+        # window survives; construction must not pass on an empty estimate
+        with pytest.raises(ConfigurationError):
+            cls(*params)
+
     def test_verify_declared_growth_passes(self, families):
         for yf in families:
-            verify_declared_growth(yf)
+            assert check_growth_bounds(yf).passed
 
     def test_verify_declared_growth_catches_lies(self, power4):
-        from fglap.errors import InvariantError
         loose = PowerYoung(4.0)
         loose.p_minus = 5.0  # wrong on purpose
-        with pytest.raises(InvariantError):
-            verify_declared_growth(loose)
+        assert not check_growth_bounds(loose).passed
 
     def test_numerics_use_the_verified_window(self, log221):
         # a false declared window moves what the checks compare against,
