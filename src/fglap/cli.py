@@ -400,6 +400,12 @@ def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict) -> None:
         rows.append(["residual_sup", str(n), _fmt(report.residual_sups[k])])
         rows.append(["seed_residual_evaluations", str(n),
                      str(report.seed_evaluations[k])])
+        rows.append(["residual_evaluations", str(n),
+                     str(report.residual_evaluations[k])])
+        rows.append(["line_search_backtracks", str(n),
+                     str(report.line_search_backtracks[k])])
+        rows.append(["levenberg_shift_max", str(n),
+                     _fmt(report.levenberg_shift_max[k])])
         if k > 0:
             rows.append(["sup_diff_prev_stage", str(n),
                          _fmt(report.sup_diffs[k - 1])])

@@ -33,18 +33,20 @@ def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
                 newton: bool = False) -> np.ndarray:
     """Per-cell x-integral, over both clipped windows, of the sigma-derivative
     of the band energy density, W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s)),
-    or of dW/dsigma for Newton assembly. W is odd in sigma and zero at zero."""
+    or of dW/dsigma for Newton assembly, from the compact band points of
+    `disc`. W is odd in sigma and zero at zero."""
     ex = 1.0 - disc.s
-    total = 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for rho in (disc.rho_l, disc.rho_r):
-            args = sigma * rho
-            if newton:
-                total = total + ((yf.g(args) * rho * sigma - yf.G(args))
-                                 / (sigma ** 2 * ex))
-            else:
-                total = total + yf.G(args) / (sigma * ex)
-    return np.sum(disc.xw * np.where(sigma != 0.0, total, 0.0), axis=1)
+    cell = disc.band_cell
+    sig = sigma[cell]
+    live = sig != 0.0
+    sig, rho = sig[live], disc.band_rho[live]
+    args = sig * rho
+    if newton:
+        val = (yf.g(args) * rho * sig - yf.G(args)) / (sig ** 2 * ex)
+    else:
+        val = yf.G(args) / (sig * ex)
+    return np.bincount(cell[live], weights=disc.band_w[live] * val,
+                       minlength=sigma.size)
 
 
 def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
@@ -86,7 +88,7 @@ def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     far_mat *= disc.kr
     far = float(far_mat.sum())
 
-    cell = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h)
+    cell = _band_cells(yf, disc, np.diff(uv) / mesh.h)
     band = float(np.sum(cell * (np.diff(vv) / mesh.h)))
 
     wi = mesh.weights[1:-1]
@@ -109,7 +111,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:
     far_mat *= disc.kr
     r = 2.0 * far_mat.sum(axis=1)
 
-    cell = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h) / mesh.h
+    cell = _band_cells(yf, disc, np.diff(uv) / mesh.h) / mesh.h
     r[1:] += cell
     r[:-1] -= cell
 
@@ -138,8 +140,7 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
     np.negative(jac, out=jac)
     jac.flat[::m + 1] += row
 
-    cp = _band_cells(yf, disc, np.diff(uv)[:, None] / mesh.h,
-                     newton=True) / mesh.h ** 2
+    cp = _band_cells(yf, disc, np.diff(uv) / mesh.h, newton=True) / mesh.h ** 2
     k = np.arange(m - 1)
     np.add.at(jac, (k, k), cp)
     np.add.at(jac, (k + 1, k + 1), cp)

@@ -93,6 +93,9 @@ class SolveReport:
     solutions: list[GridFunction] = field(default_factory=list)
     stage_iterations: list[int] = field(default_factory=list)
     seed_evaluations: list[int] = field(default_factory=list)
+    residual_evaluations: list[int] = field(default_factory=list)
+    line_search_backtracks: list[int] = field(default_factory=list)
+    levenberg_shift_max: list[float] = field(default_factory=list)
     residual_sups: list[float] = field(default_factory=list)
     sup_diffs: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
@@ -149,26 +152,40 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     returns rhs(u) and its nodal u-derivative d (None for a fixed load).
     Loads here are nonincreasing in u, so -w d adds a nonnegative diagonal
     and the matrix stays SPD. The default tolerance is 1e-8 (1 + max rhs)
-    at the current iterate. A Levenberg shift grows tenfold after a failed
-    line search and decays tenfold after an accepted step. The stats hold
-    the Newton steps, the final residual sup and the residual evaluations
-    spent on cone seeding (0 for a warm start)."""
-    seed_evaluations = 0
+    at the current iterate. A Levenberg shift, lam times the largest
+    diagonal entry, grows lam tenfold after a failed line search and decays
+    it tenfold after an accepted step. An accepted trial's load and residual
+    carry over to the next step, so no residual is evaluated twice at one
+    iterate. The stats hold the Newton steps, the final residual sup, the
+    residual evaluations in all and those spent on cone seeding (0 for a
+    warm start), the rejected line-search trials and the largest lam."""
+    if max_iter < 1:
+        raise ConfigurationError(f"{what}: max_iter must be at least 1, got {max_iter}")
+    if warm_start is not None and warm_start.mesh.m != mesh.m:
+        raise ConfigurationError(
+            f"{what}: warm start has {warm_start.mesh.m} nodes, the mesh {mesh.m}")
+    stats = {"iterations": 0, "residual_sup": 0.0, "residual_evaluations": 0,
+             "seed_evaluations": 0, "line_search_backtracks": 0,
+             "levenberg_shift_max": 0.0}
     if warm_start is not None and warm_start.sup_norm() > 0.0:
         u = warm_start.values.copy()
     else:
         rhs0, _ = load(np.zeros(mesh.m))
         if np.max(np.abs(rhs0[1:-1])) == 0.0:
-            return GridFunction.zeros(mesh), {"iterations": 0, "residual_sup": 0.0,
-                                              "seed_evaluations": 0}
-        u, seed_evaluations = _seed_from_cone(cfg, mesh, rhs0, what)
+            return GridFunction.zeros(mesh), stats
+        u, stats["seed_evaluations"] = _seed_from_cone(cfg, mesh, rhs0, what)
+        stats["residual_evaluations"] = stats["seed_evaluations"]
     u[0] = u[-1] = 0.0
 
+    def evaluate(v: np.ndarray):
+        rhs_v, d_v = load(v)
+        stats["residual_evaluations"] += 1
+        return rhs_v, d_v, residual(cfg, GridFunction(mesh, v), rhs_v).values[1:-1]
+
+    rhs, d, r = evaluate(u)
     lam = 0.0
     for it in range(max_iter):
-        rhs, d = load(u)
         lim = 1e-8 * (1.0 + float(np.max(np.abs(rhs)))) if tol is None else tol
-        r = residual(cfg, GridFunction(mesh, u), rhs).values[1:-1]
         rn = float(np.max(np.abs(r)))
         if rn <= lim:
             break
@@ -179,6 +196,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             jac[diag] -= mesh.weights[1:-1] * d[1:-1]
         if lam > 0.0:
             jac[diag] += lam * (float(np.max(np.abs(np.diag(jac)))) or 1.0)
+            stats["levenberg_shift_max"] = max(stats["levenberg_shift_max"], lam)
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -189,13 +207,14 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             trial = u.copy()
             trial[1:-1] += step * delta
             try:
-                rt = residual(cfg, GridFunction(mesh, trial), load(trial)[0]).values[1:-1]
+                rhs_t, d_t, rt = evaluate(trial)
             except DomainError:  # g overflowed at a far trial: reject it like any other
                 rt = np.inf
             if float(np.max(np.abs(rt))) < rn:
-                u = trial
+                u, rhs, d, r = trial, rhs_t, d_t, rt
                 lam = lam * 0.1 if lam * 0.1 >= 1e-14 else 0.0
                 break
+            stats["line_search_backtracks"] += 1
         else:
             lam = max(lam * 10.0, 1e-8)
     else:
@@ -207,8 +226,8 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     if floor < -1e-9 * (1.0 + float(np.max(np.abs(u)))):
         raise InvariantError(
             f"{what}: nonnegative load produced a solution dipping to {floor:.3e}")
-    return GridFunction(mesh, np.maximum(u, 0.0)), {
-        "iterations": it, "residual_sup": rn, "seed_evaluations": seed_evaluations}
+    stats["iterations"], stats["residual_sup"] = it, rn
+    return GridFunction(mesh, np.maximum(u, 0.0)), stats
 
 
 def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
@@ -221,6 +240,8 @@ def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
     rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
     if rhs_vals.shape != (mesh.m,):
         raise ConfigurationError("rhs must provide one value per node")
+    if not np.all(np.isfinite(rhs_vals)):
+        raise DomainError("the auxiliary load must be finite at every node")
     if float(rhs_vals.min()) < 0.0:
         raise DomainError("the auxiliary problem expects a nonnegative load")
     return _newton(cfg, mesh, lambda u: (rhs_vals, None), warm_start, tol,
@@ -297,6 +318,9 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         report.solutions.append(u)
         report.stage_iterations.append(stats["iterations"])
         report.seed_evaluations.append(stats["seed_evaluations"])
+        report.residual_evaluations.append(stats["residual_evaluations"])
+        report.line_search_backtracks.append(stats["line_search_backtracks"])
+        report.levenberg_shift_max.append(stats["levenberg_shift_max"])
         report.residual_sups.append(stats["residual_sup"])
         report.energies.append(modular_W(cfg, _energy_carrier(u, weight)))
         if prev is not None:

@@ -197,6 +197,8 @@ class TestFileFormats:
         assert text.splitlines()[0] == "quantity,n,value"
         for key in ("modular_energy[main1]", "seminorm[main1]",
                     "fixed_point_iterations", "residual_sup",
+                    "seed_residual_evaluations", "residual_evaluations",
+                    "line_search_backtracks", "levenberg_shift_max",
                     "l_middle", "alpha_hat", "holder_seminorm",
                     "n_sequence_converged", "energies_bounded"):
             assert key in text, key

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fglap.errors import ConfigurationError, DomainError
+import fglap.fractional as fractional
 from fglap.fractional import (apply, apply_interior, assemble_matrix,
                               residual, weak_form)
 from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
@@ -278,6 +279,23 @@ class TestSharedDiscretization:
                 ref.weak_form(u.values, v.values), rel=1e-13)
             parts = modular_W_parts(cfg, u)
             assert parts["total"] == pytest.approx(ref.energy(u.values), rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["power4", "log221"])
+    @pytest.mark.parametrize("newton", [False, True])
+    def test_band_evaluates_each_window_once(self, name, newton, request,
+                                             monkeypatch):
+        # unclipped cell-sides share the radius h at every x-node, so the
+        # band needs one point per cell plus the 8 nodes of each of the two
+        # clipped sides; 2m + 12 points allow one per unclipped side
+        yf = request.getfixturevalue(name)
+        m = 65
+        disc = OperatorConfig(young=yf, s=0.3).discretization(m)
+        points = []
+        G = yf.G
+        monkeypatch.setattr(yf, "G", lambda t: points.append(np.size(t)) or G(t))
+        sigma = np.diff(random_interior(Mesh(m), 9).values) / Mesh(m).h
+        fractional._band_cells(yf, disc, sigma, newton=newton)
+        assert 0 < sum(points) <= 2 * m + 12
 
     def test_cached_arrays_are_read_only(self):
         cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)

@@ -152,6 +152,23 @@ class TestAuxiliary:
         with pytest.raises(ConvergenceError):
             solve_auxiliary(cfg, mesh33, np.ones(mesh33.m), max_iter=1)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_cap_below_one_rejected(self, cfg, mesh33, max_iter):
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            solve_auxiliary(cfg, mesh33, np.ones(mesh33.m), max_iter=max_iter)
+
+    def test_nan_load_rejected(self, cfg, mesh33):
+        rhs = np.ones(mesh33.m)
+        rhs[5] = np.nan
+        with pytest.raises(DomainError, match="load"):
+            solve_auxiliary(cfg, mesh33, rhs)
+
+    @pytest.mark.parametrize("height", [0.0, 1.0])
+    def test_warm_start_on_other_mesh_rejected(self, cfg, mesh33, mesh65, height):
+        warm = GridFunction(mesh65, height * (1.0 - mesh65.nodes ** 2))
+        with pytest.raises(ConfigurationError, match=r"65 nodes.*33"):
+            solve_auxiliary(cfg, mesh33, np.ones(mesh33.m), warm_start=warm)
+
 
 class TestFixedPoint:
     def test_zero_exponent_reduces_to_auxiliary(self, cfg, mesh33):
@@ -246,6 +263,7 @@ class TestCoupledStages:
         u, stats = solve_auxiliary(cfg, mesh, rhs)
         assert stats["residual_sup"] <= 1e-8 * (1.0 + rhs.max())
         assert np.all(u.values[1:-1] > 0.0)
+        assert stats["line_search_backtracks"] >= 1
 
     @pytest.mark.parametrize("yf,s", [(PowerYoung(20.0), 0.1),
                                       (PowerYoung(40.0), 0.3),
@@ -304,6 +322,67 @@ class TestConeSeed:
     def test_only_the_first_stage_is_seeded(self, report):
         assert report.seed_evaluations[0] >= 2
         assert report.seed_evaluations[1:] == [0] * (len(report.n_values) - 1)
+
+
+def count_residuals(monkeypatch):
+    """Wrap the solver's residual: count its calls and record, per
+    `_newton` call, every (u, rhs) it ran on that was already seen there."""
+    calls, repeats, seen = [0], [], set()
+    residual_, newton_ = solver.residual, solver._newton
+
+    def counted(cfg, u, rhs):
+        calls[0] += 1
+        key = (u.values.tobytes(), np.asarray(rhs, dtype=float).tobytes())
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return residual_(cfg, u, rhs)
+
+    def scoped(*args, **kw):
+        seen.clear()
+        return newton_(*args, **kw)
+
+    monkeypatch.setattr(solver, "residual", counted)
+    monkeypatch.setattr(solver, "_newton", scoped)
+    return calls, repeats
+
+
+class TestNewtonCounters:
+    def test_residual_evaluations_count_every_call(self, cfg, mesh33, monkeypatch):
+        calls, _ = count_residuals(monkeypatch)
+        rhs = np.random.default_rng(4).uniform(0.1, 2.0, mesh33.m)
+        u, cold = solve_auxiliary(cfg, mesh33, rhs)
+        assert cold["residual_evaluations"] == calls[0]
+        # the first evaluation, then one per trial, accepted or rejected
+        assert cold["residual_evaluations"] == (
+            cold["seed_evaluations"] + 1 + cold["iterations"]
+            + cold["line_search_backtracks"])
+        before = calls[0]
+        _, warm = solve_auxiliary(cfg, mesh33, 1.01 * rhs, warm_start=u)
+        assert warm["seed_evaluations"] == 0
+        assert warm["residual_evaluations"] == calls[0] - before >= 2
+
+    def test_no_residual_repeated_in_a_cold_solve(self, cfg, mesh33, monkeypatch):
+        calls, repeats = count_residuals(monkeypatch)
+        solve_auxiliary(cfg, mesh33, np.ones(mesh33.m))
+        assert calls[0] > 0 and repeats == []
+
+    def test_no_residual_repeated_in_a_scheme(self, cfg, mesh33, monkeypatch):
+        calls, repeats = count_residuals(monkeypatch)
+        report = monotone_scheme(cfg, unit_data(mesh33), mesh=mesh33,
+                                 n_schedule=(1, 2, 4))
+        assert len(report.n_values) == 3
+        assert calls[0] == sum(report.residual_evaluations)
+        assert repeats == []
+
+    def test_stage_counters_recorded(self, report):
+        stages = len(report.n_values)
+        assert len(report.residual_evaluations) == stages
+        assert len(report.line_search_backtracks) == stages
+        assert len(report.levenberg_shift_max) == stages
+        assert all(r >= 1 + k for r, k in zip(report.residual_evaluations,
+                                              report.stage_iterations))
+        assert all(lam >= 0.0 for lam in report.levenberg_shift_max)
 
 
 class TestBarrier:
