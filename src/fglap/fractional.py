@@ -12,6 +12,15 @@ du = (u_i - u_j) / ds over its far-pair kernel, each far term is one
 expression: residual g(du) kr, Newton Jacobian 2 g'(du) kr / ds, weak
 form g(du) dv kr (the energy is G(du) kr ds).
 
+The far terms are m x m arrays. They are evaluated in place in a
+`young.Workspace` of three buffers (du, the g values, and the Young
+kernels' scratch), one per thread and one mesh size at a time, and never
+in the read-only `Discretization`. A residual or weak-form evaluation
+then allocates no m x m array at all. The Jacobian allocates one: g' goes
+straight into the fresh matrix whose interior it returns, for the caller
+to keep or modify. At m = 257 an m x m array is 516 KiB, above glibc's
+mmap threshold, so each fresh temporary cost its own page faults.
+
 The strong-form evaluator is separate and deliberately different in
 texture: graded panels against the |x - y|^(-1-s) singularity over the
 first cell, exact piecewise-linear values at cell midpoints outside the
@@ -26,7 +35,10 @@ from .errors import ConfigurationError, DomainError
 from .orlicz import (Discretization, GridFunction, OperatorConfig,
                      _require_zero_boundary)
 from .quadrature import graded_panel_depth, integrate_panels, panel_edges_graded
-from .young import YoungFunction
+from .young import Workspace, YoungFunction
+
+# du, the far-pair values and the Young kernels' scratch
+_FAR = Workspace(3)
 
 
 def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
@@ -83,10 +95,11 @@ def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     mesh = u.mesh
     uv, vv = u.values, v.values
 
-    far_mat = yf.g(disc.quotients(uv))
-    far_mat *= np.subtract.outer(vv, vv)
-    far_mat *= disc.kr
-    far = float(far_mat.sum())
+    with _FAR.take(disc.kr.shape) as (du, far_mat, work):
+        yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
+        far_mat *= np.subtract.outer(vv, vv, out=du)
+        far_mat *= disc.kr
+        far = float(far_mat.sum())
 
     cell = _band_cells(yf, disc, np.diff(uv) / mesh.h)
     band = float(np.sum(cell * (np.diff(vv) / mesh.h)))
@@ -107,9 +120,10 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:
     uv = u.values
     rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
 
-    far_mat = yf.g(disc.quotients(uv))
-    far_mat *= disc.kr
-    r = 2.0 * far_mat.sum(axis=1)
+    with _FAR.take(disc.kr.shape) as (du, far_mat, work):
+        yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
+        far_mat *= disc.kr
+        r = 2.0 * far_mat.sum(axis=1)
 
     cell = _band_cells(yf, disc, np.diff(uv) / mesh.h) / mesh.h
     r[1:] += cell
@@ -124,34 +138,32 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:
 
 def assemble_matrix(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
     """Interior-node residual Jacobian: symmetric and positive
-    semidefinite."""
+    semidefinite. A fresh array, the caller's to modify."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
     mesh = u.mesh
     uv = u.values
-    m = mesh.m
+    n = mesh.m - 2
 
-    # far pairs: 2 g'(du) kr / ds
-    jac = yf.g_prime(disc.quotients(uv))
-    jac *= disc.kr
-    jac /= disc.ds
-    jac *= 2.0
-    row = jac.sum(axis=1)
-    np.negative(jac, out=jac)
-    jac.flat[::m + 1] += row
+    # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
+    # written straight into the fresh matrix whose interior is returned
+    with _FAR.take(disc.kr.shape) as (du, _, work):
+        pair = yf.g_prime(disc.quotients(uv, out=du), work=work)
+    pair *= disc.kr
+    pair /= disc.ds
+    pair *= 2.0
+    row = pair.sum(axis=1)
+    jac = np.negative(pair, out=pair)[1:-1, 1:-1]
 
+    # band cell k couples nodes k and k + 1; node i sees cells i and i - 1
     cp = _band_cells(yf, disc, np.diff(uv) / mesh.h, newton=True) / mesh.h ** 2
-    k = np.arange(m - 1)
-    np.add.at(jac, (k, k), cp)
-    np.add.at(jac, (k + 1, k + 1), cp)
-    np.add.at(jac, (k, k + 1), -cp)
-    np.add.at(jac, (k + 1, k), -cp)
-
-    idx = np.arange(1, m - 1)
-    jac[idx, idx] += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1],
-                                                         newton=True)
-
-    return jac[1:-1, 1:-1]
+    diag = row[1:-1] + cp[1:]
+    diag += cp[:-1]
+    diag += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1], newton=True)
+    jac.flat[::n + 1] += diag
+    jac.flat[1::n + 1] -= cp[1:-1]
+    jac.flat[n::n + 1] -= cp[1:-1]
+    return jac
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,13 @@ class Discretization:
     a_l: np.ndarray
     a_r: np.ndarray
 
-    def quotients(self, uv: np.ndarray) -> np.ndarray:
+    def quotients(self, uv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """du = (u_i - u_j) / ds: far-pair difference quotients, plain
-        differences on near pairs (where kr vanishes)."""
-        du = np.subtract.outer(uv, uv)
+        differences on near pairs (where kr vanishes); into ``out`` if
+        given."""
+        du = np.empty(self.ds.shape) if out is None else out
+        np.copyto(du, uv[:, None])    # numpy buffers no operand of a copy
+        du -= uv
         du /= self.ds
         return du
 

@@ -75,6 +75,16 @@ class ProblemData:
                 f"(constant {const:.3g}); case main2 is not available")
         PhiWeight(cfg.young, self.q_star)  # raises if r q_star >= p_minus
 
+    def run_mesh(self, mesh: Mesh | None) -> Mesh:
+        """The mesh a solve runs on: ``mesh`` if given, else the data's.
+        The data are nodal, so a mesh with another node count is refused."""
+        if mesh is None:
+            return self.f.mesh
+        if mesh.m != self.f.mesh.m:
+            raise ConfigurationError(
+                f"the mesh has {mesh.m} nodes, the problem data {self.f.mesh.m}")
+        return mesh
+
     def truncated_load(self, n: int) -> np.ndarray:
         return np.minimum(self.f.values, float(n))
 
@@ -257,8 +267,7 @@ def fixed_point_S(cfg: OperatorConfig, data: ProblemData, n: int, *,
                   tol: float = 1e-8, max_iter: int = 500) -> tuple[GridFunction, dict]:
     """Iterate  u_{k+1} = solve_auxiliary(f_n (u_k^+ + 1/n)^{-q})  from
     u_0 = 0 until the sup change drops below tol."""
-    if mesh is None:
-        mesh = data.f.mesh
+    mesh = data.run_mesh(mesh)
     u = GridFunction.zeros(mesh)
     stats = {}
     for k in range(max_iter):
@@ -299,8 +308,7 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     agree to tol_stop in the sup norm. Each stage is one coupled Newton
     solve, started from the previous stage: a subsolution, because f_n and
     (t + 1/n)^(-q) both increase with n."""
-    if mesh is None:
-        mesh = data.f.mesh
+    mesh = data.run_mesh(mesh)
     if (len(n_schedule) < 1 or n_schedule[0] < 1
             or any(b <= a for a, b in zip(n_schedule, n_schedule[1:]))):
         raise ConfigurationError("the n schedule must be strictly increasing "

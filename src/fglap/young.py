@@ -13,10 +13,23 @@ from one generalized Gauss-Laguerre rule, built with numpy alone in
 k sized from the integrand's growth at zero. Every inverse is a log-log
 Newton bracketed by the growth window. All entry points accept scalars or
 arrays and are vectorized.
+
+g is evaluated in the p-Laplacian form g(t) = t gamma(|t|), where the even
+factor gamma(tau) = g(tau)/tau is tau^(p-2) for a power, the sum of two
+such powers, or tau^(a-1) log(b + c tau). That takes no sign array, and
+each exponent is one lower than in sign(t) g(|t|): at p = 4 numpy's power
+squares instead of calling pow. ``g`` and ``g_prime`` write into ``out=``
+when given one, with ``work=`` as the scratch array the two-factor
+families need, so callers that evaluate them on m x m arrays (the
+far-pair terms in `fractional`) can hand in reused storage; without them
+the same kernels allocate. That reused storage is a `Workspace`:
+per-thread float64 buffers of one shape at a time. The Laguerre rule keeps
+one for its blocks.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,12 +43,14 @@ GRID_LO = 1e-3
 GRID_HI = 1e3
 
 # Generalized Gauss-Laguerre nodes for every integral from zero, and the
-# number of points expanded against them at once. 256 x 64 float64
-# temporaries (128 KiB) keep glibc from mapping fresh pages per block: a
-# log_type solve took 13.8k minor page faults and 1.2 s at 256, 843k and
-# 2.6 s at 1024 (2-core Xeon).
+# number of points expanded against them at once. A 128 x 64 float64 block
+# is 64 KiB, half of glibc's default mmap threshold (128 KiB), so a block
+# never gets freshly mapped pages. At 256 a block is exactly 128 KiB, and
+# whether it was mapped afresh depended on the allocation history: an
+# in-process log_type solve took 3.0k or 40k minor page faults depending
+# only on how it was launched (2-core Xeon).
 _LAGUERRE_NODES = 64
-_LAGUERRE_BLOCK = 256
+_LAGUERRE_BLOCK = 128
 
 
 def standard_grid(n: int = 512) -> np.ndarray:
@@ -51,6 +66,46 @@ def _restore(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
+class Workspace(threading.local):
+    """``count`` reused float64 scratch arrays of one shape, per thread.
+
+    ``with ws.take(shape) as buffers:`` lends them, reallocating them only
+    when the shape changes, so a thread holds one size at a time. A nested
+    ``take`` while the buffers are lent (a kernel that re-enters the code
+    using them) gets fresh arrays instead.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.shape = None
+        self.buffers = ()
+        self.depth = 0          # open ``take`` blocks in this thread
+        self.wanted = None
+
+    def take(self, shape: tuple[int, ...]) -> "Workspace":
+        self.wanted = shape
+        return self
+
+    def __enter__(self) -> tuple[np.ndarray, ...]:
+        if self.depth:
+            fresh = tuple(np.empty(self.wanted) for _ in range(self.count))
+            self.depth += 1
+            return fresh
+        if self.shape != self.wanted:
+            self.buffers = ()    # drop the old size before allocating
+            self.buffers = tuple(np.empty(self.wanted) for _ in range(self.count))
+            self.shape = self.wanted
+        self.depth = 1
+        return self.buffers
+
+    def __exit__(self, *exc) -> None:
+        self.depth -= 1
+
+
+# the expanded block, the integrand's values and its scratch
+_BLOCKS = Workspace(3)
+
+
 def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0) -> np.ndarray:
     """int_0^y f(tau) log(y/tau)^alpha dtau as
     (y/k^(1+alpha)) int_0^inf f(y e^(-v/k)) v^alpha e^(-v/k) dv.
@@ -61,26 +116,36 @@ def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0) -> np.ndarray
     above k - 1, so k is one plus the integrand's lowest elasticity. A
     larger k lets the factor grow; a smaller one makes it decay fast (for
     G at p = 40, k = 1 loses ~1e-2 with 64 nodes). Points go through in
-    fixed blocks to bound the node expansion's memory.
+    fixed blocks of reused storage: ``f(x, out=, work=)`` gets each expanded
+    block and may write its values into ``out`` and use ``work`` as scratch
+    (the g kernels do; other integrands ignore both).
     """
     v, w = gauss_laguerre(_LAGUERRE_NODES, alpha)
     shrink = np.exp(-v / k)
     weights = w * np.exp(v) * shrink / k ** (1.0 + alpha)
     flat = np.asarray(y, dtype=float).ravel()
     out = np.empty_like(flat)
-    for lo in range(0, flat.size, _LAGUERRE_BLOCK):
-        block = slice(lo, lo + _LAGUERRE_BLOCK)
-        out[block] = flat[block] * (f(flat[block, None] * shrink) @ weights)
+    with _BLOCKS.take((_LAGUERRE_BLOCK, _LAGUERRE_NODES)) as (xs, vals, work):
+        for lo in range(0, flat.size, _LAGUERRE_BLOCK):
+            pts = flat[lo:lo + _LAGUERRE_BLOCK]
+            n = pts.size
+            # numpy's ufunc loop allocates a 64 KiB buffer per broadcast
+            # operand, and a copy none: copy the column, then scale by the row
+            x = xs[:n]
+            np.copyto(x, pts[:, None])
+            x *= shrink
+            out[lo:lo + n] = pts * (f(x, out=vals[:n], work=work[:n]) @ weights)
     return out.reshape(np.shape(y))
 
 
 class YoungFunction:
     """Base class: odd derivative g, even primitive G, growth window.
 
-    Subclasses implement the nonnegative-argument kernels ``_g_pos``,
-    ``_g_prime_pos`` and may override ``_G_pos``/``_lambda_pos`` with closed
-    forms; otherwise both come from the Gauss-Laguerre rule
-    ``_laguerre_integral``.
+    Subclasses implement ``_gamma_abs`` and ``_g_prime_pos``, which write
+    gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated when None),
+    using ``work`` as scratch, and may override ``_G_pos``/``_lambda_pos``
+    with closed forms; otherwise both come from the Gauss-Laguerre rule
+    ``_laguerre_integral`` over ``_g_pos``, g(t) = t gamma(|t|).
     The public methods apply the odd/even extensions and handle scalar
     passthrough.
 
@@ -109,13 +174,18 @@ class YoungFunction:
         """Family tag plus parameters, for reports and CSV rows."""
         return self.family_tag
 
-    # -- kernels on t >= 0 -------------------------------------------------
+    # -- kernels on arrays, no scalar or overflow handling ----------------
 
-    def _g_pos(self, t: np.ndarray) -> np.ndarray:
+    def _gamma_abs(self, t: np.ndarray, out, work) -> np.ndarray:
         raise NotImplementedError
 
-    def _g_prime_pos(self, t: np.ndarray) -> np.ndarray:
+    def _g_prime_pos(self, t: np.ndarray, out=None, work=None) -> np.ndarray:
         raise NotImplementedError
+
+    def _g_pos(self, t: np.ndarray, out=None, work=None) -> np.ndarray:
+        out = self._gamma_abs(t, out, work)
+        out *= t
+        return out
 
     def _G_pos(self, t: np.ndarray) -> np.ndarray:
         # g's elasticity is at least p_minus - 1, so G and Lambda use k = p_minus
@@ -136,17 +206,20 @@ class YoungFunction:
 
     # -- public vectorized surface ----------------------------------------
 
-    def g(self, t):
+    def g(self, t, out=None, work=None):
+        """g(t) = t gamma(|t|), into ``out`` if given (it must not overlap
+        t); ``work``, of t's shape, is scratch for two-factor gammas."""
         arr, scalar = _as_batch(t)
         with np.errstate(over="ignore"):
-            vals = np.sign(arr) * self._g_pos(np.abs(arr))
-        return _restore(vals, scalar)
+            out = self._g_pos(arr, out, work)
+        return _restore(out, scalar)
 
-    def g_prime(self, t):
+    def g_prime(self, t, out=None, work=None):
+        """g'(|t|), with ``out`` and ``work`` as for ``g``."""
         arr, scalar = _as_batch(t)
         with np.errstate(over="ignore"):
-            vals = self._g_prime_pos(np.abs(arr))
-        return _restore(vals, scalar)
+            out = self._g_prime_pos(arr, out, work)
+        return _restore(out, scalar)
 
     def G(self, t):
         arr, scalar = _as_batch(t)
@@ -194,11 +267,14 @@ class PowerYoung(YoungFunction):
     def label(self) -> str:
         return f"power(p={self.p:g})"
 
-    def _g_pos(self, t):
-        return t ** (self.p - 1.0)
+    def _gamma_abs(self, t, out, work):
+        out = np.abs(t, out=out)
+        return np.power(out, self.p - 2.0, out=out)
 
-    def _g_prime_pos(self, t):
-        return (self.p - 1.0) * t ** (self.p - 2.0)
+    def _g_prime_pos(self, t, out=None, work=None):
+        out = self._gamma_abs(t, out, work)
+        out *= self.p - 1.0
+        return out
 
     def _G_pos(self, t):
         return t ** self.p / self.p
@@ -223,12 +299,21 @@ class DoublePowerYoung(YoungFunction):
     def label(self) -> str:
         return f"double-power({self.p1:g},{self.p2:g})"
 
-    def _g_pos(self, t):
-        return t ** (self.p1 - 1.0) + t ** (self.p2 - 1.0)
+    def _gamma_abs(self, t, out, work):
+        out = np.abs(t, out=out)
+        work = np.power(out, self.p2 - 2.0, out=work)
+        np.power(out, self.p1 - 2.0, out=out)
+        out += work
+        return out
 
-    def _g_prime_pos(self, t):
-        return ((self.p1 - 1.0) * t ** (self.p1 - 2.0)
-                + (self.p2 - 1.0) * t ** (self.p2 - 2.0))
+    def _g_prime_pos(self, t, out=None, work=None):
+        out = np.abs(t, out=out)
+        work = np.power(out, self.p2 - 2.0, out=work)
+        work *= self.p2 - 1.0
+        np.power(out, self.p1 - 2.0, out=out)
+        out *= self.p1 - 1.0
+        out += work
+        return out
 
     def _G_pos(self, t):
         return t ** self.p1 / self.p1 + t ** self.p2 / self.p2
@@ -263,12 +348,30 @@ class LogTypeYoung(YoungFunction):
     def label(self) -> str:
         return f"log-type(a={self.a:g},b={self.b:g},c={self.c:g})"
 
-    def _g_pos(self, t):
-        return t ** self.a * np.log(self.b + self.c * t)
+    def _gamma_abs(self, t, out, work):
+        # tau^(a-1) log(b + c tau)
+        out = np.abs(t, out=out)
+        work = np.multiply(out, self.c, out=work)
+        work += self.b
+        np.log(work, out=work)
+        np.power(out, self.a - 1.0, out=out)
+        out *= work
+        return out
 
-    def _g_prime_pos(self, t):
-        lg = np.log(self.b + self.c * t)
-        return t ** (self.a - 1.0) * (self.a * lg + self.c * t / (self.b + self.c * t))
+    def _g_prime_pos(self, t, out=None, work=None):
+        # tau^(a-1) (a log(b + c tau) + c tau / (b + c tau))
+        out = np.abs(t, out=out)
+        work = np.multiply(out, self.c, out=work)
+        work += self.b
+        out *= self.c
+        out /= work
+        np.log(work, out=work)
+        work *= self.a
+        work += out
+        np.abs(t, out=out)
+        np.power(out, self.a - 1.0, out=out)
+        out *= work
+        return out
 
 
 def make_young(family: str, **params) -> YoungFunction:
@@ -302,7 +405,8 @@ def eval_Gbar(yf: YoungFunction, t):
         raise DomainError("eval_Gbar: argument must be nonnegative")
     p_plus = yf.window[1]
     k = p_plus / (p_plus - 1.0)
-    return _restore(_laguerre_integral(yf._g_inv_pos, arr, k), scalar)
+    return _restore(_laguerre_integral(lambda x, **_: yf._g_inv_pos(x), arr, k),
+                    scalar)
 
 
 def sobolev_conjugate_inv(yf: YoungFunction, t, s: float, n_dim: int = 1):
@@ -332,7 +436,7 @@ def sobolev_conjugate_inv(yf: YoungFunction, t, s: float, n_dim: int = 1):
     # loses a fraction ~(tiny/t)^k of the integral: under 1e-15 for k >= 0.05
     expo = (n_dim + s) / n_dim
 
-    def integrand(tau):
+    def integrand(tau, **_):
         out = np.zeros_like(tau)
         pos = tau >= np.finfo(float).tiny
         out[pos] = np.exp(np.log(yf._G_inv_pos(tau[pos])) - expo * np.log(tau[pos]))
@@ -445,7 +549,7 @@ class PhiWeight:
             beta = 1.0 / (self.q_star - 1.0)
             sig = self.base._G_inv_pos(self._G1 * tv ** (self.q_star - 1.0))
 
-            def integrand(pts):
+            def integrand(pts, **_):
                 with np.errstate(divide="ignore", over="ignore"):
                     logG = np.log(np.maximum(self.base._G_pos(pts), 1e-300))
                     return np.exp(beta * (logG - np.log(self._G1)))

@@ -1,6 +1,8 @@
 """Shared fixtures: the three reference growth families, meshes, and the
 smooth profile corpus used by the refinement tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,20 @@ def stalled_matrix(cfg, u):
 
 def cfg_for(yf, s: float, **kw) -> OperatorConfig:
     return OperatorConfig(young=yf, s=s, **kw)
+
+
+def traced_peak(fn) -> int:
+    """Bytes that one call of fn allocates at its peak, after a warm-up
+    call has filled every cache and reused buffer."""
+    fn()
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not running:
+            tracemalloc.stop()

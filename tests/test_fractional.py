@@ -2,6 +2,9 @@
 energy, coercivity, monotonicity, and strong-form point values against
 closed forms."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
                           modular_W_parts)
 from fglap.quadrature import gauss_legendre
 from fglap.young import PowerYoung
+
+from conftest import traced_peak
 
 
 def bump_on(mesh):
@@ -326,3 +331,59 @@ class TestOverflow:
         assert np.all(np.isfinite(near_g)) == near_finite
         with np.errstate(all="ignore"), pytest.raises(DomainError):
             residual(cfg, GridFunction(mesh, uv), np.zeros(mesh.m))
+
+
+class TestFarPairWorkspace:
+    """The far-pair terms run in per-thread reused buffers: no m x m array
+    is allocated per residual, and a Jacobian allocates only the interior
+    matrix it returns."""
+
+    M = 257
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_no_square_temporaries(self, name, request):
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        m = self.M
+        u = random_interior(Mesh(m), 3)
+        doubles = 8 * m * m
+        assert traced_peak(lambda: residual(cfg, u, np.zeros(m))) < 0.5 * doubles
+        assert traced_peak(lambda: assemble_matrix(cfg, u)) < 1.5 * doubles
+        v = random_interior(Mesh(m), 4)
+        assert traced_peak(lambda: weak_form(cfg, u, v)) < 0.5 * doubles
+
+    def test_jacobian_is_a_fresh_array(self, power4):
+        # the caller keeps and modifies it, so it may share no reused buffer
+        cfg = OperatorConfig(young=power4, s=0.3)
+        first = assemble_matrix(cfg, random_interior(Mesh(33), 5))
+        keep = first.copy()
+        second = assemble_matrix(cfg, random_interior(Mesh(33), 6))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, keep)
+
+    def test_threads_reproduce_serial_results(self, power4, log221):
+        # two meshes in flight at once: each thread must keep its own buffers
+        cases = [(OperatorConfig(young=yf, s=0.3), random_interior(Mesh(m), m))
+                 for yf in (power4, log221) for m in (129, 257)]
+        serial = [residual(cfg, u, np.zeros(u.mesh.m)).values for cfg, u in cases]
+        rounds = 15
+        matched = [0] * (2 * len(cases))
+
+        def work(j):
+            cfg, u = cases[j % len(cases)]
+            for _ in range(rounds):
+                got = residual(cfg, u, np.zeros(u.mesh.m)).values
+                matched[j] += np.array_equal(got, serial[j % len(cases)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,))
+                       for j in range(len(matched))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert matched == [rounds] * len(matched)

@@ -441,3 +441,16 @@ class TestDiagnostics:
         lin = GridFunction(mesh33, 1.0 - np.abs(mesh33.nodes))
         alpha, semi = holder_exponent_fit(lin, window=allw)
         assert alpha == pytest.approx(1.0, abs=1e-12)
+
+
+class TestMeshMismatch:
+    """The data are nodal, so a run mesh with another node count is a
+    configuration fault, reported with both counts."""
+
+    def test_scheme_rejects_other_mesh(self, cfg, mesh33, mesh65):
+        with pytest.raises(ConfigurationError, match=r"65 nodes.*33"):
+            monotone_scheme(cfg, unit_data(mesh33), mesh=mesh65, n_schedule=(1,))
+
+    def test_fixed_point_rejects_other_mesh(self, cfg, mesh33, mesh65):
+        with pytest.raises(ConfigurationError, match=r"65 nodes.*33"):
+            fixed_point_S(cfg, unit_data(mesh33), 1, mesh=mesh65)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import traced_peak
 from fglap.checks import check_growth_bounds
 from fglap.errors import ConfigurationError, DomainError
 from fglap.young import (
@@ -339,3 +340,82 @@ def test_primitive_matches_derivative(t):
     h = 1e-4 * t  # relative step keeps the truncation error ~ (h/t)^2
     fd = (yf.G(t + h) - yf.G(t - h)) / (2.0 * h)
     assert fd == pytest.approx(yf.g(t), rel=1e-5)
+
+
+# g and g' in closed form, as sign(t) g(|t|) and g'(|t|)
+def _g_ref(yf, t):
+    with np.errstate(over="ignore"):
+        return _g_ref_terms(yf, t, np.abs(t))
+
+
+def _g_ref_terms(yf, t, a):
+    if isinstance(yf, PowerYoung):
+        return np.sign(t) * a ** (yf.p - 1.0), (yf.p - 1.0) * a ** (yf.p - 2.0)
+    if isinstance(yf, DoublePowerYoung):
+        return (np.sign(t) * (a ** (yf.p1 - 1.0) + a ** (yf.p2 - 1.0)),
+                (yf.p1 - 1.0) * a ** (yf.p1 - 2.0) + (yf.p2 - 1.0) * a ** (yf.p2 - 2.0))
+    lg = np.log(yf.b + yf.c * a)
+    return (np.sign(t) * a ** yf.a * lg,
+            a ** (yf.a - 1.0) * (yf.a * lg + yf.c * a / (yf.b + yf.c * a)))
+
+
+KERNEL_FAMILIES = [PowerYoung(4.0), PowerYoung(2.5), DoublePowerYoung(3.0, 4.0),
+                   DoublePowerYoung(2.2, 7.5), LogTypeYoung(2.0, 2.0, 1.0),
+                   LogTypeYoung(1.5, 1.0, 3.0)]
+
+
+class TestKernels:
+    """g(t) = t gamma(|t|) and g', with and without caller storage, against
+    the closed forms: zero, both signs, scalars, and overflow."""
+
+    # normal results in every family above, then values that overflow
+    T = np.concatenate([[0.0], np.logspace(-40.0, 40.0, 161),
+                        -np.logspace(-40.0, 40.0, 161)]).reshape(17, 19)
+    HUGE = np.array([1e300, -1e300, 1e305, -1e305])
+
+    @pytest.mark.parametrize("yf", KERNEL_FAMILIES, ids=lambda yf: yf.label)
+    def test_match_closed_forms(self, yf):
+        ref_g, ref_gp = _g_ref(yf, self.T)
+        for got, ref in ((yf.g(self.T), ref_g), (yf.g_prime(self.T), ref_gp)):
+            assert got.shape == self.T.shape
+            np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
+            assert np.array_equal(np.sign(got), np.sign(ref))
+        assert yf.g(0.0) == 0.0 and yf.g_prime(0.0) == 0.0
+
+    @pytest.mark.parametrize("yf", KERNEL_FAMILIES, ids=lambda yf: yf.label)
+    def test_out_and_work_give_the_same_bits(self, yf):
+        for fn in (yf.g, yf.g_prime):
+            want = fn(self.T)
+            out, work = np.full_like(self.T, np.nan), np.full_like(self.T, np.nan)
+            assert fn(self.T, out=out) is out
+            assert np.array_equal(out, want)
+            out[:] = np.nan
+            assert fn(self.T, out=out, work=work) is out
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("yf", KERNEL_FAMILIES, ids=lambda yf: yf.label)
+    def test_scalars(self, yf):
+        for t in (0.5, -0.5, 3.0, -3.0):
+            g, gp = yf.g(t), yf.g_prime(t)
+            assert isinstance(g, float) and isinstance(gp, float)
+            ref_g, ref_gp = _g_ref(yf, np.array(t))
+            assert g == pytest.approx(float(ref_g), rel=2e-15, abs=0.0)
+            assert gp == pytest.approx(float(ref_gp), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("yf", KERNEL_FAMILIES, ids=lambda yf: yf.label)
+    def test_overflow_is_signed_inf(self, yf):
+        # g overflows in every family here, g' only in the steeper ones
+        g = yf.g(self.HUGE)
+        assert np.array_equal(g, np.sign(self.HUGE) * np.inf)
+        out = np.empty(self.HUGE.shape)
+        assert np.array_equal(yf.g(self.HUGE, out=out), g)
+        gp = yf.g_prime(self.HUGE)
+        assert not np.isnan(gp).any()
+        np.testing.assert_allclose(gp, _g_ref(yf, self.HUGE)[1], rtol=2e-15, atol=0.0)
+
+
+def test_laguerre_blocks_allocate_below_the_mmap_threshold(log221):
+    # each block's storage is reused, so a Laguerre G allocates little
+    # beyond its output; glibc maps fresh pages for blocks of 128 KiB and up
+    t = np.logspace(-3.0, 3.0, 4096)
+    assert traced_peak(lambda: log221.G(t)) - t.nbytes < 128 * 1024
