@@ -22,9 +22,10 @@ to keep or modify. At m = 257 an m x m array is 516 KiB, above glibc's
 mmap threshold, so each fresh temporary cost its own page faults.
 
 The strong-form evaluator is separate and deliberately different in
-texture: graded panels against the |x - y|^(-1-s) singularity over the
-first cell, exact piecewise-linear values at cell midpoints outside the
-band, and the same closed-form exterior as the weak side.
+texture: the first cell, where the |x - y|^(-1-s) singularity sits, on
+the Gauss-Laguerre rule that every integral from zero shares; exact
+piecewise-linear values at cell midpoints outside the band; and the same
+closed-form exterior as the weak side.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .orlicz import (Discretization, GridFunction, OperatorConfig,
                      _require_zero_boundary)
-from .quadrature import graded_panel_depth, integrate_panels, panel_edges_graded
-from .young import Workspace, YoungFunction
+from .young import Workspace, YoungFunction, _laguerre_integral
 
 # du, the far-pair values and the Young kernels' scratch
 _FAR = Workspace(3)
@@ -174,32 +174,43 @@ def _first_cell_integral(cfg: OperatorConfig, sigma: np.ndarray,
                          h: float) -> np.ndarray:
     """int_0^h g(sigma tau^(1-s)) tau^(-1-s) dtau, odd in sigma.
 
-    The integrand scales like tau^(p(1-s)-2) at zero; panels are graded to
-    match, which is where the p_minus (1-s) > 1 restriction bites.
+    With y = |sigma| tau^(1-s) and e = 1/(1-s) it is
+    e |sigma|^(s e) int_0^(|sigma| h^(1-s)) g(y) y^(-e) dy, on the Laguerre
+    rule sized as for G, k = window[0] - e: positive exactly under the
+    window[0] (1-s) > 1 that `apply_interior` enforces. The integrand is
+    formed in logs, since y^(-e) overflows where g underflows, and is zero
+    below the smallest normal float, which loses a fraction ~(tiny/y)^k of
+    the integral: under 1e-15 for k >= 0.05.
     """
     yf = cfg.young
-    s = cfg.s
-    expo = yf.p_minus * (1.0 - s) - 2.0
-    depth = graded_panel_depth(expo)
-    edges = panel_edges_graded(np.full(sigma.shape, h), depth)
-    sig = sigma[..., None, None]
-    return integrate_panels(lambda tau: yf.g(sig * tau ** (1.0 - s)) * tau ** (-1.0 - s),
-                            edges, n_nodes=16)
+    e = 1.0 / (1.0 - cfg.s)
+
+    def integrand(y, **_):
+        out = np.zeros_like(y)
+        pos = y >= np.finfo(float).tiny
+        with np.errstate(divide="ignore"):
+            out[pos] = np.exp(np.log(yf.g(y[pos])) - e * np.log(y[pos]))
+        return out
+
+    mag = np.abs(sigma)
+    upper = mag * h ** (1.0 - cfg.s)
+    vals = _laguerre_integral(integrand, upper, yf.window[0] - e)
+    return np.sign(sigma) * e * mag ** (cfg.s * e) * vals
 
 
 def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
     """Strong-form operator values at every interior node.
 
-    Per node: graded quadrature of the slope-substituted first cell on each
-    side, exact piecewise-linear midpoint sums for the remaining interior
-    cells, and the closed-form exterior strips.
+    Per node: the slope-substituted first cell on each side on the
+    Gauss-Laguerre rule, exact piecewise-linear midpoint sums for the
+    remaining interior cells, and the closed-form exterior strips.
 
     Unlike the energy side, boundary values need not vanish: the evaluation
     at one interior node stays finite for any nodal data.
     """
     yf = cfg.young
     s = cfg.s
-    if yf.p_minus * (1.0 - s) <= 1.0 + 1e-12:
+    if yf.window[0] * (1.0 - s) <= 1.0 + 1e-12:
         raise ConfigurationError(
             "strong-form evaluation needs p_minus (1 - s) > 1; the first-cell "
             "integral diverges otherwise")

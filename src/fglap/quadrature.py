@@ -143,46 +143,3 @@ def invert_monotone(func, y, window: tuple[float, float], *, deriv=None,
         f"invert_monotone: {live.size} target(s) unresolved after {max_iter} "
         f"steps, e.g. y = {yl[0]:.6g}; the function leaves its growth window "
         f"{tuple(window)} or never reaches the target")
-
-
-def panel_edges_graded(upper, n_panels: int, ratio: float = 2.0) -> np.ndarray:
-    """Geometric panel edges 0 < upper/r^k < ... < upper for singular integrands.
-
-    Returns an array of shape upper.shape + (n_panels + 1,). The lowest edge
-    is upper / ratio**(n_panels - 1); the first panel starts at zero so the
-    decomposition is exact.
-    """
-    upper = np.asarray(upper, dtype=float)
-    scale = ratio ** (-np.arange(n_panels - 1, -1.0, -1.0))
-    edges = upper[..., None] * scale
-    zero = np.zeros(upper.shape + (1,))
-    return np.concatenate([zero, edges], axis=-1)
-
-
-def integrate_panels(func, edges: np.ndarray, n_nodes: int = 12) -> np.ndarray:
-    """Gauss-Legendre integration of a vectorized func over panel stacks.
-
-    ``edges`` has shape batch + (n_panels + 1,); the result sums every panel
-    and has shape batch.
-    """
-    x, w = gauss_legendre(n_nodes)
-    lo = edges[..., :-1, None]
-    hi = edges[..., 1:, None]
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    vals = func(mid + half * x)
-    return np.sum(np.sum(vals * w, axis=-1) * half[..., 0], axis=-1)
-
-
-def graded_panel_depth(exponent: float, rel_tol: float = 1e-13,
-                       max_panels: int = 400) -> int:
-    """Panels needed so the untreated mass of t^exponent below the lowest
-    edge stays under rel_tol relative to the whole integral.
-
-    Valid for exponent > -1; the closer to -1, the deeper the grading.
-    """
-    if exponent <= -1.0:
-        raise DomainError("graded quadrature requires an integrable power at zero")
-    depth = int(np.ceil(-np.log2(rel_tol) / (exponent + 1.0))) + 4
-    return min(max(depth, 8), max_panels)
-

@@ -4,15 +4,15 @@ Three admissible families are provided: a pure power, a sum of two powers,
 and a power-times-logarithm profile. Each exposes the derivative ``g``,
 the primitive ``G``, growth exponents ``p_minus <= p_plus`` with
 ``p_minus > 2`` enforced, and the integral transforms built on top of them
-(conjugate, Sobolev-type conjugate, boundary weight).
+(conjugate, boundary weight).
 
 Every integral from zero (G and Lambda unless a family has a closed form,
-the conjugate, the Sobolev-type conjugate and the boundary weight) comes
-from one generalized Gauss-Laguerre rule, built with numpy alone in
-``quadrature.gauss_laguerre``, after the substitution t = y e^(-v/k), with
-k sized from the integrand's growth at zero. Every inverse is a log-log
-Newton bracketed by the growth window. All entry points accept scalars or
-arrays and are vectorized.
+the conjugate, the boundary weight, and the strong form's first cell in
+`fractional`) comes from one generalized Gauss-Laguerre rule, built with
+numpy alone in ``quadrature.gauss_laguerre``, after the substitution
+t = y e^(-v/k), with k sized from the integrand's growth at zero. Every
+inverse is a log-log Newton bracketed by the growth window. All entry
+points accept scalars or arrays and are vectorized.
 
 g is evaluated in the p-Laplacian form g(t) = t gamma(|t|), where the even
 factor gamma(tau) = g(tau)/tau is tau^(p-2) for a power, the sum of two
@@ -364,7 +364,10 @@ class LogTypeYoung(YoungFunction):
         work = np.multiply(out, self.c, out=work)
         work += self.b
         out *= self.c
-        out /= work
+        # where b + c tau overflows, c tau/(b + c tau) takes its limit 1
+        with np.errstate(invalid="ignore"):
+            out /= work
+        np.fmin(out, 1.0, out=out)
         np.log(work, out=work)
         work *= self.a
         work += out
@@ -407,43 +410,6 @@ def eval_Gbar(yf: YoungFunction, t):
     k = p_plus / (p_plus - 1.0)
     return _restore(_laguerre_integral(lambda x, **_: yf._g_inv_pos(x), arr, k),
                     scalar)
-
-
-def sobolev_conjugate_inv(yf: YoungFunction, t, s: float, n_dim: int = 1):
-    """Inverse of the Sobolev-type conjugate:
-    integral of G^{-1}(tau) tau^{-(n+s)/n} over (0, t).
-
-    Diverges at zero unless the local growth exponent p0 of G satisfies
-    1/p0 > s/n; that failure is a configuration error, not a numerical one.
-    """
-    _require_finite(t, "sobolev_conjugate_inv")
-    if not (0.0 < s < 1.0):
-        raise ConfigurationError("sobolev_conjugate_inv: s must lie in (0, 1)")
-    arr, scalar = _as_batch(t)
-    if np.any(arr < 0.0):
-        raise DomainError("sobolev_conjugate_inv: argument must be nonnegative")
-
-    # local exponent of G at zero from a small-argument probe of t g/G
-    probe = 1e-8
-    p0 = float(probe * yf.g(probe) / yf.G(probe))
-    if 1.0 / p0 <= s / n_dim:
-        raise ConfigurationError(
-            f"Sobolev conjugate diverges at zero: 1/p0 = {1.0 / p0:.4g} "
-            f"<= s/n = {s / n_dim:.4g}")
-
-    # integrand ~ tau^(1/p0 - (n+s)/n) near zero, so k = 1/p0 - s/n. It is
-    # formed in logs and dropped below the smallest normal float, which
-    # loses a fraction ~(tiny/t)^k of the integral: under 1e-15 for k >= 0.05
-    expo = (n_dim + s) / n_dim
-
-    def integrand(tau, **_):
-        out = np.zeros_like(tau)
-        pos = tau >= np.finfo(float).tiny
-        out[pos] = np.exp(np.log(yf._G_inv_pos(tau[pos])) - expo * np.log(tau[pos]))
-        return out
-
-    vals = _laguerre_integral(integrand, arr, 1.0 / p0 - s / n_dim)
-    return _restore(vals, scalar)
 
 
 class GrowthEstimate(NamedTuple):

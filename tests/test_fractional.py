@@ -143,6 +143,57 @@ class TestStrongForm:
 
 
 # ---------------------------------------------------------------------------
+# the strong form's first cell on the Gauss-Laguerre rule
+
+# int_0^(1/16) g(sigma tau^(1-s)) tau^(-1-s) dtau at FIRST_CELL_SIGMA, frozen
+# from mpmath (40 digits, tanh-sinh on the substituted integral over y)
+FIRST_CELL_SIGMA = (-2.5, 0.3, 1.7)
+FIRST_CELL_FROZEN = {
+    ("dp34", 0.1): (-0.037441096224233944, 0.0004827906302486618, 0.016654646776715725),
+    ("dp34", 0.3): (-0.3281637993198392, 0.003977429319873078, 0.14300720772241796),
+    ("dp34", 0.5): (-4.1015625, 0.0466875, 1.7520624999999999),
+    ("log221", 0.1): (-0.02501235728354153, 0.00033314296819494043, 0.011256448215435007),
+    ("log221", 0.3): (-0.21431617366577096, 0.0027368483695531577, 0.0951558756743565),
+    ("log221", 0.5): (-2.6102149549726272, 0.03202501966297935, 1.1452800907833585),
+}
+
+
+class TestFirstCell:
+    SIGMA = np.array([-40.0, -2.5, -0.3, 0.0, 0.3, 1.7, 2.5, 40.0])
+
+    @pytest.mark.parametrize("p,s", [(4.0, 0.1), (4.0, 0.3), (4.0, 0.5), (40.0, 0.1),
+                                     (40.0, 0.3), (40.0, 0.5), (40.0, 0.9)])
+    @pytest.mark.parametrize("h", [1.0 / 256, 1.0 / 16, 0.5])
+    def test_power_closed_form(self, p, s, h):
+        # sign(sigma) |sigma|^(p-1) h^beta / beta, beta = (p-1)(1-s) - s
+        cfg = OperatorConfig(young=PowerYoung(p), s=s)
+        beta = (p - 1.0) * (1.0 - s) - s
+        want = np.sign(self.SIGMA) * np.abs(self.SIGMA) ** (p - 1.0) * h ** beta / beta
+        got = fractional._first_cell_integral(cfg, self.SIGMA, h)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert got[3] == 0.0
+
+    @pytest.mark.parametrize("key", list(FIRST_CELL_FROZEN), ids=lambda k: f"{k[0]}-s{k[1]:g}")
+    def test_matches_frozen_mpmath(self, key, request):
+        cfg = OperatorConfig(young=request.getfixturevalue(key[0]), s=key[1])
+        got = fractional._first_cell_integral(cfg, np.array(FIRST_CELL_SIGMA), 1.0 / 16)
+        np.testing.assert_allclose(got, FIRST_CELL_FROZEN[key], rtol=1e-12, atol=0.0)
+
+    def test_admissibility_reads_the_verified_window(self, mesh33):
+        # p_minus (1 - s) > 1 is decided by window[0], not the declared claim
+        u = bump_on(mesh33)
+        modest = PowerYoung(4.0)
+        modest.p_minus = 2.2  # 2.2 * 0.4 < 1, but the window gives 4 * 0.4 > 1
+        np.testing.assert_array_equal(
+            apply_interior(OperatorConfig(young=modest, s=0.6), u),
+            apply_interior(OperatorConfig(young=PowerYoung(4.0), s=0.6), u))
+        boastful = PowerYoung(2.5)
+        boastful.p_minus = 10.0  # 10 * 0.3 > 1, but the window gives 2.5 * 0.3 < 1
+        with pytest.raises(ConfigurationError, match=r"p_minus \(1 - s\) > 1"):
+            apply_interior(OperatorConfig(young=boastful, s=0.7), u)
+
+
+# ---------------------------------------------------------------------------
 # the shared discretization against the per-call formulas it replaced
 
 

@@ -16,12 +16,9 @@ from fglap.errors import ConvergenceError, DomainError
 from fglap.quadrature import (
     gauss_laguerre,
     gauss_legendre,
-    graded_panel_depth,
-    integrate_panels,
     invert_monotone,
-    panel_edges_graded,
 )
-from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung
+from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung, _laguerre_integral
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -145,35 +142,6 @@ class TestWindowInverter:
         np.testing.assert_allclose(got, [[1.0, 2.0], [0.0, 3.0]], rtol=1e-15)
 
 
-class TestPanels:
-    def test_graded_edges_shape_and_order(self):
-        edges = panel_edges_graded(np.array([1.0, 2.0]), 6)
-        assert edges.shape == (2, 7)
-        assert edges[0, 0] == 0.0
-        assert np.all(np.diff(edges, axis=-1) > 0)
-        assert edges[1, -1] == 2.0
-
-    def test_integrate_polynomial_exact(self):
-        # GL(12) per panel is exact for cubics
-        edges = panel_edges_graded(np.array([1.0]), 4)
-        val = integrate_panels(lambda t: t**3, edges)
-        assert val[0] == pytest.approx(0.25, rel=1e-14)
-
-    def test_singular_power_with_grading(self):
-        # int_0^1 t^{-0.5} dt = 2; grading handles the endpoint blowup
-        depth = graded_panel_depth(-0.5)
-        edges = panel_edges_graded(np.array([1.0]), depth)
-        val = integrate_panels(lambda t: t**-0.5, edges)
-        assert val[0] == pytest.approx(2.0, rel=1e-10)
-
-    def test_depth_rejects_nonintegrable(self):
-        with pytest.raises(DomainError):
-            graded_panel_depth(-1.0)
-
-    def test_depth_grows_toward_minus_one(self):
-        assert graded_panel_depth(-0.9) > graded_panel_depth(-0.1)
-
-
 def test_gauss_legendre_cached_and_exact():
     x, w = gauss_legendre(8)
     assert w.sum() == pytest.approx(2.0, rel=1e-14)
@@ -210,6 +178,12 @@ class TestGaussLaguerre:
         x, w = gauss_laguerre(n, alpha)
         assert np.all(w > 0.0)
         assert np.all(np.isfinite(w * np.exp(x)))
+
+    def test_integral_of_singular_power(self):
+        # int_0^1 t^(-1/2) dt = 2; with k = 1/2 the factor left against the
+        # Laguerre weight is constant, whatever the blowup at zero
+        val = _laguerre_integral(lambda t, **_: t ** -0.5, np.array([1.0]), 0.5)
+        assert val[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_solve_runs_without_scipy(tmp_path):

@@ -2,6 +2,7 @@
 windows, conjugates, and the boundary weight."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from fglap.young import (
     estimate_growth_bounds,
     eval_Gbar,
     make_young,
-    sobolev_conjugate_inv,
     standard_grid,
     submultiplicativity_constant,
 )
@@ -30,7 +30,6 @@ from fglap.young import (
 # oracle values frozen from scipy.integrate.quad runs; see the matching
 # derivations in each test
 G_LOG_AT_1 = 0.3363332734000307
-SOBOLEV_P4_S02_T2 = 29.28171391891324
 MVT_DP34 = 0.7540389671237899
 MVT_LOG = 0.7527393527089662
 SUBMULT_DP34 = 1.001999998000002
@@ -212,16 +211,6 @@ class TestConjugate:
         t = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2000))
         want = t * yf.g(t) - yf.G(t)
         np.testing.assert_allclose(eval_Gbar(yf, yf.g(t)), want, rtol=1e-13, atol=0.0)
-
-
-class TestSobolevConjugate:
-    def test_power_oracle(self, power4):
-        got = sobolev_conjugate_inv(power4, 2.0, 0.2)
-        assert got == pytest.approx(SOBOLEV_P4_S02_T2, rel=1e-5)
-
-    def test_divergent_case_rejected(self, power4):
-        with pytest.raises(ConfigurationError):
-            sobolev_conjugate_inv(power4, 2.0, 0.3)  # 1/p = 0.25 <= s
 
 
 class TestPhiWeight:
@@ -412,6 +401,19 @@ class TestKernels:
         gp = yf.g_prime(self.HUGE)
         assert not np.isnan(gp).any()
         np.testing.assert_allclose(gp, _g_ref(yf, self.HUGE)[1], rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("abc", [(1.5, 1.0, 3.0), (1.2, 1.0, 1e10)])
+    def test_log_type_g_prime_where_c_t_overflows(self, abc):
+        # c tau/(b + c tau) -> 1 once b + c tau overflows, so g' is +inf like g
+        yf = LogTypeYoung(*abc)
+        huge = np.array([-1.7e308, -6e307, 6e307, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in huge:
+                assert yf.g_prime(float(t)) == np.inf
+            assert np.array_equal(yf.g_prime(huge), np.full(4, np.inf))
+            out, work = np.empty(4), np.empty(4)
+            assert np.array_equal(yf.g_prime(huge, out=out, work=work), np.full(4, np.inf))
 
 
 def test_laguerre_blocks_allocate_below_the_mmap_threshold(log221):
