@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .orlicz import GridFunction, Mesh, OperatorConfig
-from .young import PhiWeight, YoungFunction, estimate_growth_bounds, eval_Gbar
+from .young import GROWTH_GRID, PhiWeight, YoungFunction, eval_Gbar
 
 DEFAULT_SEED = 0x5EED
-GROWTH_GRID = 512
 SAMPLE_LO = 1e-3
 SAMPLE_HI = 1e3
 
@@ -66,10 +65,10 @@ def _worst(margins: np.ndarray, payload: dict) -> tuple[float, dict]:
 
 
 def check_growth_bounds(yf: YoungFunction) -> CheckOutcome:
-    """Sampled growth window 1 + t g'/g on the standard grid against the
-    declared [p_minus, p_plus]; the margin is the tighter of the two ends
-    of `GrowthEstimate.margins`, and the check fails below -1e-6."""
-    est = estimate_growth_bounds(yf, GROWTH_GRID)
+    """The growth window 1 + t g'/g sampled at construction, ``yf.growth``,
+    against the declared [p_minus, p_plus]; the margin is the tighter of the
+    two ends of `GrowthEstimate.margins`, and the check fails below -1e-6."""
+    est = yf.growth
     lower, upper = est.margins(yf)
     offending = None
     if min(lower, upper) < -1e-6:
@@ -267,7 +266,7 @@ def check_comparison(cfg: OperatorConfig, trials: int = 20, *,
 
 
 def run_check_suite(yf: YoungFunction, *, q_star: float = 2.0,
-                    eps: float = 1.0, n_samples: int = 1000,
+                    n_samples: int = 1000,
                     seed: int = DEFAULT_SEED) -> list[CheckOutcome]:
     """The six sample-driven checks for one growth family. Solver-level
     comparison runs separately because it needs an operator config."""
@@ -277,6 +276,6 @@ def run_check_suite(yf: YoungFunction, *, q_star: float = 2.0,
         check_lindqvist(yf, n_samples, seed=seed),
         check_gdiff(yf, n_samples, seed=seed),
         check_conjugate(yf, n_samples, seed=seed),
-        check_phi_mvt(weight, eps, n_samples, seed=seed),
+        check_phi_mvt(weight, n_samples=n_samples, seed=seed),
         check_rpower(weight, n_samples, seed=seed),
     ]

@@ -34,8 +34,8 @@ FAMILY_PARAMS = {
 
 _KNOWN_KEYS = {
     "family", "p", "p1", "p2", "a", "b", "c", "s", "mesh", "case", "f", "q",
-    "q_star", "delta", "n_schedule", "seed", "out", "plot", "samples", "eps",
-    "declared_p_minus", "declared_p_plus", "tol_stop", "tol_mono",
+    "q_star", "delta", "n_schedule", "seed", "out", "plot", "samples",
+    "declared_p_minus", "declared_p_plus",
 }
 
 _PROFILE_TAGS = ("const", "gaussian", "bump", "abs-power", "file")
@@ -60,11 +60,8 @@ class RunConfig:
     out: Path = field(default_factory=lambda: Path("."))
     plot: bool = True
     samples: int = 1000
-    eps: float = 1.0
     declared_p_minus: float | None = None
     declared_p_plus: float | None = None
-    tol_stop: float = 1e-6
-    tol_mono: float = 1e-7
 
 
 def _fmt(x: float) -> str:
@@ -87,6 +84,8 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigurationError(
                 f"unknown config key {key!r} on line {ln}; known keys: "
                 + ", ".join(sorted(_KNOWN_KEYS)))
+        if key in raw:
+            raise ConfigurationError(f"config key {key!r} is set again on line {ln}")
         raw[key] = value.strip()
     return raw
 
@@ -172,13 +171,10 @@ def load_config(path: str | Path) -> RunConfig:
         out=Path(raw["out"]) if "out" in raw else Path("."),
         plot=_as_bool(raw, "plot", True),
         samples=_as_int(raw, "samples", 1000),
-        eps=_as_float(raw, "eps", 1.0),
         declared_p_minus=(None if "declared_p_minus" not in raw
                           else _as_float(raw, "declared_p_minus")),
         declared_p_plus=(None if "declared_p_plus" not in raw
                          else _as_float(raw, "declared_p_plus")),
-        tol_stop=_as_float(raw, "tol_stop", 1e-6),
-        tol_mono=_as_float(raw, "tol_mono", 1e-7),
     )
 
     # fail at parse time, with the offending key, not deep in the pipeline
@@ -187,6 +183,9 @@ def load_config(path: str | Path) -> RunConfig:
         Mesh(m)
     if not (0.0 < rc.s < 1.0):
         raise ConfigurationError(f"config key 's' must lie in (0, 1), got {rc.s}")
+    if rc.seed < 0:
+        raise ConfigurationError(
+            f"config key 'seed' must be nonnegative, got {rc.seed}")
     for spec, key in ((rc.f_spec, "f"), (rc.q_spec, "q")):
         _validate_profile_spec(spec, key)
     if rc.n_schedule[0] < 1 or any(b <= a for a, b in zip(rc.n_schedule,
@@ -308,8 +307,8 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def run_verification(rc: RunConfig, yf: YoungFunction,
                      mesh: Mesh) -> list[CheckOutcome]:
     outcomes = [check_growth_bounds(yf)]
-    outcomes += run_check_suite(yf, q_star=rc.q_star, eps=rc.eps,
-                                n_samples=rc.samples, seed=rc.seed)
+    outcomes += run_check_suite(yf, q_star=rc.q_star, n_samples=rc.samples,
+                                seed=rc.seed)
     cfg = build_operator(rc, yf)
     outcomes.append(check_comparison(cfg, 20, mesh=mesh, seed=rc.seed))
     return outcomes
@@ -358,8 +357,7 @@ def cmd_solve(rc: RunConfig) -> int:
 
     try:
         report = monotone_scheme(cfg, data, mesh=mesh,
-                                 n_schedule=rc.n_schedule,
-                                 tol_stop=rc.tol_stop, tol_mono=rc.tol_mono)
+                                 n_schedule=rc.n_schedule)
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 1
@@ -388,24 +386,25 @@ def _write_solution(rc: RunConfig, report: SolveReport) -> None:
     write_csv(rc.out / "solution.csv", header, rows)
 
 
+# diagnostics.csv's per-stage Newton rows: (row name, stats key, formatter)
+_NEWTON_ROWS = (
+    ("fixed_point_iterations", "iterations", str),
+    ("residual_sup", "residual_sup", _fmt),
+    ("seed_residual_evaluations", "seed_evaluations", str),
+    ("residual_evaluations", "residual_evaluations", str),
+    ("line_search_backtracks", "line_search_backtracks", str),
+    ("levenberg_shift_max", "levenberg_shift_max", _fmt),
+)
+
+
 def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict) -> None:
     rows = []
-    for k, n in enumerate(report.n_values):
+    for k, (n, stats) in enumerate(zip(report.n_values, report.newton)):
         rows.append([f"modular_energy[{report.energy_case}]", str(n),
                      _fmt(report.energies[k])])
         rows.append([f"seminorm[{report.energy_case}]", str(n),
                      _fmt(diag["energies"][k])])
-        rows.append(["fixed_point_iterations", str(n),
-                     str(report.stage_iterations[k])])
-        rows.append(["residual_sup", str(n), _fmt(report.residual_sups[k])])
-        rows.append(["seed_residual_evaluations", str(n),
-                     str(report.seed_evaluations[k])])
-        rows.append(["residual_evaluations", str(n),
-                     str(report.residual_evaluations[k])])
-        rows.append(["line_search_backtracks", str(n),
-                     str(report.line_search_backtracks[k])])
-        rows.append(["levenberg_shift_max", str(n),
-                     _fmt(report.levenberg_shift_max[k])])
+        rows += [[name, str(n), fmt(stats[key])] for name, key, fmt in _NEWTON_ROWS]
         if k > 0:
             rows.append(["sup_diff_prev_stage", str(n),
                          _fmt(report.sup_diffs[k - 1])])
@@ -485,8 +484,7 @@ def cmd_convergence(rc: RunConfig) -> int:
     for m in meshes:
         mesh = Mesh(m)
         report = monotone_scheme(cfg, build_data(rc, mesh), mesh=mesh,
-                                 n_schedule=rc.n_schedule,
-                                 tol_stop=rc.tol_stop, tol_mono=rc.tol_mono)
+                                 n_schedule=rc.n_schedule)
         finals.append(report.final)
 
     rows = []
@@ -536,7 +534,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             rc.out = Path(args.out)
         if args.seed is not None:
-            rc.seed = int(args.seed)
+            if args.seed < 0:
+                raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
+            rc.seed = args.seed
         if args.no_plot:
             rc.plot = False
         handler = {"check-young": cmd_check_young,

@@ -1,16 +1,18 @@
 """The nonlocal operator on the interval: strong form, weak form, residual.
 
-The weak form is, by construction, the exact gradient of the discrete
-modular assembled in `orlicz`: far pairs, the clipped band, and the
-closed-form exterior strips all share their quadrature between energy and
-form. Coercivity against the modular and honest energy identities then
-hold at round-off level instead of at quadrature-error level.
+The residual, and with it the weak form, is by construction the exact
+gradient of the discrete modular assembled in `orlicz`: far pairs, the
+clipped band, and the closed-form exterior strips all share their
+quadrature between energy and form. Coercivity against the modular and
+honest energy identities then hold at round-off level instead of at
+quadrature-error level.
 
 Every entry point takes an `orlicz.OperatorConfig` and reads all geometry
 from its cached `orlicz.Discretization` for the mesh size. With
 du = (u_i - u_j) / ds over its far-pair kernel, each far term is one
-expression: residual g(du) kr, Newton Jacobian 2 g'(du) kr / ds, weak
-form g(du) dv kr (the energy is G(du) kr ds).
+expression: residual g(du) kr, Newton Jacobian 2 g'(du) kr / ds (the
+energy is G(du) kr ds). The weak form is the residual paired with the test
+function's nodal values.
 
 The far terms are m x m arrays. They are evaluated in place in a
 `young.Workspace` of three buffers (du, the g values, and the Young
@@ -84,29 +86,14 @@ def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
 
 def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     """Ordered-pair bilinear pairing of the operator at u with the test
-    function v; equals d/de of the modular energy of u + e v at e = 0."""
-    disc = cfg.discretization(u.mesh.m)
-    _require_zero_boundary(u)
+    function v; equals d/de of the modular energy of u + e v at e = 0.
+    It is the unloaded residual, whose entries are the pairings with the
+    hat functions, paired with v's nodal values."""
     if not v.vanishes_on_boundary():
         raise DomainError("test functions must vanish on the boundary")
     if v.mesh.m != u.mesh.m:
         raise DomainError("u and v must share a mesh")
-    yf = cfg.young
-    mesh = u.mesh
-    uv, vv = u.values, v.values
-
-    with _FAR.take(disc.kr.shape) as (du, far_mat, work):
-        yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
-        far_mat *= np.subtract.outer(vv, vv, out=du)
-        far_mat *= disc.kr
-        far = float(far_mat.sum())
-
-    cell = _band_cells(yf, disc, np.diff(uv) / mesh.h)
-    band = float(np.sum(cell * (np.diff(vv) / mesh.h)))
-
-    wi = mesh.weights[1:-1]
-    strip = 2.0 * float(np.sum(wi * vv[1:-1] * _strip_e(yf, disc, uv[1:-1])))
-    return far + band + strip
+    return float(v.values @ residual(cfg, u, np.zeros(u.mesh.m)).values)
 
 
 def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:

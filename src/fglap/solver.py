@@ -22,6 +22,10 @@ from .quadrature import invert_monotone
 from .young import PhiWeight, submultiplicativity_constant
 
 SUBMULT_GATE = 1e-12
+# the scheme stops once consecutive stages agree to TOL_STOP in the sup norm,
+# and refuses a stage that dips more than TOL_MONO below the previous one
+TOL_STOP = 1e-6
+TOL_MONO = 1e-7
 
 
 @dataclass
@@ -97,16 +101,15 @@ class ProblemData:
 
 @dataclass
 class SolveReport:
+    """One list entry per stage: ``newton`` holds `_newton`'s stats as
+    returned, ``carriers`` the energy carriers (u_n, or Phi(u_n) in main2)."""
+
     mesh: Mesh
-    cfg: OperatorConfig | None = None
+    cfg: OperatorConfig
     n_values: list[int] = field(default_factory=list)
     solutions: list[GridFunction] = field(default_factory=list)
-    stage_iterations: list[int] = field(default_factory=list)
-    seed_evaluations: list[int] = field(default_factory=list)
-    residual_evaluations: list[int] = field(default_factory=list)
-    line_search_backtracks: list[int] = field(default_factory=list)
-    levenberg_shift_max: list[float] = field(default_factory=list)
-    residual_sups: list[float] = field(default_factory=list)
+    newton: list[dict] = field(default_factory=list)
+    carriers: list[GridFunction] = field(default_factory=list)
     sup_diffs: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
     energy_case: str = ""
@@ -300,12 +303,10 @@ def _stage_load(data: ProblemData, mesh: Mesh, n: int):
 
 def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
                     mesh: Mesh | None = None,
-                    n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16),
-                    tol_stop: float = 1e-6,
-                    tol_mono: float = 1e-7) -> SolveReport:
+                    n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16)) -> SolveReport:
     """Solve the truncated problems along the n schedule, enforcing nodal
     monotonicity between stages and stopping early once consecutive stages
-    agree to tol_stop in the sup norm. Each stage is one coupled Newton
+    agree to TOL_STOP in the sup norm. Each stage is one coupled Newton
     solve, started from the previous stage: a subsolution, because f_n and
     (t + 1/n)^(-q) both increase with n."""
     mesh = data.run_mesh(mesh)
@@ -324,23 +325,21 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
                            200, f"stage n = {n} (m = {mesh.m})")
         report.n_values.append(n)
         report.solutions.append(u)
-        report.stage_iterations.append(stats["iterations"])
-        report.seed_evaluations.append(stats["seed_evaluations"])
-        report.residual_evaluations.append(stats["residual_evaluations"])
-        report.line_search_backtracks.append(stats["line_search_backtracks"])
-        report.levenberg_shift_max.append(stats["levenberg_shift_max"])
-        report.residual_sups.append(stats["residual_sup"])
-        report.energies.append(modular_W(cfg, _energy_carrier(u, weight)))
+        report.newton.append(stats)
+        carrier = (u if weight is None else
+                   GridFunction(mesh, weight.phi(np.maximum(u.values, 0.0))))
+        report.carriers.append(carrier)
+        report.energies.append(modular_W(cfg, carrier))
         if prev is not None:
             drop = float(np.min(u.values - prev.values))
-            if drop < -tol_mono:
+            if drop < -TOL_MONO:
                 err = InvariantError(
                     f"stage n = {n} dipped {-drop:.3e} below the previous "
                     f"stage; the truncation scheme must be monotone")
                 err.snapshots = (prev.copy(), u.copy())
                 raise err
             report.sup_diffs.append(float(np.max(np.abs(u.values - prev.values))))
-            if report.sup_diffs[-1] <= tol_stop:
+            if report.sup_diffs[-1] <= TOL_STOP:
                 report.converged = True
                 prev = u
                 break
@@ -390,23 +389,12 @@ def barrier_check(cfg: OperatorConfig, mesh: Mesh,
     return out
 
 
-def _energy_carrier(u: GridFunction, weight: PhiWeight | None) -> GridFunction:
-    if weight is None:
-        return u
-    return GridFunction(u.mesh, weight.phi(np.maximum(u.values, 0.0)))
-
-
 def boundary_energy_report(report: SolveReport, data: ProblemData) -> dict:
-    """Gauge seminorms along the schedule: of the solutions in case main1,
-    of their composition with the boundary weight in case main2. Flags
-    whether the sequence stays within twice the median of its last three
-    entries."""
-    if report.cfg is None:
-        raise ConfigurationError("the report carries no operator settings")
-    cfg = report.cfg
-    weight = PhiWeight(cfg.young, data.q_star) if data.case == "main2" else None
-    energies = [luxemburg_seminorm_W(cfg, _energy_carrier(u, weight))
-                for u in report.solutions]
+    """Gauge seminorms of the report's energy carriers along the schedule:
+    the solutions in case main1, their composition with the boundary weight
+    in case main2. Flags whether the sequence stays within twice the median
+    of its last three entries."""
+    energies = [luxemburg_seminorm_W(report.cfg, c) for c in report.carriers]
     ref = float(np.median(energies[-3:])) if energies else 0.0
     bounded = all(e <= 2.0 * ref + 1e-12 for e in energies)
     return {"case": data.case, "energies": energies,

@@ -38,9 +38,11 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .quadrature import gauss_laguerre, invert_monotone
 
-# Standard sampling window for empirical constants: six decades around 1.
+# Standard sampling window for empirical constants: six decades around 1,
+# and the number of points the growth window is sampled at.
 GRID_LO = 1e-3
 GRID_HI = 1e3
+GROWTH_GRID = 512
 
 # Generalized Gauss-Laguerre nodes for every integral from zero, and the
 # number of points expanded against them at once. A 128 x 64 float64 block
@@ -149,9 +151,10 @@ class YoungFunction:
     The public methods apply the odd/even extensions and handle scalar
     passthrough.
 
-    ``window`` is the growth window the constructor verified, and every
-    inverse and Laguerre rule is sized from it. ``p_minus``/``p_plus`` are
-    the declared claims the check battery tests; reassigning them (the CLI's
+    ``window`` is the growth window the constructor verified against
+    ``growth``, its one sample of 1 + t g'/g, and every inverse and Laguerre
+    rule is sized from it. ``p_minus``/``p_plus`` are the declared claims
+    the check battery tests against ``growth``; reassigning them (the CLI's
     ``declared_p_*`` keys do) moves what the checks compare against, not the
     numerics.
     """
@@ -166,7 +169,13 @@ class YoungFunction:
             raise ConfigurationError("growth bounds must satisfy p_minus <= p_plus")
         self.p_minus = float(p_minus)
         self.p_plus = float(p_plus)
-        self._check_growth_window()
+        self.growth = estimate_growth_bounds(self)
+        # written so that nan margins (no usable grid sample) fail as well
+        if not min(self.growth.margins(self)) >= -1e-9:
+            raise ConfigurationError(
+                f"{self.family_tag}: 1 + t g'/g leaves [{self.p_minus:g}, "
+                f"{self.p_plus:g}] (observed [{self.growth.p_minus_hat:.6g}, "
+                f"{self.growth.p_plus_hat:.6g}])")
         self.window = (self.p_minus, self.p_plus)
 
     @property
@@ -241,17 +250,6 @@ class YoungFunction:
     def g_inverse(self, y):
         arr, scalar = _as_batch(y)
         return _restore(self._g_inv_pos(arr), scalar)
-
-    # -- construction-time sanity -----------------------------------------
-
-    def _check_growth_window(self) -> None:
-        est = estimate_growth_bounds(self, 64)
-        # written so that nan margins (no usable grid sample) fail as well
-        if not min(est.margins(self)) >= -1e-9:
-            raise ConfigurationError(
-                f"{self.family_tag}: 1 + t g'/g leaves [{self.p_minus:g}, "
-                f"{self.p_plus:g}] (observed [{est.p_minus_hat:.6g}, "
-                f"{est.p_plus_hat:.6g}])")
 
 
 class PowerYoung(YoungFunction):
@@ -424,10 +422,11 @@ class GrowthEstimate(NamedTuple):
         return self.p_minus_hat - yf.p_minus, yf.p_plus - self.p_plus_hat
 
 
-def estimate_growth_bounds(yf: YoungFunction, n_grid: int = 512) -> GrowthEstimate:
-    """Empirical growth window from 1 + t g'(t)/g(t) on the standard grid,
-    left out where g under- or overflows (all nan if nothing is left)."""
-    t = standard_grid(n_grid)
+def estimate_growth_bounds(yf: YoungFunction) -> GrowthEstimate:
+    """Empirical growth window from 1 + t g'(t)/g(t) on the standard grid
+    of GROWTH_GRID points, left out where g under- or overflows (all nan if
+    nothing is left). The constructor keeps it as ``yf.growth``."""
+    t = standard_grid(GROWTH_GRID)
     with np.errstate(all="ignore"):
         g = yf.g(t)
         ratio = 1.0 + t * yf.g_prime(t) / g

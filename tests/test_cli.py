@@ -73,13 +73,32 @@ class TestExitCodes:
         assert (rc.samples, rc.seed) == (1000, 2)
 
     @pytest.mark.parametrize("key,value", [("near_band", "1"), ("r_far", "100"),
-                                           ("tail_mode", "analytic")])
-    def test_retired_discretization_keys_rejected(self, tmp_path, capsys,
-                                                  key, value):
-        # the band is one cell and the exterior exact; neither is a setting
+                                           ("tail_mode", "analytic"),
+                                           ("tol_stop", "1e-6"),
+                                           ("tol_mono", "1e-7"), ("eps", "1")])
+    def test_retired_keys_rejected(self, tmp_path, capsys, key, value):
+        # the band is one cell and the exterior exact; the scheme's stage
+        # tolerances and the mean-value threshold are constants
         code, _ = run(tmp_path, BASE + f"{key} = {value}\n", cmd="check-young")
         assert code == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,extra", [(BASE + "seed = -1\n", ()),
+                                            (BASE, ("--seed", "-1"))],
+                             ids=["key", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, body, extra):
+        code, out = run(tmp_path, body, extra=extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (out / "checks.csv").exists()
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, BASE + "mesh = 65\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'mesh'" in err and "line 9" in err
+        assert not (out / "checks.csv").exists()
 
     @pytest.mark.parametrize("schedule", ["0,1", "-2,1"])
     def test_schedule_below_one_rejected(self, tmp_path, capsys, schedule):

@@ -3,7 +3,9 @@
 `tests/data/shipped/<config>/` holds the CSVs that `fglap solve --no-plot`
 (four configs) and `fglap convergence` (refinement.cfg) wrote when the files
 were recorded. A rerun must reproduce every stage value and sup diff within
-1e-9 absolute, and the check names, sample counts and verdicts exactly. A
+1e-9 absolute, and the check names, sample counts and verdicts exactly. In
+diagnostics.csv the quantity and n columns and the integer counters must
+match exactly, and every other value within 1e-9 absolute. A
 change that moves these numbers on purpose regenerates the files and says
 why in CHANGES.md.
 """
@@ -49,6 +51,16 @@ def test_solve_matches_golden(tmp_path, config):
     want_checks = read_rows(want / "checks.csv")
     assert ([(c, n, ok) for c, n, _, ok in got_checks]
             == [(c, n, ok) for c, n, _, ok in want_checks])
+    got_diag = read_rows(out / "diagnostics.csv")
+    want_diag = read_rows(want / "diagnostics.csv")
+    assert [row[:2] for row in got_diag] == [row[:2] for row in want_diag]
+    # counters and flags are written as integers, the rest in _fmt's format
+    counter = [row[2].isdigit() for row in want_diag]
+    assert ([g for g, c in zip(got_diag, counter) if c]
+            == [w for w, c in zip(want_diag, counter) if c])
+    assert_numbers_close([g for g, c in zip(got_diag, counter) if not c],
+                         [w for w, c in zip(want_diag, counter) if not c],
+                         slice(2, None), f"{config}/diagnostics.csv")
 
 
 def test_convergence_matches_golden(tmp_path):
