@@ -14,12 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .orlicz import GridFunction, Mesh, OperatorConfig
+from .orlicz import Mesh, OperatorConfig
 from .young import GROWTH_GRID, PhiWeight, YoungFunction, eval_Gbar
 
 DEFAULT_SEED = 0x5EED
 SAMPLE_LO = 1e-3
 SAMPLE_HI = 1e3
+# the doubling check's smallest sample count
+DELTA2_MIN_SAMPLES = 1000
+# the reverse mean-value bound is sampled where max(x, y) >= PHI_MVT_EPS
+PHI_MVT_EPS = 1.0
+# ordered load pairs drawn by the discrete comparison check
+COMPARISON_TRIALS = 20
 
 # rng streams keyed per check so outcomes do not depend on execution order
 _STREAM = {"delta2": 1, "lindqvist": 2, "gdiff": 3, "conjugate": 4,
@@ -86,8 +92,9 @@ def check_delta2(yf: YoungFunction, n_samples: int = 1000, *,
     """Two-sided doubling control: scaling the argument by lam moves G by
     a factor between lam**p_minus and lam**p_plus (exponents swap roles
     for lam < 1). Margins are relative."""
-    if n_samples < 1000:
-        raise ConfigurationError("delta2 needs at least 1000 samples")
+    if n_samples < DELTA2_MIN_SAMPLES:
+        raise ConfigurationError(
+            f"delta2 needs at least {DELTA2_MIN_SAMPLES} samples")
     rng = _rng(seed, "delta2")
     t = _log_uniform(rng, n_samples)
     lam = _log_uniform(rng, n_samples)
@@ -175,22 +182,19 @@ def check_conjugate(yf: YoungFunction, n_samples: int = 1000, *,
                         offending=bad)
 
 
-def check_phi_mvt(weight: PhiWeight, eps: float = 1.0,
-                  n_samples: int = 1000, *,
+def check_phi_mvt(weight: PhiWeight, n_samples: int = 1000, *,
                   seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Reverse mean-value bound for the boundary weight: whenever
-    max(x, y) >= eps, |phi(x) - phi(y)| >= C_M phi'(eps) |x - y| with
-    C_M = min(theta, 1) and theta the weight's calibrated slope ratio."""
-    if eps <= 0.0:
-        raise ConfigurationError("the mean-value threshold must be positive")
+    max(x, y) >= eps = PHI_MVT_EPS, |phi(x) - phi(y)| >= C_M phi'(eps) |x - y|
+    with C_M = min(theta, 1) and theta the weight's calibrated slope ratio."""
     rng = _rng(seed, "phi_mvt")
-    hi = np.exp(rng.uniform(np.log(eps), np.log(SAMPLE_HI), n_samples))
+    hi = np.exp(rng.uniform(np.log(PHI_MVT_EPS), np.log(SAMPLE_HI), n_samples))
     low = rng.uniform(0.0, hi)
     swap = rng.random(n_samples) < 0.5
     x = np.where(swap, low, hi)
     y = np.where(swap, hi, low)
     cm = min(weight.mvt_constant(), 1.0)
-    slope_eps = float(weight.phi_prime(eps))
+    slope_eps = float(weight.phi_prime(PHI_MVT_EPS))
     lhs = np.abs(weight.phi(x) - weight.phi(y))
     rhs = cm * slope_eps * np.abs(x - y)
     scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
@@ -198,16 +202,14 @@ def check_phi_mvt(weight: PhiWeight, eps: float = 1.0,
     worst, bad = _worst(margins, {"x": x, "y": y})
     return CheckOutcome("phi_mvt", weight.base.label, n_samples, worst, 1e-9,
                         offending=bad,
-                        info={"constant": cm, "slope_at_eps": slope_eps,
-                              "eps": eps})
+                        info={"constant": cm, "slope_at_eps": slope_eps})
 
 
-def check_rpower(weight: PhiWeight, n_samples: int = 1000, *,
-                 seed: int = DEFAULT_SEED) -> CheckOutcome:
+def check_rpower(weight: PhiWeight, n_samples: int = 1000) -> CheckOutcome:
     """Large-argument domination t**(1/r) <= (2/r) phi(t): scans a
-    log-spaced ladder on [1, 1e6], reports the smallest point from which
-    the inequality holds, and requires it to keep holding beyond."""
-    del seed  # deterministic ladder; kept for a uniform call signature
+    deterministic log-spaced ladder on [1, 1e6], reports the smallest point
+    from which the inequality holds, and requires it to keep holding
+    beyond."""
     t = np.logspace(0.0, 6.0, n_samples)
     r = weight.r
     lhs = t ** (1.0 / r)
@@ -227,22 +229,20 @@ def check_rpower(weight: PhiWeight, n_samples: int = 1000, *,
                         offending=bad, info={"t0": t0, "r": r})
 
 
-def check_comparison(cfg: OperatorConfig, trials: int = 20, *,
-                     mesh: Mesh | None = None,
+def check_comparison(cfg: OperatorConfig, mesh: Mesh, *,
                      seed: int = DEFAULT_SEED) -> CheckOutcome:
-    """Discrete comparison principle: ordering the loads orders the
-    solutions nodally (tolerance 1e-7; the larger load starts from the
-    smaller one's solution). For exactly homogeneous families a doubled
-    load must scale the cold-started solution by 2**(1/(p-1)) within 1e-6."""
+    """Discrete comparison principle over COMPARISON_TRIALS ordered load
+    pairs: ordering the loads orders the solutions nodally (tolerance 1e-7;
+    the larger load starts from the smaller one's solution). For exactly
+    homogeneous families a doubled load must scale the cold-started solution
+    by 2**(1/(p-1)) within 1e-6."""
     from .solver import solve_auxiliary
 
-    if mesh is None:
-        mesh = Mesh(33)
     rng = _rng(seed, "comparison")
     yf = cfg.young
     worst = np.inf
     bad = None
-    for k in range(trials):
+    for k in range(COMPARISON_TRIALS):
         base = rng.uniform(0.1, 2.0, mesh.m)
         bump = rng.uniform(0.0, 1.0, mesh.m)
         u, _ = solve_auxiliary(cfg, mesh, base)
@@ -261,7 +261,7 @@ def check_comparison(cfg: OperatorConfig, trials: int = 20, *,
         if drift > 1e-6:
             worst = min(worst, -drift)
             bad = {"doubling_drift": drift}
-    return CheckOutcome("comparison", yf.label, trials, worst, 1e-7,
+    return CheckOutcome("comparison", yf.label, COMPARISON_TRIALS, worst, 1e-7,
                         offending=bad, info=info)
 
 
@@ -276,6 +276,6 @@ def run_check_suite(yf: YoungFunction, *, q_star: float = 2.0,
         check_lindqvist(yf, n_samples, seed=seed),
         check_gdiff(yf, n_samples, seed=seed),
         check_conjugate(yf, n_samples, seed=seed),
-        check_phi_mvt(weight, n_samples=n_samples, seed=seed),
-        check_rpower(weight, n_samples, seed=seed),
+        check_phi_mvt(weight, n_samples, seed=seed),
+        check_rpower(weight, n_samples),
     ]

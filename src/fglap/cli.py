@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import (DEFAULT_SEED, CheckOutcome, check_comparison,
-                     check_growth_bounds, run_check_suite)
+from .checks import (DEFAULT_SEED, DELTA2_MIN_SAMPLES, CheckOutcome,
+                     check_comparison, check_growth_bounds, run_check_suite)
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      FglapError, InvariantError)
 from .orlicz import GridFunction, Mesh, OperatorConfig
@@ -32,12 +32,6 @@ FAMILY_PARAMS = {
     "log-type": ("a", "b", "c"),
 }
 
-_KNOWN_KEYS = {
-    "family", "p", "p1", "p2", "a", "b", "c", "s", "mesh", "case", "f", "q",
-    "q_star", "delta", "n_schedule", "seed", "out", "plot", "samples",
-    "declared_p_minus", "declared_p_plus",
-}
-
 _PROFILE_TAGS = ("const", "gaussian", "bump", "abs-power", "file")
 
 
@@ -49,7 +43,7 @@ class RunConfig:
     family: str
     params: dict
     s: float
-    meshes: tuple[int, ...]
+    meshes: tuple[int, ...] = ()  # empty: each command uses its own
     case: str = "main1"
     f_spec: str = "const:1"
     q_spec: str = "const:0.5"
@@ -90,52 +84,71 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _as_float(raw: dict, key: str, default=None) -> float:
+def _required(raw: dict, key: str) -> str:
     if key not in raw:
-        if default is None:
-            raise ConfigurationError(f"config key {key!r} is required")
-        return default
+        raise ConfigurationError(f"config key {key!r} is required")
+    return raw[key]
+
+
+def _as_float(key: str, text: str) -> float:
     try:
-        return float(raw[key])
+        return float(text)
     except ValueError:
         raise ConfigurationError(
-            f"config key {key!r} must be a number, got {raw[key]!r}") from None
+            f"config key {key!r} must be a number, got {text!r}") from None
 
 
-def _as_int(raw: dict, key: str, default: int) -> int:
+def _as_int(key: str, text: str) -> int:
     """Integer keys accept integral numbers only ("3", "3.0", "1e3")."""
-    val = _as_float(raw, key, float(default))
+    val = _as_float(key, text)
     if not val.is_integer():
         raise ConfigurationError(
-            f"config key {key!r} must be an integer, got {raw[key]!r}")
+            f"config key {key!r} must be an integer, got {text!r}")
     return int(val)
 
 
-def _as_int_list(raw: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    """Empty default means "key absent"; commands fill their own default."""
-    if key not in raw:
-        return default
+def _as_int_list(key: str, text: str) -> tuple[int, ...]:
     try:
-        vals = tuple(int(part) for part in raw[key].split(",") if part.strip())
+        vals = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigurationError(
             f"config key {key!r} must be a comma-separated integer list, "
-            f"got {raw[key]!r}") from None
+            f"got {text!r}") from None
     if not vals:
         raise ConfigurationError(f"config key {key!r} is empty")
     return vals
 
 
-def _as_bool(raw: dict, key: str, default: bool) -> bool:
-    if key not in raw:
-        return default
-    val = raw[key].lower()
+def _as_bool(key: str, text: str) -> bool:
+    val = text.lower()
     if val in ("1", "true", "yes", "on"):
         return True
     if val in ("0", "false", "no", "off"):
         return False
     raise ConfigurationError(
-        f"config key {key!r} must be a boolean, got {raw[key]!r}")
+        f"config key {key!r} must be a boolean, got {text!r}")
+
+
+# optional config keys: the RunConfig field each sets and the parser of its
+# value; a key the file leaves out keeps the field's default
+_OPTIONAL_KEYS = {
+    "mesh": ("meshes", _as_int_list),
+    "case": ("case", lambda key, text: text),
+    "f": ("f_spec", lambda key, text: text),
+    "q": ("q_spec", lambda key, text: text),
+    "q_star": ("q_star", _as_float),
+    "delta": ("delta", _as_float),
+    "n_schedule": ("n_schedule", _as_int_list),
+    "seed": ("seed", _as_int),
+    "out": ("out", lambda key, text: Path(text)),
+    "plot": ("plot", _as_bool),
+    "samples": ("samples", _as_int),
+    "declared_p_minus": ("declared_p_minus", _as_float),
+    "declared_p_plus": ("declared_p_plus", _as_float),
+}
+
+_KNOWN_KEYS = ({"family", "s"} | set(_OPTIONAL_KEYS)
+               | {name for names in FAMILY_PARAMS.values() for name in names})
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -149,35 +162,17 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(
             f"config key 'family' must be one of {sorted(FAMILY_PARAMS)}, "
             f"got {family!r}")
-    params = {name: _as_float(raw, name) for name in FAMILY_PARAMS[family]}
-
-    case = raw.get("case", "main1")
-    if case not in ("main1", "main2"):
-        raise ConfigurationError(
-            f"config key 'case' must be main1 or main2, got {case!r}")
-
-    rc = RunConfig(
-        family=family,
-        params=params,
-        s=_as_float(raw, "s"),
-        meshes=_as_int_list(raw, "mesh", ()),
-        case=case,
-        f_spec=raw.get("f", "const:1"),
-        q_spec=raw.get("q", "const:0.5"),
-        q_star=_as_float(raw, "q_star", 2.0),
-        delta=_as_float(raw, "delta", 0.25),
-        n_schedule=_as_int_list(raw, "n_schedule", (1, 2, 4, 8, 16)),
-        seed=_as_int(raw, "seed", DEFAULT_SEED),
-        out=Path(raw["out"]) if "out" in raw else Path("."),
-        plot=_as_bool(raw, "plot", True),
-        samples=_as_int(raw, "samples", 1000),
-        declared_p_minus=(None if "declared_p_minus" not in raw
-                          else _as_float(raw, "declared_p_minus")),
-        declared_p_plus=(None if "declared_p_plus" not in raw
-                         else _as_float(raw, "declared_p_plus")),
-    )
+    params = {name: _as_float(name, _required(raw, name))
+              for name in FAMILY_PARAMS[family]}
+    s = _as_float("s", _required(raw, "s"))
+    optional = {fld: parse(key, raw[key])
+                for key, (fld, parse) in _OPTIONAL_KEYS.items() if key in raw}
+    rc = RunConfig(family=family, params=params, s=s, **optional)
 
     # fail at parse time, with the offending key, not deep in the pipeline
+    if rc.case not in ("main1", "main2"):
+        raise ConfigurationError(
+            f"config key 'case' must be main1 or main2, got {rc.case!r}")
     build_young(rc)
     for m in rc.meshes:
         Mesh(m)
@@ -186,6 +181,10 @@ def load_config(path: str | Path) -> RunConfig:
     if rc.seed < 0:
         raise ConfigurationError(
             f"config key 'seed' must be nonnegative, got {rc.seed}")
+    if rc.samples < DELTA2_MIN_SAMPLES:
+        raise ConfigurationError(
+            f"config key 'samples' must be at least {DELTA2_MIN_SAMPLES}, "
+            f"got {rc.samples}")
     for spec, key in ((rc.f_spec, "f"), (rc.q_spec, "q")):
         _validate_profile_spec(spec, key)
     if rc.n_schedule[0] < 1 or any(b <= a for a, b in zip(rc.n_schedule,
@@ -310,7 +309,7 @@ def run_verification(rc: RunConfig, yf: YoungFunction,
     outcomes += run_check_suite(yf, q_star=rc.q_star, n_samples=rc.samples,
                                 seed=rc.seed)
     cfg = build_operator(rc, yf)
-    outcomes.append(check_comparison(cfg, 20, mesh=mesh, seed=rc.seed))
+    outcomes.append(check_comparison(cfg, mesh, seed=rc.seed))
     return outcomes
 
 
@@ -362,7 +361,7 @@ def cmd_solve(rc: RunConfig) -> int:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 1
 
-    diag = boundary_energy_report(report, data)
+    diag = boundary_energy_report(report)
     if not diag["bounded"]:
         report.warnings.append("boundary energies exceed twice the median "
                                "of the last three stages")

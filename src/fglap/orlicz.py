@@ -40,6 +40,8 @@ from .young import YoungFunction
 # x-quadrature order on the clipped band cell-sides; ample for the linear
 # clipping near the endpoints (unclipped sides need one point)
 _BAND_XQ = 8
+# sup-norm gap to its mirror image below which a grid function counts as even
+EVEN_TOL = 1e-9
 
 
 class Mesh:
@@ -96,11 +98,12 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.mesh, self.values.copy())
 
-    def vanishes_on_boundary(self, tol: float = 0.0) -> bool:
-        return abs(self.values[0]) <= tol and abs(self.values[-1]) <= tol
+    def vanishes_on_boundary(self) -> bool:
+        return self.values[0] == 0.0 and self.values[-1] == 0.0
 
-    def is_even(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.values - self.values[::-1])) <= tol)
+    def is_even(self) -> bool:
+        return bool(np.max(np.abs(self.values - self.values[::-1]))
+                    <= EVEN_TOL)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

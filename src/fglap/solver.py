@@ -26,6 +26,14 @@ SUBMULT_GATE = 1e-12
 # and refuses a stage that dips more than TOL_MONO below the previous one
 TOL_STOP = 1e-6
 TOL_MONO = 1e-7
+# Newton steps allowed per solve, auxiliary or stage
+NEWTON_MAX_ITER = 200
+# the oracle `fixed_point_S` stops once a sweep moves u by at most
+# FIXED_POINT_TOL in the sup norm, and gives up after FIXED_POINT_MAX_SWEEPS
+FIXED_POINT_TOL = 1e-8
+FIXED_POINT_MAX_SWEEPS = 500
+# the scales alpha at which `barrier_check` evaluates its barrier
+BARRIER_SCALES = (2.0, 4.0, 8.0, 16.0)
 
 
 @dataclass
@@ -78,16 +86,6 @@ class ProblemData:
                 f"derivative is not usefully submultiplicative "
                 f"(constant {const:.3g}); case main2 is not available")
         PhiWeight(cfg.young, self.q_star)  # raises if r q_star >= p_minus
-
-    def run_mesh(self, mesh: Mesh | None) -> Mesh:
-        """The mesh a solve runs on: ``mesh`` if given, else the data's.
-        The data are nodal, so a mesh with another node count is refused."""
-        if mesh is None:
-            return self.f.mesh
-        if mesh.m != self.f.mesh.m:
-            raise ConfigurationError(
-                f"the mesh has {mesh.m} nodes, the problem data {self.f.mesh.m}")
-        return mesh
 
     def truncated_load(self, n: int) -> np.ndarray:
         return np.minimum(self.f.values, float(n))
@@ -160,20 +158,19 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
 
 
 def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | None,
-            tol: float | None, max_iter: int, what: str) -> tuple[GridFunction, dict]:
+            what: str) -> tuple[GridFunction, dict]:
     """Damped Newton for  A(u) = rhs(u)  with zero boundary values; load(u)
     returns rhs(u) and its nodal u-derivative d (None for a fixed load).
     Loads here are nonincreasing in u, so -w d adds a nonnegative diagonal
-    and the matrix stays SPD. The default tolerance is 1e-8 (1 + max rhs)
-    at the current iterate. A Levenberg shift, lam times the largest
-    diagonal entry, grows lam tenfold after a failed line search and decays
-    it tenfold after an accepted step. An accepted trial's load and residual
-    carry over to the next step, so no residual is evaluated twice at one
-    iterate. The stats hold the Newton steps, the final residual sup, the
-    residual evaluations in all and those spent on cone seeding (0 for a
-    warm start), the rejected line-search trials and the largest lam."""
-    if max_iter < 1:
-        raise ConfigurationError(f"{what}: max_iter must be at least 1, got {max_iter}")
+    and the matrix stays SPD. The tolerance is 1e-8 (1 + max rhs) at the
+    current iterate, to be reached within NEWTON_MAX_ITER steps. A
+    Levenberg shift, lam times the largest diagonal entry, grows lam
+    tenfold after a failed line search and decays it tenfold after an
+    accepted step. An accepted trial's load and residual carry over to the
+    next step, so no residual is evaluated twice at one iterate. The stats
+    hold the Newton steps, the final residual sup, the residual evaluations
+    in all and those spent on cone seeding (0 for a warm start), the
+    rejected line-search trials and the largest lam."""
     if warm_start is not None and warm_start.mesh.m != mesh.m:
         raise ConfigurationError(
             f"{what}: warm start has {warm_start.mesh.m} nodes, the mesh {mesh.m}")
@@ -197,8 +194,8 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
 
     rhs, d, r = evaluate(u)
     lam = 0.0
-    for it in range(max_iter):
-        lim = 1e-8 * (1.0 + float(np.max(np.abs(rhs)))) if tol is None else tol
+    for it in range(NEWTON_MAX_ITER):
+        lim = 1e-8 * (1.0 + float(np.max(np.abs(rhs))))
         rn = float(np.max(np.abs(r)))
         if rn <= lim:
             break
@@ -232,7 +229,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             lam = max(lam * 10.0, 1e-8)
     else:
         raise ConvergenceError(
-            f"{what} exhausted {max_iter} iterations "
+            f"{what} exhausted {NEWTON_MAX_ITER} iterations "
             f"(residual sup {rn:.3e}, tol {lim:.3e})")
 
     floor = float(u.min())
@@ -244,9 +241,8 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
 
 
 def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
-                    warm_start: GridFunction | None = None,
-                    tol: float | None = None,
-                    max_iter: int = 200) -> tuple[GridFunction, dict]:
+                    warm_start: GridFunction | None = None
+                    ) -> tuple[GridFunction, dict]:
     """`_newton` for  A(u) = rhs  with a fixed nonnegative load. The
     Hessian degenerates at u = 0 (g' vanishes there for our growth class),
     so cold starts are seeded by scaling a cone."""
@@ -257,36 +253,32 @@ def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
         raise DomainError("the auxiliary load must be finite at every node")
     if float(rhs_vals.min()) < 0.0:
         raise DomainError("the auxiliary problem expects a nonnegative load")
-    return _newton(cfg, mesh, lambda u: (rhs_vals, None), warm_start, tol,
-                   max_iter, "auxiliary solve")
+    return _newton(cfg, mesh, lambda u: (rhs_vals, None), warm_start,
+                   "auxiliary solve")
 
 
 # ---------------------------------------------------------------------------
 # fixed point in the frozen singular term
 
 
-def fixed_point_S(cfg: OperatorConfig, data: ProblemData, n: int, *,
-                  mesh: Mesh | None = None,
-                  tol: float = 1e-8, max_iter: int = 500) -> tuple[GridFunction, dict]:
-    """Iterate  u_{k+1} = solve_auxiliary(f_n (u_k^+ + 1/n)^{-q})  from
-    u_0 = 0 until the sup change drops below tol."""
-    mesh = data.run_mesh(mesh)
+def fixed_point_S(cfg: OperatorConfig, data: ProblemData,
+                  n: int) -> tuple[GridFunction, dict]:
+    """Iterate  u_{k+1} = solve_auxiliary(f_n (u_k^+ + 1/n)^{-q})  on the
+    data's mesh from u_0 = 0 until the sup change drops below
+    FIXED_POINT_TOL."""
+    mesh = data.f.mesh
     u = GridFunction.zeros(mesh)
-    stats = {}
-    for k in range(max_iter):
+    for k in range(FIXED_POINT_MAX_SWEEPS):
         rhs = data.singular_rhs(u, n)
         warm = u if u.sup_norm() > 0.0 else None
         u_next, aux_stats = solve_auxiliary(cfg, mesh, rhs, warm_start=warm)
         diff = float(np.max(np.abs(u_next.values - u.values)))
         u = u_next
-        if diff <= tol:
-            stats = {"iterations": k + 1, "last_diff": diff,
-                     "residual_sup": aux_stats.get("residual_sup", 0.0)}
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed point for n = {n} did not settle in {max_iter} sweeps")
-    return u, stats
+        if diff <= FIXED_POINT_TOL:
+            return u, {"iterations": k + 1, "last_diff": diff,
+                       "residual_sup": aux_stats.get("residual_sup", 0.0)}
+    raise ConvergenceError(f"fixed point for n = {n} did not settle in "
+                           f"{FIXED_POINT_MAX_SWEEPS} sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +300,12 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     monotonicity between stages and stopping early once consecutive stages
     agree to TOL_STOP in the sup norm. Each stage is one coupled Newton
     solve, started from the previous stage: a subsolution, because f_n and
-    (t + 1/n)^(-q) both increase with n."""
-    mesh = data.run_mesh(mesh)
+    (t + 1/n)^(-q) both increase with n. The data are nodal, so ``mesh``
+    (by default the data's) must have the data's node count."""
+    mesh = data.f.mesh if mesh is None else mesh
+    if mesh.m != data.f.mesh.m:
+        raise ConfigurationError(
+            f"the mesh has {mesh.m} nodes, the problem data {data.f.mesh.m}")
     if (len(n_schedule) < 1 or n_schedule[0] < 1
             or any(b <= a for a, b in zip(n_schedule, n_schedule[1:]))):
         raise ConfigurationError("the n schedule must be strictly increasing "
@@ -321,8 +317,8 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     report.energy_case = data.case
     prev: GridFunction | None = None
     for n in n_schedule:
-        u, stats = _newton(cfg, mesh, _stage_load(data, mesh, n), prev, None,
-                           200, f"stage n = {n} (m = {mesh.m})")
+        u, stats = _newton(cfg, mesh, _stage_load(data, mesh, n), prev,
+                           f"stage n = {n} (m = {mesh.m})")
         report.n_values.append(n)
         report.solutions.append(u)
         report.newton.append(stats)
@@ -353,7 +349,7 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
             "a nontrivial load must produce a solution bounded away from "
             "zero on the middle half")
     if data.f.is_even() and data.q.is_even() and mesh.m % 2 == 1:
-        if not final.is_even(1e-9):
+        if not final.is_even():
             raise InvariantError("even data produced an uneven solution")
     report.alpha_hat, report.holder_seminorm = holder_exponent_fit(final)
     return report
@@ -363,11 +359,10 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
 # diagnostics
 
 
-def barrier_check(cfg: OperatorConfig, mesh: Mesh,
-                  alphas: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)) -> list[float]:
+def barrier_check(cfg: OperatorConfig, mesh: Mesh) -> list[float]:
     """Minimum strong-form value of the boundary-distance barrier
-    alpha (1 - x^2)_+^s over interior nodes, one entry per scale, with s the
-    operator's own order.
+    alpha (1 - x^2)_+^s over interior nodes, one entry per scale in
+    BARRIER_SCALES, with s the operator's own order.
 
     d^s is the standard barrier for order-s operators (Ros-Oton and Serra,
     J. Math. Pures Appl. 101, 2014): its strong form is positive in the
@@ -380,16 +375,11 @@ def barrier_check(cfg: OperatorConfig, mesh: Mesh,
     abstract this package is built from.
     """
     profile = np.clip(1.0 - mesh.nodes ** 2, 0.0, None) ** cfg.s
-    out = []
-    for alpha in alphas:
-        if alpha <= 0.0:
-            raise ConfigurationError("barrier scales must be positive")
-        barrier = GridFunction(mesh, alpha * profile)
-        out.append(float(apply_interior(cfg, barrier).min()))
-    return out
+    return [float(apply_interior(cfg, GridFunction(mesh, a * profile)).min())
+            for a in BARRIER_SCALES]
 
 
-def boundary_energy_report(report: SolveReport, data: ProblemData) -> dict:
+def boundary_energy_report(report: SolveReport) -> dict:
     """Gauge seminorms of the report's energy carriers along the schedule:
     the solutions in case main1, their composition with the boundary weight
     in case main2. Flags whether the sequence stays within twice the median
@@ -397,22 +387,20 @@ def boundary_energy_report(report: SolveReport, data: ProblemData) -> dict:
     energies = [luxemburg_seminorm_W(report.cfg, c) for c in report.carriers]
     ref = float(np.median(energies[-3:])) if energies else 0.0
     bounded = all(e <= 2.0 * ref + 1e-12 for e in energies)
-    return {"case": data.case, "energies": energies,
+    return {"case": report.energy_case, "energies": energies,
             "reference": ref, "bounded": bounded}
 
 
-def holder_exponent_fit(u: GridFunction, *,
-                        window: np.ndarray | None = None) -> tuple[float, float]:
-    """Interior regularity estimate on the middle half.
+def holder_exponent_fit(u: GridFunction) -> tuple[float, float]:
+    """Interior regularity estimate on the middle half |x| <= 1/2.
 
-    For every node distance d up to half the window width, take the largest
+    For every node distance d up to half that window's width, take the largest
     increment over node pairs at that distance (the increment envelope),
     then fit log envelope against log d by least squares. The envelope
     rather than all pairs: interior flats would otherwise drag the fitted
     slope far below the true growth rate. Returns (exponent, seminorm).
     """
-    mask = u.mesh.middle_half() if window is None else window
-    vals = u.values[mask]
+    vals = u.values[u.mesh.middle_half()]
     if vals.size < 3:
         return 1.0, 0.0
     h = u.mesh.h
@@ -430,7 +418,4 @@ def holder_exponent_fit(u: GridFunction, *,
     if not np.isfinite(slope) or slope <= 0.0:
         return 1.0, 0.0
     alpha = float(min(slope, 1.0))
-    semi = 0.0
-    for k, (d, e) in enumerate(zip(ds, env)):
-        semi = max(semi, e / d ** alpha)
-    return alpha, float(semi)
+    return alpha, float(max(e / d ** alpha for d, e in zip(ds, env)))

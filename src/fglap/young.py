@@ -39,10 +39,13 @@ from .errors import ConfigurationError, DomainError
 from .quadrature import gauss_laguerre, invert_monotone
 
 # Standard sampling window for empirical constants: six decades around 1,
-# and the number of points the growth window is sampled at.
+# and the number of points the growth window, the submultiplicativity
+# constant and the boundary weight's mean-value constant are sampled at.
 GRID_LO = 1e-3
 GRID_HI = 1e3
 GROWTH_GRID = 512
+SUBMULT_GRID = 256
+MVT_GRID = 512
 
 # Generalized Gauss-Laguerre nodes for every integral from zero, and the
 # number of points expanded against them at once. A 128 x 64 float64 block
@@ -440,9 +443,10 @@ def estimate_growth_bounds(yf: YoungFunction) -> GrowthEstimate:
                           float(t[i_min]), float(t[i_max]))
 
 
-def submultiplicativity_constant(yf: YoungFunction, n_grid: int = 256) -> float:
-    """inf g(t1) g(t2) / g(t1 t2) over the standard grid squared."""
-    t = standard_grid(n_grid)
+def submultiplicativity_constant(yf: YoungFunction) -> float:
+    """inf g(t1) g(t2) / g(t1 t2) over the SUBMULT_GRID-point standard grid
+    squared."""
+    t = standard_grid(SUBMULT_GRID)
     gt = yf.g(t)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = np.outer(gt, gt)
@@ -523,9 +527,10 @@ class PhiWeight:
             out[pos] = tv * sig - _laguerre_integral(integrand, sig, k)
         return _restore(out, scalar)
 
-    def mvt_constant(self, n_grid: int = 512) -> float:
-        """min(1, inf Phi/(t Phi')) on the standard grid; the factor that
-        turns the secant slope bound into a two-sided mean value estimate."""
-        t = standard_grid(n_grid)
+    def mvt_constant(self) -> float:
+        """min(1, inf Phi/(t Phi')) on the MVT_GRID-point standard grid; the
+        factor that turns the secant slope bound into a two-sided mean value
+        estimate."""
+        t = standard_grid(MVT_GRID)
         ratio = self.phi(t) / (t * self.phi_prime(t))
         return float(min(1.0, ratio.min()))

@@ -1,7 +1,6 @@
 """Randomized inequality battery: determinism, pass behavior on the
 reference families, and the one structurally expected failure."""
 
-import numpy as np
 import pytest
 
 from fglap.checks import (
@@ -17,7 +16,7 @@ from fglap.checks import (
 )
 from fglap.errors import ConfigurationError
 from fglap.orlicz import OperatorConfig
-from fglap.young import PhiWeight, PowerYoung
+from fglap.young import PhiWeight
 
 # exponent budgets under which each family's tail domination holds inside
 # the scanned window; the double-power family needs the smaller budget
@@ -91,11 +90,6 @@ class TestSampleFloor:
 
 
 class TestPhiMvt:
-    def test_positive_eps_required(self, power4):
-        w = PhiWeight(power4, 2.0)
-        with pytest.raises(ConfigurationError):
-            check_phi_mvt(w, eps=0.0)
-
     def test_passes_on_power(self, power4):
         out = check_phi_mvt(PhiWeight(power4, 2.0))
         assert out.passed
@@ -132,12 +126,12 @@ class TestRpower:
 class TestComparison:
     def test_ordered_pairs_and_doubling(self, power4, mesh33):
         cfg = OperatorConfig(young=power4, s=0.3)
-        out = check_comparison(cfg, trials=5, mesh=mesh33)
+        out = check_comparison(cfg, mesh33)
         assert out.passed
-        assert out.n_samples == 5
+        assert out.n_samples == 20
 
     def test_determinism(self, power4, mesh33):
         cfg = OperatorConfig(young=power4, s=0.3)
-        a = check_comparison(cfg, trials=3, mesh=mesh33, seed=5)
-        b = check_comparison(cfg, trials=3, mesh=mesh33, seed=5)
+        a = check_comparison(cfg, mesh33, seed=5)
+        b = check_comparison(cfg, mesh33, seed=5)
         assert a.worst_margin == b.worst_margin

@@ -62,8 +62,10 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("key,value", [("samples", "1000.9"),
-                                           ("seed", "3.9")])
+                                           ("seed", "3.9"),
+                                           ("samples", "10")])
     def test_integer_key_rejects_fraction(self, tmp_path, capsys, key, value):
+        # samples below the doubling check's floor of 1000 fail at load time
         code, _ = run(tmp_path, BASE + f"{key} = {value}\n", cmd="check-young")
         assert code == 2
         assert repr(key) in capsys.readouterr().err
