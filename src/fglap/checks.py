@@ -60,8 +60,8 @@ def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), _STREAM[name]])
 
 
-def _log_uniform(rng, n, lo=SAMPLE_LO, hi=SAMPLE_HI) -> np.ndarray:
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+def _log_uniform(rng, n) -> np.ndarray:
+    return np.exp(rng.uniform(np.log(SAMPLE_LO), np.log(SAMPLE_HI), n))
 
 
 def _worst(margins: np.ndarray, payload: dict) -> tuple[float, dict]:

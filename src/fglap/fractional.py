@@ -23,6 +23,14 @@ straight into the fresh matrix whose interior it returns, for the caller
 to keep or modify. At m = 257 an m x m array is 516 KiB, above glibc's
 mmap threshold, so each fresh temporary cost its own page faults.
 
+Even data on an odd mesh need only the rows of the nodes up to the centre
+c = (m - 1) / 2, because the operator commutes with x -> -x. With
+``even=True``, `residual` evaluates rows 0 ... c on the first c + 1 rows of
+the same workspace buffers and mirrors them onto the rest; they equal the
+full evaluation's rows bit for bit. `assemble_matrix` returns the Jacobian
+rows 1 ... c over all interior columns, and `fold` adds each column to its
+mirror's, so that the c half unknowns carry the whole even Newton step.
+
 The strong-form evaluator is separate and deliberately different in
 texture: the first cell, where the |x - y|^(-1-s) singularity sits, on
 the Gauss-Laguerre rule that every integral from zero shares; exact
@@ -74,7 +82,7 @@ def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
     cv = c[nz]
 
     def side(a):
-        av = a[nz]
+        av = a[:c.size][nz]    # c may cover only the nodes up to the centre
         if newton:
             return (yf.g(cv * av) * av * cv - yf.G(cv * av)) / (disc.s * cv ** 2)
         return yf.G(cv * av)
@@ -96,61 +104,104 @@ def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     return float(v.values @ residual(cfg, u, np.zeros(u.mesh.m)).values)
 
 
-def residual(cfg: OperatorConfig, u: GridFunction, rhs) -> GridFunction:
+def mirror(half: np.ndarray) -> np.ndarray:
+    """The even extension of values at the nodes up to the centre:
+    ``half`` followed by its reverse without the centre entry."""
+    return np.concatenate((half, half[-2::-1]))
+
+
+def _rows(m: int, even: bool) -> int:
+    """Rows an evaluation computes: all m nodes, or for even data on an odd
+    mesh the nodes up to the centre, 0 ... (m - 1) / 2."""
+    return (m + 1) // 2 if even else m
+
+
+def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
+             even: bool = False) -> GridFunction:
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
-    Boundary entries are pinned to zero."""
+    Boundary entries are pinned to zero.
+
+    With ``even`` (u and rhs even, m odd) only the rows up to the centre
+    are evaluated, on the first rows of the far-pair kernel, and mirrored
+    onto the rest; those rows equal the full evaluation's bit for bit."""
     disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
     mesh = u.mesh
     uv = u.values
     rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
+    k = _rows(mesh.m, even)
 
     with _FAR.take(disc.kr.shape) as (du, far_mat, work):
+        du, far_mat, work = du[:k], far_mat[:k], work[:k]
         yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
-        far_mat *= disc.kr
+        far_mat *= disc.kr[:k]
         r = 2.0 * far_mat.sum(axis=1)
 
+    # band cell i couples nodes i and i + 1
+    inner = slice(1, min(k, mesh.m - 1))
     cell = _band_cells(yf, disc, np.diff(uv) / mesh.h) / mesh.h
-    r[1:] += cell
-    r[:-1] -= cell
+    r[1:] += cell[:k - 1]
+    r[:inner.stop] -= cell[:inner.stop]
 
-    r[1:-1] += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1])
-
-    r[1:-1] -= mesh.weights[1:-1] * rhs_vals[1:-1]
+    r[inner] += 2.0 * mesh.weights[inner] * _strip_e(yf, disc, uv[inner])
+    r[inner] -= mesh.weights[inner] * rhs_vals[inner]
+    if even:
+        r = mirror(r)
     r[0] = r[-1] = 0.0
     return GridFunction(mesh, r)
 
 
-def assemble_matrix(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
+def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
+                    even: bool = False) -> np.ndarray:
     """Interior-node residual Jacobian: symmetric and positive
-    semidefinite. A fresh array, the caller's to modify."""
+    semidefinite. A fresh array, the caller's to modify.
+
+    With ``even`` (u even, m odd) only the rows of the interior nodes up
+    to the centre c = (m - 1) / 2 are assembled: the block J[1:c+1, 1:-1]
+    of shape (c, m - 2), for `fold` to reduce to the half unknowns."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
     mesh = u.mesh
     uv = u.values
     n = mesh.m - 2
+    k = _rows(mesh.m, even)
+    rows = slice(1, min(k, mesh.m - 1))    # the interior nodes assembled
+    count = rows.stop - 1
 
     # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
     # written straight into the fresh matrix whose interior is returned
     with _FAR.take(disc.kr.shape) as (du, _, work):
-        pair = yf.g_prime(disc.quotients(uv, out=du), work=work)
-    pair *= disc.kr
-    pair /= disc.ds
+        pair = yf.g_prime(disc.quotients(uv, out=du[:k]), work=work[:k])
+    pair *= disc.kr[:k]
+    pair /= disc.ds[:k]
     pair *= 2.0
     row = pair.sum(axis=1)
-    jac = np.negative(pair, out=pair)[1:-1, 1:-1]
+    jac = np.negative(pair, out=pair)[rows, 1:-1]
 
-    # band cell k couples nodes k and k + 1; node i sees cells i and i - 1
+    # band cell k couples nodes k and k + 1; node i sees cells i and i - 1;
+    # the centre row keeps its coupling to node c + 1, which `fold` maps
+    # back onto node c - 1
     cp = _band_cells(yf, disc, np.diff(uv) / mesh.h, newton=True) / mesh.h ** 2
-    diag = row[1:-1] + cp[1:]
-    diag += cp[:-1]
-    diag += 2.0 * mesh.weights[1:-1] * _strip_e(yf, disc, uv[1:-1], newton=True)
+    diag = row[rows] + cp[1:count + 1]
+    diag += cp[:count]
+    diag += 2.0 * mesh.weights[rows] * _strip_e(yf, disc, uv[rows], newton=True)
     jac.flat[::n + 1] += diag
-    jac.flat[1::n + 1] -= cp[1:-1]
-    jac.flat[n::n + 1] -= cp[1:-1]
+    jac.flat[1::n + 1] -= cp[1:min(count, n - 1) + 1]
+    jac.flat[n::n + 1] -= cp[1:count]
     return jac
+
+
+def fold(block: np.ndarray) -> np.ndarray:
+    """The even-data Newton matrix on the half unknowns: the (c, m - 2)
+    block of `assemble_matrix` with column j plus its mirror column
+    m - 3 - j, for j below the centre column, which is kept once. A mirrored
+    half step delta then satisfies J delta = fold(block) delta_h on the rows
+    up to the centre."""
+    c = block.shape[0]
+    block[:, :c - 1] += block[:, :c - 1:-1]
+    return block[:, :c]
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,12 @@ class Discretization:
     def quotients(self, uv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """du = (u_i - u_j) / ds: far-pair difference quotients, plain
         differences on near pairs (where kr vanishes); into ``out`` if
-        given."""
+        given, for the first rows i that ``out`` has room for."""
         du = np.empty(self.ds.shape) if out is None else out
-        np.copyto(du, uv[:, None])    # numpy buffers no operand of a copy
+        k = du.shape[0]
+        np.copyto(du, uv[:k, None])    # numpy buffers no operand of a copy
         du -= uv
-        du /= self.ds
+        du /= self.ds[:k]
         return du
 
 

@@ -66,8 +66,7 @@ def gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def invert_monotone(func, y, window: tuple[float, float], *, deriv=None,
-                    rtol: float = 1e-9,
-                    max_iter: int = INVERT_MAX_ITER) -> np.ndarray:
+                    rtol: float = 1e-9) -> np.ndarray:
     """Solve func(t) = y for an increasing func with func(0) = 0 whose
     elasticity t func'(t)/func(t) stays inside window = (e_lo, e_hi), e_lo > 0.
 
@@ -80,7 +79,7 @@ def invert_monotone(func, y, window: tuple[float, float], *, deriv=None,
     replaced by the bracket's midpoint. A point stops after taking a step
     of at most rtol in log t; with ``deriv`` the error after that step is
     of order rtol^2, so the default ends at rounding level. Exact zeros map
-    to zero. A point still moving after max_iter steps raises
+    to zero. A point still moving after INVERT_MAX_ITER steps raises
     ConvergenceError: func left its window, or has no root.
     """
     y = np.asarray(y, dtype=float)
@@ -115,7 +114,7 @@ def invert_monotone(func, y, window: tuple[float, float], *, deriv=None,
         t = np.exp(x)
         # secant memory starts at the anchor t = 1, where log(func/y) = -ell
         x_prev, phi_prev = np.zeros(live.size), -ell
-        for _ in range(max_iter):
+        for _ in range(INVERT_MAX_ITER):
             f = func(t)
             phi = np.log(f / yl)
             hi = np.where(phi > 0.0, x, hi)
@@ -140,6 +139,6 @@ def invert_monotone(func, y, window: tuple[float, float], *, deriv=None,
             live, yl, t, x, lo, hi = (a[keep] for a in (live, yl, t, x, lo, hi))
             x_prev, phi_prev = x_prev[keep], phi_prev[keep]
     raise ConvergenceError(
-        f"invert_monotone: {live.size} target(s) unresolved after {max_iter} "
+        f"invert_monotone: {live.size} target(s) unresolved after {INVERT_MAX_ITER} "
         f"steps, e.g. y = {yl[0]:.6g}; the function leaves its growth window "
         f"{tuple(window)} or never reaches the target")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, InvariantError
-from .fractional import apply_interior, assemble_matrix, residual
+from .fractional import apply_interior, assemble_matrix, fold, mirror, residual
 from .orlicz import (GridFunction, Mesh, OperatorConfig, luxemburg_seminorm_W,
                      modular_W)
 from .quadrature import invert_monotone
@@ -158,7 +158,7 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
 
 
 def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | None,
-            what: str) -> tuple[GridFunction, dict]:
+            what: str, even: bool = False) -> tuple[GridFunction, dict]:
     """Damped Newton for  A(u) = rhs(u)  with zero boundary values; load(u)
     returns rhs(u) and its nodal u-derivative d (None for a fixed load).
     Loads here are nonincreasing in u, so -w d adds a nonnegative diagonal
@@ -170,7 +170,13 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     next step, so no residual is evaluated twice at one iterate. The stats
     hold the Newton steps, the final residual sup, the residual evaluations
     in all and those spent on cone seeding (0 for a warm start), the
-    rejected line-search trials and the largest lam."""
+    rejected line-search trials and the largest lam.
+
+    ``even`` (odd m, a load that maps even u to even rhs) solves for the
+    interior nodes up to the centre only: the iterate is kept even, the
+    residual is evaluated on those rows, the Jacobian rows are folded onto
+    them by `fold`, and each step is mirrored back. Everything else,
+    stats included, is as on the full system."""
     if warm_start is not None and warm_start.mesh.m != mesh.m:
         raise ConfigurationError(
             f"{what}: warm start has {warm_start.mesh.m} nodes, the mesh {mesh.m}")
@@ -186,11 +192,16 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         u, stats["seed_evaluations"] = _seed_from_cone(cfg, mesh, rhs0, what)
         stats["residual_evaluations"] = stats["seed_evaluations"]
     u[0] = u[-1] = 0.0
+    # the nodes whose equations are solved
+    live = slice(1, (mesh.m + 1) // 2 if even else mesh.m - 1)
+    if even:
+        u = mirror(u[:live.stop])
 
     def evaluate(v: np.ndarray):
         rhs_v, d_v = load(v)
         stats["residual_evaluations"] += 1
-        return rhs_v, d_v, residual(cfg, GridFunction(mesh, v), rhs_v).values[1:-1]
+        return rhs_v, d_v, residual(cfg, GridFunction(mesh, v), rhs_v,
+                                    even=even).values[live]
 
     rhs, d, r = evaluate(u)
     lam = 0.0
@@ -200,18 +211,20 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         if rn <= lim:
             break
 
-        jac = assemble_matrix(cfg, GridFunction(mesh, u))
-        diag = np.diag_indices_from(jac)
+        jac = assemble_matrix(cfg, GridFunction(mesh, u), even=even)
+        diag = np.diag_indices(len(jac))    # of the unfolded rows
         if d is not None:
-            jac[diag] -= mesh.weights[1:-1] * d[1:-1]
+            jac[diag] -= mesh.weights[live] * d[live]
         if lam > 0.0:
-            jac[diag] += lam * (float(np.max(np.abs(np.diag(jac)))) or 1.0)
+            jac[diag] += lam * (float(np.max(np.abs(jac[diag]))) or 1.0)
             stats["levenberg_shift_max"] = max(stats["levenberg_shift_max"], lam)
         try:
-            delta = np.linalg.solve(jac, -r)
+            delta = np.linalg.solve(fold(jac) if even else jac, -r)
         except np.linalg.LinAlgError:
             lam = max(lam * 10.0, 1e-8)
             continue
+        if even:
+            delta = mirror(delta)
 
         for step in (0.5 ** k for k in range(8)):
             trial = u.copy()
@@ -301,7 +314,12 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     agree to TOL_STOP in the sup norm. Each stage is one coupled Newton
     solve, started from the previous stage: a subsolution, because f_n and
     (t + 1/n)^(-q) both increase with n. The data are nodal, so ``mesh``
-    (by default the data's) must have the data's node count."""
+    (by default the data's) must have the data's node count.
+
+    When m is odd and f and q are even, every stage is even, and `_newton`
+    solves it on the (m - 1) / 2 interior nodes up to the centre; the
+    stages equal the full system's to rounding, with the same Newton
+    steps. Uneven data and even m take the full system."""
     mesh = data.f.mesh if mesh is None else mesh
     if mesh.m != data.f.mesh.m:
         raise ConfigurationError(
@@ -315,10 +333,12 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     report = SolveReport(mesh=mesh, cfg=cfg)
     weight = PhiWeight(cfg.young, data.q_star) if data.case == "main2" else None
     report.energy_case = data.case
+    # the operator commutes with x -> -x, so even data have even stages
+    even = mesh.m % 2 == 1 and data.f.is_even() and data.q.is_even()
     prev: GridFunction | None = None
     for n in n_schedule:
         u, stats = _newton(cfg, mesh, _stage_load(data, mesh, n), prev,
-                           f"stage n = {n} (m = {mesh.m})")
+                           f"stage n = {n} (m = {mesh.m})", even)
         report.n_values.append(n)
         report.solutions.append(u)
         report.newton.append(stats)
@@ -348,9 +368,6 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         raise InvariantError(
             "a nontrivial load must produce a solution bounded away from "
             "zero on the middle half")
-    if data.f.is_even() and data.q.is_even() and mesh.m % 2 == 1:
-        if not final.is_even():
-            raise InvariantError("even data produced an uneven solution")
     report.alpha_hat, report.holder_seminorm = holder_exponent_fit(final)
     return report
 

@@ -58,7 +58,7 @@ _LAGUERRE_NODES = 64
 _LAGUERRE_BLOCK = 128
 
 
-def standard_grid(n: int = 512) -> np.ndarray:
+def standard_grid(n: int) -> np.ndarray:
     return np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), n)
 
 

@@ -66,10 +66,12 @@ def smoke_corpus(mesh65):
             for tag in PROFILE_TAGS}
 
 
-def stalled_matrix(cfg, u):
+def stalled_matrix(cfg, u, *, even=False):
     """Stand-in Newton matrix far too stiff to converge: every step is
-    tiny, so a solve runs out of iterations with finite iterates."""
-    return 1e6 * np.eye(u.mesh.m - 2)
+    tiny, so a solve runs out of iterations with finite iterates. With
+    ``even`` it has the rows up to the centre, as `assemble_matrix` does."""
+    n = u.mesh.m - 2
+    return 1e6 * np.eye((n + 1) // 2 if even else n, n)
 
 
 def cfg_for(yf, s: float, **kw) -> OperatorConfig:

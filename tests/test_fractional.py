@@ -10,8 +10,8 @@ import pytest
 
 from fglap.errors import ConfigurationError, DomainError
 import fglap.fractional as fractional
-from fglap.fractional import (apply, apply_interior, assemble_matrix,
-                              residual, weak_form)
+from fglap.fractional import (apply, apply_interior, assemble_matrix, fold,
+                              mirror, residual, weak_form)
 from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
                           modular_W_parts)
 from fglap.quadrature import gauss_legendre
@@ -382,6 +382,44 @@ class TestOverflow:
         assert np.all(np.isfinite(near_g)) == near_finite
         with np.errstate(all="ignore"), pytest.raises(DomainError):
             residual(cfg, GridFunction(mesh, uv), np.zeros(mesh.m))
+
+
+class TestEvenFold:
+    """Even data on an odd mesh: the rows up to the centre of the residual
+    and the Jacobian, the latter folded onto the half unknowns."""
+
+    @staticmethod
+    def even_case(m):
+        mesh = Mesh(m)
+        x = mesh.nodes
+        half = ((1.0 - x ** 2) ** 0.7 * (1.0 + 0.3 * np.cos(3.0 * x)))[:m // 2 + 1]
+        return GridFunction(mesh, mirror(half)), mirror((2.0 + x ** 2)[:m // 2 + 1])
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_half_residual_is_the_full_rows(self, name, request):
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        u, rhs = self.even_case(33)
+        k = 17
+        full = residual(cfg, u, rhs).values
+        half = residual(cfg, u, rhs, even=True).values
+        assert np.array_equal(half[:k], full[:k])
+        assert np.array_equal(half, mirror(half[:k]))
+        # the rows are views of the one workspace, whose shape stays m x m
+        assert fractional._FAR.shape == (33, 33)
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_folded_matrix_is_the_mirrored_product(self, name, request):
+        # the centre row's band coupling to node c + 1 folds onto node c - 1;
+        # without it the centre entry of the product is off
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        u, _ = self.even_case(33)
+        c = 16
+        block = assemble_matrix(cfg, u, even=True)
+        assert block.shape == (c, 31)
+        dh = np.random.default_rng(7).uniform(-1.0, 1.0, c)
+        want = (assemble_matrix(cfg, u) @ mirror(dh))[:c]
+        got = fold(block) @ dh
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestFarPairWorkspace:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
+import fglap.quadrature as quadrature
 from fglap.errors import ConvergenceError, DomainError
 from fglap.quadrature import (
     gauss_laguerre,
@@ -89,24 +90,25 @@ class TestWindowInverter:
 
     @pytest.mark.parametrize("yf", WINDOW_FAMILIES, ids=lambda yf: yf.label)
     @pytest.mark.parametrize("kind", ["G", "g"])
-    def test_round_trip_to_rounding(self, yf, kind):
+    def test_round_trip_to_rounding(self, yf, kind, monkeypatch):
+        monkeypatch.setattr(quadrature, "INVERT_MAX_ITER", 6)
         t, y = _window_targets(yf, kind)
         lo, hi = yf.window
         if kind == "G":
-            got = invert_monotone(yf._G_pos, y, (lo, hi), deriv=yf._g_pos,
-                                  max_iter=6)
+            got = invert_monotone(yf._G_pos, y, (lo, hi), deriv=yf._g_pos)
         else:
             got = invert_monotone(yf._g_pos, y, (lo - 1.0, hi - 1.0),
-                                  deriv=yf._g_prime_pos, max_iter=6)
+                                  deriv=yf._g_prime_pos)
         np.testing.assert_allclose(got, t, rtol=2e-15, atol=0.0)
 
-    def test_secant_mode(self):
+    def test_secant_mode(self, monkeypatch):
         # without a derivative the secant slope drives the step; rtol bounds
         # the last step, and the error after it is far smaller
+        monkeypatch.setattr(quadrature, "INVERT_MAX_ITER", 12)
         g = lambda x: x**3 + x**4
         t = np.logspace(-3.0, 3.0, 61)
-        loose = invert_monotone(g, g(t), (3.0, 4.0), rtol=1e-3, max_iter=12)
-        tight = invert_monotone(g, g(t), (3.0, 4.0), max_iter=12)
+        loose = invert_monotone(g, g(t), (3.0, 4.0), rtol=1e-3)
+        tight = invert_monotone(g, g(t), (3.0, 4.0))
         np.testing.assert_allclose(loose, t, rtol=1e-3, atol=0.0)
         np.testing.assert_allclose(tight, t, rtol=1e-12, atol=0.0)
 

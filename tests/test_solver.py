@@ -328,13 +328,13 @@ def count_residuals(monkeypatch):
     calls, repeats, seen = [0], [], set()
     residual_, newton_ = solver.residual, solver._newton
 
-    def counted(cfg, u, rhs):
+    def counted(cfg, u, rhs, *, even=False):
         calls[0] += 1
         key = (u.values.tobytes(), np.asarray(rhs, dtype=float).tobytes())
         if key in seen:
             repeats.append(key)
         seen.add(key)
-        return residual_(cfg, u, rhs)
+        return residual_(cfg, u, rhs, even=even)
 
     def scoped(*args, **kw):
         seen.clear()
@@ -381,6 +381,70 @@ class TestNewtonCounters:
         assert all(st["residual_evaluations"] >= 1 + st["iterations"]
                    for st in report.newton)
         assert all(st["levenberg_shift_max"] >= 0.0 for st in report.newton)
+
+
+def even_data(mesh):
+    x = mesh.nodes
+    return ProblemData(f=GridFunction(mesh, 1.0 + np.cos(np.pi * x) ** 2),
+                       q=GridFunction(mesh, 0.5 + 0.25 * x ** 2))
+
+
+class TestHalfNodeStages:
+    """Even data on an odd mesh: stages are solved on the interior nodes up
+    to the centre, with the same iterates as the full system."""
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    @pytest.mark.parametrize("m", [33, 65])
+    def test_reduced_solve_matches_full(self, name, m, request):
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        mesh = Mesh(m)
+        data = even_data(mesh)
+        prev = {False: None, True: None}
+        for n in (1, 4):    # a seeded cold stage, then a warm one
+            got = {even: solver._newton(cfg, mesh, solver._stage_load(data, mesh, n),
+                                        prev[even], "stage", even)
+                   for even in (False, True)}
+            (full, st_full), (half, st_half) = got[False], got[True]
+            assert np.max(np.abs(half.values - full.values)) <= 1e-12
+            assert np.array_equal(half.values, half.values[::-1])
+            for key in ("iterations", "residual_evaluations",
+                        "line_search_backtracks"):
+                assert st_half[key] == st_full[key], (n, key)
+            prev = {even: u for even, (u, _) in got.items()}
+
+    @pytest.fixture
+    def solve_sizes(self, monkeypatch):
+        sizes, solve = [], np.linalg.solve
+
+        def recorded(a, b):
+            sizes.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        return sizes
+
+    def test_even_data_odd_mesh_solves_half(self, cfg, solve_sizes):
+        mesh = Mesh(33)
+        monotone_scheme(cfg, even_data(mesh), n_schedule=(1, 2))
+        assert solve_sizes and set(solve_sizes) == {16}
+
+    def test_uneven_load_solves_full(self, cfg, solve_sizes):
+        mesh = Mesh(33)
+        f = GridFunction(mesh, 1.0 + 0.2 * mesh.nodes)
+        q = GridFunction(mesh, np.full(mesh.m, 0.5))
+        monotone_scheme(cfg, ProblemData(f=f, q=q), n_schedule=(1, 2))
+        assert solve_sizes and set(solve_sizes) == {31}
+
+    def test_even_mesh_solves_full(self, cfg, solve_sizes):
+        mesh = Mesh(32)
+        monotone_scheme(cfg, even_data(mesh), n_schedule=(1, 2))
+        assert solve_sizes and set(solve_sizes) == {30}
+
+    def test_auxiliary_solves_full(self, cfg, solve_sizes):
+        mesh = Mesh(33)
+        u, _ = solve_auxiliary(cfg, mesh, np.ones(mesh.m))
+        solve_auxiliary(cfg, mesh, 1.1 * np.ones(mesh.m), warm_start=u)
+        assert solve_sizes and set(solve_sizes) == {31}
 
 
 class TestBarrier:

@@ -94,7 +94,7 @@ class TestLaguerreKernel:
 
     def test_matches_closed_forms(self, power4, dp34):
         # the steep members only pass with the rule scaled by p_minus
-        t = standard_grid()
+        t = standard_grid(512)
         for yf in (power4, dp34, PowerYoung(40.0), DoublePowerYoung(2.1, 9.0)):
             np.testing.assert_allclose(YoungFunction._G_pos(yf, t), yf._G_pos(t),
                                        rtol=1e-12, atol=0.0)
@@ -241,7 +241,7 @@ class TestPhiWeight:
     def test_power_closed_form_on_grid(self, power4):
         # Phi(t) = r t^(1/r) for a pure power, across the whole grid
         w = PhiWeight(power4, 2.0)
-        t = standard_grid()
+        t = standard_grid(512)
         np.testing.assert_allclose(w.phi(t), w.r * t ** (1.0 / w.r), rtol=1e-14, atol=0.0)
 
     def test_inadmissible_exponent_rejected(self, power4):
