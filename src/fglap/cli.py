@@ -400,7 +400,7 @@ def _write_diagnostics(rc: RunConfig, report: SolveReport, diag: dict) -> None:
     rows = []
     for k, (n, stats) in enumerate(zip(report.n_values, report.newton)):
         rows.append([f"modular_energy[{report.energy_case}]", str(n),
-                     _fmt(report.energies[k])])
+                     _fmt(diag["modular"][k])])
         rows.append([f"seminorm[{report.energy_case}]", str(n),
                      _fmt(diag["energies"][k])])
         rows += [[name, str(n), fmt(stats[key])] for name, key, fmt in _NEWTON_ROWS]

@@ -23,6 +23,13 @@ straight into the fresh matrix whose interior it returns, for the caller
 to keep or modify. At m = 257 an m x m array is 516 KiB, above glibc's
 mmap threshold, so each fresh temporary cost its own page faults.
 
+The band and strip terms are local: O(m) arguments, at which the residual
+needs G and the Jacobian needs G, g and g'. `_local_G` is their one G
+pass. ``residual(..., with_G=True)`` returns those G values with the
+residual, and `assemble_matrix` takes them as ``G=`` at the same iterate,
+so a Newton step evaluates G there once; the Jacobian still evaluates its
+own g and g' terms. Without ``G=`` it makes the pass itself.
+
 Even data on an odd mesh need only the rows of the nodes up to the centre
 c = (m - 1) / 2, because the operator commutes with x -> -x. With
 ``even=True``, `residual` evaluates rows 0 ... c on the first c + 1 rows of
@@ -51,43 +58,68 @@ from .young import Workspace, YoungFunction, _laguerre_integral
 _FAR = Workspace(3)
 
 
-def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
-                newton: bool = False) -> np.ndarray:
-    """Per-cell x-integral, over both clipped windows, of the sigma-derivative
-    of the band energy density, W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s)),
-    or of dW/dsigma for Newton assembly, from the compact band points of
-    `disc`. W is odd in sigma and zero at zero."""
-    ex = 1.0 - disc.s
+def _band_points(disc: Discretization, sigma: np.ndarray):
+    """The band points of `disc` where the cell slope sigma is nonzero:
+    their cells, sigma there, window radii to the power 1 - s, weights."""
     cell = disc.band_cell
     sig = sigma[cell]
     live = sig != 0.0
-    sig, rho = sig[live], disc.band_rho[live]
-    args = sig * rho
+    return cell[live], sig[live], disc.band_rho[live], disc.band_w[live]
+
+
+def _strip_G(yf: YoungFunction, disc: Discretization,
+             c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G(c a_l) and G(c a_r) at the nonzero entries of c, the values at the
+    interior nodes from the first on (all of them, or those up to the
+    centre)."""
+    nz = c != 0.0
+    cv = c[nz]
+    return yf.G(cv * disc.a_l[:c.size][nz]), yf.G(cv * disc.a_r[:c.size][nz])
+
+
+def _local_G(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
+             c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one G pass of an iterate's local terms: G at the live band
+    points of the cell slopes sigma, whose arguments are sigma rho, and
+    `_strip_G` of the nodal values c."""
+    _, sig, rho, _ = _band_points(disc, sigma)
+    return (yf.G(sig * rho), *_strip_G(yf, disc, c))
+
+
+def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
+                G: np.ndarray, newton: bool = False) -> np.ndarray:
+    """Per-cell x-integral, over both clipped windows, of the sigma-derivative
+    of the band energy density, W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s)),
+    or of dW/dsigma for Newton assembly, from the compact band points of
+    `disc` and G at their live points (`_local_G`). W is odd in sigma and
+    zero at zero."""
+    ex = 1.0 - disc.s
+    cell, sig, rho, w = _band_points(disc, sigma)
     if newton:
-        val = (yf.g(args) * rho * sig - yf.G(args)) / (sig ** 2 * ex)
+        val = (yf.g(sig * rho) * rho * sig - G) / (sig ** 2 * ex)
     else:
-        val = yf.G(args) / (sig * ex)
-    return np.bincount(cell[live], weights=disc.band_w[live] * val,
-                       minlength=sigma.size)
+        val = G / (sig * ex)
+    return np.bincount(cell, weights=w * val, minlength=sigma.size)
 
 
 def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
-             newton: bool = False) -> np.ndarray:
-    """One-point exterior term [G(c a_l) + G(c a_r)] / (s c), odd in c; its
-    c-derivative for Newton assembly."""
+             G_l: np.ndarray, G_r: np.ndarray, newton: bool = False) -> np.ndarray:
+    """One-point exterior term [G(c a_l) + G(c a_r)] / (s c), odd in c, from
+    the two G values at the nonzero c (`_local_G`); its c-derivative for
+    Newton assembly."""
     out = np.zeros_like(c)
     nz = c != 0.0
     if not nz.any():
         return out
     cv = c[nz]
 
-    def side(a):
-        av = a[:c.size][nz]    # c may cover only the nodes up to the centre
+    def side(a, Ga):
         if newton:
-            return (yf.g(cv * av) * av * cv - yf.G(cv * av)) / (disc.s * cv ** 2)
-        return yf.G(cv * av)
+            av = a[:c.size][nz]
+            return (yf.g(cv * av) * av * cv - Ga) / (disc.s * cv ** 2)
+        return Ga
 
-    val = side(disc.a_l) + side(disc.a_r)
+    val = side(disc.a_l, G_l) + side(disc.a_r, G_r)
     out[nz] = val if newton else val / (disc.s * cv)
     return out
 
@@ -117,14 +149,17 @@ def _rows(m: int, even: bool) -> int:
 
 
 def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
-             even: bool = False) -> GridFunction:
+             even: bool = False, with_G: bool = False):
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
     Boundary entries are pinned to zero.
 
     With ``even`` (u and rhs even, m odd) only the rows up to the centre
     are evaluated, on the first rows of the far-pair kernel, and mirrored
-    onto the rest; those rows equal the full evaluation's bit for bit."""
+    onto the rest; those rows equal the full evaluation's bit for bit.
+    With ``with_G`` it returns the pair (residual, G), G being the band and
+    strip G values it evaluated, for `assemble_matrix` at the same u and
+    ``even``."""
     disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
@@ -141,26 +176,32 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
 
     # band cell i couples nodes i and i + 1
     inner = slice(1, min(k, mesh.m - 1))
-    cell = _band_cells(yf, disc, np.diff(uv) / mesh.h) / mesh.h
+    sigma = np.diff(uv) / mesh.h
+    G = _local_G(yf, disc, sigma, uv[inner])
+    cell = _band_cells(yf, disc, sigma, G[0]) / mesh.h
     r[1:] += cell[:k - 1]
     r[:inner.stop] -= cell[:inner.stop]
 
-    r[inner] += 2.0 * mesh.weights[inner] * _strip_e(yf, disc, uv[inner])
+    r[inner] += 2.0 * mesh.weights[inner] * _strip_e(yf, disc, uv[inner], *G[1:])
     r[inner] -= mesh.weights[inner] * rhs_vals[inner]
     if even:
         r = mirror(r)
     r[0] = r[-1] = 0.0
-    return GridFunction(mesh, r)
+    res = GridFunction(mesh, r)
+    return (res, G) if with_G else res
 
 
 def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
-                    even: bool = False) -> np.ndarray:
+                    even: bool = False, G=None) -> np.ndarray:
     """Interior-node residual Jacobian: symmetric and positive
     semidefinite. A fresh array, the caller's to modify.
 
     With ``even`` (u even, m odd) only the rows of the interior nodes up
     to the centre c = (m - 1) / 2 are assembled: the block J[1:c+1, 1:-1]
-    of shape (c, m - 2), for `fold` to reduce to the half unknowns."""
+    of shape (c, m - 2), for `fold` to reduce to the half unknowns.
+    ``G`` is the band and strip G values that ``residual(..., with_G=True)``
+    returned at this u and ``even``; without it they are evaluated here.
+    The g and g' terms are always evaluated here."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
     mesh = u.mesh
@@ -169,6 +210,9 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     k = _rows(mesh.m, even)
     rows = slice(1, min(k, mesh.m - 1))    # the interior nodes assembled
     count = rows.stop - 1
+    sigma = np.diff(uv) / mesh.h
+    if G is None:
+        G = _local_G(yf, disc, sigma, uv[rows])
 
     # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
     # written straight into the fresh matrix whose interior is returned
@@ -183,10 +227,11 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     # band cell k couples nodes k and k + 1; node i sees cells i and i - 1;
     # the centre row keeps its coupling to node c + 1, which `fold` maps
     # back onto node c - 1
-    cp = _band_cells(yf, disc, np.diff(uv) / mesh.h, newton=True) / mesh.h ** 2
+    cp = _band_cells(yf, disc, sigma, G[0], newton=True) / mesh.h ** 2
     diag = row[rows] + cp[1:count + 1]
     diag += cp[:count]
-    diag += 2.0 * mesh.weights[rows] * _strip_e(yf, disc, uv[rows], newton=True)
+    diag += 2.0 * mesh.weights[rows] * _strip_e(yf, disc, uv[rows], *G[1:],
+                                                newton=True)
     jac.flat[::n + 1] += diag
     jac.flat[1::n + 1] -= cp[1:min(count, n - 1) + 1]
     jac.flat[n::n + 1] -= cp[1:count]
@@ -281,7 +326,9 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
         out += np.sum(vals * live, axis=1)
 
     # exterior strips, closed form: the weak side's term, carried once
-    out += _strip_e(yf, cfg.discretization(m), uv[interior])
+    disc = cfg.discretization(m)
+    c = uv[interior]
+    out += _strip_e(yf, disc, c, *_strip_G(yf, disc, c))
     return out
 
 

@@ -100,7 +100,9 @@ class ProblemData:
 @dataclass
 class SolveReport:
     """One list entry per stage: ``newton`` holds `_newton`'s stats as
-    returned, ``carriers`` the energy carriers (u_n, or Phi(u_n) in main2)."""
+    returned, ``carriers`` the energy carriers (u_n, or Phi(u_n) in main2).
+    The scheme computes no energy; `boundary_energy_report` evaluates the
+    carriers' energies for the readers that want them."""
 
     mesh: Mesh
     cfg: OperatorConfig
@@ -109,7 +111,6 @@ class SolveReport:
     newton: list[dict] = field(default_factory=list)
     carriers: list[GridFunction] = field(default_factory=list)
     sup_diffs: list[float] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)
     energy_case: str = ""
     converged: bool = False
     l_middle: float = 0.0
@@ -137,16 +138,24 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
     what is left is a positive sum of g-terms, so t -> sum A(t cone) grows
     with elasticity in [p_minus - 1, p_plus - 1]; the growth-window
     inverter solves sum A(t cone) = sum w rhs to 1e-3 in t.
+
+    The cone is even and the residual is unloaded, so on an odd mesh each
+    evaluation runs on the rows up to the centre (``even=True``), for
+    stages and auxiliary solves alike. Its sum can differ from the full
+    rows' in the last bits, because a full row and its mirror sum the same
+    terms in opposite orders, and the scale t with it.
     """
     cone = 1.0 - np.abs(mesh.nodes)
     zero = np.zeros(mesh.m)
+    even = mesh.m % 2 == 1
     evaluations = 0
 
     def total(t: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += t.size
         return np.array([np.sum(residual(cfg, GridFunction(mesh, tk * cone),
-                                         zero).values[1:-1]) for tk in t])
+                                         zero, even=even).values[1:-1])
+                         for tk in t])
 
     lo, hi = cfg.young.window
     target = float(np.sum(mesh.weights[1:-1] * rhs[1:-1]))
@@ -167,7 +176,12 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     Levenberg shift, lam times the largest diagonal entry, grows lam
     tenfold after a failed line search and decays it tenfold after an
     accepted step. An accepted trial's load and residual carry over to the
-    next step, so no residual is evaluated twice at one iterate. The stats
+    next step, so no residual is evaluated twice at one iterate; so do the
+    band and strip G values of its residual, which `assemble_matrix` takes
+    in place of a second G pass. The Jacobian's own terms, g at the band
+    and strip arguments and g' on the far pairs, are evaluated only at
+    accepted iterates, never at a line-search trial, where an overshoot may
+    overflow them. The stats
     hold the Newton steps, the final residual sup, the residual evaluations
     in all and those spent on cone seeding (0 for a warm start), the
     rejected line-search trials and the largest lam.
@@ -200,10 +214,11 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     def evaluate(v: np.ndarray):
         rhs_v, d_v = load(v)
         stats["residual_evaluations"] += 1
-        return rhs_v, d_v, residual(cfg, GridFunction(mesh, v), rhs_v,
-                                    even=even).values[live]
+        res, G_v = residual(cfg, GridFunction(mesh, v), rhs_v, even=even,
+                            with_G=True)
+        return rhs_v, d_v, res.values[live], G_v
 
-    rhs, d, r = evaluate(u)
+    rhs, d, r, G = evaluate(u)
     lam = 0.0
     for it in range(NEWTON_MAX_ITER):
         lim = 1e-8 * (1.0 + float(np.max(np.abs(rhs))))
@@ -211,7 +226,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         if rn <= lim:
             break
 
-        jac = assemble_matrix(cfg, GridFunction(mesh, u), even=even)
+        jac = assemble_matrix(cfg, GridFunction(mesh, u), even=even, G=G)
         diag = np.diag_indices(len(jac))    # of the unfolded rows
         if d is not None:
             jac[diag] -= mesh.weights[live] * d[live]
@@ -230,11 +245,11 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             trial = u.copy()
             trial[1:-1] += step * delta
             try:
-                rhs_t, d_t, rt = evaluate(trial)
+                rhs_t, d_t, rt, G_t = evaluate(trial)
             except DomainError:  # g overflowed at a far trial: reject it like any other
                 rt = np.inf
             if float(np.max(np.abs(rt))) < rn:
-                u, rhs, d, r = trial, rhs_t, d_t, rt
+                u, rhs, d, r, G = trial, rhs_t, d_t, rt, G_t
                 lam = lam * 0.1 if lam * 0.1 >= 1e-14 else 0.0
                 break
             stats["line_search_backtracks"] += 1
@@ -345,7 +360,6 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         carrier = (u if weight is None else
                    GridFunction(mesh, weight.phi(np.maximum(u.values, 0.0))))
         report.carriers.append(carrier)
-        report.energies.append(modular_W(cfg, carrier))
         if prev is not None:
             drop = float(np.min(u.values - prev.values))
             if drop < -TOL_MONO:
@@ -397,15 +411,17 @@ def barrier_check(cfg: OperatorConfig, mesh: Mesh) -> list[float]:
 
 
 def boundary_energy_report(report: SolveReport) -> dict:
-    """Gauge seminorms of the report's energy carriers along the schedule:
-    the solutions in case main1, their composition with the boundary weight
-    in case main2. Flags whether the sequence stays within twice the median
-    of its last three entries."""
+    """Energies of the report's carriers along the schedule: the solutions
+    in case main1, their composition with the boundary weight in case
+    main2. ``modular`` holds each stage's modular energy, ``energies`` its
+    gauge seminorm. Flags whether the seminorms stay within twice the
+    median of their last three entries."""
+    modular = [modular_W(report.cfg, c) for c in report.carriers]
     energies = [luxemburg_seminorm_W(report.cfg, c) for c in report.carriers]
     ref = float(np.median(energies[-3:])) if energies else 0.0
     bounded = all(e <= 2.0 * ref + 1e-12 for e in energies)
-    return {"case": report.energy_case, "energies": energies,
-            "reference": ref, "bounded": bounded}
+    return {"case": report.energy_case, "modular": modular,
+            "energies": energies, "reference": ref, "bounded": bounded}
 
 
 def holder_exponent_fit(u: GridFunction) -> tuple[float, float]:

@@ -66,10 +66,11 @@ def smoke_corpus(mesh65):
             for tag in PROFILE_TAGS}
 
 
-def stalled_matrix(cfg, u, *, even=False):
+def stalled_matrix(cfg, u, *, even=False, G=None):
     """Stand-in Newton matrix far too stiff to converge: every step is
     tiny, so a solve runs out of iterations with finite iterates. With
-    ``even`` it has the rows up to the centre, as `assemble_matrix` does."""
+    ``even`` it has the rows up to the centre, as `assemble_matrix` does;
+    the residual's ``G`` is accepted and unused."""
     n = u.mesh.m - 2
     return 1e6 * np.eye((n + 1) // 2 if even else n, n)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fglap.cli as cli
+import fglap.orlicz as orlicz
 import fglap.solver as solver
 from fglap.cli import load_config, main
 
@@ -192,6 +193,24 @@ class TestExitCodes:
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines[0] == "pair,m_coarse,m_fine,sup_diff"
         assert lines[1].startswith("M17_vs_M33,")
+
+    def test_convergence_computes_no_energy(self, tmp_path, monkeypatch):
+        # convergence writes no energy, so it evaluates none; solve, whose
+        # energy report writes them, shows the counter works
+        calls = []
+        modular_W = orlicz.modular_W
+
+        def counted(*args):
+            calls.append(1)
+            return modular_W(*args)
+
+        monkeypatch.setattr(orlicz, "modular_W", counted)
+        monkeypatch.setattr(solver, "modular_W", counted)
+        code, _ = run(tmp_path, BASE.replace("mesh = 33", "mesh = 17,33"),
+                      cmd="convergence")
+        assert code == 0 and calls == []
+        code, _ = run(tmp_path, BASE.replace("mesh = 33", "mesh = 17"))
+        assert code == 0 and len(calls) > 0
 
 
 class TestFileFormats:

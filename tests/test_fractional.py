@@ -342,7 +342,8 @@ class TestSharedDiscretization:
                                              monkeypatch):
         # unclipped cell-sides share the radius h at every x-node, so the
         # band needs one point per cell plus the 8 nodes of each of the two
-        # clipped sides; 2m + 12 points allow one per unclipped side
+        # clipped sides; 2m + 12 points allow one per unclipped side. The
+        # residual and the Jacobian share that one G pass
         yf = request.getfixturevalue(name)
         m = 65
         disc = OperatorConfig(young=yf, s=0.3).discretization(m)
@@ -350,8 +351,10 @@ class TestSharedDiscretization:
         G = yf.G
         monkeypatch.setattr(yf, "G", lambda t: points.append(np.size(t)) or G(t))
         sigma = np.diff(random_interior(Mesh(m), 9).values) / Mesh(m).h
-        fractional._band_cells(yf, disc, sigma, newton=newton)
-        assert 0 < sum(points) <= 2 * m + 12
+        band_G, *_ = fractional._local_G(yf, disc, sigma, np.zeros(0))
+        fractional._band_cells(yf, disc, sigma, band_G, newton=newton)
+        assert [size for size in points if size] == [band_G.size]
+        assert 0 < band_G.size <= 2 * m + 12
 
     def test_cached_arrays_are_read_only(self):
         cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)

@@ -213,8 +213,10 @@ class TestScheme:
         assert report.l_middle == pytest.approx(float(mid.min()), rel=1e-12)
 
     def test_energies_recorded(self, report):
-        assert len(report.energies) == len(report.n_values) == 4
-        assert all(e > 0.0 for e in report.energies)
+        # the scheme records the carriers; the energy report evaluates them
+        modular = boundary_energy_report(report)["modular"]
+        assert len(modular) == len(report.carriers) == len(report.n_values) == 4
+        assert all(e > 0.0 for e in modular)
         assert report.energy_case == "main1"
 
     def test_alpha_estimate(self, report):
@@ -316,6 +318,42 @@ class TestConeSeed:
         assert cold["seed_evaluations"] >= 2
         assert warm["seed_evaluations"] == 0 and zero["seed_evaluations"] == 0
 
+    @pytest.fixture
+    def seed_rows(self, monkeypatch):
+        """Record the ``even`` of every residual the seed evaluates; with
+        ``full[0]`` set, evaluate full rows whatever it asks for."""
+        evens, full, residual_ = [], [False], solver.residual
+
+        def recorded(cfg, u, rhs, *, even=False):
+            evens.append(even)
+            return residual_(cfg, u, rhs, even=even and not full[0])
+
+        monkeypatch.setattr(solver, "residual", recorded)
+        return evens, full
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_odd_mesh_seeds_on_half_rows(self, name, request, mesh33, seed_rows):
+        # the cone is even, so its unloaded residual needs the rows up to the
+        # centre only; a full row and its mirror sum their terms in opposite
+        # orders, so the scale may move by a few units in the last place
+        evens, full = seed_rows
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        rhs = np.random.default_rng(3).uniform(0.1, 2.0, mesh33.m)
+        half, evaluations = solver._seed_from_cone(cfg, mesh33, rhs, "seed")
+        assert evens == [True] * evaluations
+        full[0] = True
+        want, _ = solver._seed_from_cone(cfg, mesh33, rhs, "seed")
+        scale = want[mesh33.m // 2]    # the cone is 1 at the centre
+        assert half[mesh33.m // 2] == pytest.approx(scale, rel=0.0,
+                                                    abs=4 * np.spacing(scale))
+        assert np.array_equal(half, half[mesh33.m // 2] * (1.0 - np.abs(mesh33.nodes)))
+
+    def test_even_mesh_seeds_on_full_rows(self, cfg, seed_rows):
+        evens, _ = seed_rows
+        mesh = Mesh(32)
+        _, evaluations = solver._seed_from_cone(cfg, mesh, np.ones(mesh.m), "seed")
+        assert evaluations >= 2 and evens == [False] * evaluations
+
     def test_only_the_first_stage_is_seeded(self, report):
         seeds = [st["seed_evaluations"] for st in report.newton]
         assert seeds[0] >= 2
@@ -328,13 +366,13 @@ def count_residuals(monkeypatch):
     calls, repeats, seen = [0], [], set()
     residual_, newton_ = solver.residual, solver._newton
 
-    def counted(cfg, u, rhs, *, even=False):
+    def counted(cfg, u, rhs, *, even=False, with_G=False):
         calls[0] += 1
         key = (u.values.tobytes(), np.asarray(rhs, dtype=float).tobytes())
         if key in seen:
             repeats.append(key)
         seen.add(key)
-        return residual_(cfg, u, rhs, even=even)
+        return residual_(cfg, u, rhs, even=even, with_G=with_G)
 
     def scoped(*args, **kw):
         seen.clear()
@@ -447,6 +485,68 @@ class TestHalfNodeStages:
         assert solve_sizes and set(solve_sizes) == {31}
 
 
+class TestJacobianOnResidualG:
+    """`_newton` hands `assemble_matrix` the band and strip G values of the
+    residual at the same iterate, so the assembly makes no G pass."""
+
+    @pytest.fixture
+    def assembled(self, log221, monkeypatch):
+        """Per `assemble_matrix` call of a solve: (G calls made inside it,
+        whether its matrix equals a fresh assembly at the same iterate)."""
+        out, inside, assemble_ = [], [False], solver.assemble_matrix
+        G_ = log221.G
+
+        def counted_G(t):
+            if inside[0]:
+                out[-1][0] += 1
+            return G_(t)
+
+        def recorded(cfg, u, *, even=False, G=None):
+            out.append([0, None])
+            inside[0] = True
+            try:
+                jac = assemble_(cfg, u, even=even, G=G)
+            finally:
+                inside[0] = False
+            out[-1][1] = np.array_equal(jac, assemble_(cfg, u, even=even))
+            return jac
+
+        monkeypatch.setattr(log221, "G", counted_G)
+        monkeypatch.setattr(solver, "assemble_matrix", recorded)
+        return out
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_no_G_pass_in_the_assembly(self, log221, even, assembled):
+        cfg = OperatorConfig(young=log221, s=0.3)
+        mesh = Mesh(33)
+        data = even_data(mesh)
+        u = None
+        for n in (1, 4):    # a seeded cold stage, then a warm one
+            u, _ = solver._newton(cfg, mesh, solver._stage_load(data, mesh, n),
+                                  u, "stage", even)
+        assert len(assembled) >= 4
+        assert [g for g, _ in assembled] == [0] * len(assembled)
+        assert all(same for _, same in assembled)
+
+    def test_jacobian_at_the_accepted_iterate(self, monkeypatch):
+        # the steep solve of test_overflowing_trial_rejected backtracks; each
+        # Jacobian must still be the one of the accepted iterate
+        mesh = Mesh(17)
+        cfg = OperatorConfig(young=PowerYoung(40.0), s=0.1)
+        rhs = np.random.default_rng(5122).uniform(0.1, 2.0, mesh.m)
+        same, assemble_ = [], solver.assemble_matrix
+
+        def recorded(cfg, u, *, even=False, G=None):
+            jac = assemble_(cfg, u, even=even, G=G)
+            same.append(np.array_equal(jac, assemble_(cfg, u, even=even)))
+            return jac
+
+        monkeypatch.setattr(solver, "assemble_matrix", recorded)
+        _, stats = solve_auxiliary(cfg, mesh, rhs)
+        assert stats["line_search_backtracks"] >= 1
+        assert same and all(same)
+
+
 class TestBarrier:
     def test_power_scaling_ratio(self, cfg, mesh33):
         vals = barrier_check(cfg, mesh33)
@@ -483,6 +583,15 @@ class TestDiagnostics:
         assert len(out["energies"]) == 3
         assert out["bounded"] is True
         assert out["reference"] > 0.0
+
+    @pytest.mark.parametrize("case", ["main1", "main2"])
+    def test_modular_energy_per_stage(self, cfg, mesh33, case):
+        data = (unit_data(mesh33) if case == "main1" else
+                unit_data(mesh33, q=1.5, case="main2", q_star=2.0))
+        report = monotone_scheme(cfg, data, mesh=mesh33, n_schedule=(1, 2, 4))
+        modular = boundary_energy_report(report)["modular"]
+        assert len(modular) == len(report.n_values) == 3
+        assert modular == [solver.modular_W(cfg, c) for c in report.carriers]
 
     def test_holder_fit_closed_forms(self, mesh33):
         # the fit runs on the middle half, where |x|^(1/2) and |x| have
