@@ -11,17 +11,23 @@ Every entry point takes an `orlicz.OperatorConfig` and reads all geometry
 from its cached `orlicz.Discretization` for the mesh size. With
 du = (u_i - u_j) / ds over its far-pair kernel, each far term is one
 expression: residual g(du) kr, Newton Jacobian 2 g'(du) kr / ds (the
-energy is G(du) kr ds). The weak form is the residual paired with the test
-function's nodal values.
+energy is G(du) kr ds). The kernel leaves out the half trapezoid weight of
+the end nodes, so the columns of nodes 0 and m - 1 are halved
+(`orlicz._halve_boundary`) before the rows are summed. The weak form is
+the residual paired with the test function's nodal values.
 
-The far terms are m x m arrays. They are evaluated in place in a
-`young.Workspace` of three buffers (du, the g values, and the Young
-kernels' scratch), one per thread and one mesh size at a time, and never
-in the read-only `Discretization`. A residual or weak-form evaluation
-then allocates no m x m array at all. The Jacobian allocates one: g' goes
-straight into the fresh matrix whose interior it returns, for the caller
-to keep or modify. At m = 257 an m x m array is 516 KiB, above glibc's
-mmap threshold, so each fresh temporary cost its own page faults.
+The far terms are m x m arrays. They are evaluated in place in
+`orlicz._FAR`, the `young.Workspace` of three buffers (du, the g values,
+and the Young kernels' scratch) that the energy shares, one per thread and
+one mesh size at a time; ds and kr are read-only Toeplitz views of O(m)
+storage. A residual or weak-form evaluation then allocates no m x m array
+at all. The Jacobian allocates one: g' goes straight into the fresh matrix
+whose interior it returns, for the caller to keep or modify. At m = 257 an
+m x m array is 516 KiB, above glibc's mmap threshold, so each fresh
+temporary cost its own page faults. A pass that reads a Toeplitz view is
+not one contiguous loop: on the half rows at m = 257 it costs 8-16 us
+more than over a dense array (2-core Xeon), so the Jacobian folds its
+factor 2 into the negation and makes one pass fewer.
 
 The band and strip terms are local: O(m) arguments, at which the residual
 needs G and the Jacobian needs G, g and g'. `_local_G` is their one G
@@ -50,12 +56,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .orlicz import (Discretization, GridFunction, OperatorConfig,
-                     _require_zero_boundary)
-from .young import Workspace, YoungFunction, _laguerre_integral
-
-# du, the far-pair values and the Young kernels' scratch
-_FAR = Workspace(3)
+from .orlicz import (_FAR, Discretization, GridFunction, OperatorConfig,
+                     _halve_boundary, _require_zero_boundary)
+from .young import YoungFunction, _laguerre_integral
 
 
 def _band_points(disc: Discretization, sigma: np.ndarray):
@@ -172,7 +175,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
         du, far_mat, work = du[:k], far_mat[:k], work[:k]
         yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
         far_mat *= disc.kr[:k]
-        r = 2.0 * far_mat.sum(axis=1)
+        r = 2.0 * _halve_boundary(far_mat).sum(axis=1)
 
     # band cell i couples nodes i and i + 1
     inner = slice(1, min(k, mesh.m - 1))
@@ -220,9 +223,8 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
         pair = yf.g_prime(disc.quotients(uv, out=du[:k]), work=work[:k])
     pair *= disc.kr[:k]
     pair /= disc.ds[:k]
-    pair *= 2.0
-    row = pair.sum(axis=1)
-    jac = np.negative(pair, out=pair)[rows, 1:-1]
+    row = 2.0 * _halve_boundary(pair).sum(axis=1)
+    jac = np.multiply(pair, -2.0, out=pair)[rows, 1:-1]
 
     # band cell k couples nodes k and k + 1; node i sees cells i and i - 1;
     # the centre row keeps its coupling to node c + 1, which `fold` maps

@@ -6,7 +6,10 @@ regions that the operator module reuses with identical quadrature, so the
 weak form is the exact gradient of the modular energy:
 
 * far pairs: node pairs more than one index apart, trapezoid weights in
-  both variables;
+  both variables. On the uniform mesh the kernels depend on the index
+  offset |i - j| alone, so each is stored as one vector of m values and
+  read as a Toeplitz matrix; the end nodes' half weights are applied where
+  the far terms are formed;
 * band: |x - y| below one cell width h, integrated exactly for piecewise
   linear functions through the one-argument primitive
   Lambda(Y) = int_0^Y G(tau)/tau dtau, with the window clipped near the
@@ -21,9 +24,11 @@ Every energy here, like the residual, Jacobian and weak form in
 `fractional`, takes an `OperatorConfig` and reads all three regions'
 geometry from the one cached `Discretization` that
 `OperatorConfig.discretization` returns per mesh size, so none of them
-rebuilds pair geometry or takes distance powers per call. The Luxemburg
-gauges invert the modular along u's ray with the growth-window inverter
-of `quadrature`.
+rebuilds pair geometry or takes distance powers per call. Their m x m far
+terms are evaluated in place in `_FAR`, one `young.Workspace` of three
+buffers per thread, so no evaluation allocates an m x m temporary. The
+Luxemburg gauges invert the modular along u's ray with the growth-window
+inverter of `quadrature`.
 """
 
 from __future__ import annotations
@@ -32,16 +37,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DomainError
 from .quadrature import gauss_legendre, invert_monotone
-from .young import YoungFunction
+from .young import Workspace, YoungFunction
 
 # x-quadrature order on the clipped band cell-sides; ample for the linear
 # clipping near the endpoints (unclipped sides need one point)
 _BAND_XQ = 8
 # sup-norm gap to its mirror image below which a grid function counts as even
 EVEN_TOL = 1e-9
+
+# the far terms' m x m buffers: du, the Young values and the kernels' scratch
+_FAR = Workspace(3)
 
 
 class Mesh:
@@ -118,6 +127,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The symmetric m x m matrix T[i, j] = c[|i - j|] as a read-only view
+    of the 2m - 1 values c[m-1], ..., c[1], c[0], ..., c[m-1]: row i starts
+    i entries before c[0]."""
+    m = c.size
+    full = _frozen(np.concatenate((c[:0:-1], c)))
+    return as_strided(full[m - 1:], (m, m), (-full.itemsize, full.itemsize),
+                      writeable=False)
+
+
+def _halve_boundary(far: np.ndarray, rows: bool = False) -> np.ndarray:
+    """Scale the columns of the end nodes 0 and m - 1, and with ``rows``
+    their rows too, by the half trapezoid weight that the kernel ``kr``
+    leaves out. Scaling by 0.5 is exact."""
+    far[:, ::far.shape[1] - 1] *= 0.5
+    if rows:
+        far[::far.shape[0] - 1] *= 0.5
+    return far
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """Geometry shared by the energy, residual, Jacobian, weak form and the
@@ -125,9 +154,15 @@ class Discretization:
     by `OperatorConfig.discretization`; every array is read-only because
     all callers share it.
 
-    * far-pair kernel: ``ds = dist^s`` and ``kr = w_i w_j / dist^(1+s)`` on
+    * far-pair kernel: ``ds = dist^s`` and ``kr = h^2 / dist^(1+s)`` on
       node pairs more than one index apart, ds = 1 and kr = 0 on near pairs,
-      so each far term is one expression in du = (u_i - u_j) / ds;
+      so each far term is one expression in du = (u_i - u_j) / ds. Both
+      depend on d = |i - j| alone and are read-only Toeplitz views of one
+      vector of 2m - 1 values each (`_toeplitz`), O(m) storage in place of
+      m x m. kr carries the interior weights w_i w_j = h^2; the end nodes
+      0 and m - 1 weigh h/2, which `_halve_boundary` applies to the far
+      terms. On the 2^k + 1 meshes d h is exact, so the kernels equal the
+      dense w_i w_j / |x_i - x_j|^(1+s) bit for bit;
     * band: a flat list of points, each a cell index ``band_cell``, a
       window radius min(h, distance to the endpoint) to the power 1 - s,
       ``band_rho``, and an x-quadrature weight ``band_w``. A cell-side whose
@@ -183,14 +218,12 @@ class OperatorConfig:
 @lru_cache(maxsize=32)
 def _discretization(m: int, s: float) -> Discretization:
     mesh = Mesh(m)
-    idx = np.arange(m)
-    near = np.abs(np.subtract.outer(idx, idx)) <= 1
-    dist = np.abs(np.subtract.outer(mesh.nodes, mesh.nodes))
-    dist[near] = 1.0
+    # the kernels at index offset d; offsets 0 and 1 are near pairs
+    dist = np.arange(m) * mesh.h
+    dist[:2] = 1.0
     ds = np.power(dist, s)
-    kr = np.outer(mesh.weights, mesh.weights)
-    kr /= np.power(dist, 1.0 + s, out=dist)
-    kr[near] = 0.0
+    kr = (mesh.h * mesh.h) / np.power(dist, 1.0 + s)
+    kr[:2] = 0.0
 
     gx, gw = gauss_legendre(_BAND_XQ)
     xq = mesh.nodes[:-1, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
@@ -207,8 +240,9 @@ def _discretization(m: int, s: float) -> Discretization:
     band_w = np.concatenate((full[keep] * xw.sum(), np.tile(xw, cut.size)))
 
     x = mesh.nodes[1:-1]
-    return Discretization(s, *map(_frozen, (ds, kr, band_cell, band_rho, band_w,
-                                            (1.0 + x) ** (-s), (1.0 - x) ** (-s))))
+    return Discretization(s, _toeplitz(ds), _toeplitz(kr),
+                          *map(_frozen, (band_cell, band_rho, band_w,
+                                         (1.0 + x) ** (-s), (1.0 - x) ** (-s))))
 
 
 def _require_zero_boundary(u: GridFunction) -> None:
@@ -267,10 +301,11 @@ def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
     mesh = u.mesh
     v = u.values
 
-    far_mat = yf.G(disc.quotients(v))
-    far_mat *= disc.kr
-    far_mat *= disc.ds
-    far = float(far_mat.sum())
+    with _FAR.take(disc.kr.shape) as (du, far_mat, work):
+        yf.G(disc.quotients(v, out=du), out=far_mat, work=work)
+        far_mat *= disc.kr
+        far_mat *= disc.ds
+        far = float(_halve_boundary(far_mat, rows=True).sum())
 
     slope = np.abs(np.diff(v)) / mesh.h
     band = float(np.sum(disc.band_w * yf.lam(slope[disc.band_cell]

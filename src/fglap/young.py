@@ -18,13 +18,14 @@ g is evaluated in the p-Laplacian form g(t) = t gamma(|t|), where the even
 factor gamma(tau) = g(tau)/tau is tau^(p-2) for a power, the sum of two
 such powers, or tau^(a-1) log(b + c tau). That takes no sign array, and
 each exponent is one lower than in sign(t) g(|t|): at p = 4 numpy's power
-squares instead of calling pow. ``g`` and ``g_prime`` write into ``out=``
-when given one, with ``work=`` as the scratch array the two-factor
-families need, so callers that evaluate them on m x m arrays (the
-far-pair terms in `fractional`) can hand in reused storage; without them
-the same kernels allocate. That reused storage is a `Workspace`:
-per-thread float64 buffers of one shape at a time. The Laguerre rule keeps
-one for its blocks.
+squares instead of calling pow. ``g``, ``g_prime`` and ``G`` write into
+``out=`` when given one, with ``work=`` as the scratch array the
+two-factor families need, so callers that evaluate them on m x m arrays
+(the far-pair terms of the residual, the Jacobian and the energy) can hand
+in reused storage; without them the same kernels allocate. G's Laguerre
+fallback writes its integrals into ``out`` block by block. That reused
+storage is a `Workspace`: per-thread float64 buffers of one shape at a
+time. The Laguerre rule keeps one for its blocks.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class Workspace(threading.local):
 _BLOCKS = Workspace(3)
 
 
-def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0) -> np.ndarray:
+def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """int_0^y f(tau) log(y/tau)^alpha dtau as
     (y/k^(1+alpha)) int_0^inf f(y e^(-v/k)) v^alpha e^(-v/k) dv.
 
@@ -123,13 +125,17 @@ def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0) -> np.ndarray
     G at p = 40, k = 1 loses ~1e-2 with 64 nodes). Points go through in
     fixed blocks of reused storage: ``f(x, out=, work=)`` gets each expanded
     block and may write its values into ``out`` and use ``work`` as scratch
-    (the g kernels do; other integrands ignore both).
+    (the g kernels do; other integrands ignore both). The integrals go
+    into ``out`` if given: a C-contiguous array of y's shape, which may be
+    y itself, since each block is read before its values are written.
     """
     v, w = gauss_laguerre(_LAGUERRE_NODES, alpha)
     shrink = np.exp(-v / k)
     weights = w * np.exp(v) * shrink / k ** (1.0 + alpha)
     flat = np.asarray(y, dtype=float).ravel()
-    out = np.empty_like(flat)
+    if out is None:
+        out = np.empty(np.shape(y))
+    flat_out = out.reshape(-1)
     with _BLOCKS.take((_LAGUERRE_BLOCK, _LAGUERRE_NODES)) as (xs, vals, work):
         for lo in range(0, flat.size, _LAGUERRE_BLOCK):
             pts = flat[lo:lo + _LAGUERRE_BLOCK]
@@ -139,8 +145,8 @@ def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0) -> np.ndarray
             x = xs[:n]
             np.copyto(x, pts[:, None])
             x *= shrink
-            out[lo:lo + n] = pts * (f(x, out=vals[:n], work=work[:n]) @ weights)
-    return out.reshape(np.shape(y))
+            flat_out[lo:lo + n] = pts * (f(x, out=vals[:n], work=work[:n]) @ weights)
+    return out
 
 
 class YoungFunction:
@@ -148,8 +154,9 @@ class YoungFunction:
 
     Subclasses implement ``_gamma_abs`` and ``_g_prime_pos``, which write
     gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated when None),
-    using ``work`` as scratch, and may override ``_G_pos``/``_lambda_pos``
-    with closed forms; otherwise both come from the Gauss-Laguerre rule
+    using ``work`` as scratch, and may override ``_G_pos`` (which takes
+    ``out`` and ``work`` the same way) and ``_lambda_pos`` with closed
+    forms; otherwise both come from the Gauss-Laguerre rule
     ``_laguerre_integral`` over ``_g_pos``, g(t) = t gamma(|t|).
     The public methods apply the odd/even extensions and handle scalar
     passthrough.
@@ -199,9 +206,9 @@ class YoungFunction:
         out *= t
         return out
 
-    def _G_pos(self, t: np.ndarray) -> np.ndarray:
+    def _G_pos(self, t: np.ndarray, out=None, work=None) -> np.ndarray:
         # g's elasticity is at least p_minus - 1, so G and Lambda use k = p_minus
-        return _laguerre_integral(self._g_pos, t, self.window[0])
+        return _laguerre_integral(self._g_pos, t, self.window[0], out=out)
 
     def _lambda_pos(self, y: np.ndarray) -> np.ndarray:
         # Lambda(y) = int_0^y G(tau)/tau dtau = int_0^y g(sigma) log(y/sigma) dsigma
@@ -233,10 +240,13 @@ class YoungFunction:
             out = self._g_prime_pos(arr, out, work)
         return _restore(out, scalar)
 
-    def G(self, t):
+    def G(self, t, out=None, work=None):
+        """G(|t|), with ``out`` and ``work`` as for ``g``: |t| goes into
+        ``out``, and G is evaluated there in place."""
         arr, scalar = _as_batch(t)
+        mag = np.abs(arr, out=out)
         with np.errstate(over="ignore"):
-            vals = self._G_pos(np.abs(arr))
+            vals = self._G_pos(mag, mag, work)
         return _restore(vals, scalar)
 
     def lam(self, y):
@@ -277,8 +287,10 @@ class PowerYoung(YoungFunction):
         out *= self.p - 1.0
         return out
 
-    def _G_pos(self, t):
-        return t ** self.p / self.p
+    def _G_pos(self, t, out=None, work=None):
+        out = np.power(t, self.p, out=out)
+        out /= self.p
+        return out
 
     def _lambda_pos(self, y):
         return y ** self.p / self.p ** 2
@@ -316,8 +328,13 @@ class DoublePowerYoung(YoungFunction):
         out += work
         return out
 
-    def _G_pos(self, t):
-        return t ** self.p1 / self.p1 + t ** self.p2 / self.p2
+    def _G_pos(self, t, out=None, work=None):
+        work = np.power(t, self.p2, out=work)
+        work /= self.p2
+        out = np.power(t, self.p1, out=out)
+        out /= self.p1
+        out += work
+        return out
 
     def _lambda_pos(self, y):
         return y ** self.p1 / self.p1 ** 2 + y ** self.p2 / self.p2 ** 2

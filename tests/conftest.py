@@ -79,6 +79,19 @@ def cfg_for(yf, s: float, **kw) -> OperatorConfig:
     return OperatorConfig(young=yf, s=s, **kw)
 
 
+def dense_far_kernels(mesh: Mesh, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The far-pair kernels as full m x m arrays from the node coordinates:
+    ds = |x_i - x_j|^s and kr = w_i w_j / |x_i - x_j|^(1+s), with ds = 1
+    and kr = 0 on near pairs, |i - j| <= 1."""
+    idx = np.arange(mesh.m)
+    near = np.abs(np.subtract.outer(idx, idx)) <= 1
+    dist = np.abs(np.subtract.outer(mesh.nodes, mesh.nodes))
+    dist[near] = 1.0
+    kr = np.outer(mesh.weights, mesh.weights) / dist ** (1.0 + s)
+    kr[near] = 0.0
+    return dist ** s, kr
+
+
 def traced_peak(fn) -> int:
     """Bytes that one call of fn allocates at its peak, after a warm-up
     call has filled every cache and reused buffer."""

@@ -130,6 +130,11 @@ class TestComparison:
         assert out.passed
         assert out.n_samples == 20
 
+    def test_margin_is_the_interior_slack(self, power4, mesh33):
+        # the end nodes are zero in both solutions and would pin it at 0
+        out = check_comparison(OperatorConfig(young=power4, s=0.3), mesh33)
+        assert out.worst_margin > 0.0
+
     def test_determinism(self, power4, mesh33):
         cfg = OperatorConfig(young=power4, s=0.3)
         a = check_comparison(cfg, mesh33, seed=5)

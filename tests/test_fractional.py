@@ -17,7 +17,7 @@ from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
 from fglap.quadrature import gauss_legendre
 from fglap.young import PowerYoung
 
-from conftest import traced_peak
+from conftest import dense_far_kernels, traced_peak
 
 
 def bump_on(mesh):
@@ -442,6 +442,23 @@ class TestFarPairWorkspace:
         assert traced_peak(lambda: assemble_matrix(cfg, u)) < 1.5 * doubles
         v = random_interior(Mesh(m), 4)
         assert traced_peak(lambda: weak_form(cfg, u, v)) < 0.5 * doubles
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_energy_has_no_square_temporaries(self, name, request):
+        # G of the far-pair quotients runs in the same buffers, and the far
+        # sum is the dense kernels' sum bit for bit
+        yf = request.getfixturevalue(name)
+        cfg = OperatorConfig(young=yf, s=0.3)
+        m = self.M
+        mesh = Mesh(m)
+        u = random_interior(mesh, 3)
+        assert traced_peak(lambda: modular_W_parts(cfg, u)) < 0.5 * 8 * m * m
+        ds, kr = dense_far_kernels(mesh, 0.3)
+        du = (u.values[:, None] - u.values) / ds
+        far = float((yf.G(du) * kr * ds).sum())
+        parts = modular_W_parts(cfg, u)
+        assert parts["far"] == far
+        assert parts["total"] == far + parts["band"] + parts["strip"]
 
     def test_jacobian_is_a_fresh_array(self, power4):
         # the caller keeps and modifies it, so it may share no reused buffer

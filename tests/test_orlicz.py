@@ -19,6 +19,8 @@ from fglap.orlicz import (
 )
 from fglap.young import PowerYoung, eval_Gbar
 
+from conftest import dense_far_kernels, traced_peak
+
 
 def sine_corpus(mesh, n, seed=42):
     """Random 4-term sine series, endpoints forced to exact zero."""
@@ -174,6 +176,39 @@ class TestNonlocalModular:
         for yf in (power4, PowerYoung(6.0)):
             modular_W(OperatorConfig(yf, 0.3), bump)
         assert _discretization.cache_info().misses - misses == 1
+
+
+class TestToeplitzKernels:
+    """The far-pair kernels depend on the index offset alone and are stored
+    as one vector each; the end nodes' half weights come in where the far
+    terms are formed."""
+
+    @staticmethod
+    def weighted(disc):
+        return disc.ds, orlicz._halve_boundary(np.array(disc.kr), rows=True)
+
+    @pytest.mark.parametrize("m", [33, 65, 129, 257, 513])
+    def test_views_are_the_dense_kernels(self, m):
+        # on 2^k + 1 meshes the node differences are exactly d h
+        ds, kr = self.weighted(_discretization(m, 0.3))
+        dense_ds, dense_kr = dense_far_kernels(Mesh(m), 0.3)
+        assert np.array_equal(ds, dense_ds)
+        assert np.array_equal(kr, dense_kr)
+
+    def test_non_dyadic_mesh_within_ulps(self):
+        # h = 2/99 is no binary fraction: linspace rounds each node, and
+        # x_i - x_j near the ends carries that rounding relative to d h
+        # (10 ulp in ds and 46 in kr measured)
+        ds, kr = self.weighted(_discretization(100, 0.3))
+        dense_ds, dense_kr = dense_far_kernels(Mesh(100), 0.3)
+        assert np.all(np.abs(ds - dense_ds) <= 64 * np.spacing(dense_ds))
+        assert np.all(np.abs(kr - dense_kr) <= 64 * np.spacing(dense_kr))
+        assert np.array_equal(kr == 0.0, dense_kr == 0.0)
+
+    def test_build_holds_no_square_array(self):
+        # O(m) storage: two m x m arrays would be 64 MiB here
+        build = _discretization.__wrapped__
+        assert traced_peak(lambda: build(2049, 0.3)) < 2 ** 20
 
 
 class TestNonlocalSeminorm:

@@ -421,3 +421,21 @@ def test_laguerre_blocks_allocate_below_the_mmap_threshold(log221):
     # beyond its output; glibc maps fresh pages for blocks of 128 KiB and up
     t = np.logspace(-3.0, 3.0, 4096)
     assert traced_peak(lambda: log221.G(t)) - t.nbytes < 128 * 1024
+
+
+CLOSED_G = {"power4": lambda a: a ** 4.0 / 4.0,
+            "dp34": lambda a: a ** 3.0 / 3.0 + a ** 4.0 / 4.0}
+
+
+@pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+def test_G_into_reused_storage(name, request):
+    # the far-pair energy hands G its workspace buffers: the values are the
+    # allocating call's, and the closed forms keep their operation order
+    yf = request.getfixturevalue(name)
+    t = np.linspace(-3.0, 3.0, 2 * 257).reshape(2, 257)
+    out, work = np.empty(t.shape), np.empty(t.shape)
+    got = yf.G(t, out=out, work=work)
+    assert got is out
+    assert np.array_equal(got, yf.G(t))
+    if name in CLOSED_G:
+        assert np.array_equal(got, CLOSED_G[name](np.abs(t)))
