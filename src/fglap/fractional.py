@@ -31,10 +31,11 @@ factor 2 into the negation and makes one pass fewer.
 
 The band and strip terms are local: O(m) arguments, at which the residual
 needs G and the Jacobian needs G, g and g'. `_local_G` is their one G
-pass. ``residual(..., with_G=True)`` returns those G values with the
-residual, and `assemble_matrix` takes them as ``G=`` at the same iterate,
-so a Newton step evaluates G there once; the Jacobian still evaluates its
-own g and g' terms. Without ``G=`` it makes the pass itself.
+pass, one call on the band and strip arguments concatenated.
+``residual(..., with_G=True)`` returns those G values with the residual,
+and `assemble_matrix` takes them as ``G=`` at the same iterate, so a
+Newton step evaluates G there once; the Jacobian still evaluates its own
+g and g' terms. Without ``G=`` it makes the pass itself.
 
 Even data on an odd mesh need only the rows of the nodes up to the centre
 c = (m - 1) / 2, because the operator commutes with x -> -x. With
@@ -70,23 +71,30 @@ def _band_points(disc: Discretization, sigma: np.ndarray):
     return cell[live], sig[live], disc.band_rho[live], disc.band_w[live]
 
 
-def _strip_G(yf: YoungFunction, disc: Discretization,
-             c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G(c a_l) and G(c a_r) at the nonzero entries of c, the values at the
+def _strip_args(disc: Discretization,
+                c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c a_l and c a_r at the nonzero entries of c, the values at the
     interior nodes from the first on (all of them, or those up to the
     centre)."""
     nz = c != 0.0
     cv = c[nz]
-    return yf.G(cv * disc.a_l[:c.size][nz]), yf.G(cv * disc.a_r[:c.size][nz])
+    return cv * disc.a_l[:c.size][nz], cv * disc.a_r[:c.size][nz]
+
+
+def _G_parts(yf: YoungFunction, *parts: np.ndarray) -> list[np.ndarray]:
+    """G at each of the argument arrays, in one call on their
+    concatenation."""
+    vals = yf.G(np.concatenate(parts))
+    return np.split(vals, np.cumsum([p.size for p in parts[:-1]]))
 
 
 def _local_G(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
-             c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             c: np.ndarray) -> list[np.ndarray]:
     """The one G pass of an iterate's local terms: G at the live band
     points of the cell slopes sigma, whose arguments are sigma rho, and
-    `_strip_G` of the nodal values c."""
+    at the `_strip_args` of the nodal values c."""
     _, sig, rho, _ = _band_points(disc, sigma)
-    return (yf.G(sig * rho), *_strip_G(yf, disc, c))
+    return _G_parts(yf, sig * rho, *_strip_args(disc, c))
 
 
 def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
@@ -330,7 +338,7 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
     # exterior strips, closed form: the weak side's term, carried once
     disc = cfg.discretization(m)
     c = uv[interior]
-    out += _strip_e(yf, disc, c, *_strip_G(yf, disc, c))
+    out += _strip_e(yf, disc, c, *_G_parts(yf, *_strip_args(disc, c)))
     return out
 
 

@@ -10,15 +10,21 @@ Every integral from zero (G and Lambda unless a family has a closed form,
 the conjugate, the boundary weight, and the strong form's first cell in
 `fractional`) comes from one generalized Gauss-Laguerre rule, built with
 numpy alone in ``quadrature.gauss_laguerre``, after the substitution
-t = y e^(-v/k), with k sized from the integrand's growth at zero. Every
+t = y e^(-v/k), with k sized from the integrand's growth at zero. Only the
+rule's leading nodes are summed: the 64-node rule without the trailing
+nodes that carry under 1e-20 of its weight (34 of them are kept for
+alpha = 0, 35 for alpha = 1), which add less than rounding error. The
+log-type family sums the same nodes with its power factored out. Every
 inverse is a log-log Newton bracketed by the growth window. All entry
 points accept scalars or arrays and are vectorized.
 
 g is evaluated in the p-Laplacian form g(t) = t gamma(|t|), where the even
 factor gamma(tau) = g(tau)/tau is tau^(p-2) for a power, the sum of two
-such powers, or tau^(a-1) log(b + c tau). That takes no sign array, and
-each exponent is one lower than in sign(t) g(|t|): at p = 4 numpy's power
-squares instead of calling pow. ``g``, ``g_prime`` and ``G`` write into
+such powers, or tau^(a-1) log(b + c tau), the log evaluated as
+log b + log1p(c tau / b) so that it keeps its relative accuracy at b = 1
+as c tau -> 0. That takes no sign array, and each exponent is one lower
+than in sign(t) g(|t|): at p = 4 numpy's power squares instead of
+calling pow. ``g``, ``g_prime`` and ``G`` write into
 ``out=`` when given one, with ``work=`` as the scratch array the
 two-factor families need, so callers that evaluate them on m x m arrays
 (the far-pair terms of the residual, the Jacobian and the energy) can hand
@@ -30,8 +36,10 @@ time. The Laguerre rule keeps one for its blocks.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -48,14 +56,16 @@ GROWTH_GRID = 512
 SUBMULT_GRID = 256
 MVT_GRID = 512
 
-# Generalized Gauss-Laguerre nodes for every integral from zero, and the
-# number of points expanded against them at once. A 128 x 64 float64 block
-# is 64 KiB, half of glibc's default mmap threshold (128 KiB), so a block
-# never gets freshly mapped pages. At 256 a block is exactly 128 KiB, and
-# whether it was mapped afresh depended on the allocation history: an
-# in-process log_type solve took 3.0k or 40k minor page faults depending
-# only on how it was launched (2-core Xeon).
+# Generalized Gauss-Laguerre nodes for every integral from zero, the share
+# of the rule's weight that its dropped trailing nodes may carry, and the
+# number of points expanded against the kept nodes at once. A 128 x 35
+# float64 block is 35 KiB, well under glibc's default mmap threshold
+# (128 KiB), so a block never gets freshly mapped pages. A 256 x 64 block
+# was exactly 128 KiB, and whether it was mapped afresh depended on the
+# allocation history: an in-process log_type solve took 3.0k or 40k minor
+# page faults depending only on how it was launched (2-core Xeon).
 _LAGUERRE_NODES = 64
+_LAGUERRE_TAIL = 1e-20
 _LAGUERRE_BLOCK = 128
 
 
@@ -112,6 +122,52 @@ class Workspace(threading.local):
 _BLOCKS = Workspace(3)
 
 
+@lru_cache(maxsize=None)
+def _laguerre_rule(alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leading nodes and weights of the _LAGUERRE_NODES-point rule for
+    the weight v^alpha e^(-v): those whose trailing weight mass, their own
+    included, is at least _LAGUERRE_TAIL of the total (34 nodes for
+    alpha = 0, 35 for alpha = 1). The nodes dropped carry less."""
+    v, w = gauss_laguerre(_LAGUERRE_NODES, alpha)
+    tail = np.cumsum(w[::-1])[::-1]
+    n = int(np.count_nonzero(tail >= _LAGUERRE_TAIL * tail[0]))
+    return v[:n], w[:n]
+
+
+def _laguerre_weights(k: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kept nodes under t = y s, s = e^(-v/k): the factors s_j and the
+    weights w_j e^(v_j) s_j / k^(1+alpha) of ``_laguerre_integral``."""
+    v, w = _laguerre_rule(alpha)
+    shrink = np.exp(-v / k)
+    return shrink, w * np.exp(v) * shrink / k ** (1.0 + alpha)
+
+
+def _block_sums(f, y: np.ndarray, row: np.ndarray, weights: np.ndarray,
+                finish, out: np.ndarray | None = None) -> np.ndarray:
+    """finish(y, f(y row) @ weights) at every point y, in fixed blocks of
+    reused storage: ``f(x, out=, work=)`` gets each expanded block and may
+    write its values into ``out`` and use ``work`` as scratch. The results
+    go into ``out`` if given: a C-contiguous array of y's shape, which may
+    be y itself, since each block is read before its values are written.
+    """
+    flat = np.asarray(y, dtype=float).ravel()
+    if out is None:
+        out = np.empty(np.shape(y))
+    flat_out = out.reshape(-1)
+    with _BLOCKS.take((_LAGUERRE_BLOCK, row.size)) as (xs, vals, work):
+        for lo in range(0, flat.size, _LAGUERRE_BLOCK):
+            pts = flat[lo:lo + _LAGUERRE_BLOCK]
+            n = pts.size
+            # numpy's ufunc loop allocates a 64 KiB buffer per broadcast
+            # operand, and a copy none: copy the column, then scale by the row
+            x = xs[:n]
+            np.copyto(x, pts[:, None])
+            x *= row
+            flat_out[lo:lo + n] = finish(
+                pts, f(x, out=vals[:n], work=work[:n]) @ weights)
+    return out
+
+
 def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0,
                        out: np.ndarray | None = None) -> np.ndarray:
     """int_0^y f(tau) log(y/tau)^alpha dtau as
@@ -122,31 +178,18 @@ def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0,
     exponent k - 1 and decays slowly while f's elasticity stays a little
     above k - 1, so k is one plus the integrand's lowest elasticity. A
     larger k lets the factor grow; a smaller one makes it decay fast (for
-    G at p = 40, k = 1 loses ~1e-2 with 64 nodes). Points go through in
-    fixed blocks of reused storage: ``f(x, out=, work=)`` gets each expanded
-    block and may write its values into ``out`` and use ``work`` as scratch
-    (the g kernels do; other integrands ignore both). The integrals go
-    into ``out`` if given: a C-contiguous array of y's shape, which may be
-    y itself, since each block is read before its values are written.
+    G at p = 40, k = 1 loses ~1e-2 with 64 nodes). With that k,
+    f(y s) <= s^(k-1) f(y), so node j adds at most w_j f(y) / k^(1+alpha):
+    the sum runs over the kept nodes of `_laguerre_rule` only (a truncated
+    Gauss-Laguerre rule, Mastroianni & Monegato, SIAM J. Numer. Anal. 41,
+    2003), and for an integrand of elasticity at most e_+ the dropped
+    nodes change the integral by a relative ((e_+ + 1)/k)^(1+alpha) 1e-20
+    at most. Points go through `_block_sums`, with ``f``, ``out`` and the
+    aliasing of ``out`` and y as documented there; the g kernels use the
+    ``out`` and ``work`` blocks, other integrands ignore them.
     """
-    v, w = gauss_laguerre(_LAGUERRE_NODES, alpha)
-    shrink = np.exp(-v / k)
-    weights = w * np.exp(v) * shrink / k ** (1.0 + alpha)
-    flat = np.asarray(y, dtype=float).ravel()
-    if out is None:
-        out = np.empty(np.shape(y))
-    flat_out = out.reshape(-1)
-    with _BLOCKS.take((_LAGUERRE_BLOCK, _LAGUERRE_NODES)) as (xs, vals, work):
-        for lo in range(0, flat.size, _LAGUERRE_BLOCK):
-            pts = flat[lo:lo + _LAGUERRE_BLOCK]
-            n = pts.size
-            # numpy's ufunc loop allocates a 64 KiB buffer per broadcast
-            # operand, and a copy none: copy the column, then scale by the row
-            x = xs[:n]
-            np.copyto(x, pts[:, None])
-            x *= shrink
-            flat_out[lo:lo + n] = pts * (f(x, out=vals[:n], work=work[:n]) @ weights)
-    return out
+    shrink, weights = _laguerre_weights(k, alpha)
+    return _block_sums(f, y, shrink, weights, np.multiply, out)
 
 
 class YoungFunction:
@@ -156,8 +199,9 @@ class YoungFunction:
     gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated when None),
     using ``work`` as scratch, and may override ``_G_pos`` (which takes
     ``out`` and ``work`` the same way) and ``_lambda_pos`` with closed
-    forms; otherwise both come from the Gauss-Laguerre rule
-    ``_laguerre_integral`` over ``_g_pos``, g(t) = t gamma(|t|).
+    forms or cheaper sums on the same rule; otherwise both come from the
+    Gauss-Laguerre rule ``_laguerre_integral`` over ``_g_pos``,
+    g(t) = t gamma(|t|).
     The public methods apply the odd/even extensions and handle scalar
     passthrough.
 
@@ -343,9 +387,11 @@ class DoublePowerYoung(YoungFunction):
 class LogTypeYoung(YoungFunction):
     """g(t) = t^a log(b + c t) with a > 1, b >= 1, c > 0.
 
-    Growth window [1 + a, 2 + a]. G and Lambda have no elementary form and
-    come from the base-class Gauss-Laguerre kernel, whose smooth factor
-    here is y^a log(b + c y e^(-v/(1+a))).
+    Growth window [1 + a, 2 + a]. G and Lambda have no elementary form.
+    They are the base-class Gauss-Laguerre sums with the power factored
+    out: y sum_j weights_j g(y s_j) = y^(a+1) sum_j W_j log(b + c y s_j),
+    W_j = weights_j s_j^a, summed as y^(a+1) (log b sum_j W_j
+    + sum_j W_j log1p(c y s_j / b)), one log1p per node.
     """
 
     family_tag = "log-type"
@@ -360,39 +406,61 @@ class LogTypeYoung(YoungFunction):
         self.a = float(a)
         self.b = float(b)
         self.c = float(c)
+        self._c_b = self.c / self.b
+        self._log_b = math.log(self.b)
         super().__init__(1.0 + a, 2.0 + a)
+        # per alpha (0 for G, 1 for Lambda): the row c s_j / b, the weights
+        # W_j and the constant log b sum_j W_j of the factored sum
+        self._sums = []
+        for alpha in (0, 1):
+            shrink, weights = _laguerre_weights(self.window[0], alpha)
+            W = weights * shrink ** self.a
+            self._sums.append((shrink * self._c_b, W, self._log_b * W.sum()))
 
     @property
     def label(self) -> str:
         return f"log-type(a={self.a:g},b={self.b:g},c={self.c:g})"
 
     def _gamma_abs(self, t, out, work):
-        # tau^(a-1) log(b + c tau)
+        # tau^(a-1) (log b + log1p(c tau / b))
         out = np.abs(t, out=out)
-        work = np.multiply(out, self.c, out=work)
-        work += self.b
-        np.log(work, out=work)
+        work = np.multiply(out, self._c_b, out=work)
+        np.log1p(work, out=work)
+        work += self._log_b
         np.power(out, self.a - 1.0, out=out)
         out *= work
         return out
 
     def _g_prime_pos(self, t, out=None, work=None):
-        # tau^(a-1) (a log(b + c tau) + c tau / (b + c tau))
-        out = np.abs(t, out=out)
-        work = np.multiply(out, self.c, out=work)
-        work += self.b
-        out *= self.c
-        # where b + c tau overflows, c tau/(b + c tau) takes its limit 1
+        # tau^(a-1) (a log(b + c tau) + c tau / (b + c tau)); with
+        # x = c tau / b that is tau^(a-1) (a (log b + log1p(x)) + x / (1 + x))
+        work = np.abs(t, out=work)
+        work *= self._c_b
+        out = np.add(work, 1.0, out=out)
+        # where 1 + x overflows, x / (1 + x) takes its limit 1
         with np.errstate(invalid="ignore"):
-            out /= work
+            np.divide(work, out, out=out)
         np.fmin(out, 1.0, out=out)
-        np.log(work, out=work)
+        np.log1p(work, out=work)
+        work += self._log_b
         work *= self.a
         work += out
         np.abs(t, out=out)
         np.power(out, self.a - 1.0, out=out)
         out *= work
         return out
+
+    def _log_sum(self, y, alpha, out=None):
+        row, W, const = self._sums[alpha]
+        e = self.a + 1.0
+        return _block_sums(lambda x, out, work: np.log1p(x, out=out), y, row, W,
+                           lambda pts, sums: (sums + const) * pts ** e, out)
+
+    def _G_pos(self, t, out=None, work=None):
+        return self._log_sum(t, 0, out)
+
+    def _lambda_pos(self, y):
+        return self._log_sum(y, 1)
 
 
 def make_young(family: str, **params) -> YoungFunction:

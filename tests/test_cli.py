@@ -39,6 +39,17 @@ def run(tmp_path, body, cmd="solve", extra=(), name="run.cfg"):
 
 
 class TestExitCodes:
+    def test_check_young_on_log_type_with_b_one(self, tmp_path):
+        # log(b + c t) at b = 1 lost g near zero and the conjugate check
+        # raised from the inversion of g
+        body = (Path(__file__).resolve().parents[1] / "configs" / "log_type.cfg"
+                ).read_text(encoding="utf-8")
+        body = re.sub(r"(?m)^a = .*$", "a = 1.5", body)
+        body = re.sub(r"(?m)^b = .*$", "b = 1", body)
+        body = re.sub(r"(?m)^c = .*$", "c = 3", body)
+        code, _ = run(tmp_path, body, cmd="check-young")
+        assert code == 0
+
     def test_solve_happy_path(self, tmp_path):
         code, out = run(tmp_path, BASE)
         assert code == 0

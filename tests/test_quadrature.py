@@ -19,7 +19,22 @@ from fglap.quadrature import (
     gauss_legendre,
     invert_monotone,
 )
-from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung, _laguerre_integral
+import fglap.young as young
+from fglap.fractional import _first_cell_integral
+from fglap.orlicz import OperatorConfig
+from fglap.young import (
+    _LAGUERRE_NODES,
+    _LAGUERRE_TAIL,
+    DoublePowerYoung,
+    LogTypeYoung,
+    PhiWeight,
+    PowerYoung,
+    YoungFunction,
+    _laguerre_integral,
+    _laguerre_rule,
+    eval_Gbar,
+    standard_grid,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -186,6 +201,48 @@ class TestGaussLaguerre:
         # Laguerre weight is constant, whatever the blowup at zero
         val = _laguerre_integral(lambda t, **_: t ** -0.5, np.array([1.0]), 0.5)
         assert val[0] == pytest.approx(2.0, rel=1e-14)
+
+
+class TestTruncatedRule:
+    """The Laguerre integrals sum the leading nodes of the 64-node rule and
+    drop a tail that carries under _LAGUERRE_TAIL of its weight."""
+
+    @pytest.mark.parametrize("alpha,kept", [(0, 34), (1, 35)])
+    def test_drops_only_a_rounding_level_tail(self, alpha, kept):
+        v, w = _laguerre_rule(alpha)
+        full_v, full_w = gauss_laguerre(_LAGUERRE_NODES, alpha)
+        assert v.size == w.size == kept < _LAGUERRE_NODES
+        assert np.array_equal(v, full_v[:kept]) and np.array_equal(w, full_w[:kept])
+        total = full_w.sum()
+        assert full_w[kept:].sum() < _LAGUERRE_TAIL * total
+        # the last node kept is one that the threshold needs
+        assert full_w[kept - 1:].sum() >= _LAGUERRE_TAIL * total
+
+    @pytest.fixture
+    def full_rule(self, monkeypatch):
+        """Evaluate the next call on all 64 nodes."""
+        def run(fn, *args):
+            with monkeypatch.context() as patch:
+                patch.setattr(young, "_laguerre_rule",
+                              lambda alpha: gauss_laguerre(_LAGUERRE_NODES, alpha))
+                return fn(*args)
+        return run
+
+    FAMILIES = WINDOW_FAMILIES + [DoublePowerYoung(2.1, 9.0)]
+
+    @pytest.mark.parametrize("yf", FAMILIES, ids=lambda yf: yf.label)
+    def test_matches_the_full_rule(self, yf, full_rule):
+        t = standard_grid(257)
+        sigma = np.concatenate([-t[::16], [0.0], t[::16]])
+        weight = PhiWeight(yf, 2.0)
+        cfg = OperatorConfig(young=yf, s=0.3)
+        for fn, args in ((YoungFunction._G_pos, (yf, t)),
+                         (YoungFunction._lambda_pos, (yf, t)),
+                         (eval_Gbar, (yf, t)),
+                         (weight.phi, (t[::4],)),
+                         (_first_cell_integral, (cfg, sigma, 1.0 / 16))):
+            np.testing.assert_allclose(fn(*args), full_rule(fn, *args),
+                                       rtol=1e-15, atol=0.0)
 
 
 def test_solve_runs_without_scipy(tmp_path):

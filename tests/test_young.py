@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import traced_peak
-from fglap.checks import check_growth_bounds
+from fglap.checks import check_conjugate, check_growth_bounds
 from fglap.errors import ConfigurationError, DomainError
 from fglap.young import (
     _LAGUERRE_BLOCK,
@@ -113,6 +113,30 @@ class TestLaguerreKernel:
         for primitive in (log221.G, log221.lam):
             pointwise = np.array([primitive(x) for x in t])
             np.testing.assert_allclose(primitive(t), pointwise, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("abc", [(2.0, 2.0, 1.0), (30.0, 2.0, 1.0), (1.5, 1.0, 3.0)])
+def test_log_type_factored_sums_match_the_base_rule(abc):
+    # y^(a+1) sum_j W_j log(b + c y s_j) is the base-class sum regrouped
+    yf = LogTypeYoung(*abc)
+    t = standard_grid(3 * _LAGUERRE_BLOCK + 7)
+    for factored, base in ((yf._G_pos, YoungFunction._G_pos),
+                           (yf._lambda_pos, YoungFunction._lambda_pos)):
+        np.testing.assert_allclose(factored(t), base(yf, t), rtol=1e-14, atol=0.0)
+    # out may be t itself, each block is read before it is written
+    aliased = t.copy()
+    assert yf._G_pos(aliased, out=aliased) is aliased
+    assert np.array_equal(aliased, yf._G_pos(t))
+    aliased = -t
+    assert yf.G(aliased, out=aliased) is aliased
+    assert np.array_equal(aliased, yf._G_pos(t))
+
+
+def test_log_type_with_b_one_has_a_conjugate():
+    # log(1 + c t) cancelled to 0 below t ~ 1e-17, and inverting g failed
+    yf = LogTypeYoung(1.5, 1.0, 3.0)
+    assert yf.g(1e-12) == pytest.approx(3e-12 * 1e-12 ** 1.5, rel=1e-11)
+    assert check_conjugate(yf).passed
 
 
 class TestGrowthWindow:
@@ -343,7 +367,8 @@ def _g_ref_terms(yf, t, a):
     if isinstance(yf, DoublePowerYoung):
         return (np.sign(t) * (a ** (yf.p1 - 1.0) + a ** (yf.p2 - 1.0)),
                 (yf.p1 - 1.0) * a ** (yf.p1 - 2.0) + (yf.p2 - 1.0) * a ** (yf.p2 - 2.0))
-    lg = np.log(yf.b + yf.c * a)
+    # log(b + c a) cancels at b = 1 as c a -> 0; log1p keeps it accurate
+    lg = np.log(yf.b) + np.log1p(yf.c * a / yf.b)
     return (np.sign(t) * a ** yf.a * lg,
             a ** (yf.a - 1.0) * (yf.a * lg + yf.c * a / (yf.b + yf.c * a)))
 
