@@ -362,15 +362,16 @@ def cmd_solve(rc: RunConfig) -> int:
         return 1
 
     diag = boundary_energy_report(report)
+    warnings = []
     if not diag["bounded"]:
-        report.warnings.append("boundary energies exceed twice the median "
-                               "of the last three stages")
+        warnings.append("boundary energies exceed twice the median of the "
+                        "last three stages")
 
     _write_solution(rc, report)
     _write_diagnostics(rc, report, diag)
     if rc.plot:
         _write_plot(rc, report)
-    for line in report.warnings:
+    for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
     print(f"solved: {len(report.n_values)} stages, "
           f"l_middle={report.l_middle:.6g}, alpha_hat={report.alpha_hat:.4g}")

@@ -29,19 +29,26 @@ not one contiguous loop: on the half rows at m = 257 it costs 8-16 us
 more than over a dense array (2-core Xeon), so the Jacobian folds its
 factor 2 into the negation and makes one pass fewer.
 
-The band and strip terms are local: O(m) arguments, at which the residual
-needs G and the Jacobian needs G, g and g'. `_local_G` is their one G
-pass, one call on the band and strip arguments concatenated.
-``residual(..., with_G=True)`` returns those G values with the residual,
-and `assemble_matrix` takes them as ``G=`` at the same iterate, so a
-Newton step evaluates G there once; the Jacobian still evaluates its own
-g and g' terms. Without ``G=`` it makes the pass itself.
+The band and the strips are local terms: one list of points in the
+`Discretization`, each a weighted Lambda(|x| r) of one argument x, a cell
+slope or an interior nodal value (`Discretization.local_args`). One kernel
+serves them all: `_local_G` is their one G pass, and `_local_sums` sums
+each argument's gradient W G(x r) / x, or its second derivative, with a
+``np.bincount``. The residual scatters the slope sums onto the nodes by
+differencing and adds the node sums directly; the Jacobian puts the same
+second derivatives on its three diagonals, and the energy in `orlicz` is
+one Lambda pass over the same points. ``residual(..., with_G=True)``
+returns the G values with the residual, and `assemble_matrix` takes them
+as ``G=`` at the same iterate, so a Newton step evaluates G there once;
+the Jacobian still evaluates its own g and g' terms. Without ``G=`` it
+makes the pass itself.
 
 Even data on an odd mesh need only the rows of the nodes up to the centre
 c = (m - 1) / 2, because the operator commutes with x -> -x. With
 ``even=True``, `residual` evaluates rows 0 ... c on the first c + 1 rows of
 the same workspace buffers and mirrors them onto the rest; they equal the
-full evaluation's rows bit for bit. `assemble_matrix` returns the Jacobian
+full evaluation's rows bit for bit. The local terms, O(m), are summed over
+all their points either way. `assemble_matrix` returns the Jacobian
 rows 1 ... c over all interior columns, and `fold` adds each column to its
 mirror's, so that the c half unknowns carry the whole even Newton step.
 
@@ -49,7 +56,8 @@ The strong-form evaluator is separate and deliberately different in
 texture: the first cell, where the |x - y|^(-1-s) singularity sits, on
 the Gauss-Laguerre rule that every integral from zero shares; exact
 piecewise-linear values at cell midpoints outside the band; and the same
-closed-form exterior as the weak side.
+closed-form exterior as the weak side, from the local kernel with the
+slopes zeroed.
 """
 
 from __future__ import annotations
@@ -62,77 +70,36 @@ from .orlicz import (_FAR, Discretization, GridFunction, OperatorConfig,
 from .young import YoungFunction, _laguerre_integral
 
 
-def _band_points(disc: Discretization, sigma: np.ndarray):
-    """The band points of `disc` where the cell slope sigma is nonzero:
-    their cells, sigma there, window radii to the power 1 - s, weights."""
-    cell = disc.band_cell
-    sig = sigma[cell]
-    live = sig != 0.0
-    return cell[live], sig[live], disc.band_rho[live], disc.band_w[live]
+def _live(disc: Discretization, x: np.ndarray):
+    """The local points of `disc` whose argument in x (`local_args`) is
+    nonzero: their index into x, x there, their factor r and weight W."""
+    arg = disc.loc_arg
+    xp = x[arg]
+    live = xp != 0.0
+    return arg[live], xp[live], disc.loc_r[live], disc.loc_w[live]
 
 
-def _strip_args(disc: Discretization,
-                c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c a_l and c a_r at the nonzero entries of c, the values at the
-    interior nodes from the first on (all of them, or those up to the
-    centre)."""
-    nz = c != 0.0
-    cv = c[nz]
-    return cv * disc.a_l[:c.size][nz], cv * disc.a_r[:c.size][nz]
+def _local_G(yf: YoungFunction, disc: Discretization,
+             x: np.ndarray) -> np.ndarray:
+    """The one G pass of the local terms at the arguments x: G(x r) at
+    the live points."""
+    _, xp, r, _ = _live(disc, x)
+    return yf.G(xp * r)
 
 
-def _G_parts(yf: YoungFunction, *parts: np.ndarray) -> list[np.ndarray]:
-    """G at each of the argument arrays, in one call on their
-    concatenation."""
-    vals = yf.G(np.concatenate(parts))
-    return np.split(vals, np.cumsum([p.size for p in parts[:-1]]))
-
-
-def _local_G(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
-             c: np.ndarray) -> list[np.ndarray]:
-    """The one G pass of an iterate's local terms: G at the live band
-    points of the cell slopes sigma, whose arguments are sigma rho, and
-    at the `_strip_args` of the nodal values c."""
-    _, sig, rho, _ = _band_points(disc, sigma)
-    return _G_parts(yf, sig * rho, *_strip_args(disc, c))
-
-
-def _band_cells(yf: YoungFunction, disc: Discretization, sigma: np.ndarray,
+def _local_sums(yf: YoungFunction, disc: Discretization, x: np.ndarray,
                 G: np.ndarray, newton: bool = False) -> np.ndarray:
-    """Per-cell x-integral, over both clipped windows, of the sigma-derivative
-    of the band energy density, W(sigma, T) = G(sigma T^(1-s)) / (sigma (1-s)),
-    or of dW/dsigma for Newton assembly, from the compact band points of
-    `disc` and G at their live points (`_local_G`). W is odd in sigma and
-    zero at zero."""
-    ex = 1.0 - disc.s
-    cell, sig, rho, w = _band_points(disc, sigma)
+    """Per argument of x, the x-derivative of the local energy
+    W Lambda(|x| r) summed over its points, W G(x r) / x, or with
+    ``newton`` its second derivative W (g(x r) r x - G(x r)) / x^2, from
+    G at the live points (`_local_G`). Both are odd in x and zero at
+    zero."""
+    arg, xp, r, w = _live(disc, x)
     if newton:
-        val = (yf.g(sig * rho) * rho * sig - G) / (sig ** 2 * ex)
+        val = (yf.g(xp * r) * r * xp - G) / xp ** 2
     else:
-        val = G / (sig * ex)
-    return np.bincount(cell, weights=w * val, minlength=sigma.size)
-
-
-def _strip_e(yf: YoungFunction, disc: Discretization, c: np.ndarray,
-             G_l: np.ndarray, G_r: np.ndarray, newton: bool = False) -> np.ndarray:
-    """One-point exterior term [G(c a_l) + G(c a_r)] / (s c), odd in c, from
-    the two G values at the nonzero c (`_local_G`); its c-derivative for
-    Newton assembly."""
-    out = np.zeros_like(c)
-    nz = c != 0.0
-    if not nz.any():
-        return out
-    cv = c[nz]
-
-    def side(a, Ga):
-        if newton:
-            av = a[:c.size][nz]
-            return (yf.g(cv * av) * av * cv - Ga) / (disc.s * cv ** 2)
-        return Ga
-
-    val = side(disc.a_l, G_l) + side(disc.a_r, G_r)
-    out[nz] = val if newton else val / (disc.s * cv)
-    return out
+        val = G / xp
+    return np.bincount(arg, weights=w * val, minlength=x.size)
 
 
 def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
@@ -168,9 +135,9 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
     With ``even`` (u and rhs even, m odd) only the rows up to the centre
     are evaluated, on the first rows of the far-pair kernel, and mirrored
     onto the rest; those rows equal the full evaluation's bit for bit.
-    With ``with_G`` it returns the pair (residual, G), G being the band and
-    strip G values it evaluated, for `assemble_matrix` at the same u and
-    ``even``."""
+    With ``with_G`` it returns the pair (residual, G), G being the local
+    terms' G values it evaluated (`_local_G`), for `assemble_matrix` at
+    the same u."""
     disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
@@ -185,15 +152,16 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
         far_mat *= disc.kr[:k]
         r = 2.0 * _halve_boundary(far_mat).sum(axis=1)
 
-    # band cell i couples nodes i and i + 1
+    # the local sums per slope, scattered onto nodes by differencing (slope
+    # i is (u_(i+1) - u_i) / h), then per interior node
     inner = slice(1, min(k, mesh.m - 1))
-    sigma = np.diff(uv) / mesh.h
-    G = _local_G(yf, disc, sigma, uv[inner])
-    cell = _band_cells(yf, disc, sigma, G[0]) / mesh.h
+    x = disc.local_args(uv)
+    G = _local_G(yf, disc, x)
+    sums = _local_sums(yf, disc, x, G)
+    cell = sums[:mesh.m - 1] / mesh.h
     r[1:] += cell[:k - 1]
     r[:inner.stop] -= cell[:inner.stop]
-
-    r[inner] += 2.0 * mesh.weights[inner] * _strip_e(yf, disc, uv[inner], *G[1:])
+    r[inner] += sums[mesh.m - 1:][:inner.stop - 1]
     r[inner] -= mesh.weights[inner] * rhs_vals[inner]
     if even:
         r = mirror(r)
@@ -210,8 +178,8 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     With ``even`` (u even, m odd) only the rows of the interior nodes up
     to the centre c = (m - 1) / 2 are assembled: the block J[1:c+1, 1:-1]
     of shape (c, m - 2), for `fold` to reduce to the half unknowns.
-    ``G`` is the band and strip G values that ``residual(..., with_G=True)``
-    returned at this u and ``even``; without it they are evaluated here.
+    ``G`` is the local terms' G values that ``residual(..., with_G=True)``
+    returned at this u; without it they are evaluated here.
     The g and g' terms are always evaluated here."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
@@ -221,9 +189,9 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     k = _rows(mesh.m, even)
     rows = slice(1, min(k, mesh.m - 1))    # the interior nodes assembled
     count = rows.stop - 1
-    sigma = np.diff(uv) / mesh.h
+    x = disc.local_args(uv)
     if G is None:
-        G = _local_G(yf, disc, sigma, uv[rows])
+        G = _local_G(yf, disc, x)
 
     # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
     # written straight into the fresh matrix whose interior is returned
@@ -234,14 +202,14 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     row = 2.0 * _halve_boundary(pair).sum(axis=1)
     jac = np.multiply(pair, -2.0, out=pair)[rows, 1:-1]
 
-    # band cell k couples nodes k and k + 1; node i sees cells i and i - 1;
+    # slope k couples nodes k and k + 1; node i sees slopes i and i - 1;
     # the centre row keeps its coupling to node c + 1, which `fold` maps
     # back onto node c - 1
-    cp = _band_cells(yf, disc, sigma, G[0], newton=True) / mesh.h ** 2
+    sums = _local_sums(yf, disc, x, G, newton=True)
+    cp = sums[:mesh.m - 1] / mesh.h ** 2
     diag = row[rows] + cp[1:count + 1]
     diag += cp[:count]
-    diag += 2.0 * mesh.weights[rows] * _strip_e(yf, disc, uv[rows], *G[1:],
-                                                newton=True)
+    diag += sums[mesh.m - 1:][:count]
     jac.flat[::n + 1] += diag
     jac.flat[1::n + 1] -= cp[1:min(count, n - 1) + 1]
     jac.flat[n::n + 1] -= cp[1:count]
@@ -335,10 +303,14 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
         vals = yf.g(diff / tau_k[None, :] ** s) * kern[None, :] * h
         out += np.sum(vals * live, axis=1)
 
-    # exterior strips, closed form: the weak side's term, carried once
+    # exterior strips, closed form: the weak side's node sums with the
+    # slopes zeroed, over their factor 2 w_i (both ordered pairs, and the
+    # node's trapezoid weight)
     disc = cfg.discretization(m)
-    c = uv[interior]
-    out += _strip_e(yf, disc, c, *_G_parts(yf, *_strip_args(disc, c)))
+    x = disc.local_args(uv)
+    x[:m - 1] = 0.0
+    out += (_local_sums(yf, disc, x, _local_G(yf, disc, x))[m - 1:]
+            / (2.0 * mesh.weights[1:-1]))
     return out
 
 

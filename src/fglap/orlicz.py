@@ -1,28 +1,28 @@
 """Meshes, grid functions, the operator config, and discrete Orlicz
 energies on (-1, 1).
 
-The nonlocal modular splits the ordered-pair double integral into three
-regions that the operator module reuses with identical quadrature, so the
-weak form is the exact gradient of the modular energy:
+The nonlocal modular splits the ordered-pair double integral into far
+pairs and local terms, which the operator module reuses with identical
+quadrature, so the weak form is the exact gradient of the modular energy:
 
 * far pairs: node pairs more than one index apart, trapezoid weights in
   both variables. On the uniform mesh the kernels depend on the index
   offset |i - j| alone, so each is stored as one vector of m values and
   read as a Toeplitz matrix; the end nodes' half weights are applied where
   the far terms are formed;
-* band: |x - y| below one cell width h, integrated exactly for piecewise
-  linear functions through the one-argument primitive
-  Lambda(Y) = int_0^Y G(tau)/tau dtau, with the window clipped near the
-  endpoints. Only the two end cells see a clipped window, so the band is
-  stored compactly: an 8-point x-rule on the two clipped cell-sides and one
-  point per cell, carrying the whole rule's weight, for its unclipped
-  sides, whose radius is h at every x-node;
-* strips: the exterior contribution (u = 0 outside the interval), in
-  closed form through Lambda after the substitution w = z^(-s).
+* local terms, each a weighted Lambda(|x| r) of one argument x through
+  the primitive Lambda(Y) = int_0^Y G(tau)/tau dtau:
+  - the band, |x - y| below one cell width h, integrated exactly for
+    piecewise linear functions, x a cell slope and r a window radius to
+    the power 1 - s, the window clipped near the endpoints;
+  - the strips, the exterior contribution (u = 0 outside the interval)
+    in closed form after the substitution w = z^(-s), x a nodal value and
+    r its distance to an endpoint to the power -s.
+  Both are one list of points in the `Discretization`.
 
 Every energy here, like the residual, Jacobian and weak form in
-`fractional`, takes an `OperatorConfig` and reads all three regions'
-geometry from the one cached `Discretization` that
+`fractional`, takes an `OperatorConfig` and reads the geometry of both
+kinds of term from the one cached `Discretization` that
 `OperatorConfig.discretization` returns per mesh size, so none of them
 rebuilds pair geometry or takes distance powers per call. Their m x m far
 terms are evaluated in place in `_FAR`, one `young.Workspace` of three
@@ -163,26 +163,39 @@ class Discretization:
       0 and m - 1 weigh h/2, which `_halve_boundary` applies to the far
       terms. On the 2^k + 1 meshes d h is exact, so the kernels equal the
       dense w_i w_j / |x_i - x_j|^(1+s) bit for bit;
-    * band: a flat list of points, each a cell index ``band_cell``, a
-      window radius min(h, distance to the endpoint) to the power 1 - s,
-      ``band_rho``, and an x-quadrature weight ``band_w``. A cell-side whose
+    * local terms: the band and the exterior strips, one flat list of
+      points. Each point is an index ``loc_arg`` into the local arguments
+      x = [the m - 1 cell slopes, the m - 2 interior nodal values]
+      (`local_args`), a factor ``loc_r``, and a weight ``loc_w``; its
+      energy is loc_w Lambda(|x| loc_r), its gradient in x
+      loc_w G(x r) / x and its second derivative
+      loc_w (g(x r) r x - G(x r)) / x^2, so per-argument sums are one
+      ``np.bincount`` over ``loc_arg``. The first ``n_band`` points are
+      the band: r a window radius min(h, distance to the endpoint) to the
+      power 1 - s, loc_w an x-quadrature weight over 1 - s. A cell-side whose
       radius is h at every x-node is one point carrying the rule's whole
-      weight (a cell with both sides unclipped, twice that); only the left
-      side of the first cell and the right side of the last are clipped,
-      and they keep all 8 Gauss-Legendre nodes. That is m + 15 points in
-      place of 16 (m - 1); per-cell sums are a ``np.bincount`` over
-      ``band_cell``;
-    * strips: d^(-s) per side at the interior nodes, ``a_l`` and ``a_r``.
+      weight (a cell with both sides unclipped, twice that); only the
+      left side of the first cell and the right side of the last are
+      clipped, and they keep all 8 Gauss-Legendre nodes, m + 15 points in
+      place of 16 (m - 1). The rest are the strips, two per interior node:
+      r = d^(-s) toward each endpoint and loc_w = 2 w_i / s, w_i the
+      node's trapezoid weight and the factor 2 for the ordered pairs
+      (x, y) and (y, x) that both cross the boundary.
     """
 
     s: float
+    h: float
     ds: np.ndarray
     kr: np.ndarray
-    band_cell: np.ndarray
-    band_rho: np.ndarray
-    band_w: np.ndarray
-    a_l: np.ndarray
-    a_r: np.ndarray
+    loc_arg: np.ndarray
+    loc_r: np.ndarray
+    loc_w: np.ndarray
+    n_band: int
+
+    def local_args(self, uv: np.ndarray) -> np.ndarray:
+        """x = [the cell slopes, the interior nodal values] of nodal
+        values ``uv``: the arguments that ``loc_arg`` indexes."""
+        return np.concatenate((np.diff(uv) / self.h, uv[1:-1]))
 
     def quotients(self, uv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """du = (u_i - u_j) / ds: far-pair difference quotients, plain
@@ -234,15 +247,21 @@ def _discretization(m: int, s: float) -> Discretization:
     full = 2 - clipped.sum(axis=0)    # unclipped sides per cell
     keep = full > 0
     side, cut = np.nonzero(clipped)
-    band_cell = np.concatenate((np.flatnonzero(keep), np.repeat(cut, _BAND_XQ)))
+    band_arg = np.concatenate((np.flatnonzero(keep), np.repeat(cut, _BAND_XQ)))
     band_rho = np.concatenate((np.full(keep.sum(), mesh.h),
                                radius[side, cut].ravel())) ** (1.0 - s)
     band_w = np.concatenate((full[keep] * xw.sum(), np.tile(xw, cut.size)))
 
+    # strips: a point toward each endpoint per interior node, whose local
+    # argument follows the m - 1 slopes
     x = mesh.nodes[1:-1]
-    return Discretization(s, _toeplitz(ds), _toeplitz(kr),
-                          *map(_frozen, (band_cell, band_rho, band_w,
-                                         (1.0 + x) ** (-s), (1.0 - x) ** (-s))))
+    strip_a = np.stack(((1.0 + x) ** (-s), (1.0 - x) ** (-s)), axis=1).ravel()
+    loc_arg = np.concatenate((band_arg, np.repeat(np.arange(m - 1, 2 * m - 3), 2)))
+    loc_r = np.concatenate((band_rho, strip_a))
+    loc_w = np.concatenate((band_w / (1.0 - s),
+                            np.repeat(2.0 * mesh.weights[1:-1] / s, 2)))
+    return Discretization(s, mesh.h, _toeplitz(ds), _toeplitz(kr),
+                          *map(_frozen, (loc_arg, loc_r, loc_w)), band_arg.size)
 
 
 def _require_zero_boundary(u: GridFunction) -> None:
@@ -297,8 +316,6 @@ def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
     disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
-    s = cfg.s
-    mesh = u.mesh
     v = u.values
 
     with _FAR.take(disc.kr.shape) as (du, far_mat, work):
@@ -307,17 +324,12 @@ def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
         far_mat *= disc.ds
         far = float(_halve_boundary(far_mat, rows=True).sum())
 
-    slope = np.abs(np.diff(v)) / mesh.h
-    band = float(np.sum(disc.band_w * yf.lam(slope[disc.band_cell]
-                                             * disc.band_rho)) / (1.0 - s))
-
-    wi = mesh.weights[1:-1]
-    c = np.abs(v[1:-1])
-    strip = float(np.sum(wi * (yf.lam(c * disc.a_l) + yf.lam(c * disc.a_r))) / s)
-
-    # ordered pairs: both (x, y) and (y, x) cross the boundary
-    total = far + band + 2.0 * strip
-    return {"far": far, "band": band, "strip": 2.0 * strip, "total": total}
+    local = disc.loc_w * yf.lam(np.abs(disc.local_args(v))[disc.loc_arg]
+                                * disc.loc_r)
+    band = float(local[:disc.n_band].sum())
+    strip = float(local[disc.n_band:].sum())
+    return {"far": far, "band": band, "strip": strip,
+            "total": far + band + strip}
 
 
 def luxemburg_seminorm_W(cfg: OperatorConfig, u: GridFunction) -> float:

@@ -116,7 +116,6 @@ class SolveReport:
     l_middle: float = 0.0
     alpha_hat: float = float("nan")
     holder_seminorm: float = float("nan")
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def final(self) -> GridFunction:

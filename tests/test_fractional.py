@@ -336,6 +336,27 @@ class TestSharedDiscretization:
             parts = modular_W_parts(cfg, u)
             assert parts["total"] == pytest.approx(ref.energy(u.values), rel=1e-13)
 
+    @pytest.mark.parametrize("m", [17, 33])
+    def test_band_and_strip_match_per_call_formulas(self, families, m):
+        # each local piece on its own, the reference energy's formulas for
+        # them; their sum with the far part is the reference energy
+        mesh = Mesh(m)
+        u = random_interior(mesh, 7)
+        slope = np.abs(np.diff(u.values))[:, None] / mesh.h
+        c = np.abs(u.values[1:-1])
+        for yf in families:
+            cfg = OperatorConfig(young=yf, s=0.3)
+            ref, s = _Reference(cfg, m), cfg.s
+            band = np.sum(ref.xw * sum(yf.lam(slope * r ** (1.0 - s))
+                                       for r in ref.radii)) / (1.0 - s)
+            strip = 2.0 * sum(np.sum(mesh.weights[1:-1] * yf.lam(c * a)) / s
+                              for a in ref.sides)
+            parts = modular_W_parts(cfg, u)
+            assert parts["band"] == pytest.approx(band, rel=1e-13)
+            assert parts["strip"] == pytest.approx(strip, rel=1e-13)
+            assert parts["far"] + band + strip == pytest.approx(
+                ref.energy(u.values), rel=1e-13)
+
     @pytest.mark.parametrize("name", ["power4", "log221"])
     @pytest.mark.parametrize("newton", [False, True])
     def test_band_evaluates_each_window_once(self, name, newton, request,
@@ -343,18 +364,19 @@ class TestSharedDiscretization:
         # unclipped cell-sides share the radius h at every x-node, so the
         # band needs one point per cell plus the 8 nodes of each of the two
         # clipped sides; 2m + 12 points allow one per unclipped side. The
-        # residual and the Jacobian share that one G pass
+        # strips add two points per interior node. The residual and the
+        # Jacobian share that one G pass
         yf = request.getfixturevalue(name)
         m = 65
         disc = OperatorConfig(young=yf, s=0.3).discretization(m)
         points = []
         G = yf.G
         monkeypatch.setattr(yf, "G", lambda t: points.append(np.size(t)) or G(t))
-        sigma = np.diff(random_interior(Mesh(m), 9).values) / Mesh(m).h
-        band_G, *_ = fractional._local_G(yf, disc, sigma, np.zeros(0))
-        fractional._band_cells(yf, disc, sigma, band_G, newton=newton)
-        assert [size for size in points if size] == [band_G.size]
-        assert 0 < band_G.size <= 2 * m + 12
+        x = disc.local_args(random_interior(Mesh(m), 9).values)
+        local_G = fractional._local_G(yf, disc, x)
+        fractional._local_sums(yf, disc, x, local_G, newton=newton)
+        assert [size for size in points if size] == [local_G.size]
+        assert 0 < local_G.size <= 2 * m + 12 + 2 * (m - 2)
 
     def test_cached_arrays_are_read_only(self):
         cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)
