@@ -15,7 +15,7 @@ from .errors import (
     FglapError,
     InvariantError,
 )
-from .fractional import apply, apply_interior, weak_form
+from .fractional import apply_interior, weak_form
 from .orlicz import (
     GridFunction,
     Mesh,
@@ -61,7 +61,6 @@ __all__ = [
     "ProblemData",
     "SolveReport",
     "YoungFunction",
-    "apply",
     "apply_interior",
     "boundary_energy_report",
     "check_comparison",

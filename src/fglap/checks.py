@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .orlicz import Mesh, OperatorConfig
+from .solver import solve_auxiliary
 from .young import GROWTH_GRID, PhiWeight, YoungFunction, eval_Gbar
 
 DEFAULT_SEED = 0x5EED
@@ -62,6 +63,17 @@ def _rng(seed: int, name: str) -> np.random.Generator:
 
 def _log_uniform(rng, n) -> np.ndarray:
     return np.exp(rng.uniform(np.log(SAMPLE_LO), np.log(SAMPLE_HI), n))
+
+
+def _signed_pairs(rng, n) -> tuple[np.ndarray, np.ndarray]:
+    """n log-uniform pairs (a, b): a negative with probability 1/3, and b
+    of the opposite sign with probability 1/2, so that half the pairs
+    straddle zero."""
+    a = _log_uniform(rng, n)
+    b = _log_uniform(rng, n)
+    sign_a = np.where(rng.random(n) < 1.0 / 3.0, -1.0, 1.0)
+    sign_b = np.where(rng.random(n) < 0.5, -sign_a, sign_a)
+    return sign_a * a, sign_b * b
 
 
 def _worst(margins: np.ndarray, payload: dict) -> tuple[float, dict]:
@@ -119,14 +131,7 @@ def check_lindqvist(yf: YoungFunction, n_samples: int = 1000, *,
     """Strict monotonicity with a quantitative floor:
     (g(b) - g(a))(b - a) >= C_L * G(|b - a|). Absolute margins; the sample
     set mixes same-sign and straddling pairs."""
-    rng = _rng(seed, "lindqvist")
-    a = _log_uniform(rng, n_samples)
-    b = _log_uniform(rng, n_samples)
-    # thirds: both positive, both negative, straddling zero
-    sign_a = np.where(rng.random(n_samples) < 1.0 / 3.0, -1.0, 1.0)
-    flip = rng.random(n_samples) < 0.5
-    sign_b = np.where(flip, -sign_a, sign_a)
-    a, b = sign_a * a, sign_b * b
+    a, b = _signed_pairs(_rng(seed, "lindqvist"), n_samples)
     lhs = (yf.g(b) - yf.g(a)) * (b - a)
     rhs = lindqvist_constant(yf) * yf.G(np.abs(b - a))
     margins = lhs - rhs
@@ -143,12 +148,7 @@ def check_gdiff(yf: YoungFunction, n_samples: int = 1000, *,
     Margins are relative: near-equal pairs at the top of the sample range
     put both sides around 1e9, where an absolute gap is pure cancellation
     noise."""
-    rng = _rng(seed, "gdiff")
-    a = _log_uniform(rng, n_samples)
-    b = _log_uniform(rng, n_samples)
-    sign_a = np.where(rng.random(n_samples) < 1.0 / 3.0, -1.0, 1.0)
-    sign_b = np.where(rng.random(n_samples) < 0.5, -sign_a, sign_a)
-    a, b = sign_a * a, sign_b * b
+    a, b = _signed_pairs(_rng(seed, "gdiff"), n_samples)
     ce = yf.p_plus - 1.0
     total = np.abs(a) + np.abs(b)
     mid = ce * np.abs(a - b) * yf.g(total) / total
@@ -234,8 +234,6 @@ def check_comparison(cfg: OperatorConfig, mesh: Mesh, *,
     solution), so the margin is the smallest interior slack. For exactly
     homogeneous families a doubled load must scale the cold-started solution
     by 2**(1/(p-1)) within 1e-6."""
-    from .solver import solve_auxiliary
-
     rng = _rng(seed, "comparison")
     yf = cfg.young
     worst = np.inf

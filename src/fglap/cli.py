@@ -24,13 +24,7 @@ from .errors import (ConfigurationError, ConvergenceError, DomainError,
 from .orlicz import GridFunction, Mesh, OperatorConfig
 from .solver import (ProblemData, SolveReport, boundary_energy_report,
                      monotone_scheme)
-from .young import YoungFunction, make_young
-
-FAMILY_PARAMS = {
-    "power": ("p",),
-    "double-power": ("p1", "p2"),
-    "log-type": ("a", "b", "c"),
-}
+from .young import FAMILIES, YoungFunction, make_young
 
 _PROFILE_TAGS = ("const", "gaussian", "bump", "abs-power", "file")
 
@@ -148,7 +142,7 @@ _OPTIONAL_KEYS = {
 }
 
 _KNOWN_KEYS = ({"family", "s"} | set(_OPTIONAL_KEYS)
-               | {name for names in FAMILY_PARAMS.values() for name in names})
+               | {name for cls in FAMILIES.values() for name in cls.params})
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -158,12 +152,12 @@ def load_config(path: str | Path) -> RunConfig:
     raw = parse_config_text(path.read_text())
 
     family = raw.get("family", "")
-    if family not in FAMILY_PARAMS:
+    if family not in FAMILIES:
         raise ConfigurationError(
-            f"config key 'family' must be one of {sorted(FAMILY_PARAMS)}, "
+            f"config key 'family' must be one of {sorted(FAMILIES)}, "
             f"got {family!r}")
     params = {name: _as_float(name, _required(raw, name))
-              for name in FAMILY_PARAMS[family]}
+              for name in FAMILIES[family].params}
     s = _as_float("s", _required(raw, "s"))
     optional = {fld: parse(key, raw[key])
                 for key, (fld, parse) in _OPTIONAL_KEYS.items() if key in raw}
@@ -292,7 +286,6 @@ def build_data(rc: RunConfig, mesh: Mesh) -> ProblemData:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -318,13 +311,11 @@ def _emit_outcomes(outcomes: list[CheckOutcome], out_dir: Path) -> bool:
              "1" if o.passed else "0"] for o in outcomes]
     write_csv(out_dir / "checks.csv",
               ["check", "samples", "worst_margin", "pass"], rows)
-    ok = True
     for o in outcomes:
         print(o)
         if not o.passed:
-            ok = False
             print(f"  offending sample: {o.offending}", file=sys.stderr)
-    return ok
+    return all(o.passed for o in outcomes)
 
 
 def cmd_check_young(rc: RunConfig) -> int:
@@ -362,17 +353,13 @@ def cmd_solve(rc: RunConfig) -> int:
         return 1
 
     diag = boundary_energy_report(report)
-    warnings = []
-    if not diag["bounded"]:
-        warnings.append("boundary energies exceed twice the median of the "
-                        "last three stages")
-
     _write_solution(rc, report)
     _write_diagnostics(rc, report, diag)
     if rc.plot:
         _write_plot(rc, report)
-    for line in warnings:
-        print(f"warning: {line}", file=sys.stderr)
+    if not diag["bounded"]:
+        print("warning: boundary energies exceed twice the median of the "
+              "last three stages", file=sys.stderr)
     print(f"solved: {len(report.n_values)} stages, "
           f"l_middle={report.l_middle:.6g}, alpha_hat={report.alpha_hat:.4g}")
     return 0
@@ -461,7 +448,6 @@ def _write_plot(rc: RunConfig, report: SolveReport) -> None:
                      f'y2="{ly - 4}" stroke="{color}"/>')
         lines.append(f'<text x="{x1 - 45:.2f}" y="{ly}">n={n}</text>')
     lines.append("</svg>")
-    rc.out.mkdir(parents=True, exist_ok=True)
     with open(rc.out / "solution.svg", "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -539,6 +525,10 @@ def main(argv: list[str] | None = None) -> int:
             rc.seed = args.seed
         if args.no_plot:
             rc.plot = False
+        try:
+            rc.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create {rc.out}: {exc.strerror}") from None
         handler = {"check-young": cmd_check_young,
                    "solve": cmd_solve,
                    "convergence": cmd_convergence}[args.command]

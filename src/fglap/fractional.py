@@ -1,10 +1,9 @@
 """The nonlocal operator on the interval: strong form, weak form, residual.
 
 The residual, and with it the weak form, is by construction the exact
-gradient of the discrete modular assembled in `orlicz`: far pairs, the
-clipped band, and the closed-form exterior strips all share their
-quadrature between energy and form. Coercivity against the modular and
-honest energy identities then hold at round-off level instead of at
+gradient of the discrete modular assembled in `orlicz`: far pairs and local
+terms share their quadrature between energy and form, so coercivity against
+the modular and the energy identities hold at round-off level instead of at
 quadrature-error level.
 
 Every entry point takes an `orlicz.OperatorConfig` and reads all geometry
@@ -16,41 +15,22 @@ the end nodes, so the columns of nodes 0 and m - 1 are halved
 (`orlicz._halve_boundary`) before the rows are summed. The weak form is
 the residual paired with the test function's nodal values.
 
-The far terms are m x m arrays. They are evaluated in place in
-`orlicz._FAR`, the `young.Workspace` of three buffers (du, the g values,
-and the Young kernels' scratch) that the energy shares, one per thread and
-one mesh size at a time; ds and kr are read-only Toeplitz views of O(m)
-storage. A residual or weak-form evaluation then allocates no m x m array
-at all. The Jacobian allocates one: g' goes straight into the fresh matrix
-whose interior it returns, for the caller to keep or modify. At m = 257 an
-m x m array is 516 KiB, above glibc's mmap threshold, so each fresh
-temporary cost its own page faults. A pass that reads a Toeplitz view is
-not one contiguous loop: on the half rows at m = 257 it costs 8-16 us
-more than over a dense array (2-core Xeon), so the Jacobian folds its
-factor 2 into the negation and makes one pass fewer.
+The far terms are m x m arrays, evaluated in place in the far-pair
+workspace `orlicz._FAR`: a `young.Workspace` of three buffers (du, the
+Young values, and the Young kernels' scratch), one per thread and one mesh
+size at a time, which the energy in `orlicz` shares. ds and kr are
+read-only views, so a residual or weak-form evaluation allocates no m x m
+array; the Jacobian allocates the one it returns.
 
-The band and the strips are local terms: one list of points in the
-`Discretization`, each a weighted Lambda(|x| r) of one argument x, a cell
-slope or an interior nodal value (`Discretization.local_args`). One kernel
-serves them all: `_local_G` is their one G pass, and `_local_sums` sums
-each argument's gradient W G(x r) / x, or its second derivative, with a
-``np.bincount``. The residual scatters the slope sums onto the nodes by
-differencing and adds the node sums directly; the Jacobian puts the same
-second derivatives on its three diagonals, and the energy in `orlicz` is
-one Lambda pass over the same points. ``residual(..., with_G=True)``
-returns the G values with the residual, and `assemble_matrix` takes them
-as ``G=`` at the same iterate, so a Newton step evaluates G there once;
-the Jacobian still evaluates its own g and g' terms. Without ``G=`` it
-makes the pass itself.
+The local terms are the `Discretization`'s list of local points.
+`_local_G` is their one G pass, which `residual` can hand on to
+`assemble_matrix` at the same iterate, and `_local_sums` sums each
+argument's first or second derivative with a ``np.bincount``.
 
 Even data on an odd mesh need only the rows of the nodes up to the centre
-c = (m - 1) / 2, because the operator commutes with x -> -x. With
-``even=True``, `residual` evaluates rows 0 ... c on the first c + 1 rows of
-the same workspace buffers and mirrors them onto the rest; they equal the
-full evaluation's rows bit for bit. The local terms, O(m), are summed over
-all their points either way. `assemble_matrix` returns the Jacobian
-rows 1 ... c over all interior columns, and `fold` adds each column to its
-mirror's, so that the c half unknowns carry the whole even Newton step.
+c = (m - 1) / 2, because the operator commutes with x -> -x: `residual`
+and `assemble_matrix` take ``even=True`` for that, and `fold` reduces the
+Jacobian's rows to the c half unknowns.
 
 The strong-form evaluator is separate and deliberately different in
 texture: the first cell, where the |x - y|^(-1-s) singularity sits, on
@@ -132,12 +112,13 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
     with the hat function at node i minus the trapezoid-weighted load.
     Boundary entries are pinned to zero.
 
-    With ``even`` (u and rhs even, m odd) only the rows up to the centre
-    are evaluated, on the first rows of the far-pair kernel, and mirrored
-    onto the rest; those rows equal the full evaluation's bit for bit.
-    With ``with_G`` it returns the pair (residual, G), G being the local
-    terms' G values it evaluated (`_local_G`), for `assemble_matrix` at
-    the same u."""
+    With ``even`` (u and rhs even, m odd) only rows 0 ... c, c = (m - 1) / 2,
+    are evaluated, on the first c + 1 rows of the workspace buffers, and
+    mirrored onto the rest; they equal the full evaluation's rows bit for
+    bit. The local terms, O(m), are summed over all their points either
+    way. With ``with_G`` it returns the pair (residual, G), G being the
+    local terms' G values it evaluated (`_local_G`), for `assemble_matrix`
+    at the same u."""
     disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
@@ -179,8 +160,9 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     to the centre c = (m - 1) / 2 are assembled: the block J[1:c+1, 1:-1]
     of shape (c, m - 2), for `fold` to reduce to the half unknowns.
     ``G`` is the local terms' G values that ``residual(..., with_G=True)``
-    returned at this u; without it they are evaluated here.
-    The g and g' terms are always evaluated here."""
+    returned at this u, so that a Newton step evaluates G there once;
+    without it they are evaluated here. The g and g' terms are always
+    evaluated here."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
     mesh = u.mesh
@@ -194,7 +176,9 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
         G = _local_G(yf, disc, x)
 
     # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
-    # written straight into the fresh matrix whose interior is returned
+    # written straight into the fresh matrix whose interior is returned; a
+    # pass over a Toeplitz view is not one contiguous loop, so the factor 2
+    # rides on the negation rather than on a pass of its own
     with _FAR.take(disc.kr.shape) as (du, _, work):
         pair = yf.g_prime(disc.quotients(uv, out=du[:k]), work=work[:k])
     pair *= disc.kr[:k]
@@ -313,12 +297,3 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
             / (2.0 * mesh.weights[1:-1]))
     return out
 
-
-def apply(cfg: OperatorConfig, u: GridFunction, i: int) -> float:
-    """Strong-form value at interior node index ``i``."""
-    mesh = u.mesh
-    i = int(i)
-    if not (0 < i < mesh.m - 1):
-        raise DomainError(f"node index {i} is not interior (mesh has "
-                          f"{mesh.m} nodes)")
-    return float(apply_interior(cfg, u)[i - 1])

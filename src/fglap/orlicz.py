@@ -2,33 +2,16 @@
 energies on (-1, 1).
 
 The nonlocal modular splits the ordered-pair double integral into far
-pairs and local terms, which the operator module reuses with identical
-quadrature, so the weak form is the exact gradient of the modular energy:
-
-* far pairs: node pairs more than one index apart, trapezoid weights in
-  both variables. On the uniform mesh the kernels depend on the index
-  offset |i - j| alone, so each is stored as one vector of m values and
-  read as a Toeplitz matrix; the end nodes' half weights are applied where
-  the far terms are formed;
-* local terms, each a weighted Lambda(|x| r) of one argument x through
-  the primitive Lambda(Y) = int_0^Y G(tau)/tau dtau:
-  - the band, |x - y| below one cell width h, integrated exactly for
-    piecewise linear functions, x a cell slope and r a window radius to
-    the power 1 - s, the window clipped near the endpoints;
-  - the strips, the exterior contribution (u = 0 outside the interval)
-    in closed form after the substitution w = z^(-s), x a nodal value and
-    r its distance to an endpoint to the power -s.
-  Both are one list of points in the `Discretization`.
-
-Every energy here, like the residual, Jacobian and weak form in
-`fractional`, takes an `OperatorConfig` and reads the geometry of both
-kinds of term from the one cached `Discretization` that
-`OperatorConfig.discretization` returns per mesh size, so none of them
-rebuilds pair geometry or takes distance powers per call. Their m x m far
-terms are evaluated in place in `_FAR`, one `young.Workspace` of three
-buffers per thread, so no evaluation allocates an m x m temporary. The
-Luxemburg gauges invert the modular along u's ray with the growth-window
-inverter of `quadrature`.
+pairs, node pairs more than one index apart with trapezoid weights in both
+variables, and local terms, the band |x - y| < h and the exterior strips
+(u = 0 outside the interval), each a weighted Lambda(|x| r) through the
+primitive Lambda(Y) = int_0^Y G(tau)/tau dtau. `Discretization` holds the
+geometry of both kinds of term for one mesh size. The energies here take
+an `OperatorConfig` and read that geometry, and evaluate their far terms
+in the far-pair workspace `_FAR`, exactly as the residual, Jacobian and
+weak form in `fractional` do, so that the weak form is the exact gradient
+of the modular energy. The Luxemburg gauges invert the modular along u's
+ray with the growth-window inverter of `quadrature`.
 """
 
 from __future__ import annotations
@@ -49,7 +32,7 @@ _BAND_XQ = 8
 # sup-norm gap to its mirror image below which a grid function counts as even
 EVEN_TOL = 1e-9
 
-# the far terms' m x m buffers: du, the Young values and the kernels' scratch
+# the far-pair workspace that `fractional` describes
 _FAR = Workspace(3)
 
 
@@ -104,9 +87,6 @@ class GridFunction:
     def zeros(cls, mesh: Mesh) -> "GridFunction":
         return cls(mesh, np.zeros(mesh.m))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.mesh, self.values.copy())
-
     def vanishes_on_boundary(self) -> bool:
         return self.values[0] == 0.0 and self.values[-1] == 0.0
 
@@ -158,32 +138,30 @@ class Discretization:
       node pairs more than one index apart, ds = 1 and kr = 0 on near pairs,
       so each far term is one expression in du = (u_i - u_j) / ds. Both
       depend on d = |i - j| alone and are read-only Toeplitz views of one
-      vector of 2m - 1 values each (`_toeplitz`), O(m) storage in place of
-      m x m. kr carries the interior weights w_i w_j = h^2; the end nodes
-      0 and m - 1 weigh h/2, which `_halve_boundary` applies to the far
-      terms. On the 2^k + 1 meshes d h is exact, so the kernels equal the
-      dense w_i w_j / |x_i - x_j|^(1+s) bit for bit;
-    * local terms: the band and the exterior strips, one flat list of
-      points. Each point is an index ``loc_arg`` into the local arguments
+      vector of 2m - 1 values each (`_toeplitz`). kr carries the interior
+      weights w_i w_j = h^2; the end nodes 0 and m - 1 weigh h/2, which
+      `_halve_boundary` applies to the far terms. On the 2^k + 1 meshes
+      d h is exact, so the kernels equal the dense
+      w_i w_j / |x_i - x_j|^(1+s) bit for bit;
+    * local points: the band and the exterior strips as one flat list.
+      Point j carries an index ``loc_arg[j]`` into the local arguments
       x = [the m - 1 cell slopes, the m - 2 interior nodal values]
-      (`local_args`), a factor ``loc_r``, and a weight ``loc_w``; its
-      energy is loc_w Lambda(|x| loc_r), its gradient in x
-      loc_w G(x r) / x and its second derivative
-      loc_w (g(x r) r x - G(x r)) / x^2, so per-argument sums are one
-      ``np.bincount`` over ``loc_arg``. The first ``n_band`` points are
-      the band: r a window radius min(h, distance to the endpoint) to the
-      power 1 - s, loc_w an x-quadrature weight over 1 - s. A cell-side whose
-      radius is h at every x-node is one point carrying the rule's whole
-      weight (a cell with both sides unclipped, twice that); only the
+      (`local_args`), a factor ``loc_r[j]`` and a weight ``loc_w[j]``; its
+      energy is loc_w Lambda(|x| loc_r). The first ``n_band`` points are
+      the band, integrated exactly for piecewise linear functions: x a cell
+      slope, r a window radius min(h, distance to the endpoint) to the
+      power 1 - s, and loc_w an x-quadrature weight over 1 - s. A cell-side
+      whose radius is h at every x-node is one point carrying the rule's
+      whole weight (a cell with both sides unclipped, twice that); only the
       left side of the first cell and the right side of the last are
-      clipped, and they keep all 8 Gauss-Legendre nodes, m + 15 points in
-      place of 16 (m - 1). The rest are the strips, two per interior node:
-      r = d^(-s) toward each endpoint and loc_w = 2 w_i / s, w_i the
-      node's trapezoid weight and the factor 2 for the ordered pairs
-      (x, y) and (y, x) that both cross the boundary.
+      clipped, and they keep all _BAND_XQ Gauss-Legendre nodes. The rest
+      are the strips, in closed form after the substitution w = z^(-s),
+      two per interior node: x the nodal value, r = d^(-s) for its
+      distance d to each endpoint, and loc_w = 2 w_i / s, w_i the node's
+      trapezoid weight and the factor 2 for the ordered pairs (x, y) and
+      (y, x) that both cross the boundary.
     """
 
-    s: float
     h: float
     ds: np.ndarray
     kr: np.ndarray
@@ -260,7 +238,7 @@ def _discretization(m: int, s: float) -> Discretization:
     loc_r = np.concatenate((band_rho, strip_a))
     loc_w = np.concatenate((band_w / (1.0 - s),
                             np.repeat(2.0 * mesh.weights[1:-1] / s, 2)))
-    return Discretization(s, mesh.h, _toeplitz(ds), _toeplitz(kr),
+    return Discretization(mesh.h, _toeplitz(ds), _toeplitz(kr),
                           *map(_frozen, (loc_arg, loc_r, loc_w)), band_arg.size)
 
 

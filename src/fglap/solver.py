@@ -174,16 +174,15 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     current iterate, to be reached within NEWTON_MAX_ITER steps. A
     Levenberg shift, lam times the largest diagonal entry, grows lam
     tenfold after a failed line search and decays it tenfold after an
-    accepted step. An accepted trial's load and residual carry over to the
-    next step, so no residual is evaluated twice at one iterate; so do the
-    band and strip G values of its residual, which `assemble_matrix` takes
-    in place of a second G pass. The Jacobian's own terms, g at the band
-    and strip arguments and g' on the far pairs, are evaluated only at
+    accepted step. An accepted trial's load, residual and local G values
+    (``residual(..., with_G=True)``) carry over to the next step, so none
+    is evaluated twice at one iterate. The Jacobian is assembled only at
     accepted iterates, never at a line-search trial, where an overshoot may
-    overflow them. The stats
-    hold the Newton steps, the final residual sup, the residual evaluations
-    in all and those spent on cone seeding (0 for a warm start), the
-    rejected line-search trials and the largest lam.
+    overflow its g and g' terms. The stats hold the Newton steps, the final
+    residual sup, the residual evaluations in all and those spent on cone
+    seeding (0 for a warm start), the rejected line-search trials and the
+    largest lam. A warm start that vanishes identically counts as a cold
+    start.
 
     ``even`` (odd m, a load that maps even u to even rhs) solves for the
     interior nodes up to the centre only: the iterate is kept even, the
@@ -297,8 +296,7 @@ def fixed_point_S(cfg: OperatorConfig, data: ProblemData,
     u = GridFunction.zeros(mesh)
     for k in range(FIXED_POINT_MAX_SWEEPS):
         rhs = data.singular_rhs(u, n)
-        warm = u if u.sup_norm() > 0.0 else None
-        u_next, aux_stats = solve_auxiliary(cfg, mesh, rhs, warm_start=warm)
+        u_next, aux_stats = solve_auxiliary(cfg, mesh, rhs, warm_start=u)
         diff = float(np.max(np.abs(u_next.values - u.values)))
         u = u_next
         if diff <= FIXED_POINT_TOL:
@@ -331,9 +329,9 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     (by default the data's) must have the data's node count.
 
     When m is odd and f and q are even, every stage is even, and `_newton`
-    solves it on the (m - 1) / 2 interior nodes up to the centre; the
-    stages equal the full system's to rounding, with the same Newton
-    steps. Uneven data and even m take the full system."""
+    solves it with ``even``; the stages equal the full system's to
+    rounding, with the same Newton steps. Uneven data and even m take the
+    full system."""
     mesh = data.f.mesh if mesh is None else mesh
     if mesh.m != data.f.mesh.m:
         raise ConfigurationError(
@@ -362,15 +360,12 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         if prev is not None:
             drop = float(np.min(u.values - prev.values))
             if drop < -TOL_MONO:
-                err = InvariantError(
+                raise InvariantError(
                     f"stage n = {n} dipped {-drop:.3e} below the previous "
                     f"stage; the truncation scheme must be monotone")
-                err.snapshots = (prev.copy(), u.copy())
-                raise err
             report.sup_diffs.append(float(np.max(np.abs(u.values - prev.values))))
             if report.sup_diffs[-1] <= TOL_STOP:
                 report.converged = True
-                prev = u
                 break
         prev = u
 
@@ -417,7 +412,8 @@ def boundary_energy_report(report: SolveReport) -> dict:
     median of their last three entries."""
     modular = [modular_W(report.cfg, c) for c in report.carriers]
     energies = [luxemburg_seminorm_W(report.cfg, c) for c in report.carriers]
-    ref = float(np.median(energies[-3:])) if energies else 0.0
+    last = sorted(energies[-3:]) or [0.0]
+    ref = 0.5 * (last[(len(last) - 1) // 2] + last[len(last) // 2])
     bounded = all(e <= 2.0 * ref + 1e-12 for e in energies)
     return {"case": report.energy_case, "modular": modular,
             "energies": energies, "reference": ref, "bounded": bounded}

@@ -1,20 +1,16 @@
 """Young functions, their calculus, and the singular boundary weight.
 
-Three admissible families are provided: a pure power, a sum of two powers,
-and a power-times-logarithm profile. Each exposes the derivative ``g``,
-the primitive ``G``, growth exponents ``p_minus <= p_plus`` with
-``p_minus > 2`` enforced, and the integral transforms built on top of them
-(conjugate, boundary weight).
+Three admissible families are provided, registered by tag in `FAMILIES`:
+a pure power, a sum of two powers, and a power-times-logarithm profile.
+Each exposes the derivative ``g``, the primitive ``G``, growth exponents
+``p_minus <= p_plus`` with ``p_minus > 2`` enforced, and the integral
+transforms built on top of them (conjugate, boundary weight).
 
 Every integral from zero (G and Lambda unless a family has a closed form,
 the conjugate, the boundary weight, and the strong form's first cell in
 `fractional`) comes from one generalized Gauss-Laguerre rule, built with
-numpy alone in ``quadrature.gauss_laguerre``, after the substitution
-t = y e^(-v/k), with k sized from the integrand's growth at zero. Only the
-rule's leading nodes are summed: the 64-node rule without the trailing
-nodes that carry under 1e-20 of its weight (34 of them are kept for
-alpha = 0, 35 for alpha = 1), which add less than rounding error. The
-log-type family sums the same nodes with its power factored out. Every
+numpy alone in ``quadrature.gauss_laguerre``, summed over its leading nodes
+(`_laguerre_rule`) after the substitution of `_laguerre_integral`. Every
 inverse is a log-log Newton bracketed by the growth window. All entry
 points accept scalars or arrays and are vectorized.
 
@@ -24,14 +20,10 @@ such powers, or tau^(a-1) log(b + c tau), the log evaluated as
 log b + log1p(c tau / b) so that it keeps its relative accuracy at b = 1
 as c tau -> 0. That takes no sign array, and each exponent is one lower
 than in sign(t) g(|t|): at p = 4 numpy's power squares instead of
-calling pow. ``g``, ``g_prime`` and ``G`` write into
-``out=`` when given one, with ``work=`` as the scratch array the
-two-factor families need, so callers that evaluate them on m x m arrays
-(the far-pair terms of the residual, the Jacobian and the energy) can hand
-in reused storage; without them the same kernels allocate. G's Laguerre
-fallback writes its integrals into ``out`` block by block. That reused
-storage is a `Workspace`: per-thread float64 buffers of one shape at a
-time. The Laguerre rule keeps one for its blocks.
+calling pow. ``g``, ``g_prime`` and ``G`` write into ``out=`` when given
+one, with ``work=`` as the scratch array the two-factor families need, so
+that callers can hand in reused storage, such as the far-pair workspace
+of `fractional`; without them they allocate.
 """
 
 from __future__ import annotations
@@ -60,10 +52,7 @@ MVT_GRID = 512
 # of the rule's weight that its dropped trailing nodes may carry, and the
 # number of points expanded against the kept nodes at once. A 128 x 35
 # float64 block is 35 KiB, well under glibc's default mmap threshold
-# (128 KiB), so a block never gets freshly mapped pages. A 256 x 64 block
-# was exactly 128 KiB, and whether it was mapped afresh depended on the
-# allocation history: an in-process log_type solve took 3.0k or 40k minor
-# page faults depending only on how it was launched (2-core Xeon).
+# (128 KiB), so a block never gets freshly mapped pages.
 _LAGUERRE_NODES = 64
 _LAGUERRE_TAIL = 1e-20
 _LAGUERRE_BLOCK = 128
@@ -195,15 +184,15 @@ def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0,
 class YoungFunction:
     """Base class: odd derivative g, even primitive G, growth window.
 
-    Subclasses implement ``_gamma_abs`` and ``_g_prime_pos``, which write
-    gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated when None),
-    using ``work`` as scratch, and may override ``_G_pos`` (which takes
-    ``out`` and ``work`` the same way) and ``_lambda_pos`` with closed
-    forms or cheaper sums on the same rule; otherwise both come from the
-    Gauss-Laguerre rule ``_laguerre_integral`` over ``_g_pos``,
-    g(t) = t gamma(|t|).
-    The public methods apply the odd/even extensions and handle scalar
-    passthrough.
+    Each family class names its constructor's arguments, in order, in
+    ``params``. Subclasses implement ``_gamma_abs`` and ``_g_prime_pos``,
+    which write gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated
+    when None), using ``work`` as scratch, and may override ``_G_pos``
+    (which takes ``out`` and ``work`` the same way) and ``_lambda_pos`` with
+    closed forms or cheaper sums on the same rule; otherwise both come from
+    the Gauss-Laguerre rule ``_laguerre_integral`` over ``_g_pos``,
+    g(t) = t gamma(|t|). The public methods apply the odd/even extensions
+    and handle scalar passthrough.
 
     ``window`` is the growth window the constructor verified against
     ``growth``, its one sample of 1 + t g'/g, and every inverse and Laguerre
@@ -313,6 +302,7 @@ class PowerYoung(YoungFunction):
     """G(t) = t^p / p."""
 
     family_tag = "power"
+    params = ("p",)
 
     def __init__(self, p: float):
         self.p = float(p)
@@ -344,6 +334,7 @@ class DoublePowerYoung(YoungFunction):
     """g(t) = t^(p1-1) + t^(p2-1) with 2 < p1 <= p2."""
 
     family_tag = "double-power"
+    params = ("p1", "p2")
 
     def __init__(self, p1: float, p2: float):
         if p2 < p1:
@@ -395,6 +386,7 @@ class LogTypeYoung(YoungFunction):
     """
 
     family_tag = "log-type"
+    params = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
         if a <= 1.0:
@@ -463,19 +455,21 @@ class LogTypeYoung(YoungFunction):
         return self._log_sum(y, 1)
 
 
+FAMILIES = {c.family_tag: c for c in (PowerYoung, DoublePowerYoung, LogTypeYoung)}
+
+
 def make_young(family: str, **params) -> YoungFunction:
-    """Construct a family member from configuration values."""
+    """Construct a member of ``FAMILIES[family]`` from the values of its
+    class's ``params``, in that order; other keys are ignored."""
+    if family not in FAMILIES:
+        raise ConfigurationError(
+            f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     try:
-        if family == "power":
-            return PowerYoung(params.pop("p"))
-        if family == "double-power":
-            return DoublePowerYoung(params.pop("p1"), params.pop("p2"))
-        if family == "log-type":
-            return LogTypeYoung(params.pop("a"), params.pop("b"), params.pop("c"))
+        args = [params[name] for name in FAMILIES[family].params]
     except KeyError as exc:
-        raise ConfigurationError(f"family {family!r} is missing parameter {exc}") from None
-    raise ConfigurationError(
-        f"unknown family {family!r}; expected power, double-power, or log-type")
+        raise ConfigurationError(
+            f"family {family!r} is missing parameter {exc}") from None
+    return FAMILIES[family](*args)
 
 
 # ---------------------------------------------------------------------------

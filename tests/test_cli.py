@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, file formats, and byte stability."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import fglap.cli as cli
 import fglap.orlicz as orlicz
 import fglap.solver as solver
 from fglap.cli import load_config, main
+from fglap.young import FAMILIES
 
 from conftest import stalled_matrix
 
@@ -19,6 +23,8 @@ def write_cfg(tmp_path: Path, body: str, name: str = "run.cfg") -> str:
     path.write_text(body, encoding="utf-8")
     return str(path)
 
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BASE = """
 family = power
@@ -57,6 +63,18 @@ class TestExitCodes:
         assert (out / "diagnostics.csv").exists()
         assert (out / "checks.csv").exists()
 
+    def test_solve_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma on its first call; the energy report's
+        # reference median of at most three values does without it
+        cfg = write_cfg(tmp_path, BASE)
+        code = ("import sys, fglap.cli; "
+                f"rc = fglap.cli.main(['solve', '--config', {cfg!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}, '--no-plot']); "
+                "sys.exit(rc or 3 * ('numpy.ma' in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+
     def test_malformed_value(self, tmp_path):
         code, _ = run(tmp_path, BASE.replace("p = 4", "p = four"))
         assert code == 2
@@ -65,9 +83,33 @@ class TestExitCodes:
         code, _ = run(tmp_path, BASE + "\nmystery = 1\n")
         assert code == 2
 
-    def test_missing_family_parameter(self, tmp_path):
-        code, _ = run(tmp_path, BASE.replace("p = 4\n", ""))
+    @pytest.mark.parametrize("family,param", [
+        (tag, name) for tag, cls in FAMILIES.items() for name in cls.params])
+    def test_missing_family_parameter(self, tmp_path, capsys, family, param):
+        values = {"p": 4, "p1": 3, "p2": 4, "a": 2, "b": 2, "c": 1}
+        body = BASE.replace("family = power\np = 4\n", f"family = {family}\n"
+                            + "".join(f"{name} = {values[name]}\n"
+                                      for name in FAMILIES[family].params
+                                      if name != param))
+        code, _ = run(tmp_path, body)
         assert code == 2
+        assert repr(param) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["solve", "convergence"])
+    def test_unwritable_out_dir(self, tmp_path, cmd):
+        # the directory is made before any work, so this fails fast
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        cfg = write_cfg(tmp_path, BASE.replace("mesh = 33", "mesh = 17,33")
+                        if cmd == "convergence" else BASE)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fglap.cli", cmd, "--config", cfg,
+             "--out", str(blocker / "x"), "--no-plot"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert str(blocker / "x") in proc.stderr
+        assert proc.stdout == ""
 
     def test_negative_load(self, tmp_path):
         code, _ = run(tmp_path, BASE.replace("f = const:1", "f = const:-1"))

@@ -10,8 +10,8 @@ import pytest
 
 from fglap.errors import ConfigurationError, DomainError
 import fglap.fractional as fractional
-from fglap.fractional import (apply, apply_interior, assemble_matrix, fold,
-                              mirror, residual, weak_form)
+from fglap.fractional import (apply_interior, assemble_matrix, fold, mirror,
+                              residual, weak_form)
 from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
                           modular_W_parts)
 from fglap.quadrature import gauss_legendre
@@ -103,15 +103,8 @@ class TestStrongForm:
         cfg = OperatorConfig(young=power4, s=0.3)
         c = 0.7
         plateau = GridFunction(mesh33, np.full(mesh33.m, c))
-        got = apply(cfg, plateau, mesh33.m // 2)
+        got = apply_interior(cfg, plateau)[mesh33.m // 2 - 1]
         assert got == pytest.approx(2.0 * c ** 3 / 1.2, rel=1e-12)
-
-    def test_interior_index_required(self, power4, mesh33):
-        cfg = OperatorConfig(young=power4, s=0.3)
-        u = bump_on(mesh33)
-        for bad in (0, mesh33.m - 1, -1, mesh33.m):
-            with pytest.raises(DomainError):
-                apply(cfg, u, bad)
 
     def test_even_symmetry(self, power4, mesh33):
         cfg = OperatorConfig(young=power4, s=0.3)
@@ -126,7 +119,8 @@ class TestStrongForm:
         errs = []
         for m in (33, 65, 129):
             mesh = Mesh(m)
-            errs.append(abs(apply(cfg, bump_on(mesh), m // 2) - a_star))
+            errs.append(abs(apply_interior(cfg, bump_on(mesh))[m // 2 - 1]
+                            - a_star))
         assert errs[-1] <= 6e-5
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
@@ -137,7 +131,8 @@ class TestStrongForm:
         # the second-order limit is approached from above, so the literal
         # (1.5, 4.0] bracket just misses; kept as a strict expected failure
         cfg = OperatorConfig(young=power4, s=0.3)
-        vals = [apply(cfg, bump_on(Mesh(m)), m // 2) for m in (33, 65, 129)]
+        vals = [apply_interior(cfg, bump_on(Mesh(m)))[m // 2 - 1]
+                for m in (33, 65, 129)]
         ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
         assert 1.5 <= ratio <= 4.0
 

@@ -1,6 +1,8 @@
-"""Source hygiene: no module in src/ or tests/ imports a name it never reads."""
+"""Source hygiene: no module in src/ or tests/ imports a name it never
+reads, and the source line counter adds up."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,21 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom pathlib import Path\nimport numpy.linalg\nnumpy.linalg\n"
     assert unused_imports(source) == ["Path (line 2)", "os (line 1)"]
+
+
+def test_src_lines_totals_match_files():
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "scripts" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    rows = src_lines.table(ROOT / "src" / "fglap")
+    paths = sorted((ROOT / "src" / "fglap").glob("*.py"))
+    assert sorted(rows) == sorted([p.name for p in paths] + ["total"])
+    for path in paths:
+        assert rows[path.name]["total"] == len(path.read_text().splitlines())
+        assert min(rows[path.name].values()) >= 0
+    assert rows["total"]["total"] == sum(rows[p.name]["total"] for p in paths)
+    source = '"""Doc\n\nmore."""\n\n# note\nx = """a\n\nb"""  # tail\n'
+    # the blank line inside a non-docstring string counts as code
+    assert src_lines.count(source) == {"total": 8, "docstring": 3, "comment": 1,
+                                       "blank": 1, "code": 3}

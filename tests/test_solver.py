@@ -584,6 +584,17 @@ class TestDiagnostics:
         assert out["bounded"] is True
         assert out["reference"] > 0.0
 
+    @pytest.mark.parametrize("schedule", [(1,), (1, 2), (1, 2, 4),
+                                          (1, 2, 4, 8, 16)])
+    def test_reference_is_median_of_last_three(self, cfg, mesh33, schedule):
+        # the sorted middle (or the mean of the two middles) equals
+        # np.median bit for bit; two stages are the one even count
+        report = monotone_scheme(cfg, unit_data(mesh33), mesh=mesh33,
+                                 n_schedule=schedule)
+        out = boundary_energy_report(report)
+        assert len(out["energies"]) == len(schedule)
+        assert out["reference"] == float(np.median(out["energies"][-3:]))
+
     @pytest.mark.parametrize("case", ["main1", "main2"])
     def test_modular_energy_per_stage(self, cfg, mesh33, case):
         data = (unit_data(mesh33) if case == "main1" else

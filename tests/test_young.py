@@ -15,6 +15,7 @@ from fglap.checks import check_conjugate, check_growth_bounds
 from fglap.errors import ConfigurationError, DomainError
 from fglap.young import (
     _LAGUERRE_BLOCK,
+    FAMILIES,
     DoublePowerYoung,
     LogTypeYoung,
     PhiWeight,
@@ -289,8 +290,10 @@ class TestMakeYoung:
         assert isinstance(make_young("log-type", a=2.0, b=2.0, c=1.0), LogTypeYoung)
 
     def test_unknown_family(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as err:
             make_young("cubic", p=3.0)
+        assert all(tag in str(err.value) for tag in FAMILIES)
+        assert set(FAMILIES) == {"power", "double-power", "log-type"}
 
     def test_missing_parameter(self):
         with pytest.raises(ConfigurationError):
