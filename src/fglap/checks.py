@@ -88,11 +88,8 @@ def check_growth_bounds(yf: YoungFunction) -> CheckOutcome:
     two ends of `GrowthEstimate.margins`, and the check fails below -1e-6."""
     est = yf.growth
     lower, upper = est.margins(yf)
-    offending = None
-    if min(lower, upper) < -1e-6:
-        offending = {"t": est.t_at_min if lower < upper else est.t_at_max,
-                     "p_minus_hat": est.p_minus_hat,
-                     "p_plus_hat": est.p_plus_hat}
+    offending = {"t": est.t_at_min if lower < upper else est.t_at_max,
+                 "p_minus_hat": est.p_minus_hat, "p_plus_hat": est.p_plus_hat}
     return CheckOutcome("growth_bounds", yf.label, GROWTH_GRID,
                         min(lower, upper), 1e-6, offending=offending,
                         info={"p_minus_hat": est.p_minus_hat,
@@ -190,7 +187,7 @@ def check_phi_mvt(weight: PhiWeight, n_samples: int = 1000, *,
     swap = rng.random(n_samples) < 0.5
     x = np.where(swap, low, hi)
     y = np.where(swap, hi, low)
-    cm = min(weight.mvt_constant(), 1.0)
+    cm = weight.mvt_constant()
     slope_eps = float(weight.phi_prime(PHI_MVT_EPS))
     lhs = np.abs(weight.phi(x) - weight.phi(y))
     rhs = cm * slope_eps * np.abs(x - y)

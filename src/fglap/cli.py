@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,16 +24,14 @@ from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      FglapError, InvariantError)
 from .orlicz import GridFunction, Mesh, OperatorConfig
 from .solver import (ProblemData, SolveReport, boundary_energy_report,
-                     monotone_scheme)
+                     check_schedule, monotone_scheme)
 from .young import FAMILIES, YoungFunction, make_young
-
-_PROFILE_TAGS = ("const", "gaussian", "bump", "abs-power", "file")
 
 
 @dataclass
 class RunConfig:
-    """Validated run settings; every module-level precondition is
-    re-checked here at parse time so failures carry the config key."""
+    """Run settings. `load_config` checks them by building the library
+    objects that use them, so each condition is stated once, there."""
 
     family: str
     params: dict
@@ -102,12 +101,7 @@ def _as_int(key: str, text: str) -> int:
 
 
 def _as_int_list(key: str, text: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"config key {key!r} must be a comma-separated integer list, "
-            f"got {text!r}") from None
+    vals = tuple(_as_int(key, part) for part in text.split(",") if part.strip())
     if not vals:
         raise ConfigurationError(f"config key {key!r} is empty")
     return vals
@@ -141,37 +135,35 @@ _OPTIONAL_KEYS = {
     "declared_p_plus": ("declared_p_plus", _as_float),
 }
 
-_KNOWN_KEYS = ({"family", "s"} | set(_OPTIONAL_KEYS)
-               | {name for cls in FAMILIES.values() for name in cls.params})
+_PARAM_KEYS = {name for cls in FAMILIES.values() for name in cls.params}
+_KNOWN_KEYS = {"family", "s"} | set(_OPTIONAL_KEYS) | _PARAM_KEYS
 
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    raw = parse_config_text(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+    raw = parse_config_text(text)
 
-    family = raw.get("family", "")
-    if family not in FAMILIES:
-        raise ConfigurationError(
-            f"config key 'family' must be one of {sorted(FAMILIES)}, "
-            f"got {family!r}")
-    params = {name: _as_float(name, _required(raw, name))
-              for name in FAMILIES[family].params}
+    params = {key: _as_float(key, value) for key, value in raw.items()
+              if key in _PARAM_KEYS}
     s = _as_float("s", _required(raw, "s"))
     optional = {fld: parse(key, raw[key])
                 for key, (fld, parse) in _OPTIONAL_KEYS.items() if key in raw}
-    rc = RunConfig(family=family, params=params, s=s, **optional)
+    rc = RunConfig(family=_required(raw, "family"), params=params, s=s,
+                   **optional)
 
-    # fail at parse time, with the offending key, not deep in the pipeline
+    # fail at parse time, not deep in the pipeline: build what the commands do
     if rc.case not in ("main1", "main2"):
         raise ConfigurationError(
             f"config key 'case' must be main1 or main2, got {rc.case!r}")
-    build_young(rc)
+    build_operator(rc, build_young(rc))
     for m in rc.meshes:
         Mesh(m)
-    if not (0.0 < rc.s < 1.0):
-        raise ConfigurationError(f"config key 's' must lie in (0, 1), got {rc.s}")
     if rc.seed < 0:
         raise ConfigurationError(
             f"config key 'seed' must be nonnegative, got {rc.seed}")
@@ -179,12 +171,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(
             f"config key 'samples' must be at least {DELTA2_MIN_SAMPLES}, "
             f"got {rc.samples}")
-    for spec, key in ((rc.f_spec, "f"), (rc.q_spec, "q")):
-        _validate_profile_spec(spec, key)
-    if rc.n_schedule[0] < 1 or any(b <= a for a, b in zip(rc.n_schedule,
-                                                         rc.n_schedule[1:])):
-        raise ConfigurationError("config key 'n_schedule' must be strictly "
-                                 "increasing and start at 1 or above")
+    _parse_profile(rc.f_spec, "f")
+    _parse_profile(rc.q_spec, "q")
+    check_schedule(rc.n_schedule)
     return rc
 
 
@@ -201,85 +190,89 @@ def build_operator(rc: RunConfig, yf: YoungFunction) -> OperatorConfig:
     return OperatorConfig(yf, rc.s)
 
 
-def _validate_profile_spec(spec: str, key: str) -> None:
-    try:
-        float(spec)
-        return
-    except ValueError:
-        pass
-    tag = spec.split(":", 1)[0]
-    if tag not in _PROFILE_TAGS:
-        raise ConfigurationError(
-            f"config key {key!r}: unknown profile tag {tag!r}; allowed: "
-            + ", ".join(_PROFILE_TAGS) + ", or a bare number")
+def _gaussian(amp: float, center: float, width: float):
+    if width <= 0:
+        raise ValueError("gaussian width must be positive")
+    return lambda x: amp * np.exp(-(((x - center) / width) ** 2))
 
 
-def eval_profile(spec: str, mesh: Mesh, key: str) -> np.ndarray:
-    """Evaluate a whitelisted profile expression on the mesh nodes."""
-    x = mesh.nodes
+def _bump(amp: float):
+    def bump(x):
+        inside = np.abs(x) < 1.0
+        out = np.zeros(x.size)
+        out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
+        return out
+    return bump
+
+
+def _abs_power(amp: float, expo: float):
+    if expo < 0:
+        raise ValueError("abs-power exponent must be nonnegative")
+    return lambda x: amp * np.abs(x) ** expo
+
+
+# profile tag -> (argument count, the function from the arguments to the
+# profile at given nodes, raising ValueError on inadmissible arguments);
+# `file:path` takes a path instead
+_PROFILES = {
+    "const": (1, lambda c: lambda x: np.full(x.size, c)),
+    "gaussian": (3, _gaussian),
+    "bump": (1, _bump),
+    "abs-power": (2, _abs_power),
+}
+
+
+def _parse_profile(spec: str, key: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The profile ``spec`` of config key ``key`` as a function of the mesh
+    nodes. Every check that needs no mesh runs here, so `load_config`
+    rejects a malformed profile before any work."""
     try:
-        return np.full(mesh.m, float(spec))
+        return _PROFILES["const"][1](float(spec))  # a bare number c is const:c
     except ValueError:
         pass
     tag, _, argstr = spec.partition(":")
     if tag == "file":
-        path = Path(argstr)
-        if not path.is_file():
+        try:
+            vals = np.loadtxt(argstr, dtype=float)
+        except (OSError, ValueError) as exc:
             raise ConfigurationError(
-                f"config key {key!r}: nodal file not found: {path}")
-        vals = np.loadtxt(path, dtype=float)
-        if vals.shape != (mesh.m,):
-            raise ConfigurationError(
-                f"config key {key!r}: nodal file {path} holds "
-                f"{vals.size} values but the mesh has {mesh.m} nodes")
-        return vals
+                f"config key {key!r}: cannot read nodal file {argstr}: {exc}") from None
+
+        def nodal(x):
+            if vals.shape != x.shape:
+                raise ConfigurationError(
+                    f"config key {key!r}: nodal file {argstr} holds "
+                    f"{vals.size} values but the mesh has {x.size} nodes")
+            return vals
+        return nodal
+    if tag not in _PROFILES:
+        raise ConfigurationError(
+            f"config key {key!r}: unknown profile tag {tag!r}; allowed: "
+            + ", ".join([*_PROFILES, "file"]) + ", or a bare number")
+    nargs, profile = _PROFILES[tag]
     try:
         args = [float(part) for part in argstr.split(",") if part.strip()]
     except ValueError:
         raise ConfigurationError(
             f"config key {key!r}: non-numeric arguments in {spec!r}") from None
+    if len(args) != nargs:
+        raise ConfigurationError(
+            f"config key {key!r}: tag {tag!r} takes {nargs} argument(s), "
+            f"got {len(args)} in {spec!r}")
+    try:
+        return profile(*args)
+    except ValueError as exc:
+        raise ConfigurationError(f"config key {key!r}: {exc}") from None
 
-    def need(n):
-        if len(args) != n:
-            raise ConfigurationError(
-                f"config key {key!r}: tag {tag!r} takes {n} argument(s), "
-                f"got {len(args)} in {spec!r}")
 
-    if tag == "const":
-        need(1)
-        return np.full(mesh.m, args[0])
-    if tag == "gaussian":
-        need(3)
-        amp, center, width = args
-        if width <= 0:
-            raise ConfigurationError(
-                f"config key {key!r}: gaussian width must be positive")
-        return amp * np.exp(-(((x - center) / width) ** 2))
-    if tag == "bump":
-        need(1)
-        inside = np.abs(x) < 1.0
-        out = np.zeros(mesh.m)
-        out[inside] = args[0] * np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
-        return out
-    if tag == "abs-power":
-        need(2)
-        amp, expo = args
-        if expo < 0:
-            raise ConfigurationError(
-                f"config key {key!r}: abs-power exponent must be nonnegative")
-        return amp * np.abs(x) ** expo
-    raise ConfigurationError(
-        f"config key {key!r}: unknown profile tag in {spec!r}; allowed: "
-        + ", ".join(_PROFILE_TAGS) + ", or a bare number")
+def eval_profile(spec: str, mesh: Mesh, key: str) -> np.ndarray:
+    """Evaluate a whitelisted profile expression on the mesh nodes."""
+    return _parse_profile(spec, key)(mesh.nodes)
 
 
 def build_data(rc: RunConfig, mesh: Mesh) -> ProblemData:
     f_vals = eval_profile(rc.f_spec, mesh, "f")
     q_vals = eval_profile(rc.q_spec, mesh, "q")
-    if f_vals.min() < 0.0:
-        raise ConfigurationError("config key 'f': the load must be nonnegative")
-    if q_vals.min() < 0.0:
-        raise ConfigurationError("config key 'q': the exponent must be nonnegative")
     return ProblemData(f=GridFunction(mesh, f_vals),
                        q=GridFunction(mesh, q_vals),
                        case=rc.case, q_star=rc.q_star, delta=rc.delta)
@@ -453,31 +446,21 @@ def _write_plot(rc: RunConfig, report: SolveReport) -> None:
 
 
 def cmd_convergence(rc: RunConfig) -> int:
-    meshes = rc.meshes or (33, 65, 129)
+    meshes = [Mesh(m) for m in rc.meshes or (33, 65, 129)]
     if len(meshes) < 2:
         raise ConfigurationError(
             "convergence needs at least two mesh sizes, e.g. "
             "'mesh = 33,65,129'")
-    for coarse, fine in zip(meshes, meshes[1:]):
-        if fine <= coarse or (fine - 1) % (coarse - 1) != 0:
-            raise ConfigurationError(
-                f"mesh sizes must be increasing and nested (each M' - 1 a "
-                f"multiple of M - 1); got {coarse} before {fine}")
-    yf = build_young(rc)
-    cfg = build_operator(rc, yf)
+    shared = [coarse.coarse_index_in(fine)
+              for coarse, fine in zip(meshes, meshes[1:])]
+    cfg = build_operator(rc, build_young(rc))
 
-    finals: list[GridFunction] = []
-    for m in meshes:
-        mesh = Mesh(m)
-        report = monotone_scheme(cfg, build_data(rc, mesh), mesh=mesh,
-                                 n_schedule=rc.n_schedule)
-        finals.append(report.final)
-
+    finals = [monotone_scheme(cfg, build_data(rc, mesh), mesh=mesh,
+                              n_schedule=rc.n_schedule).final for mesh in meshes]
     rows = []
     diffs = []
-    for coarse, fine in zip(finals, finals[1:]):
-        shared = coarse.mesh.coarse_index_in(fine.mesh)
-        diff = float(np.max(np.abs(coarse.values - fine.values[shared])))
+    for idx, coarse, fine in zip(shared, finals, finals[1:]):
+        diff = float(np.max(np.abs(coarse.values - fine.values[idx])))
         diffs.append(diff)
         rows.append([f"M{coarse.mesh.m}_vs_M{fine.mesh.m}",
                      str(coarse.mesh.m), str(fine.mesh.m), _fmt(diff)])

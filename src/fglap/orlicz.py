@@ -57,11 +57,12 @@ class Mesh:
         return np.abs(self.nodes) <= 0.5 + 1e-12
 
     def coarse_index_in(self, fine: "Mesh") -> np.ndarray:
-        """Indices of this mesh's nodes inside a nested finer mesh."""
+        """Indices of this mesh's nodes inside a nested finer mesh, whose
+        m - 1 is a multiple, at least twice, of this mesh's."""
         step, rem = divmod(fine.m - 1, self.m - 1)
-        if rem != 0:
+        if rem != 0 or step < 2:
             raise ConfigurationError(
-                f"meshes with {self.m} and {fine.m} nodes do not nest")
+                f"a mesh with {fine.m} nodes does not refine one with {self.m}")
         return np.arange(self.m) * step
 
     def __repr__(self):

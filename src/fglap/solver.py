@@ -68,8 +68,6 @@ class ProblemData:
         else:
             if self.q_star is None:
                 raise ConfigurationError("case main2 needs q_star")
-            if not (self.q_star > 1.0):
-                raise ConfigurationError("q_star must exceed 1")
             if q_strip > self.q_star + 1e-12:
                 raise ConfigurationError(
                     f"q reaches {q_strip:g} on the boundary strip, above "
@@ -318,6 +316,14 @@ def _stage_load(data: ProblemData, mesh: Mesh, n: int):
     return load
 
 
+def check_schedule(n_schedule: tuple[int, ...]) -> None:
+    """Raise unless the truncation levels increase strictly from 1 up."""
+    if (len(n_schedule) < 1 or n_schedule[0] < 1
+            or any(b <= a for a, b in zip(n_schedule, n_schedule[1:]))):
+        raise ConfigurationError("n_schedule must be strictly increasing and "
+                                 "start at 1 or above")
+
+
 def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
                     mesh: Mesh | None = None,
                     n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16)) -> SolveReport:
@@ -336,10 +342,7 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     if mesh.m != data.f.mesh.m:
         raise ConfigurationError(
             f"the mesh has {mesh.m} nodes, the problem data {data.f.mesh.m}")
-    if (len(n_schedule) < 1 or n_schedule[0] < 1
-            or any(b <= a for a, b in zip(n_schedule, n_schedule[1:]))):
-        raise ConfigurationError("the n schedule must be strictly increasing "
-                                 "and start at 1 or above")
+    check_schedule(n_schedule)
     data.validate_family(cfg)
 
     report = SolveReport(mesh=mesh, cfg=cfg)

@@ -482,7 +482,6 @@ def eval_Gbar(yf: YoungFunction, t):
     g^{-1} has elasticity at least 1/(p_plus - 1), so the Laguerre rule
     runs with k = p_plus/(p_plus - 1), the conjugate exponent of p_plus.
     """
-    _require_finite(t, "eval_Gbar")
     arr, scalar = _as_batch(t)
     if np.any(arr < 0.0):
         raise DomainError("eval_Gbar: argument must be nonnegative")
@@ -532,12 +531,6 @@ def submultiplicativity_constant(yf: YoungFunction) -> float:
         cross = yf.g(np.outer(t, t))
         ratio = prod / cross
     return float(np.nanmin(ratio))
-
-
-def _require_finite(t, where: str) -> None:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{where}: arguments must be finite")
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,24 @@ class TestExitCodes:
         rc = load_config(write_cfg(tmp_path, BASE + "samples = 1e3\nseed = 2.0\n"))
         assert (rc.samples, rc.seed) == (1000, 2)
 
+    def test_integer_lists_accept_integral_floats(self, tmp_path):
+        body = BASE.replace("mesh = 33", "mesh = 33.0").replace(
+            "n_schedule = 1,2", "n_schedule = 1,2e0")
+        rc = load_config(write_cfg(tmp_path, body))
+        assert (rc.meshes, rc.n_schedule) == ((33,), (1, 2))
+
+    def test_non_utf8_config_rejected(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9 \xff\n" + BASE.encode())
+        proc = subprocess.run(
+            [sys.executable, "-m", "fglap.cli", "check-young", "--config",
+             str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert str(cfg) in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [("near_band", "1"), ("r_far", "100"),
                                            ("tail_mode", "analytic"),
                                            ("tol_stop", "1e-6"),
@@ -369,6 +387,54 @@ class TestProfiles:
         body = BASE.replace("f = const:1", "f = spike:1")
         assert run(tmp_path, body)[0] == 2
 
+    def test_non_numeric_file_profile(self, tmp_path, capsys):
+        fpath = tmp_path / "qvals.txt"
+        fpath.write_text("abc\n" * 33, encoding="utf-8")
+        body = BASE.replace("q = const:0.5", f"q = file:{fpath}")
+        code, out = run(tmp_path, body)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'q'" in err and str(fpath) in err
+        assert not out.exists()
+
     def test_bare_number_is_constant(self, tmp_path):
         body = BASE.replace("q = const:0.5", "q = 0.5")
         assert run(tmp_path, body)[0] == 0
+
+
+def _set_key(body: str, key: str, value: str) -> str:
+    """body with ``key = value``, replacing the key's line if it has one."""
+    line = f"{key} = {value}"
+    new, count = re.subn(rf"(?m)^{re.escape(key)} = .*$", line, body)
+    return new if count else body + line + "\n"
+
+
+# (key, malformed value, what stderr must name); every row fails at load
+MALFORMED = [
+    ("case", "main3", "'case'"),
+    ("family", "cubic", "family 'cubic'"),
+    ("s", "1.3", "s must lie in (0, 1)"),
+    ("n_schedule", "1,2.5", "'n_schedule'"),
+    ("f", "gaussian:1,0", "'f'"),
+    ("f", "gaussian:1,0,0", "'f'"),
+    ("q", "abs-power:0.5,-1", "'q'"),
+    ("f", "const:x", "'f'"),
+    ("q", "file:missing.txt", "'q'"),
+    ("f", "bump:1,2", "'f'"),
+]
+
+
+@pytest.mark.parametrize("cmd", ["check-young", "solve", "convergence"])
+@pytest.mark.parametrize("key,value,named", MALFORMED,
+                         ids=[f"{k}={v}" for k, v, _ in MALFORMED])
+def test_malformed_config_exits_two(tmp_path, capsys, monkeypatch, cmd, key,
+                                    value, named):
+    # each command loads the same checks before any work, so it writes
+    # nothing; the base config runs cleanly under each command
+    monkeypatch.chdir(tmp_path)
+    body = BASE.replace("mesh = 33", "mesh = 17,33") if cmd == "convergence" else BASE
+    code, out = run(tmp_path, _set_key(body, key, value), cmd=cmd)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err and "Traceback" not in err
+    assert not out.exists()

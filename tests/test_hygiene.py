@@ -1,5 +1,5 @@
-"""Source hygiene: no module in src/ or tests/ imports a name it never
-reads, and the source line counter adds up."""
+"""Source hygiene: no module in src/, tests/ or scripts/ imports a name it
+never reads, and the source line counter adds up."""
 
 import ast
 import importlib.util
@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*ROOT.glob("src/fglap/*.py"), *ROOT.glob("tests/*.py")])
+SOURCES = sorted([*ROOT.glob("src/fglap/*.py"), *ROOT.glob("tests/*.py"),
+                  *ROOT.glob("scripts/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

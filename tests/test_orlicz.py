@@ -58,6 +58,12 @@ class TestMesh:
         with pytest.raises(ConfigurationError):
             Mesh(33).coarse_index_in(Mesh(49))
 
+    @pytest.mark.parametrize("fine", [33, 17])
+    def test_refinement_must_be_finer(self, fine):
+        # a nested mesh refines only when its m - 1 is at least twice as large
+        with pytest.raises(ConfigurationError):
+            Mesh(33).coarse_index_in(Mesh(fine))
+
 
 class TestGridFunction:
     def test_shape_checked(self):
