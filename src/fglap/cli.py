@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -233,8 +234,11 @@ def _parse_profile(spec: str, key: str) -> Callable[[np.ndarray], np.ndarray]:
     tag, _, argstr = spec.partition(":")
     if tag == "file":
         try:
-            vals = np.loadtxt(argstr, dtype=float)
-        except (OSError, ValueError) as exc:
+            # a file with no data warns; make that the error it is
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                vals = np.loadtxt(argstr, dtype=float)
+        except (OSError, ValueError, UserWarning) as exc:
             raise ConfigurationError(
                 f"config key {key!r}: cannot read nodal file {argstr}: {exc}") from None
 
@@ -338,13 +342,7 @@ def cmd_solve(rc: RunConfig) -> int:
               file=sys.stderr)
         return 1
 
-    try:
-        report = monotone_scheme(cfg, data, mesh=mesh,
-                                 n_schedule=rc.n_schedule)
-    except ConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return 1
-
+    report = monotone_scheme(cfg, data, mesh=mesh, n_schedule=rc.n_schedule)
     diag = boundary_energy_report(report)
     _write_solution(rc, report)
     _write_diagnostics(rc, report, diag)

@@ -16,11 +16,11 @@ the end nodes, so the columns of nodes 0 and m - 1 are halved
 the residual paired with the test function's nodal values.
 
 The far terms are m x m arrays, evaluated in place in the far-pair
-workspace `orlicz._FAR`: a `young.Workspace` of three buffers (du, the
-Young values, and the Young kernels' scratch), one per thread and one mesh
-size at a time, which the energy in `orlicz` shares. ds and kr are
-read-only views, so a residual or weak-form evaluation allocates no m x m
-array; the Jacobian allocates the one it returns.
+buffers `orlicz._FAR`: three reused arrays (du, the Young values, and the
+Young kernels' scratch), per thread and of one mesh size at a time, which
+the energy in `orlicz` shares. ds and kr are read-only views, so a
+residual or weak-form evaluation allocates no m x m array; the Jacobian
+allocates the one it returns.
 
 The local terms are the `Discretization`'s list of local points.
 `_local_G` is their one G pass, which `residual` can hand on to
@@ -127,11 +127,10 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
     rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
     k = _rows(mesh.m, even)
 
-    with _FAR.take(disc.kr.shape) as (du, far_mat, work):
-        du, far_mat, work = du[:k], far_mat[:k], work[:k]
-        yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
-        far_mat *= disc.kr[:k]
-        r = 2.0 * _halve_boundary(far_mat).sum(axis=1)
+    du, far_mat, work = (buf[:k] for buf in _FAR.take(disc.kr.shape))
+    yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
+    far_mat *= disc.kr[:k]
+    r = 2.0 * _halve_boundary(far_mat).sum(axis=1)
 
     # the local sums per slope, scattered onto nodes by differencing (slope
     # i is (u_(i+1) - u_i) / h), then per interior node
@@ -179,8 +178,8 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     # written straight into the fresh matrix whose interior is returned; a
     # pass over a Toeplitz view is not one contiguous loop, so the factor 2
     # rides on the negation rather than on a pass of its own
-    with _FAR.take(disc.kr.shape) as (du, _, work):
-        pair = yf.g_prime(disc.quotients(uv, out=du[:k]), work=work[:k])
+    du, _, work = _FAR.take(disc.kr.shape)
+    pair = yf.g_prime(disc.quotients(uv, out=du[:k]), work=work[:k])
     pair *= disc.kr[:k]
     pair /= disc.ds[:k]
     row = 2.0 * _halve_boundary(pair).sum(axis=1)
@@ -230,7 +229,7 @@ def _first_cell_integral(cfg: OperatorConfig, sigma: np.ndarray,
     yf = cfg.young
     e = 1.0 / (1.0 - cfg.s)
 
-    def integrand(y, **_):
+    def integrand(y):
         out = np.zeros_like(y)
         pos = y >= np.finfo(float).tiny
         with np.errstate(divide="ignore"):

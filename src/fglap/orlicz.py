@@ -8,7 +8,7 @@ variables, and local terms, the band |x - y| < h and the exterior strips
 primitive Lambda(Y) = int_0^Y G(tau)/tau dtau. `Discretization` holds the
 geometry of both kinds of term for one mesh size. The energies here take
 an `OperatorConfig` and read that geometry, and evaluate their far terms
-in the far-pair workspace `_FAR`, exactly as the residual, Jacobian and
+in the far-pair buffers `_FAR`, exactly as the residual, Jacobian and
 weak form in `fractional` do, so that the weak form is the exact gradient
 of the modular energy. The Luxemburg gauges invert the modular along u's
 ray with the growth-window inverter of `quadrature`.
@@ -16,6 +16,7 @@ ray with the growth-window inverter of `quadrature`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +25,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DomainError
 from .quadrature import gauss_legendre, invert_monotone
-from .young import Workspace, YoungFunction
+from .young import YoungFunction
 
 # x-quadrature order on the clipped band cell-sides; ample for the linear
 # clipping near the endpoints (unclipped sides need one point)
@@ -32,8 +33,23 @@ _BAND_XQ = 8
 # sup-norm gap to its mirror image below which a grid function counts as even
 EVEN_TOL = 1e-9
 
-# the far-pair workspace that `fractional` describes
-_FAR = Workspace(3)
+
+class _FarPairBuffers(threading.local):
+    """The far-pair buffers that `fractional` describes: three reused
+    float64 arrays per thread, of one shape at a time."""
+
+    shape = None
+    buffers = ()
+
+    def take(self, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+        if shape != self.shape:
+            self.buffers = ()    # drop the old size before allocating
+            self.buffers = tuple(np.empty(shape) for _ in range(3))
+            self.shape = shape
+        return self.buffers
+
+
+_FAR = _FarPairBuffers()
 
 
 class Mesh:
@@ -297,11 +313,11 @@ def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
     yf = cfg.young
     v = u.values
 
-    with _FAR.take(disc.kr.shape) as (du, far_mat, work):
-        yf.G(disc.quotients(v, out=du), out=far_mat, work=work)
-        far_mat *= disc.kr
-        far_mat *= disc.ds
-        far = float(_halve_boundary(far_mat, rows=True).sum())
+    du, far_mat, work = _FAR.take(disc.kr.shape)
+    yf.G(disc.quotients(v, out=du), out=far_mat, work=work)
+    far_mat *= disc.kr
+    far_mat *= disc.ds
+    far = float(_halve_boundary(far_mat, rows=True).sum())
 
     local = disc.loc_w * yf.lam(np.abs(disc.local_args(v))[disc.loc_arg]
                                 * disc.loc_r)

@@ -22,14 +22,13 @@ as c tau -> 0. That takes no sign array, and each exponent is one lower
 than in sign(t) g(|t|): at p = 4 numpy's power squares instead of
 calling pow. ``g``, ``g_prime`` and ``G`` write into ``out=`` when given
 one, with ``work=`` as the scratch array the two-factor families need, so
-that callers can hand in reused storage, such as the far-pair workspace
-of `fractional`; without them they allocate.
+that callers can hand in reused storage, such as the far-pair buffers of
+`orlicz`; without them they allocate.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -71,46 +70,6 @@ def _restore(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-class Workspace(threading.local):
-    """``count`` reused float64 scratch arrays of one shape, per thread.
-
-    ``with ws.take(shape) as buffers:`` lends them, reallocating them only
-    when the shape changes, so a thread holds one size at a time. A nested
-    ``take`` while the buffers are lent (a kernel that re-enters the code
-    using them) gets fresh arrays instead.
-    """
-
-    def __init__(self, count: int):
-        self.count = count
-        self.shape = None
-        self.buffers = ()
-        self.depth = 0          # open ``take`` blocks in this thread
-        self.wanted = None
-
-    def take(self, shape: tuple[int, ...]) -> "Workspace":
-        self.wanted = shape
-        return self
-
-    def __enter__(self) -> tuple[np.ndarray, ...]:
-        if self.depth:
-            fresh = tuple(np.empty(self.wanted) for _ in range(self.count))
-            self.depth += 1
-            return fresh
-        if self.shape != self.wanted:
-            self.buffers = ()    # drop the old size before allocating
-            self.buffers = tuple(np.empty(self.wanted) for _ in range(self.count))
-            self.shape = self.wanted
-        self.depth = 1
-        return self.buffers
-
-    def __exit__(self, *exc) -> None:
-        self.depth -= 1
-
-
-# the expanded block, the integrand's values and its scratch
-_BLOCKS = Workspace(3)
-
-
 @lru_cache(maxsize=None)
 def _laguerre_rule(alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """The leading nodes and weights of the _LAGUERRE_NODES-point rule for
@@ -133,27 +92,25 @@ def _laguerre_weights(k: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_sums(f, y: np.ndarray, row: np.ndarray, weights: np.ndarray,
                 finish, out: np.ndarray | None = None) -> np.ndarray:
-    """finish(y, f(y row) @ weights) at every point y, in fixed blocks of
-    reused storage: ``f(x, out=, work=)`` gets each expanded block and may
-    write its values into ``out`` and use ``work`` as scratch. The results
-    go into ``out`` if given: a C-contiguous array of y's shape, which may
-    be y itself, since each block is read before its values are written.
+    """finish(y, f(y row) @ weights) at every point y, _LAGUERRE_BLOCK
+    points at a time in one expanded block that the call allocates and
+    reuses: ``f(x)`` gets each block and may overwrite it. The results go
+    into ``out`` if given: a C-contiguous array of y's shape, which may be
+    y itself, since each block is read before its values are written.
     """
     flat = np.asarray(y, dtype=float).ravel()
     if out is None:
         out = np.empty(np.shape(y))
     flat_out = out.reshape(-1)
-    with _BLOCKS.take((_LAGUERRE_BLOCK, row.size)) as (xs, vals, work):
-        for lo in range(0, flat.size, _LAGUERRE_BLOCK):
-            pts = flat[lo:lo + _LAGUERRE_BLOCK]
-            n = pts.size
-            # numpy's ufunc loop allocates a 64 KiB buffer per broadcast
-            # operand, and a copy none: copy the column, then scale by the row
-            x = xs[:n]
-            np.copyto(x, pts[:, None])
-            x *= row
-            flat_out[lo:lo + n] = finish(
-                pts, f(x, out=vals[:n], work=work[:n]) @ weights)
+    xs = np.empty((_LAGUERRE_BLOCK, row.size))
+    for lo in range(0, flat.size, _LAGUERRE_BLOCK):
+        pts = flat[lo:lo + _LAGUERRE_BLOCK]
+        # numpy's ufunc loop allocates a 64 KiB buffer per broadcast
+        # operand, and a copy none: copy the column, then scale by the row
+        x = xs[:pts.size]
+        np.copyto(x, pts[:, None])
+        x *= row
+        flat_out[lo:lo + pts.size] = finish(pts, f(x) @ weights)
     return out
 
 
@@ -174,8 +131,7 @@ def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0,
     2003), and for an integrand of elasticity at most e_+ the dropped
     nodes change the integral by a relative ((e_+ + 1)/k)^(1+alpha) 1e-20
     at most. Points go through `_block_sums`, with ``f``, ``out`` and the
-    aliasing of ``out`` and y as documented there; the g kernels use the
-    ``out`` and ``work`` blocks, other integrands ignore them.
+    aliasing of ``out`` and y as documented there.
     """
     shrink, weights = _laguerre_weights(k, alpha)
     return _block_sums(f, y, shrink, weights, np.multiply, out)
@@ -445,7 +401,7 @@ class LogTypeYoung(YoungFunction):
     def _log_sum(self, y, alpha, out=None):
         row, W, const = self._sums[alpha]
         e = self.a + 1.0
-        return _block_sums(lambda x, out, work: np.log1p(x, out=out), y, row, W,
+        return _block_sums(lambda x: np.log1p(x, out=x), y, row, W,
                            lambda pts, sums: (sums + const) * pts ** e, out)
 
     def _G_pos(self, t, out=None, work=None):
@@ -487,8 +443,7 @@ def eval_Gbar(yf: YoungFunction, t):
         raise DomainError("eval_Gbar: argument must be nonnegative")
     p_plus = yf.window[1]
     k = p_plus / (p_plus - 1.0)
-    return _restore(_laguerre_integral(lambda x, **_: yf._g_inv_pos(x), arr, k),
-                    scalar)
+    return _restore(_laguerre_integral(yf._g_inv_pos, arr, k), scalar)
 
 
 class GrowthEstimate(NamedTuple):
@@ -590,7 +545,7 @@ class PhiWeight:
             beta = 1.0 / (self.q_star - 1.0)
             sig = self.base._G_inv_pos(self._G1 * tv ** (self.q_star - 1.0))
 
-            def integrand(pts, **_):
+            def integrand(pts):
                 with np.errstate(divide="ignore", over="ignore"):
                     logG = np.log(np.maximum(self.base._G_pos(pts), 1e-300))
                     return np.exp(beta * (logG - np.log(self._G1)))

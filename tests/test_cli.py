@@ -13,6 +13,7 @@ import fglap.cli as cli
 import fglap.orlicz as orlicz
 import fglap.solver as solver
 from fglap.cli import load_config, main
+from fglap.errors import ConvergenceError
 from fglap.young import FAMILIES
 
 from conftest import stalled_matrix
@@ -257,6 +258,26 @@ class TestExitCodes:
         assert "stage n = 1 (m = 33) exhausted" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["solve", "convergence"])
+    def test_stage_failure_has_one_handler(self, tmp_path, monkeypatch, capsys,
+                                           cmd):
+        # both commands leave a failed stage to main: exit 1, one line
+        if cmd == "solve":
+            # a low Newton cap would fail the check battery first
+            def failing_scheme(*args, **kw):
+                raise ConvergenceError("stage n = 1 (m = 33) exhausted")
+
+            monkeypatch.setattr(cli, "monotone_scheme", failing_scheme)
+            body = BASE
+        else:
+            monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
+            body = BASE.replace("mesh = 33", "mesh = 17,33")
+        code, _ = run(tmp_path, body, cmd=cmd)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("failure: stage n = ")
+        assert "Traceback" not in err
+
     def test_convergence_happy_path(self, tmp_path):
         body = BASE.replace("mesh = 33", "mesh = 17,33")
         code, out = run(tmp_path, body, cmd="convergence")
@@ -396,6 +417,22 @@ class TestProfiles:
         assert code == 2
         assert "'q'" in err and str(fpath) in err
         assert not out.exists()
+
+    def test_empty_file_profile_fails_at_load(self, tmp_path):
+        # numpy warns on a file with no data; the warning is the one
+        # configuration error, before check-young writes anything
+        fpath = tmp_path / "empty.txt"
+        fpath.write_text("", encoding="utf-8")
+        cfg = write_cfg(tmp_path, BASE.replace("q = const:0.5", f"q = file:{fpath}"))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fglap.cli", "check-young", "--config", cfg,
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert "'q'" in proc.stderr and str(fpath) in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (out / "checks.csv").exists()
 
     def test_bare_number_is_constant(self, tmp_path):
         body = BASE.replace("q = const:0.5", "q = 0.5")

@@ -269,6 +269,15 @@ class TestPhiWeight:
         t = standard_grid(512)
         np.testing.assert_allclose(w.phi(t), w.r * t ** (1.0 / w.r), rtol=1e-14, atol=0.0)
 
+    def test_nested_laguerre_sums_match_pointwise(self, log221):
+        # log-type G is a Laguerre sum of its own, so each block of Phi's
+        # sum runs a whole inner sum; 300 points span three outer blocks
+        w = PhiWeight(log221, 2.0)
+        t = standard_grid(300)
+        assert t.size > 2 * _LAGUERRE_BLOCK
+        pointwise = np.array([w.phi(x) for x in t])
+        np.testing.assert_allclose(w.phi(t), pointwise, rtol=1e-14, atol=0.0)
+
     def test_inadmissible_exponent_rejected(self, power4):
         broken = PowerYoung(4.0)
         broken.p_minus = 0.8  # r q_star >= p_minus only reachable this way
