@@ -227,18 +227,24 @@ def check_comparison(cfg: OperatorConfig, mesh: Mesh, *,
                      seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Discrete comparison principle over COMPARISON_TRIALS ordered load
     pairs: ordering the loads orders the solutions at the interior nodes
-    (tolerance 1e-7; the larger load starts from the smaller one's
-    solution), so the margin is the smallest interior slack. For exactly
-    homogeneous families a doubled load must scale the cold-started solution
-    by 2**(1/(p-1)) within 1e-6."""
+    (tolerance 1e-7), so the margin is the smallest interior slack. For
+    exactly homogeneous families a doubled load must scale the solution by
+    2**(1/(p-1)) within 1e-6.
+
+    The solves form one warm chain, so only the first is seeded from the
+    cone: the larger load of a pair starts from the smaller one's
+    solution, and each trial's smaller load, like the doubling pair's
+    first load, from the previous solution. A start changes the solutions
+    only within the Newton tolerance."""
     rng = _rng(seed, "comparison")
     yf = cfg.young
     worst = np.inf
     bad = None
+    v = None
     for k in range(COMPARISON_TRIALS):
         base = rng.uniform(0.1, 2.0, mesh.m)
         bump = rng.uniform(0.0, 1.0, mesh.m)
-        u, _ = solve_auxiliary(cfg, mesh, base)
+        u, _ = solve_auxiliary(cfg, mesh, base, warm_start=v)
         v, _ = solve_auxiliary(cfg, mesh, base + bump, warm_start=u)
         # both solutions vanish at the end nodes: the margin is interior
         margin = float(np.min(v.values[1:-1] - u.values[1:-1]))
@@ -248,8 +254,8 @@ def check_comparison(cfg: OperatorConfig, mesh: Mesh, *,
     if abs(yf.p_plus - yf.p_minus) < 1e-12:
         scale = 2.0 ** (1.0 / (yf.p_minus - 1.0))
         load = rng.uniform(0.5, 1.5, mesh.m)
-        u, _ = solve_auxiliary(cfg, mesh, load)
-        v, _ = solve_auxiliary(cfg, mesh, 2.0 * load)
+        u, _ = solve_auxiliary(cfg, mesh, load, warm_start=v)
+        v, _ = solve_auxiliary(cfg, mesh, 2.0 * load, warm_start=u)
         drift = float(np.max(np.abs(v.values - scale * u.values)))
         info["doubling_drift"] = drift
         if drift > 1e-6:

@@ -18,9 +18,11 @@ the residual paired with the test function's nodal values.
 The far terms are m x m arrays, evaluated in place in the far-pair
 buffers `orlicz._FAR`: three reused arrays (du, the Young values, and the
 Young kernels' scratch), per thread and of one mesh size at a time, which
-the energy in `orlicz` shares. ds and kr are read-only views, so a
-residual or weak-form evaluation allocates no m x m array; the Jacobian
-allocates the one it returns.
+the energy in `orlicz` shares. ds and kr are read-only views, so no
+evaluation allocates an m x m array. The Jacobian is assembled over the
+residual's g values and returned as a view of that buffer. A residual
+evaluated ``with_G`` leaves its quotients du for the assembly at the same
+iterate, which reuses them unless the buffers were taken in between.
 
 The local terms are the `Discretization`'s list of local points.
 `_local_G` is their one G pass, which `residual` can hand on to
@@ -147,20 +149,27 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
         r = mirror(r)
     r[0] = r[-1] = 0.0
     res = GridFunction(mesh, r)
-    return (res, G) if with_G else res
+    if not with_G:
+        return res
+    _FAR.claim(G, k)
+    return res, G
 
 
 def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
                     even: bool = False, G=None) -> np.ndarray:
     """Interior-node residual Jacobian: symmetric and positive
-    semidefinite. A fresh array, the caller's to modify.
+    semidefinite. It is a view of the far-pair buffers (`orlicz._FAR`),
+    the caller's to modify but valid only until the next far-pair
+    evaluation on this thread; copy it to keep it.
 
     With ``even`` (u even, m odd) only the rows of the interior nodes up
     to the centre c = (m - 1) / 2 are assembled: the block J[1:c+1, 1:-1]
-    of shape (c, m - 2), for `fold` to reduce to the half unknowns.
-    ``G`` is the local terms' G values that ``residual(..., with_G=True)``
-    returned at this u, so that a Newton step evaluates G there once;
-    without it they are evaluated here. The g and g' terms are always
+    of shape (c, m - 2), for `fold` to reduce in place to the half
+    unknowns. ``G`` is the local terms' G values that
+    ``residual(..., with_G=True)`` returned at this u, so that a Newton
+    step evaluates G there once; without it they are evaluated here. While
+    no far-pair evaluation has run since that residual, its quotients are
+    still in the buffers and are reused too. The g' terms are always
     evaluated here."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
@@ -171,15 +180,18 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     rows = slice(1, min(k, mesh.m - 1))    # the interior nodes assembled
     count = rows.stop - 1
     x = disc.local_args(uv)
+    fresh = G is None or not _FAR.holds(G, k)
     if G is None:
         G = _local_G(yf, disc, x)
 
     # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
-    # written straight into the fresh matrix whose interior is returned; a
-    # pass over a Toeplitz view is not one contiguous loop, so the factor 2
-    # rides on the negation rather than on a pass of its own
-    du, _, work = _FAR.take(disc.kr.shape)
-    pair = yf.g_prime(disc.quotients(uv, out=du[:k]), work=work[:k])
+    # written over the residual's g values in the buffer whose interior is
+    # returned; a pass over a Toeplitz view is not one contiguous loop, so
+    # the factor 2 rides on the negation rather than on a pass of its own
+    du, pair, work = (buf[:k] for buf in _FAR.take(disc.kr.shape))
+    if fresh:
+        disc.quotients(uv, out=du)
+    yf.g_prime(du, out=pair, work=work)
     pair *= disc.kr[:k]
     pair /= disc.ds[:k]
     row = 2.0 * _halve_boundary(pair).sum(axis=1)

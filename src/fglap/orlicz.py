@@ -36,17 +36,35 @@ EVEN_TOL = 1e-9
 
 class _FarPairBuffers(threading.local):
     """The far-pair buffers that `fractional` describes: three reused
-    float64 arrays per thread, of one shape at a time."""
+    float64 arrays per thread, of one shape at a time.
+
+    Every `take` bumps ``generation``. A caller that leaves quotients in
+    the first buffer may `claim` them under a key; `holds` then tells
+    whether they are still there, untouched by any later `take`."""
 
     shape = None
     buffers = ()
+    generation = 0
+    owner = None    # (key, rows of quotients, generation)
 
     def take(self, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
         if shape != self.shape:
             self.buffers = ()    # drop the old size before allocating
             self.buffers = tuple(np.empty(shape) for _ in range(3))
             self.shape = shape
+        self.generation += 1
         return self.buffers
+
+    def claim(self, key, rows: int) -> None:
+        """Record that the last `take` left the quotients of its first
+        ``rows`` rows, and that they belong to ``key``."""
+        self.owner = (key, rows, self.generation)
+
+    def holds(self, key, rows: int) -> bool:
+        """Whether the first buffer still holds ``key``'s quotients for at
+        least ``rows`` rows."""
+        return (self.owner is not None and self.owner[0] is key
+                and self.owner[1] >= rows and self.owner[2] == self.generation)
 
 
 _FAR = _FarPairBuffers()

@@ -174,13 +174,16 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     tenfold after a failed line search and decays it tenfold after an
     accepted step. An accepted trial's load, residual and local G values
     (``residual(..., with_G=True)``) carry over to the next step, so none
-    is evaluated twice at one iterate. The Jacobian is assembled only at
-    accepted iterates, never at a line-search trial, where an overshoot may
-    overflow its g and g' terms. The stats hold the Newton steps, the final
-    residual sup, the residual evaluations in all and those spent on cone
-    seeding (0 for a warm start), the rejected line-search trials and the
-    largest lam. A warm start that vanishes identically counts as a cold
-    start.
+    is evaluated twice at one iterate, and the assembly reuses the
+    residual's far-pair quotients still in the buffers. The Jacobian is
+    assembled only at accepted iterates, never at a line-search trial,
+    where an overshoot may overflow its g and g' terms; it lives in the
+    far-pair buffers, so a step allocates no m x m array of its own. The
+    stats hold the Newton steps, the final residual sup, the residual
+    evaluations in all and those spent on cone seeding (0 for a warm
+    start), the rejected line-search trials and the largest lam. A warm
+    start that vanishes identically counts as a cold start. A solve that
+    runs out of steps names the node of its largest residual entry.
 
     ``even`` (odd m, a load that maps even u to even rhs) solves for the
     interior nodes up to the centre only: the iterate is kept even, the
@@ -252,9 +255,12 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         else:
             lam = max(lam * 10.0, 1e-8)
     else:
+        # the last accepted iterate's residual, which the last step updated
+        worst = int(np.argmax(np.abs(r)))
         raise ConvergenceError(
             f"{what} exhausted {NEWTON_MAX_ITER} iterations "
-            f"(residual sup {rn:.3e}, tol {lim:.3e})")
+            f"(residual sup {abs(r[worst]):.3e}, tol {lim:.3e}), largest at "
+            f"x = {mesh.nodes[live][worst]:.6g}")
 
     floor = float(u.min())
     if floor < -1e-9 * (1.0 + float(np.max(np.abs(u)))):
@@ -361,12 +367,14 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
                    GridFunction(mesh, weight.phi(np.maximum(u.values, 0.0))))
         report.carriers.append(carrier)
         if prev is not None:
-            drop = float(np.min(u.values - prev.values))
+            gap = u.values - prev.values
+            drop = float(np.min(gap))
             if drop < -TOL_MONO:
                 raise InvariantError(
                     f"stage n = {n} dipped {-drop:.3e} below the previous "
-                    f"stage; the truncation scheme must be monotone")
-            report.sup_diffs.append(float(np.max(np.abs(u.values - prev.values))))
+                    f"stage at x = {mesh.nodes[np.argmin(gap)]:.6g}; the "
+                    f"truncation scheme must be monotone")
+            report.sup_diffs.append(float(np.max(np.abs(gap))))
             if report.sup_diffs[-1] <= TOL_STOP:
                 report.converged = True
                 break

@@ -1,8 +1,10 @@
 """Randomized inequality battery: determinism, pass behavior on the
 reference families, and the one structurally expected failure."""
 
+import numpy as np
 import pytest
 
+import fglap.checks as checks
 from fglap.checks import (
     CheckOutcome,
     check_comparison,
@@ -16,6 +18,7 @@ from fglap.checks import (
 )
 from fglap.errors import ConfigurationError
 from fglap.orlicz import OperatorConfig
+from fglap.solver import solve_auxiliary
 from fglap.young import PhiWeight
 
 # exponent budgets under which each family's tail domination holds inside
@@ -140,3 +143,33 @@ class TestComparison:
         a = check_comparison(cfg, mesh33, seed=5)
         b = check_comparison(cfg, mesh33, seed=5)
         assert a.worst_margin == b.worst_margin
+
+    @pytest.mark.parametrize("name", ["power4", "log221"])
+    def test_one_warm_chain(self, name, request, mesh33, monkeypatch):
+        # each solve starts from the one before, so only the first is seeded
+        # from the cone. A start moves a solution within the Newton
+        # tolerance: a pair's smaller-load solution is within 1e-7 of its
+        # cold solve (measured <= 5.4e-8), and the larger-load solution
+        # started from it within 1e-12 of the one started from that cold
+        # solve (measured <= 3e-15), Newton's last step being quadratic
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        calls = []
+
+        def recorded(cfg, mesh, rhs, *, warm_start=None):
+            u, stats = solve_auxiliary(cfg, mesh, rhs, warm_start=warm_start)
+            calls.append((np.array(rhs), warm_start, u, stats))
+            return u, stats
+
+        monkeypatch.setattr(checks, "solve_auxiliary", recorded)
+        assert check_comparison(cfg, mesh33).passed
+        homogeneous = name == "power4"
+        assert len(calls) == 2 * checks.COMPARISON_TRIALS + 2 * homogeneous
+        assert calls[0][1] is None and calls[0][3]["seed_evaluations"] >= 2
+        for (_, _, prev, _), (_, warm, _, stats) in zip(calls, calls[1:]):
+            assert warm is prev
+            assert stats["seed_evaluations"] == 0
+        for (rhs_u, _, u, _), (rhs_v, _, v, _) in zip(calls[::2], calls[1::2]):
+            cold, _ = solve_auxiliary(cfg, mesh33, rhs_u)
+            assert np.max(np.abs(u.values - cold.values)) <= 1e-7
+            want, _ = solve_auxiliary(cfg, mesh33, rhs_v, warm_start=cold)
+            assert np.max(np.abs(v.values - want.values)) <= 1e-12

@@ -434,7 +434,8 @@ class TestEvenFold:
         cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
         u, _ = self.even_case(33)
         c = 16
-        block = assemble_matrix(cfg, u, even=True)
+        # copied: the next assembly reuses the buffer the block lives in
+        block = assemble_matrix(cfg, u, even=True).copy()
         assert block.shape == (c, 31)
         dh = np.random.default_rng(7).uniform(-1.0, 1.0, c)
         want = (assemble_matrix(cfg, u) @ mirror(dh))[:c]
@@ -444,8 +445,8 @@ class TestEvenFold:
 
 class TestFarPairWorkspace:
     """The far-pair terms run in per-thread reused buffers: no m x m array
-    is allocated per residual, and a Jacobian allocates only the interior
-    matrix it returns."""
+    is allocated per residual, energy or Jacobian, which is a view of the
+    buffers."""
 
     M = 257
 
@@ -456,7 +457,7 @@ class TestFarPairWorkspace:
         u = random_interior(Mesh(m), 3)
         doubles = 8 * m * m
         assert traced_peak(lambda: residual(cfg, u, np.zeros(m))) < 0.5 * doubles
-        assert traced_peak(lambda: assemble_matrix(cfg, u)) < 1.5 * doubles
+        assert traced_peak(lambda: assemble_matrix(cfg, u)) < 0.5 * doubles
         v = random_interior(Mesh(m), 4)
         assert traced_peak(lambda: weak_form(cfg, u, v)) < 0.5 * doubles
 
@@ -477,14 +478,44 @@ class TestFarPairWorkspace:
         assert parts["far"] == far
         assert parts["total"] == far + parts["band"] + parts["strip"]
 
-    def test_jacobian_is_a_fresh_array(self, power4):
-        # the caller keeps and modifies it, so it may share no reused buffer
+    def test_jacobian_lives_in_the_buffers(self, power4):
+        # the Jacobian is the interior of the buffer that held the residual's
+        # g values, and the next far-pair evaluation overwrites it
         cfg = OperatorConfig(young=power4, s=0.3)
-        first = assemble_matrix(cfg, random_interior(Mesh(33), 5))
-        keep = first.copy()
-        second = assemble_matrix(cfg, random_interior(Mesh(33), 6))
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, keep)
+        u, _ = TestEvenFold.even_case(33)
+        for even in (False, True):
+            jac = assemble_matrix(cfg, u, even=even)
+            held = fractional._FAR.buffers[1]
+            assert np.shares_memory(jac, held)
+            assert np.array_equal(jac, held[1:jac.shape[0] + 1, 1:-1])
+            keep = jac.copy()
+            residual(cfg, u, np.zeros(33), even=even)
+            assert not np.array_equal(jac, keep)
+
+    def test_reused_quotients_match_fresh_ones(self, power4, log221):
+        # the residual's quotients serve the assembly at the same u while
+        # nothing else took the buffers; any other use forces a recompute
+        u, rhs = TestEvenFold.even_case(33)
+        v = random_interior(Mesh(33), 8)
+        for yf in (power4, log221):
+            cfg = OperatorConfig(young=yf, s=0.3)
+            for even, k in ((False, 33), (True, 17)):
+                want = assemble_matrix(cfg, u, even=even).copy()
+                _, G = residual(cfg, u, rhs, even=even, with_G=True)
+                assert fractional._FAR.holds(G, k)
+                assert np.array_equal(assemble_matrix(cfg, u, even=even, G=G), want)
+                assert not fractional._FAR.holds(G, 1)
+                # quotients of another u in the buffers
+                _, G = residual(cfg, u, rhs, even=even, with_G=True)
+                residual(cfg, v, rhs)
+                assert not fractional._FAR.holds(G, 1)
+                assert np.array_equal(assemble_matrix(cfg, u, even=even, G=G), want)
+            # half rows cannot serve a full assembly
+            _, G = residual(cfg, u, rhs, even=True, with_G=True)
+            assert not fractional._FAR.holds(G, 33)
+            full = assemble_matrix(cfg, u).copy()
+            _, G = residual(cfg, u, rhs, with_G=True)
+            assert np.array_equal(assemble_matrix(cfg, u, G=G), full)
 
     def test_threads_reproduce_serial_results(self, power4, log221):
         # two meshes in flight at once: each thread must keep its own buffers

@@ -4,8 +4,10 @@ fixed point, the stage scheme, barriers, and the report diagnostics."""
 import numpy as np
 import pytest
 
+import fglap.fractional as fractional
 import fglap.solver as solver
-from fglap.errors import ConfigurationError, ConvergenceError, DomainError
+from fglap.errors import (ConfigurationError, ConvergenceError, DomainError,
+                          InvariantError)
 from fglap.fractional import apply_interior, residual, weak_form
 from fglap.orlicz import GridFunction, Mesh, OperatorConfig
 from fglap.solver import (
@@ -295,6 +297,32 @@ class TestCoupledStages:
         with pytest.raises(ConvergenceError, match=r"^auxiliary solve exhausted"):
             solve_auxiliary(cfg, mesh, np.ones(mesh.m))
 
+    def test_failure_names_the_node(self, cfg, monkeypatch):
+        # a spike in the load at node 5 (x = -0.375) holds the largest
+        # residual entry while the stalled steps leave u near its seed
+        mesh = Mesh(17)
+        monkeypatch.setattr(solver, "assemble_matrix", stalled_matrix)
+        rhs = np.ones(mesh.m)
+        rhs[5] = 50.0
+        with pytest.raises(ConvergenceError,
+                           match=r"^auxiliary solve exhausted .*, largest at x = -0\.375$"):
+            solve_auxiliary(cfg, mesh, rhs)
+
+    def test_dip_names_the_node(self, cfg, monkeypatch):
+        mesh = Mesh(17)
+        newton_ = solver._newton
+
+        def dipped(*args):
+            u, stats = newton_(*args)
+            if args[4].startswith("stage n = 2"):
+                u.values[12] = 0.0    # x = 0.5
+            return u, stats
+
+        monkeypatch.setattr(solver, "_newton", dipped)
+        with pytest.raises(InvariantError,
+                           match=r"^stage n = 2 dipped .* at x = 0\.5; "):
+            monotone_scheme(cfg, unit_data(mesh), n_schedule=(1, 2))
+
 
 class TestConeSeed:
     @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
@@ -487,7 +515,10 @@ class TestHalfNodeStages:
 
 class TestJacobianOnResidualG:
     """`_newton` hands `assemble_matrix` the band and strip G values of the
-    residual at the same iterate, so the assembly makes no G pass."""
+    residual at the same iterate, so the assembly makes no G pass, and the
+    far-pair quotients that residual left in the buffers while nothing else
+    has used them. Each Jacobian is copied before a fresh assembly, which
+    overwrites the buffer it lives in."""
 
     @pytest.fixture
     def assembled(self, log221, monkeypatch):
@@ -505,7 +536,7 @@ class TestJacobianOnResidualG:
             out.append([0, None])
             inside[0] = True
             try:
-                jac = assemble_(cfg, u, even=even, G=G)
+                jac = assemble_(cfg, u, even=even, G=G).copy()
             finally:
                 inside[0] = False
             out[-1][1] = np.array_equal(jac, assemble_(cfg, u, even=even))
@@ -528,23 +559,75 @@ class TestJacobianOnResidualG:
         assert [g for g, _ in assembled] == [0] * len(assembled)
         assert all(same for _, same in assembled)
 
-    def test_jacobian_at_the_accepted_iterate(self, monkeypatch):
-        # the steep solve of test_overflowing_trial_rejected backtracks; each
-        # Jacobian must still be the one of the accepted iterate
-        mesh = Mesh(17)
-        cfg = OperatorConfig(young=PowerYoung(40.0), s=0.1)
-        rhs = np.random.default_rng(5122).uniform(0.1, 2.0, mesh.m)
-        same, assemble_ = [], solver.assemble_matrix
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Per `assemble_matrix` call: (whether the buffers still held the
+        residual's quotients, whether its matrix equals a fresh
+        assembly)."""
+        out, assemble_ = [], solver.assemble_matrix
 
         def recorded(cfg, u, *, even=False, G=None):
-            jac = assemble_(cfg, u, even=even, G=G)
-            same.append(np.array_equal(jac, assemble_(cfg, u, even=even)))
+            held = fractional._FAR.holds(G, u.mesh.m)
+            jac = assemble_(cfg, u, even=even, G=G).copy()
+            out.append((held, np.array_equal(jac, assemble_(cfg, u, even=even))))
             return jac
 
         monkeypatch.setattr(solver, "assemble_matrix", recorded)
+        return out
+
+    def test_jacobian_at_the_accepted_iterate(self, checked):
+        # the steep solve of test_overflowing_trial_rejected backtracks, and
+        # some of its line searches reject every trial, which leaves a
+        # trial's quotients in the buffers: the assembly after such a
+        # search recomputes them, the others reuse the residual's
+        mesh = Mesh(17)
+        cfg = OperatorConfig(young=PowerYoung(40.0), s=0.1)
+        rhs = np.random.default_rng(5122).uniform(0.1, 2.0, mesh.m)
         _, stats = solve_auxiliary(cfg, mesh, rhs)
-        assert stats["line_search_backtracks"] >= 1
-        assert same and all(same)
+        assert stats["line_search_backtracks"] >= 8
+        held = [h for h, _ in checked]
+        assert True in held and False in held
+        assert all(same for _, same in checked)
+
+    def test_jacobian_after_overflowing_trials(self, cfg, checked, monkeypatch):
+        # every trial of the first line search overwrites the buffers and
+        # raises, as an overflow does, so the residual that claimed them is
+        # still the accepted iterate's: only the generation tells
+        mesh = Mesh(33)
+        residual_, trials = solver.residual, [0]
+
+        def overflowing(cfg, u, rhs, *, even=False, with_G=False):
+            if with_G:
+                trials[0] += 1
+                if 2 <= trials[0] <= 9:
+                    residual_(cfg, u, rhs, even=even)
+                    raise DomainError("grid function values must be finite")
+            return residual_(cfg, u, rhs, even=even, with_G=with_G)
+
+        monkeypatch.setattr(solver, "residual", overflowing)
+        _, stats = solve_auxiliary(cfg, mesh, np.ones(mesh.m))
+        assert stats["line_search_backtracks"] >= 8
+        assert all(same for _, same in checked)
+        assert [h for h, _ in checked[:3]] == [True, False, True]
+
+    def test_jacobian_after_a_failed_factorization(self, cfg, checked,
+                                                   monkeypatch):
+        # the retry after a LinAlgError assembles again at the same iterate,
+        # after the failed assembly used the buffers
+        mesh = Mesh(33)
+        solve, failures = np.linalg.solve, [2]
+
+        def flaky(a, b):
+            if failures[0]:
+                failures[0] -= 1
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        _, stats = solve_auxiliary(cfg, mesh, np.ones(mesh.m))
+        assert failures == [0] and stats["levenberg_shift_max"] > 0.0
+        assert [h for h, _ in checked[:3]] == [True, False, False]
+        assert all(same for _, same in checked)
 
 
 class TestBarrier:
