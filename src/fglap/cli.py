@@ -293,12 +293,11 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # subcommands
 
 
-def run_verification(rc: RunConfig, yf: YoungFunction,
+def run_verification(rc: RunConfig, cfg: OperatorConfig,
                      mesh: Mesh) -> list[CheckOutcome]:
-    outcomes = [check_growth_bounds(yf)]
-    outcomes += run_check_suite(yf, q_star=rc.q_star, n_samples=rc.samples,
-                                seed=rc.seed)
-    cfg = build_operator(rc, yf)
+    outcomes = [check_growth_bounds(cfg.young)]
+    outcomes += run_check_suite(cfg.young, q_star=rc.q_star,
+                                n_samples=rc.samples, seed=rc.seed)
     outcomes.append(check_comparison(cfg, mesh, seed=rc.seed))
     return outcomes
 
@@ -316,9 +315,9 @@ def _emit_outcomes(outcomes: list[CheckOutcome], out_dir: Path) -> bool:
 
 
 def cmd_check_young(rc: RunConfig) -> int:
-    yf = build_young(rc)
+    cfg = build_operator(rc, build_young(rc))
     mesh = Mesh(min(rc.meshes) if rc.meshes else 33)
-    ok = _emit_outcomes(run_verification(rc, yf, mesh), rc.out)
+    ok = _emit_outcomes(run_verification(rc, cfg, mesh), rc.out)
     return 0 if ok else 1
 
 
@@ -328,15 +327,14 @@ def cmd_solve(rc: RunConfig) -> int:
         raise ConfigurationError(
             "solve expects a single mesh size; give 'mesh = <M>' "
             "(convergence studies use the convergence subcommand)")
-    yf = build_young(rc)
     mesh = Mesh(meshes[0])
-    cfg = build_operator(rc, yf)
+    cfg = build_operator(rc, build_young(rc))
     data = build_data(rc, mesh)
     data.validate_family(cfg)
 
     # the inequalities below feed the convergence argument: a failed check
     # means the family cannot drive this pipeline
-    outcomes = run_verification(rc, yf, mesh)
+    outcomes = run_verification(rc, cfg, mesh)
     if not _emit_outcomes(outcomes, rc.out):
         print("verification failed; refusing to run the solver pipeline",
               file=sys.stderr)

@@ -20,14 +20,21 @@ buffers `orlicz._FAR`: three reused arrays (du, the Young values, and the
 Young kernels' scratch), per thread and of one mesh size at a time, which
 the energy in `orlicz` shares. ds and kr are read-only views, so no
 evaluation allocates an m x m array. The Jacobian is assembled over the
-residual's g values and returned as a view of that buffer. A residual
-evaluated ``with_G`` leaves its quotients du for the assembly at the same
-iterate, which reuses them unless the buffers were taken in between.
+residual's g values and returned as a view of that buffer.
 
 The local terms are the `Discretization`'s list of local points.
-`_local_G` is their one G pass, which `residual` can hand on to
-`assemble_matrix` at the same iterate, and `_local_sums` sums each
-argument's first or second derivative with a ``np.bincount``.
+`_local_G` is their one G pass, and `_local_sums` sums each argument's
+first or second derivative with a ``np.bincount``.
+
+A Newton step evaluates the residual and then the Jacobian at one
+iterate, and both need the local G values and the quotients du. So
+`residual` records in ``_FAR.last`` its operator config, a copy of u's
+nodal values, the rows of du it filled and its G values, and
+`assemble_matrix` reuses G and du when the config is equal, the values
+are equal and the rows suffice; otherwise it evaluates both. Every
+`take` of the buffers clears the record, so it never outlives the
+quotients it describes, and since it keys on values, a caller may edit
+u in place between the two calls.
 
 Even data on an odd mesh need only the rows of the nodes up to the centre
 c = (m - 1) / 2, because the operator commutes with x -> -x: `residual`
@@ -109,18 +116,17 @@ def _rows(m: int, even: bool) -> int:
 
 
 def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
-             even: bool = False, with_G: bool = False):
+             even: bool = False) -> GridFunction:
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
-    Boundary entries are pinned to zero.
+    Boundary entries are pinned to zero. It leaves the record
+    ``_FAR.last`` for `assemble_matrix` at the same u.
 
     With ``even`` (u and rhs even, m odd) only rows 0 ... c, c = (m - 1) / 2,
     are evaluated, on the first c + 1 rows of the workspace buffers, and
     mirrored onto the rest; they equal the full evaluation's rows bit for
     bit. The local terms, O(m), are summed over all their points either
-    way. With ``with_G`` it returns the pair (residual, G), G being the
-    local terms' G values it evaluated (`_local_G`), for `assemble_matrix`
-    at the same u."""
+    way."""
     disc = cfg.discretization(u.mesh.m)
     _require_zero_boundary(u)
     yf = cfg.young
@@ -149,14 +155,12 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
         r = mirror(r)
     r[0] = r[-1] = 0.0
     res = GridFunction(mesh, r)
-    if not with_G:
-        return res
-    _FAR.claim(G, k)
-    return res, G
+    _FAR.last = (cfg, uv.copy(), k, G)
+    return res
 
 
 def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
-                    even: bool = False, G=None) -> np.ndarray:
+                    even: bool = False) -> np.ndarray:
     """Interior-node residual Jacobian: symmetric and positive
     semidefinite. It is a view of the far-pair buffers (`orlicz._FAR`),
     the caller's to modify but valid only until the next far-pair
@@ -165,12 +169,9 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     With ``even`` (u even, m odd) only the rows of the interior nodes up
     to the centre c = (m - 1) / 2 are assembled: the block J[1:c+1, 1:-1]
     of shape (c, m - 2), for `fold` to reduce in place to the half
-    unknowns. ``G`` is the local terms' G values that
-    ``residual(..., with_G=True)`` returned at this u, so that a Newton
-    step evaluates G there once; without it they are evaluated here. While
-    no far-pair evaluation has run since that residual, its quotients are
-    still in the buffers and are reused too. The g' terms are always
-    evaluated here."""
+    unknowns. Right after a `residual` under this config at u's values
+    it reuses that residual's local G values and quotients; the g' terms
+    are always evaluated here."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
     mesh = u.mesh
@@ -180,16 +181,17 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     rows = slice(1, min(k, mesh.m - 1))    # the interior nodes assembled
     count = rows.stop - 1
     x = disc.local_args(uv)
-    fresh = G is None or not _FAR.holds(G, k)
-    if G is None:
-        G = _local_G(yf, disc, x)
+    last = _FAR.last
+    reuse = (last is not None and last[0] == cfg and last[2] >= k
+             and np.array_equal(last[1], uv))
+    G = last[3] if reuse else _local_G(yf, disc, x)
 
     # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
     # written over the residual's g values in the buffer whose interior is
     # returned; a pass over a Toeplitz view is not one contiguous loop, so
     # the factor 2 rides on the negation rather than on a pass of its own
     du, pair, work = (buf[:k] for buf in _FAR.take(disc.kr.shape))
-    if fresh:
+    if not reuse:
         disc.quotients(uv, out=du)
     yf.g_prime(du, out=pair, work=work)
     pair *= disc.kr[:k]

@@ -36,35 +36,22 @@ EVEN_TOL = 1e-9
 
 class _FarPairBuffers(threading.local):
     """The far-pair buffers that `fractional` describes: three reused
-    float64 arrays per thread, of one shape at a time.
-
-    Every `take` bumps ``generation``. A caller that leaves quotients in
-    the first buffer may `claim` them under a key; `holds` then tells
-    whether they are still there, untouched by any later `take`."""
+    float64 arrays per thread, of one shape at a time, and ``last``, the
+    record of the residual whose quotients the first buffer holds (see
+    `fractional`). Every `take` clears the record, since the buffers are
+    then overwritten."""
 
     shape = None
     buffers = ()
-    generation = 0
-    owner = None    # (key, rows of quotients, generation)
+    last = None
 
     def take(self, shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
         if shape != self.shape:
             self.buffers = ()    # drop the old size before allocating
             self.buffers = tuple(np.empty(shape) for _ in range(3))
             self.shape = shape
-        self.generation += 1
+        self.last = None
         return self.buffers
-
-    def claim(self, key, rows: int) -> None:
-        """Record that the last `take` left the quotients of its first
-        ``rows`` rows, and that they belong to ``key``."""
-        self.owner = (key, rows, self.generation)
-
-    def holds(self, key, rows: int) -> bool:
-        """Whether the first buffer still holds ``key``'s quotients for at
-        least ``rows`` rows."""
-        return (self.owner is not None and self.owner[0] is key
-                and self.owner[1] >= rows and self.owner[2] == self.generation)
 
 
 _FAR = _FarPairBuffers()
@@ -210,16 +197,15 @@ class Discretization:
         values ``uv``: the arguments that ``loc_arg`` indexes."""
         return np.concatenate((np.diff(uv) / self.h, uv[1:-1]))
 
-    def quotients(self, uv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def quotients(self, uv: np.ndarray, out: np.ndarray) -> np.ndarray:
         """du = (u_i - u_j) / ds: far-pair difference quotients, plain
-        differences on near pairs (where kr vanishes); into ``out`` if
-        given, for the first rows i that ``out`` has room for."""
-        du = np.empty(self.ds.shape) if out is None else out
-        k = du.shape[0]
-        np.copyto(du, uv[:k, None])    # numpy buffers no operand of a copy
-        du -= uv
-        du /= self.ds[:k]
-        return du
+        differences on near pairs (where kr vanishes), written into ``out``
+        for the first rows i that it has room for."""
+        k = out.shape[0]
+        np.copyto(out, uv[:k, None])    # numpy buffers no operand of a copy
+        out -= uv
+        out /= self.ds[:k]
+        return out
 
 
 @dataclass(frozen=True)

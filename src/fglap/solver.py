@@ -172,13 +172,13 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     current iterate, to be reached within NEWTON_MAX_ITER steps. A
     Levenberg shift, lam times the largest diagonal entry, grows lam
     tenfold after a failed line search and decays it tenfold after an
-    accepted step. An accepted trial's load, residual and local G values
-    (``residual(..., with_G=True)``) carry over to the next step, so none
-    is evaluated twice at one iterate, and the assembly reuses the
-    residual's far-pair quotients still in the buffers. The Jacobian is
-    assembled only at accepted iterates, never at a line-search trial,
-    where an overshoot may overflow its g and g' terms; it lives in the
-    far-pair buffers, so a step allocates no m x m array of its own. The
+    accepted step. An accepted trial's load and residual carry over to
+    the next step, so neither is evaluated twice at one iterate, and the
+    assembly there reuses the residual's local G values and quotients
+    (see `fractional`). The Jacobian is assembled only at accepted
+    iterates, never at a line-search trial, where an overshoot may
+    overflow its g and g' terms; it lives in the far-pair buffers, so a
+    step allocates no m x m array of its own. The
     stats hold the Newton steps, the final residual sup, the residual
     evaluations in all and those spent on cone seeding (0 for a warm
     start), the rejected line-search trials and the largest lam. A warm
@@ -213,11 +213,10 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     def evaluate(v: np.ndarray):
         rhs_v, d_v = load(v)
         stats["residual_evaluations"] += 1
-        res, G_v = residual(cfg, GridFunction(mesh, v), rhs_v, even=even,
-                            with_G=True)
-        return rhs_v, d_v, res.values[live], G_v
+        res = residual(cfg, GridFunction(mesh, v), rhs_v, even=even)
+        return rhs_v, d_v, res.values[live]
 
-    rhs, d, r, G = evaluate(u)
+    rhs, d, r = evaluate(u)
     lam = 0.0
     for it in range(NEWTON_MAX_ITER):
         lim = 1e-8 * (1.0 + float(np.max(np.abs(rhs))))
@@ -225,7 +224,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         if rn <= lim:
             break
 
-        jac = assemble_matrix(cfg, GridFunction(mesh, u), even=even, G=G)
+        jac = assemble_matrix(cfg, GridFunction(mesh, u), even=even)
         diag = np.diag_indices(len(jac))    # of the unfolded rows
         if d is not None:
             jac[diag] -= mesh.weights[live] * d[live]
@@ -244,11 +243,11 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             trial = u.copy()
             trial[1:-1] += step * delta
             try:
-                rhs_t, d_t, rt, G_t = evaluate(trial)
+                rhs_t, d_t, rt = evaluate(trial)
             except DomainError:  # g overflowed at a far trial: reject it like any other
                 rt = np.inf
             if float(np.max(np.abs(rt))) < rn:
-                u, rhs, d, r, G = trial, rhs_t, d_t, rt, G_t
+                u, rhs, d, r = trial, rhs_t, d_t, rt
                 lam = lam * 0.1 if lam * 0.1 >= 1e-14 else 0.0
                 break
             stats["line_search_backtracks"] += 1

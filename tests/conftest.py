@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fglap.orlicz import GridFunction, Mesh, OperatorConfig
+from fglap.orlicz import Discretization, GridFunction, Mesh, OperatorConfig
 from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung
 
 
@@ -66,11 +66,25 @@ def smoke_corpus(mesh65):
             for tag in PROFILE_TAGS}
 
 
-def stalled_matrix(cfg, u, *, even=False, G=None):
+@pytest.fixture
+def quotient_passes(monkeypatch):
+    """The far-pair quotient passes (`Discretization.quotients`) made so
+    far, in a one-element list: an assembly that makes none reuses the
+    residual's quotients."""
+    calls, quotients = [0], Discretization.quotients
+
+    def counted(disc, uv, out):
+        calls[0] += 1
+        return quotients(disc, uv, out)
+
+    monkeypatch.setattr(Discretization, "quotients", counted)
+    return calls
+
+
+def stalled_matrix(cfg, u, *, even=False):
     """Stand-in Newton matrix far too stiff to converge: every step is
     tiny, so a solve runs out of iterations with finite iterates. With
-    ``even`` it has the rows up to the centre, as `assemble_matrix` does;
-    the residual's ``G`` is accepted and unused."""
+    ``even`` it has the rows up to the centre, as `assemble_matrix` does."""
     n = u.mesh.m - 2
     return 1e6 * np.eye((n + 1) // 2 if even else n, n)
 

@@ -17,7 +17,7 @@ from fglap.checks import (
     run_check_suite,
 )
 from fglap.errors import ConfigurationError
-from fglap.orlicz import OperatorConfig
+from fglap.orlicz import GridFunction, OperatorConfig
 from fglap.solver import solve_auxiliary
 from fglap.young import PhiWeight
 
@@ -143,6 +143,29 @@ class TestComparison:
         a = check_comparison(cfg, mesh33, seed=5)
         b = check_comparison(cfg, mesh33, seed=5)
         assert a.worst_margin == b.worst_margin
+
+    def test_doubling_that_fails_to_scale(self, power4, mesh33, monkeypatch):
+        # the doubled load's solution comes back 1e-3 too large, far beyond
+        # the 1e-6 bound, so the drift becomes the worst margin
+        cfg = OperatorConfig(young=power4, s=0.3)
+        solutions = []
+
+        def skewed(cfg, mesh, rhs, *, warm_start=None):
+            u, stats = solve_auxiliary(cfg, mesh, rhs, warm_start=warm_start)
+            if len(solutions) == 2 * checks.COMPARISON_TRIALS + 1:
+                u = GridFunction(mesh, (1.0 + 1e-3) * u.values)
+            solutions.append(u)
+            return u, stats
+
+        monkeypatch.setattr(checks, "solve_auxiliary", skewed)
+        out = check_comparison(cfg, mesh33)
+        u, v = solutions[-2:]
+        scale = 2.0 ** (1.0 / (power4.p_minus - 1.0))
+        drift = float(np.max(np.abs(v.values - scale * u.values)))
+        assert drift > 1e-6 and out.info["doubling_drift"] == drift
+        assert not out.passed
+        assert out.worst_margin == -drift
+        assert out.offending == {"doubling_drift": drift}
 
     @pytest.mark.parametrize("name", ["power4", "log221"])
     def test_one_warm_chain(self, name, request, mesh33, monkeypatch):

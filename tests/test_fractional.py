@@ -398,7 +398,8 @@ class TestOverflow:
         uv[8] = height
         disc = cfg.discretization(mesh.m)
         with np.errstate(over="ignore"):
-            near_g = cfg.young.g(disc.quotients(uv)[disc.kr == 0.0])
+            du = disc.quotients(uv, out=np.empty(disc.ds.shape))
+            near_g = cfg.young.g(du[disc.kr == 0.0])
         assert np.all(np.isfinite(near_g)) == near_finite
         with np.errstate(all="ignore"), pytest.raises(DomainError):
             residual(cfg, GridFunction(mesh, uv), np.zeros(mesh.m))
@@ -492,30 +493,71 @@ class TestFarPairWorkspace:
             residual(cfg, u, np.zeros(33), even=even)
             assert not np.array_equal(jac, keep)
 
-    def test_reused_quotients_match_fresh_ones(self, power4, log221):
-        # the residual's quotients serve the assembly at the same u while
-        # nothing else took the buffers; any other use forces a recompute
+    @staticmethod
+    def assembly(cfg, u, passes, even=False):
+        """A copy of the assembly at u, and whether it reused quotients,
+        read off the `quotient_passes` counter ``passes``."""
+        before = passes[0]
+        return assemble_matrix(cfg, u, even=even).copy(), passes[0] == before
+
+    def test_reused_quotients_match_fresh_ones(self, power4, log221,
+                                               quotient_passes):
+        # the residual's quotients serve the assembly at the same u, once;
+        # the assembly's own take clears the record
         u, rhs = TestEvenFold.even_case(33)
-        v = random_interior(Mesh(33), 8)
         for yf in (power4, log221):
             cfg = OperatorConfig(young=yf, s=0.3)
-            for even, k in ((False, 33), (True, 17)):
-                want = assemble_matrix(cfg, u, even=even).copy()
-                _, G = residual(cfg, u, rhs, even=even, with_G=True)
-                assert fractional._FAR.holds(G, k)
-                assert np.array_equal(assemble_matrix(cfg, u, even=even, G=G), want)
-                assert not fractional._FAR.holds(G, 1)
-                # quotients of another u in the buffers
-                _, G = residual(cfg, u, rhs, even=even, with_G=True)
-                residual(cfg, v, rhs)
-                assert not fractional._FAR.holds(G, 1)
-                assert np.array_equal(assemble_matrix(cfg, u, even=even, G=G), want)
+            for even in (False, True):
+                want, _ = self.assembly(cfg, u, quotient_passes, even)
+                residual(cfg, u, rhs, even=even)
+                for reuse in (True, False):
+                    jac, reused = self.assembly(cfg, u, quotient_passes, even)
+                    assert reused == reuse and np.array_equal(jac, want)
             # half rows cannot serve a full assembly
-            _, G = residual(cfg, u, rhs, even=True, with_G=True)
-            assert not fractional._FAR.holds(G, 33)
-            full = assemble_matrix(cfg, u).copy()
-            _, G = residual(cfg, u, rhs, with_G=True)
-            assert np.array_equal(assemble_matrix(cfg, u, G=G), full)
+            full, _ = self.assembly(cfg, u, quotient_passes)
+            for even, reuse in ((True, False), (False, True)):
+                residual(cfg, u, rhs, even=even)
+                jac, reused = self.assembly(cfg, u, quotient_passes)
+                assert reused == reuse and np.array_equal(jac, full)
+
+    @pytest.mark.parametrize("s", [0.3, 0.7])
+    def test_another_config_assembles_afresh(self, power4, log221, s,
+                                             quotient_passes):
+        # G depends on the family and the quotients on s, so a residual at
+        # the same u under another config serves neither
+        u, rhs = TestEvenFold.even_case(33)
+        cfg = OperatorConfig(young=log221, s=s)
+        want, _ = self.assembly(cfg, u, quotient_passes)
+        for other in (OperatorConfig(young=power4, s=s),
+                      OperatorConfig(young=log221, s=1.0 - s)):
+            residual(other, u, rhs)
+            jac, reused = self.assembly(cfg, u, quotient_passes)
+            assert not reused and np.array_equal(jac, want)
+
+    def test_values_edited_in_place_assemble_afresh(self, power4, quotient_passes):
+        # the record keeps a copy of u's values, not the array itself
+        u, rhs = TestEvenFold.even_case(33)
+        cfg = OperatorConfig(young=power4, s=0.3)
+        edited = u.values.copy()
+        edited[5] += 1e-3
+        want, _ = self.assembly(cfg, GridFunction(u.mesh, edited), quotient_passes)
+        residual(cfg, u, rhs)
+        u.values[5] += 1e-3
+        jac, reused = self.assembly(cfg, u, quotient_passes)
+        assert not reused and np.array_equal(jac, want)
+
+    def test_a_take_in_between_assembles_afresh(self, power4, quotient_passes):
+        # an energy at the same u, or a residual at another v, overwrites
+        # the buffers in between
+        u, rhs = TestEvenFold.even_case(33)
+        v = random_interior(Mesh(33), 8)
+        cfg = OperatorConfig(young=power4, s=0.3)
+        want, _ = self.assembly(cfg, u, quotient_passes)
+        for between in (lambda: modular_W(cfg, u), lambda: residual(cfg, v, rhs)):
+            residual(cfg, u, rhs)
+            between()
+            jac, reused = self.assembly(cfg, u, quotient_passes)
+            assert not reused and np.array_equal(jac, want)
 
     def test_threads_reproduce_serial_results(self, power4, log221):
         # two meshes in flight at once: each thread must keep its own buffers

@@ -1,0 +1,25 @@
+"""The cell comparison of scripts/same_outputs.py, on small CSV files."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def same_outputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module("same_outputs")
+
+
+def test_moved_cells_lists_each_cell_with_both_values(tmp_path, same_outputs):
+    base, change = tmp_path / "base.csv", tmp_path / "change.csv"
+    base.write_text("x,u[n=1]\n-1.0,0.0\n0.0,2.0\n")
+    change.write_text("x,u[n=2]\n-1.0,0.0\n0.0,2.5\n1.0\n")
+    missing = same_outputs.MISSING
+    assert same_outputs.moved_cells(base, change) == [
+        (0, 1, "u[n=1]", "u[n=2]"), (2, 1, "2.0", "2.5"), (3, 0, missing, "1.0")]
+    assert same_outputs.moved_cells(change, base)[-1] == (3, 0, "1.0", missing)
+    assert same_outputs.moved_cells(base, base) == []

@@ -4,12 +4,11 @@ fixed point, the stage scheme, barriers, and the report diagnostics."""
 import numpy as np
 import pytest
 
-import fglap.fractional as fractional
 import fglap.solver as solver
 from fglap.errors import (ConfigurationError, ConvergenceError, DomainError,
                           InvariantError)
 from fglap.fractional import apply_interior, residual, weak_form
-from fglap.orlicz import GridFunction, Mesh, OperatorConfig
+from fglap.orlicz import GridFunction, Mesh, OperatorConfig, modular_W
 from fglap.solver import (
     ProblemData,
     barrier_check,
@@ -394,13 +393,13 @@ def count_residuals(monkeypatch):
     calls, repeats, seen = [0], [], set()
     residual_, newton_ = solver.residual, solver._newton
 
-    def counted(cfg, u, rhs, *, even=False, with_G=False):
+    def counted(cfg, u, rhs, *, even=False):
         calls[0] += 1
         key = (u.values.tobytes(), np.asarray(rhs, dtype=float).tobytes())
         if key in seen:
             repeats.append(key)
         seen.add(key)
-        return residual_(cfg, u, rhs, even=even, with_G=with_G)
+        return residual_(cfg, u, rhs, even=even)
 
     def scoped(*args, **kw):
         seen.clear()
@@ -514,11 +513,11 @@ class TestHalfNodeStages:
 
 
 class TestJacobianOnResidualG:
-    """`_newton` hands `assemble_matrix` the band and strip G values of the
-    residual at the same iterate, so the assembly makes no G pass, and the
-    far-pair quotients that residual left in the buffers while nothing else
-    has used them. Each Jacobian is copied before a fresh assembly, which
-    overwrites the buffer it lives in."""
+    """`_newton` assembles each Jacobian right after the residual at the
+    same iterate, so the assembly reuses that residual's band and strip G
+    values and far-pair quotients and makes no G pass, unless anything has
+    taken the buffers in between. Each Jacobian is copied before a fresh
+    assembly, which overwrites the buffer it lives in."""
 
     @pytest.fixture
     def assembled(self, log221, monkeypatch):
@@ -532,11 +531,11 @@ class TestJacobianOnResidualG:
                 out[-1][0] += 1
             return G_(t)
 
-        def recorded(cfg, u, *, even=False, G=None):
+        def recorded(cfg, u, *, even=False):
             out.append([0, None])
             inside[0] = True
             try:
-                jac = assemble_(cfg, u, even=even, G=G).copy()
+                jac = assemble_(cfg, u, even=even).copy()
             finally:
                 inside[0] = False
             out[-1][1] = np.array_equal(jac, assemble_(cfg, u, even=even))
@@ -560,15 +559,16 @@ class TestJacobianOnResidualG:
         assert all(same for _, same in assembled)
 
     @pytest.fixture
-    def checked(self, monkeypatch):
-        """Per `assemble_matrix` call: (whether the buffers still held the
-        residual's quotients, whether its matrix equals a fresh
-        assembly)."""
+    def checked(self, monkeypatch, quotient_passes):
+        """Per `assemble_matrix` call: (whether it reused the residual's
+        quotients, that is made no quotient pass of its own, whether its
+        matrix equals a fresh assembly)."""
         out, assemble_ = [], solver.assemble_matrix
 
-        def recorded(cfg, u, *, even=False, G=None):
-            held = fractional._FAR.holds(G, u.mesh.m)
-            jac = assemble_(cfg, u, even=even, G=G).copy()
+        def recorded(cfg, u, *, even=False):
+            before = quotient_passes[0]
+            jac = assemble_(cfg, u, even=even).copy()
+            held = quotient_passes[0] == before
             out.append((held, np.array_equal(jac, assemble_(cfg, u, even=even))))
             return jac
 
@@ -590,19 +590,20 @@ class TestJacobianOnResidualG:
         assert all(same for _, same in checked)
 
     def test_jacobian_after_overflowing_trials(self, cfg, checked, monkeypatch):
-        # every trial of the first line search overwrites the buffers and
-        # raises, as an overflow does, so the residual that claimed them is
-        # still the accepted iterate's: only the generation tells
+        # every trial of the first line search overwrites the buffers with
+        # its quotients and raises before it leaves a record, as an overflow
+        # does, so the last record is still the accepted iterate's: only the
+        # take that cleared it tells
         mesh = Mesh(33)
         residual_, trials = solver.residual, [0]
 
-        def overflowing(cfg, u, rhs, *, even=False, with_G=False):
-            if with_G:
+        def overflowing(cfg, u, rhs, *, even=False):
+            if not even:    # `_newton`'s; cone seeding runs on half rows
                 trials[0] += 1
                 if 2 <= trials[0] <= 9:
-                    residual_(cfg, u, rhs, even=even)
+                    modular_W(cfg, u)
                     raise DomainError("grid function values must be finite")
-            return residual_(cfg, u, rhs, even=even, with_G=with_G)
+            return residual_(cfg, u, rhs, even=even)
 
         monkeypatch.setattr(solver, "residual", overflowing)
         _, stats = solve_auxiliary(cfg, mesh, np.ones(mesh.m))
