@@ -18,13 +18,16 @@ the working tree won (ties count for neither). A gain is claimed only when
 the working tree wins at least nine tenths of the pairs and the medians
 differ by more than the base's quartile distance. ``--json`` writes all of
 it, plus the environment (nproc, Python, numpy, BLAS and its thread
-variables), to a file.
+variables) and the trees measured, to a file. Each side is named by its
+revision and a SHA-256 of its ``src/`` files; the working tree's revision
+reads ``<HEAD>+dirty`` when ``git status`` lists changes under ``src/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import platform
@@ -53,6 +56,16 @@ def export(rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def src_sha256(tree: Path, files: list[str]) -> str:
+    """SHA-256 over the sorted relative paths and contents of ``files``
+    under ``tree``."""
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.encode() + b"\0")
+        digest.update((tree / name).read_bytes())
+    return digest.hexdigest()
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -90,7 +103,9 @@ def summary(base: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def environment(base_rev: str) -> dict:
+def environment(base_rev: str, base_tree: Path) -> dict:
+    """The machine, the toolchain and the two trees: ``base_tree`` is the
+    export of ``base_rev``, the working tree is ROOT."""
     import numpy
 
     try:
@@ -99,12 +114,22 @@ def environment(base_rev: str) -> dict:
                 ("name", "version", "openblas configuration")}
     except (KeyError, TypeError):
         blas = None
+    head = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--", "src"))
+    # tracked and unignored files, as a commit of the tree would hold them
+    change_files = [f for f in git("ls-files", "--cached", "--others",
+                                   "--exclude-standard", "--", "src").splitlines()
+                    if (ROOT / f).is_file()]
+    base_files = [f.relative_to(base_tree).as_posix()
+                  for f in (base_tree / "src").rglob("*") if f.is_file()]
     return {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"),
         "base": git("rev-parse", base_rev),
-        "change": git("rev-parse", "HEAD"),
-        "change_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "base_src_sha256": src_sha256(base_tree, base_files),
+        "change": f"{head}+dirty" if dirty else head,
+        "change_src_sha256": src_sha256(ROOT, change_files),
+        "change_dirty": dirty,
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "machine": platform.machine(),
@@ -129,12 +154,12 @@ def main(argv: list[str] | None = None) -> int:
 
     specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     argv = sys.argv[1:] if argv is None else argv
-    record = {"command": ["python3", "scripts/bench_ab.py", *argv],
-              "env": environment(args.base), "seed": args.seed,
-              "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         base_tree = Path(tmp) / "base"
         export(args.base, base_tree)
+        record = {"command": ["python3", "scripts/bench_ab.py", *argv],
+                  "env": environment(args.base, base_tree), "seed": args.seed,
+                  "seconds": args.seconds, "workloads": {}}
         trees = {"base": base_tree, "change": ROOT}
         for workload in args.workload:
             runs = {"base": [], "change": []}

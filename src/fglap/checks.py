@@ -5,10 +5,20 @@ Each check draws log-uniform samples, evaluates one inequality with its
 explicit constant, and reports the worst signed margin. A failed check
 means the growth family does not satisfy the assumption the convergence
 argument needs, so the calling pipeline must refuse to solve with it.
+
+The samples come from the standard library's Mersenne Twister,
+``random.Random``, one stream per check keyed by ``seed * 8 + stream``
+(`_STREAM`), and every draw is a ``Random.random()`` call. CPython keeps
+that sequence fixed for a given integer seed across versions, so a
+config and seed give the same margins after an upgrade. numpy's
+``Generator`` makes no such promise, and importing numpy's random
+package would also load OpenSSL, which costs more memory than the rest
+of the battery.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +38,8 @@ PHI_MVT_EPS = 1.0
 # ordered load pairs drawn by the discrete comparison check
 COMPARISON_TRIALS = 20
 
-# rng streams keyed per check so outcomes do not depend on execution order
+# rng streams keyed per check so outcomes do not depend on execution order;
+# the key seed * 8 + stream needs every index below 8
 _STREAM = {"delta2": 1, "lindqvist": 2, "gdiff": 3, "conjugate": 4,
            "phi_mvt": 5, "rpower": 6, "comparison": 7}
 
@@ -57,8 +68,30 @@ class CheckOutcome:
                 f"{self.worst_margin:.3e} over {self.n_samples} samples")
 
 
-def _rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([int(seed), _STREAM[name]])
+class _Stream:
+    """Uniform draws from one ``random.Random``, as float64 arrays."""
+
+    def __init__(self, key: int):
+        self._draw = random.Random(key).random
+
+    def random(self, n: int) -> np.ndarray:
+        """n uniforms on [0, 1)."""
+        draw = self._draw
+        return np.array([draw() for _ in range(n)], dtype=float)
+
+    def uniform(self, lo, hi, n: int | None = None) -> np.ndarray:
+        """n uniforms lo + (hi - lo) * u, or one per entry of an array hi."""
+        hi = np.asarray(hi, dtype=float)
+        return lo + (hi - lo) * self.random(hi.size if n is None else n)
+
+
+def _rng(seed: int, name: str) -> _Stream:
+    """The draws of check ``name`` for a nonnegative ``seed``: a
+    ``random.Random`` seeded with ``seed * 8 + _STREAM[name]``, so each
+    check has its own stream and outcomes do not depend on the order the
+    checks run in. Every draw is ``Random.random()``, whose sequence for
+    a given seed CPython keeps across versions."""
+    return _Stream(int(seed) * 8 + _STREAM[name])
 
 
 def _log_uniform(rng, n) -> np.ndarray:

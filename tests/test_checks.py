@@ -61,6 +61,23 @@ class TestDeterminism:
         again = check_gdiff(power4, 1000, seed=9).worst_margin
         assert first == again
 
+    def test_golden_draws(self):
+        # random.Random(seed * 8 + stream).random(): CPython keeps this
+        # sequence across versions, so a change of generator fails here
+        # instead of silently moving every margin
+        draws = checks._rng(checks.DEFAULT_SEED, "delta2").random(3)
+        assert draws.tolist() == [0.6029565651232481, 0.8023230376607875,
+                                  0.6845667888612859]
+
+    def test_uniform_scales_each_draw(self):
+        # uniform(lo, hi) is lo + (hi - lo) * random(), with one draw per
+        # entry of an array hi, as the mean-value check asks
+        hi = np.array([1.0, 2.0, 4.0])
+        u = checks._rng(3, "phi_mvt").random(5)
+        rng = checks._rng(3, "phi_mvt")
+        np.testing.assert_array_equal(rng.uniform(0.5, hi), 0.5 + (hi - 0.5) * u[:3])
+        np.testing.assert_array_equal(rng.uniform(-1.0, 1.0, 2), -1.0 + 2.0 * u[3:])
+
 
 class TestSuitePasses:
     def test_all_families(self, families):

@@ -76,6 +76,23 @@ class TestExitCodes:
                               text=True, env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("cmd", ["solve", "check-young"])
+    def test_battery_leaves_numpy_random_and_openssl_unloaded(self, tmp_path,
+                                                              cmd):
+        # numpy.random's bit generators import secrets, which loads
+        # _hashlib and libcrypto; the battery draws from random.Random.
+        # A child process, because pytest itself has loaded numpy.random
+        cfg = write_cfg(tmp_path, BASE)
+        code = ("import sys, fglap.cli; "
+                f"rc = fglap.cli.main([{cmd!r}, '--config', {cfg!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}, '--no-plot']); "
+                "left = [m for m in ('numpy.random', 'secrets', '_hashlib') "
+                "if m in sys.modules]; "
+                "print(left, file=sys.stderr); sys.exit(rc or 3 * bool(left))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+
     def test_malformed_value(self, tmp_path):
         code, _ = run(tmp_path, BASE.replace("p = 4", "p = four"))
         assert code == 2
