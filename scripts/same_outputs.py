@@ -8,6 +8,8 @@ and configs:
 
 - ``solve --no-plot`` on every shipped solve config in ``configs/``;
 - ``convergence`` on ``configs/refinement.cfg``;
+- ``check-young`` on the three family configs that
+  ``scripts/run_all_checks.sh`` checks;
 - the benchmark's workloads, whose config texts are read from the working
   tree's ``perfbench/workloads.py``,
 
@@ -31,6 +33,7 @@ from bench_ab import ROOT, export
 
 TABLES = ("solution.csv", "diagnostics.csv", "checks.csv", "convergence.csv")
 SOLVE_CONFIGS = ("smoke_main1", "weighted_main2", "double_power", "log_type")
+CHECK_CONFIGS = ("smoke_main1", "double_power", "log_type")
 MISSING = "<missing>"
 
 
@@ -64,6 +67,7 @@ def cases() -> list[tuple[str, str, str | None]]:
 
     return ([(name, "solve", None) for name in SOLVE_CONFIGS]
             + [("refinement", "convergence", None)]
+            + [(name, "check-young", None) for name in CHECK_CONFIGS]
             + [(w.name, w.command, w.config) for w in WORKLOADS.values()])
 
 
@@ -99,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
                 outs, codes = {}, {}
                 for side, tree in trees.items():
                     config = (tree / "configs" if text is None else tmp) / f"{name}.cfg"
-                    outs[side] = tmp / f"{side}-{name}-{seed}"
+                    outs[side] = tmp / f"{side}-{name}-{command}-{seed}"
                     codes[side] = run(tree, outs[side], command, config, seed)
                 runs += 1
                 label = f"{name} ({command}) seed {seed}"

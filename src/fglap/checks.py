@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .orlicz import Mesh, OperatorConfig
 from .solver import solve_auxiliary
 from .young import GROWTH_GRID, PhiWeight, YoungFunction, eval_Gbar
@@ -31,8 +30,8 @@ from .young import GROWTH_GRID, PhiWeight, YoungFunction, eval_Gbar
 DEFAULT_SEED = 0x5EED
 SAMPLE_LO = 1e-3
 SAMPLE_HI = 1e3
-# the doubling check's smallest sample count
-DELTA2_MIN_SAMPLES = 1000
+# draws per sampled check, and points on the tail check's ladder
+SAMPLES = 1000
 # the reverse mean-value bound is sampled where max(x, y) >= PHI_MVT_EPS
 PHI_MVT_EPS = 1.0
 # ordered load pairs drawn by the discrete comparison check
@@ -69,10 +68,14 @@ class CheckOutcome:
 
 
 class _Stream:
-    """Uniform draws from one ``random.Random``, as float64 arrays."""
+    """The draws of check ``name`` for a nonnegative ``seed``, as float64
+    arrays: a ``random.Random`` seeded with ``seed * 8 + _STREAM[name]``,
+    so each check has its own stream and outcomes do not depend on the
+    order the checks run in. Every draw is ``Random.random()``, whose
+    sequence for a given seed CPython keeps across versions."""
 
-    def __init__(self, key: int):
-        self._draw = random.Random(key).random
+    def __init__(self, seed: int, name: str):
+        self._draw = random.Random(int(seed) * 8 + _STREAM[name]).random
 
     def random(self, n: int) -> np.ndarray:
         """n uniforms on [0, 1)."""
@@ -83,15 +86,6 @@ class _Stream:
         """n uniforms lo + (hi - lo) * u, or one per entry of an array hi."""
         hi = np.asarray(hi, dtype=float)
         return lo + (hi - lo) * self.random(hi.size if n is None else n)
-
-
-def _rng(seed: int, name: str) -> _Stream:
-    """The draws of check ``name`` for a nonnegative ``seed``: a
-    ``random.Random`` seeded with ``seed * 8 + _STREAM[name]``, so each
-    check has its own stream and outcomes do not depend on the order the
-    checks run in. Every draw is ``Random.random()``, whose sequence for
-    a given seed CPython keeps across versions."""
-    return _Stream(int(seed) * 8 + _STREAM[name])
 
 
 def _log_uniform(rng, n) -> np.ndarray:
@@ -129,17 +123,13 @@ def check_growth_bounds(yf: YoungFunction) -> CheckOutcome:
                               "p_plus_hat": est.p_plus_hat})
 
 
-def check_delta2(yf: YoungFunction, n_samples: int = 1000, *,
-                 seed: int = DEFAULT_SEED) -> CheckOutcome:
+def check_delta2(yf: YoungFunction, *, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Two-sided doubling control: scaling the argument by lam moves G by
     a factor between lam**p_minus and lam**p_plus (exponents swap roles
     for lam < 1). Margins are relative."""
-    if n_samples < DELTA2_MIN_SAMPLES:
-        raise ConfigurationError(
-            f"delta2 needs at least {DELTA2_MIN_SAMPLES} samples")
-    rng = _rng(seed, "delta2")
-    t = _log_uniform(rng, n_samples)
-    lam = _log_uniform(rng, n_samples)
+    rng = _Stream(seed, "delta2")
+    t = _log_uniform(rng, SAMPLES)
+    lam = _log_uniform(rng, SAMPLES)
     gt, glt = yf.G(t), yf.G(lam * t)
     lo_exp = np.where(lam >= 1.0, yf.p_minus, yf.p_plus)
     hi_exp = np.where(lam >= 1.0, yf.p_plus, yf.p_minus)
@@ -148,7 +138,7 @@ def check_delta2(yf: YoungFunction, n_samples: int = 1000, *,
     scale = np.maximum(glt, np.maximum(lower, upper))
     margins = np.minimum(glt - lower, upper - glt) / scale
     worst, bad = _worst(margins, {"lam": lam, "t": t})
-    return CheckOutcome("delta2", yf.label, n_samples, worst, 1e-9,
+    return CheckOutcome("delta2", yf.label, SAMPLES, worst, 1e-9,
                         offending=bad)
 
 
@@ -156,29 +146,27 @@ def lindqvist_constant(yf: YoungFunction) -> float:
     return min(0.5, 2.0 ** (-yf.p_plus) / (2.0 * yf.p_minus))
 
 
-def check_lindqvist(yf: YoungFunction, n_samples: int = 1000, *,
-                    seed: int = DEFAULT_SEED) -> CheckOutcome:
+def check_lindqvist(yf: YoungFunction, *, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Strict monotonicity with a quantitative floor:
     (g(b) - g(a))(b - a) >= C_L * G(|b - a|). Absolute margins; the sample
     set mixes same-sign and straddling pairs."""
-    a, b = _signed_pairs(_rng(seed, "lindqvist"), n_samples)
+    a, b = _signed_pairs(_Stream(seed, "lindqvist"), SAMPLES)
     lhs = (yf.g(b) - yf.g(a)) * (b - a)
     rhs = lindqvist_constant(yf) * yf.G(np.abs(b - a))
     margins = lhs - rhs
     worst, bad = _worst(margins, {"a": a, "b": b})
-    return CheckOutcome("lindqvist", yf.label, n_samples, worst, 1e-10,
+    return CheckOutcome("lindqvist", yf.label, SAMPLES, worst, 1e-10,
                         offending=bad, info={"constant": lindqvist_constant(yf)})
 
 
-def check_gdiff(yf: YoungFunction, n_samples: int = 1000, *,
-                seed: int = DEFAULT_SEED) -> CheckOutcome:
+def check_gdiff(yf: YoungFunction, *, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Difference-of-slopes control with C_E = p_plus - 1, both links:
     |g(a)-g(b)| <= C_E |a-b| g(|a|+|b|)/(|a|+|b|) <= C_E g(|a|+|b|).
 
     Margins are relative: near-equal pairs at the top of the sample range
     put both sides around 1e9, where an absolute gap is pure cancellation
     noise."""
-    a, b = _signed_pairs(_rng(seed, "gdiff"), n_samples)
+    a, b = _signed_pairs(_Stream(seed, "gdiff"), SAMPLES)
     ce = yf.p_plus - 1.0
     total = np.abs(a) + np.abs(b)
     mid = ce * np.abs(a - b) * yf.g(total) / total
@@ -186,18 +174,17 @@ def check_gdiff(yf: YoungFunction, n_samples: int = 1000, *,
     scale = np.maximum(np.abs(yf.g(a) - yf.g(b)), np.maximum(mid, cap))
     margins = np.minimum(mid - np.abs(yf.g(a) - yf.g(b)), cap - mid) / scale
     worst, bad = _worst(margins, {"a": a, "b": b})
-    return CheckOutcome("gdiff", yf.label, n_samples, worst, 1e-10,
+    return CheckOutcome("gdiff", yf.label, SAMPLES, worst, 1e-10,
                         offending=bad, info={"constant": ce})
 
 
-def check_conjugate(yf: YoungFunction, n_samples: int = 1000, *,
-                    seed: int = DEFAULT_SEED) -> CheckOutcome:
+def check_conjugate(yf: YoungFunction, *, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Conjugate sandwich (p_minus - 1) G(t) <= Gbar(g(t)) <=
     (p_plus - 1) G(t), relative margins. The middle term stacks the
     numeric inverse of g inside the Laguerre quadrature, hence the looser
     tolerance."""
-    rng = _rng(seed, "conjugate")
-    t = _log_uniform(rng, n_samples)
+    rng = _Stream(seed, "conjugate")
+    t = _log_uniform(rng, SAMPLES)
     gt = yf.G(t)
     mid = eval_Gbar(yf, yf.g(t))
     lower = (yf.p_minus - 1.0) * gt
@@ -205,19 +192,18 @@ def check_conjugate(yf: YoungFunction, n_samples: int = 1000, *,
     scale = np.maximum(mid, upper)
     margins = np.minimum(mid - lower, upper - mid) / scale
     worst, bad = _worst(margins, {"t": t})
-    return CheckOutcome("conjugate", yf.label, n_samples, worst, 1e-7,
+    return CheckOutcome("conjugate", yf.label, SAMPLES, worst, 1e-7,
                         offending=bad)
 
 
-def check_phi_mvt(weight: PhiWeight, n_samples: int = 1000, *,
-                  seed: int = DEFAULT_SEED) -> CheckOutcome:
+def check_phi_mvt(weight: PhiWeight, *, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Reverse mean-value bound for the boundary weight: whenever
     max(x, y) >= eps = PHI_MVT_EPS, |phi(x) - phi(y)| >= C_M phi'(eps) |x - y|
     with C_M = min(theta, 1) and theta the weight's calibrated slope ratio."""
-    rng = _rng(seed, "phi_mvt")
-    hi = np.exp(rng.uniform(np.log(PHI_MVT_EPS), np.log(SAMPLE_HI), n_samples))
+    rng = _Stream(seed, "phi_mvt")
+    hi = np.exp(rng.uniform(np.log(PHI_MVT_EPS), np.log(SAMPLE_HI), SAMPLES))
     low = rng.uniform(0.0, hi)
-    swap = rng.random(n_samples) < 0.5
+    swap = rng.random(SAMPLES) < 0.5
     x = np.where(swap, low, hi)
     y = np.where(swap, hi, low)
     cm = weight.mvt_constant()
@@ -227,17 +213,17 @@ def check_phi_mvt(weight: PhiWeight, n_samples: int = 1000, *,
     scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
     margins = (lhs - rhs) / scale
     worst, bad = _worst(margins, {"x": x, "y": y})
-    return CheckOutcome("phi_mvt", weight.base.label, n_samples, worst, 1e-9,
+    return CheckOutcome("phi_mvt", weight.base.label, SAMPLES, worst, 1e-9,
                         offending=bad,
                         info={"constant": cm, "slope_at_eps": slope_eps})
 
 
-def check_rpower(weight: PhiWeight, n_samples: int = 1000) -> CheckOutcome:
+def check_rpower(weight: PhiWeight) -> CheckOutcome:
     """Large-argument domination t**(1/r) <= (2/r) phi(t): scans a
     deterministic log-spaced ladder on [1, 1e6], reports the smallest point
     from which the inequality holds, and requires it to keep holding
     beyond."""
-    t = np.logspace(0.0, 6.0, n_samples)
+    t = np.logspace(0.0, 6.0, SAMPLES)
     r = weight.r
     lhs = t ** (1.0 / r)
     rhs = (2.0 / r) * weight.phi(t)
@@ -245,14 +231,14 @@ def check_rpower(weight: PhiWeight, n_samples: int = 1000) -> CheckOutcome:
     fail_idx = np.nonzero(~ok)[0]
     onset = 0 if fail_idx.size == 0 else int(fail_idx[-1]) + 1
     margins = (rhs - lhs) / np.maximum(rhs, lhs)
-    if onset >= n_samples:
+    if onset >= SAMPLES:
         worst, bad = -1.0, {"t": float(t[int(np.argmin(margins))])}
         t0 = float("inf")
     else:
         worst = float(np.min(margins[onset:]))
         bad = {"t": float(t[onset + int(np.argmin(margins[onset:]))])}
         t0 = float(t[onset])
-    return CheckOutcome("rpower", weight.base.label, n_samples, worst, 1e-12,
+    return CheckOutcome("rpower", weight.base.label, SAMPLES, worst, 1e-12,
                         offending=bad, info={"t0": t0, "r": r})
 
 
@@ -269,7 +255,7 @@ def check_comparison(cfg: OperatorConfig, mesh: Mesh, *,
     solution, and each trial's smaller load, like the doubling pair's
     first load, from the previous solution. A start changes the solutions
     only within the Newton tolerance."""
-    rng = _rng(seed, "comparison")
+    rng = _Stream(seed, "comparison")
     yf = cfg.young
     worst = np.inf
     bad = None
@@ -299,16 +285,15 @@ def check_comparison(cfg: OperatorConfig, mesh: Mesh, *,
 
 
 def run_check_suite(yf: YoungFunction, *, q_star: float = 2.0,
-                    n_samples: int = 1000,
                     seed: int = DEFAULT_SEED) -> list[CheckOutcome]:
     """The six sample-driven checks for one growth family. Solver-level
     comparison runs separately because it needs an operator config."""
     weight = PhiWeight(yf, q_star)
     return [
-        check_delta2(yf, n_samples, seed=seed),
-        check_lindqvist(yf, n_samples, seed=seed),
-        check_gdiff(yf, n_samples, seed=seed),
-        check_conjugate(yf, n_samples, seed=seed),
-        check_phi_mvt(weight, n_samples, seed=seed),
-        check_rpower(weight, n_samples),
+        check_delta2(yf, seed=seed),
+        check_lindqvist(yf, seed=seed),
+        check_gdiff(yf, seed=seed),
+        check_conjugate(yf, seed=seed),
+        check_phi_mvt(weight, seed=seed),
+        check_rpower(weight),
     ]

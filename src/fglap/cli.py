@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import (DEFAULT_SEED, DELTA2_MIN_SAMPLES, CheckOutcome,
-                     check_comparison, check_growth_bounds, run_check_suite)
+from .checks import (DEFAULT_SEED, CheckOutcome, check_comparison,
+                     check_growth_bounds, run_check_suite)
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      FglapError, InvariantError)
 from .orlicz import GridFunction, Mesh, OperatorConfig
@@ -47,7 +47,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     out: Path = field(default_factory=lambda: Path("."))
     plot: bool = True
-    samples: int = 1000
     declared_p_minus: float | None = None
     declared_p_plus: float | None = None
 
@@ -131,7 +130,6 @@ _OPTIONAL_KEYS = {
     "seed": ("seed", _as_int),
     "out": ("out", lambda key, text: Path(text)),
     "plot": ("plot", _as_bool),
-    "samples": ("samples", _as_int),
     "declared_p_minus": ("declared_p_minus", _as_float),
     "declared_p_plus": ("declared_p_plus", _as_float),
 }
@@ -168,10 +166,6 @@ def load_config(path: str | Path) -> RunConfig:
     if rc.seed < 0:
         raise ConfigurationError(
             f"config key 'seed' must be nonnegative, got {rc.seed}")
-    if rc.samples < DELTA2_MIN_SAMPLES:
-        raise ConfigurationError(
-            f"config key 'samples' must be at least {DELTA2_MIN_SAMPLES}, "
-            f"got {rc.samples}")
     _parse_profile(rc.f_spec, "f")
     _parse_profile(rc.q_spec, "q")
     check_schedule(rc.n_schedule)
@@ -269,14 +263,9 @@ def _parse_profile(spec: str, key: str) -> Callable[[np.ndarray], np.ndarray]:
         raise ConfigurationError(f"config key {key!r}: {exc}") from None
 
 
-def eval_profile(spec: str, mesh: Mesh, key: str) -> np.ndarray:
-    """Evaluate a whitelisted profile expression on the mesh nodes."""
-    return _parse_profile(spec, key)(mesh.nodes)
-
-
 def build_data(rc: RunConfig, mesh: Mesh) -> ProblemData:
-    f_vals = eval_profile(rc.f_spec, mesh, "f")
-    q_vals = eval_profile(rc.q_spec, mesh, "q")
+    f_vals = _parse_profile(rc.f_spec, "f")(mesh.nodes)
+    q_vals = _parse_profile(rc.q_spec, "q")(mesh.nodes)
     return ProblemData(f=GridFunction(mesh, f_vals),
                        q=GridFunction(mesh, q_vals),
                        case=rc.case, q_star=rc.q_star, delta=rc.delta)
@@ -296,8 +285,7 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def run_verification(rc: RunConfig, cfg: OperatorConfig,
                      mesh: Mesh) -> list[CheckOutcome]:
     outcomes = [check_growth_bounds(cfg.young)]
-    outcomes += run_check_suite(cfg.young, q_star=rc.q_star,
-                                n_samples=rc.samples, seed=rc.seed)
+    outcomes += run_check_suite(cfg.young, q_star=rc.q_star, seed=rc.seed)
     outcomes.append(check_comparison(cfg, mesh, seed=rc.seed))
     return outcomes
 
@@ -340,7 +328,7 @@ def cmd_solve(rc: RunConfig) -> int:
               file=sys.stderr)
         return 1
 
-    report = monotone_scheme(cfg, data, mesh=mesh, n_schedule=rc.n_schedule)
+    report = monotone_scheme(cfg, data, n_schedule=rc.n_schedule)
     diag = boundary_energy_report(report)
     _write_solution(rc, report)
     _write_diagnostics(rc, report, diag)
@@ -451,7 +439,7 @@ def cmd_convergence(rc: RunConfig) -> int:
               for coarse, fine in zip(meshes, meshes[1:])]
     cfg = build_operator(rc, build_young(rc))
 
-    finals = [monotone_scheme(cfg, build_data(rc, mesh), mesh=mesh,
+    finals = [monotone_scheme(cfg, build_data(rc, mesh),
                               n_schedule=rc.n_schedule).final for mesh in meshes]
     rows = []
     diffs = []

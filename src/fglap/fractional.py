@@ -115,7 +115,7 @@ def _rows(m: int, even: bool) -> int:
     return (m + 1) // 2 if even else m
 
 
-def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
+def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
              even: bool = False) -> GridFunction:
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
@@ -132,7 +132,6 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
     yf = cfg.young
     mesh = u.mesh
     uv = u.values
-    rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
     k = _rows(mesh.m, even)
 
     du, far_mat, work = (buf[:k] for buf in _FAR.take(disc.kr.shape))
@@ -150,7 +149,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs, *,
     r[1:] += cell[:k - 1]
     r[:inner.stop] -= cell[:inner.stop]
     r[inner] += sums[mesh.m - 1:][:inner.stop - 1]
-    r[inner] -= mesh.weights[inner] * rhs_vals[inner]
+    r[inner] -= mesh.weights[inner] * rhs[inner]
     if even:
         r = mirror(r)
     r[0] = r[-1] = 0.0

@@ -27,8 +27,7 @@ from .errors import ConfigurationError, DomainError
 from .quadrature import gauss_legendre, invert_monotone
 from .young import YoungFunction
 
-# x-quadrature order on the clipped band cell-sides; ample for the linear
-# clipping near the endpoints (unclipped sides need one point)
+# Gauss-Legendre order on the two clipped band sides (see `Discretization`)
 _BAND_XQ = 8
 # sup-norm gap to its mirror image below which a grid function counts as even
 EVEN_TOL = 1e-9
@@ -172,13 +171,13 @@ class Discretization:
       energy is loc_w Lambda(|x| loc_r). The first ``n_band`` points are
       the band, integrated exactly for piecewise linear functions: x a cell
       slope, r a window radius min(h, distance to the endpoint) to the
-      power 1 - s, and loc_w an x-quadrature weight over 1 - s. A cell-side
-      whose radius is h at every x-node is one point carrying the rule's
-      whole weight (a cell with both sides unclipped, twice that); only the
-      left side of the first cell and the right side of the last are
-      clipped, and they keep all _BAND_XQ Gauss-Legendre nodes. The rest
-      are the strips, in closed form after the substitution w = z^(-s),
-      two per interior node: x the nodal value, r = d^(-s) for its
+      power 1 - s, and loc_w an x-quadrature weight over 1 - s. The radius
+      is h on every cell-side but the outer sides of the two end cells,
+      where it is the distance to the endpoint. Each cell is one point with
+      the x-rule's whole weight per unclipped side, and each clipped side
+      keeps its _BAND_XQ Gauss-Legendre nodes, ample for the linear radius.
+      The rest are the strips, in closed form after the substitution
+      w = z^(-s), two per interior node: x the nodal value, r = d^(-s) for its
       distance d to each endpoint, and loc_w = 2 w_i / s, w_i the node's
       trapezoid weight and the factor 2 for the ordered pairs (x, y) and
       (y, x) that both cross the boundary.
@@ -237,19 +236,17 @@ def _discretization(m: int, s: float) -> Discretization:
     kr = (mesh.h * mesh.h) / np.power(dist, 1.0 + s)
     kr[:2] = 0.0
 
+    # band: a point per cell for its unclipped sides, then the x-nodes of
+    # the clipped sides, the first cell's left and the last cell's right
     gx, gw = gauss_legendre(_BAND_XQ)
-    xq = mesh.nodes[:-1, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
+    xq = (gx + 1.0) * (mesh.h / 2.0)
     xw = gw * (mesh.h / 2.0)
-    # radius[side, cell, node], side 0 toward -1 and side 1 toward +1
-    radius = np.minimum(mesh.h, np.stack((1.0 + xq, 1.0 - xq)))
-    clipped = np.any(radius < mesh.h, axis=2)
-    full = 2 - clipped.sum(axis=0)    # unclipped sides per cell
-    keep = full > 0
-    side, cut = np.nonzero(clipped)
-    band_arg = np.concatenate((np.flatnonzero(keep), np.repeat(cut, _BAND_XQ)))
-    band_rho = np.concatenate((np.full(keep.sum(), mesh.h),
-                               radius[side, cut].ravel())) ** (1.0 - s)
-    band_w = np.concatenate((full[keep] * xw.sum(), np.tile(xw, cut.size)))
+    sides = np.full(m - 1, 2.0)
+    sides[[0, -1]] = 1.0
+    band_arg = np.concatenate((np.arange(m - 1), np.repeat([0, m - 2], _BAND_XQ)))
+    band_rho = np.concatenate((np.full(m - 1, mesh.h), 1.0 + (mesh.nodes[0] + xq),
+                               1.0 - (mesh.nodes[-2] + xq))) ** (1.0 - s)
+    band_w = np.concatenate((sides * xw.sum(), xw, xw))
 
     # strips: a point toward each endpoint per interior node, whose local
     # argument follows the m - 1 slopes

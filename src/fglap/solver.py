@@ -269,13 +269,13 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     return GridFunction(mesh, np.maximum(u, 0.0)), stats
 
 
-def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs, *,
+def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray, *,
                     warm_start: GridFunction | None = None
                     ) -> tuple[GridFunction, dict]:
     """`_newton` for  A(u) = rhs  with a fixed nonnegative load. The
     Hessian degenerates at u = 0 (g' vanishes there for our growth class),
     so cold starts are seeded by scaling a cone."""
-    rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, float)
+    rhs_vals = np.asarray(rhs, float)
     if rhs_vals.shape != (mesh.m,):
         raise ConfigurationError("rhs must provide one value per node")
     if not np.all(np.isfinite(rhs_vals)):

@@ -68,8 +68,7 @@ def test_criterion_01_check_battery():
     t0 = time.time()
     failures = []
     for yf in REFERENCE_FAMILIES:
-        for out in run_check_suite(yf, q_star=Q_STAR[yf.family_tag],
-                                   n_samples=1000):
+        for out in run_check_suite(yf, q_star=Q_STAR[yf.family_tag]):
             if not out.passed:
                 failures.append(str(out))
     elapsed = time.time() - t0

@@ -16,7 +16,6 @@ from fglap.checks import (
     lindqvist_constant,
     run_check_suite,
 )
-from fglap.errors import ConfigurationError
 from fglap.orlicz import GridFunction, OperatorConfig
 from fglap.solver import solve_auxiliary
 from fglap.young import PhiWeight
@@ -46,26 +45,26 @@ class TestOutcomeSemantics:
 
 class TestDeterminism:
     def test_same_seed_same_margins(self, power4):
-        a = check_delta2(power4, 1000, seed=123)
-        b = check_delta2(power4, 1000, seed=123)
+        a = check_delta2(power4, seed=123)
+        b = check_delta2(power4, seed=123)
         assert a.worst_margin == b.worst_margin
 
     def test_different_seed_moves_margin(self, power4):
-        a = check_lindqvist(power4, 1000, seed=1)
-        b = check_lindqvist(power4, 1000, seed=2)
+        a = check_lindqvist(power4, seed=1)
+        b = check_lindqvist(power4, seed=2)
         assert a.worst_margin != b.worst_margin
 
     def test_streams_independent_of_call_order(self, power4):
-        first = check_gdiff(power4, 1000, seed=9).worst_margin
-        check_delta2(power4, 1000, seed=9)
-        again = check_gdiff(power4, 1000, seed=9).worst_margin
+        first = check_gdiff(power4, seed=9).worst_margin
+        check_delta2(power4, seed=9)
+        again = check_gdiff(power4, seed=9).worst_margin
         assert first == again
 
     def test_golden_draws(self):
         # random.Random(seed * 8 + stream).random(): CPython keeps this
         # sequence across versions, so a change of generator fails here
         # instead of silently moving every margin
-        draws = checks._rng(checks.DEFAULT_SEED, "delta2").random(3)
+        draws = checks._Stream(checks.DEFAULT_SEED, "delta2").random(3)
         assert draws.tolist() == [0.6029565651232481, 0.8023230376607875,
                                   0.6845667888612859]
 
@@ -73,8 +72,8 @@ class TestDeterminism:
         # uniform(lo, hi) is lo + (hi - lo) * random(), with one draw per
         # entry of an array hi, as the mean-value check asks
         hi = np.array([1.0, 2.0, 4.0])
-        u = checks._rng(3, "phi_mvt").random(5)
-        rng = checks._rng(3, "phi_mvt")
+        u = checks._Stream(3, "phi_mvt").random(5)
+        rng = checks._Stream(3, "phi_mvt")
         np.testing.assert_array_equal(rng.uniform(0.5, hi), 0.5 + (hi - 0.5) * u[:3])
         np.testing.assert_array_equal(rng.uniform(-1.0, 1.0, 2), -1.0 + 2.0 * u[3:])
 
@@ -86,6 +85,11 @@ class TestSuitePasses:
             assert len(outcomes) == 6
             for out in outcomes:
                 assert out.passed, str(out)
+
+    def test_one_sample_count(self, power4):
+        # every sampled check, and the tail check's ladder, has SAMPLES points
+        assert checks.SAMPLES == 1000
+        assert {out.n_samples for out in run_check_suite(power4)} == {1000}
 
     def test_lindqvist_constant_value(self, power4):
         # min(1/2, 2^{-p+} / (2 p-)) = min(1/2, 1/128)
@@ -99,14 +103,6 @@ class TestSuitePasses:
         rhs = cl * power4.G(2.0)
         assert lhs == pytest.approx(4.0) and rhs == pytest.approx(1.0 / 32.0)
         assert lhs >= rhs
-
-
-class TestSampleFloor:
-    def test_minimum_sample_count(self, power4):
-        with pytest.raises(ConfigurationError):
-            check_delta2(power4, 999)
-        # the other checks accept smaller draws
-        assert check_lindqvist(power4, 500).n_samples == 500
 
 
 class TestPhiMvt:

@@ -133,18 +133,15 @@ class TestExitCodes:
         code, _ = run(tmp_path, BASE.replace("f = const:1", "f = const:-1"))
         assert code == 2
 
-    @pytest.mark.parametrize("key,value", [("samples", "1000.9"),
-                                           ("seed", "3.9"),
-                                           ("samples", "10")])
+    @pytest.mark.parametrize("key,value", [("seed", "3.9")])
     def test_integer_key_rejects_fraction(self, tmp_path, capsys, key, value):
-        # samples below the doubling check's floor of 1000 fail at load time
         code, _ = run(tmp_path, BASE + f"{key} = {value}\n", cmd="check-young")
         assert code == 2
         assert repr(key) in capsys.readouterr().err
 
     def test_integer_key_accepts_integral_float(self, tmp_path):
-        rc = load_config(write_cfg(tmp_path, BASE + "samples = 1e3\nseed = 2.0\n"))
-        assert (rc.samples, rc.seed) == (1000, 2)
+        rc = load_config(write_cfg(tmp_path, BASE + "seed = 1e3\n"))
+        assert rc.seed == 1000
 
     def test_integer_lists_accept_integral_floats(self, tmp_path):
         body = BASE.replace("mesh = 33", "mesh = 33.0").replace(
@@ -167,10 +164,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [("near_band", "1"), ("r_far", "100"),
                                            ("tail_mode", "analytic"),
                                            ("tol_stop", "1e-6"),
-                                           ("tol_mono", "1e-7"), ("eps", "1")])
+                                           ("tol_mono", "1e-7"), ("eps", "1"),
+                                           ("samples", "1000")])
     def test_retired_keys_rejected(self, tmp_path, capsys, key, value):
         # the band is one cell and the exterior exact; the scheme's stage
-        # tolerances and the mean-value threshold are constants
+        # tolerances, the mean-value threshold and the battery's sample
+        # count are constants
         code, _ = run(tmp_path, BASE + f"{key} = {value}\n", cmd="check-young")
         assert code == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err

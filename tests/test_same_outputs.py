@@ -1,6 +1,7 @@
-"""The cell comparison of scripts/same_outputs.py, on small CSV files."""
+"""The cell comparison and the run list of scripts/same_outputs.py."""
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,12 @@ def test_moved_cells_lists_each_cell_with_both_values(tmp_path, same_outputs):
         (0, 1, "u[n=1]", "u[n=2]"), (2, 1, "2.0", "2.5"), (3, 0, missing, "1.0")]
     assert same_outputs.moved_cells(change, base)[-1] == (3, 0, "1.0", missing)
     assert same_outputs.moved_cells(base, base) == []
+
+
+def test_cases_run_the_battery_on_each_family_config(same_outputs):
+    # check-young runs on the configs that scripts/run_all_checks.sh checks
+    checked = re.findall(r"configs/(\w+)\.cfg",
+                         (ROOT / "scripts" / "run_all_checks.sh").read_text())
+    assert checked == ["smoke_main1", "double_power", "log_type"]
+    assert [(name, text) for name, command, text in same_outputs.cases()
+            if command == "check-young"] == [(name, None) for name in checked]
