@@ -16,13 +16,16 @@ and configs:
 at every seed given (7 and 41 by default). The script compares the exit
 codes and every cell of ``solution.csv``, ``diagnostics.csv``,
 ``checks.csv`` and ``convergence.csv``, prints each cell that moved with
-both values, and exits 0 only if no exit code changed and no cell moved.
+both values, and per table the number of moved cells and the largest
+absolute change among those that read as numbers on both sides. It exits
+0 only if no exit code changed and no cell moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -59,6 +62,20 @@ def moved_cells(base: Path, change: Path) -> list[tuple[int, int, str, str]]:
     return moved
 
 
+def largest_change(moved: list[tuple[int, int, str, str]]) -> float:
+    """The largest absolute change among the cells of `moved_cells` that
+    read as finite numbers on both sides; 0.0 when none does."""
+    out = 0.0
+    for _, _, va, vb in moved:
+        try:
+            change = abs(float(vb) - float(va))
+        except ValueError:
+            continue
+        if math.isfinite(change):
+            out = max(out, change)
+    return out
+
+
 def cases() -> list[tuple[str, str, str | None]]:
     """(name, subcommand, config text or None for the shipped config file
     of that name)."""
@@ -92,6 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     seeds = args.seed or [7, 41]
 
     runs = exit_changes = cells = moved_total = 0
+    moved_in = {table: 0 for table in TABLES}
+    drift = {table: 0.0 for table in TABLES}
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         tmp = Path(tmp)
         trees = {"base": tmp / "base", "change": ROOT}
@@ -119,9 +138,15 @@ def main(argv: list[str] | None = None) -> int:
                         moved_total += 1
                         continue
                     cells += sum(len(row) for row in read_cells(paths[0]))
-                    for r, c, va, vb in moved_cells(*paths):
-                        moved_total += 1
+                    moved = moved_cells(*paths)
+                    for r, c, va, vb in moved:
                         print(f"{label}: {table} row {r} column {c}: {va} -> {vb}")
+                    moved_total += len(moved)
+                    moved_in[table] += len(moved)
+                    drift[table] = max(drift[table], largest_change(moved))
+    for table in TABLES:
+        print(f"{table}: {moved_in[table]} cells moved, largest absolute "
+              f"change {drift[table]:.3g}")
     print(f"same_outputs: {runs} runs per tree at seeds "
           f"{', '.join(map(str, seeds))}, "
           f"{exit_changes} exit codes changed, {moved_total} of {cells} "

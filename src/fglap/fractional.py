@@ -41,6 +41,12 @@ c = (m - 1) / 2, because the operator commutes with x -> -x: `residual`
 and `assemble_matrix` take ``even=True`` for that, and `fold` reduces the
 Jacobian's rows to the c half unknowns.
 
+The Newton solver in `solver` solves for its direction in the returned
+buffer view: by conjugate gradients, which need only products with the
+matrix and its diagonal, on systems of at least 128 unknowns at s <= 1/2,
+and by LAPACK's LU otherwise. The Jacobian is symmetric, and so is the
+folded block once its rows below the centre's are doubled (see `fold`).
+
 The strong-form evaluator is separate and deliberately different in
 texture: the first cell, where the |x - y|^(-1-s) singularity sits, on
 the Gauss-Laguerre rule that every integral from zero shares; exact
@@ -217,7 +223,13 @@ def fold(block: np.ndarray) -> np.ndarray:
     block of `assemble_matrix` with column j plus its mirror column
     m - 3 - j, for j below the centre column, which is kept once. A mirrored
     half step delta then satisfies J delta = fold(block) delta_h on the rows
-    up to the centre."""
+    up to the centre.
+
+    fold(block) is the c rows of J E up to the centre, E the mirror map
+    from the half unknowns to all interior ones. It is not symmetric, but
+    D fold(block) = E^T J E is, with D = diag(2, ..., 2, 1): a row below
+    the centre stands for itself and its mirror row, which J's reflection
+    symmetry makes equal."""
     c = block.shape[0]
     block[:, :c - 1] += block[:, :c - 1:-1]
     return block[:, :c]

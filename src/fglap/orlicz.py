@@ -24,11 +24,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DomainError
-from .quadrature import gauss_legendre, invert_monotone
+from .quadrature import LEGENDRE_8_NODES, LEGENDRE_8_WEIGHTS, invert_monotone
 from .young import YoungFunction
 
-# Gauss-Legendre order on the two clipped band sides (see `Discretization`)
-_BAND_XQ = 8
 # sup-norm gap to its mirror image below which a grid function counts as even
 EVEN_TOL = 1e-9
 
@@ -175,7 +173,7 @@ class Discretization:
       is h on every cell-side but the outer sides of the two end cells,
       where it is the distance to the endpoint. Each cell is one point with
       the x-rule's whole weight per unclipped side, and each clipped side
-      keeps its _BAND_XQ Gauss-Legendre nodes, ample for the linear radius.
+      keeps the 8 Gauss-Legendre nodes, ample for the linear radius.
       The rest are the strips, in closed form after the substitution
       w = z^(-s), two per interior node: x the nodal value, r = d^(-s) for its
       distance d to each endpoint, and loc_w = 2 w_i / s, w_i the node's
@@ -238,12 +236,12 @@ def _discretization(m: int, s: float) -> Discretization:
 
     # band: a point per cell for its unclipped sides, then the x-nodes of
     # the clipped sides, the first cell's left and the last cell's right
-    gx, gw = gauss_legendre(_BAND_XQ)
+    gx, gw = np.array(LEGENDRE_8_NODES), np.array(LEGENDRE_8_WEIGHTS)
     xq = (gx + 1.0) * (mesh.h / 2.0)
     xw = gw * (mesh.h / 2.0)
     sides = np.full(m - 1, 2.0)
     sides[[0, -1]] = 1.0
-    band_arg = np.concatenate((np.arange(m - 1), np.repeat([0, m - 2], _BAND_XQ)))
+    band_arg = np.concatenate((np.arange(m - 1), np.repeat([0, m - 2], gx.size)))
     band_rho = np.concatenate((np.full(m - 1, mesh.h), 1.0 + (mesh.nodes[0] + xq),
                                1.0 - (mesh.nodes[-2] + xq))) ** (1.0 - s)
     band_w = np.concatenate((sides * xw.sum(), xw, xw))

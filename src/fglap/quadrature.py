@@ -3,7 +3,8 @@
 Everything here is vectorized over numpy arrays: the heavy callers
 (conjugate evaluation, boundary-weight integrals, check batteries)
 evaluate thousands of points per call and cannot afford per-scalar
-adaptive quadrature. Both Gauss rules are built with numpy alone.
+adaptive quadrature. The Gauss-Laguerre rule is built with numpy alone;
+the one Gauss-Legendre rule, eight points, is stored.
 """
 
 from __future__ import annotations
@@ -21,11 +22,15 @@ from .errors import ConvergenceError, DomainError
 INVERT_MAX_ITER = 40
 
 
-@lru_cache(maxsize=64)
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], cached."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+# the 8-point Gauss-Legendre rule on [-1, 1], the values of
+# numpy.polynomial.legendre.leggauss(8) to the last bit, so that no run
+# imports numpy.polynomial for them
+LEGENDRE_8_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                    0.7966664774136267, 0.9602898564975362)
+LEGENDRE_8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                      0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                      0.22238103445337443, 0.10122853629037706)
 
 
 def _laguerre_running_sum(n: int, alpha: float, x: np.ndarray):

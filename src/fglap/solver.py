@@ -28,6 +28,12 @@ TOL_STOP = 1e-6
 TOL_MONO = 1e-7
 # Newton steps allowed per solve, auxiliary or stage
 NEWTON_MAX_ITER = 200
+# the Newton direction of a system of at least CG_MIN_UNKNOWNS unknowns at an
+# order s of at most CG_MAX_S comes from `_pcg`, to a relative residual of
+# CG_RTOL; a smaller system, or one of a higher order, is factorized
+CG_MIN_UNKNOWNS = 128
+CG_MAX_S = 0.5
+CG_RTOL = 1e-6
 # the oracle `fixed_point_S` stops once a sweep moves u by at most
 # FIXED_POINT_TOL in the sup norm, and gives up after FIXED_POINT_MAX_SWEEPS
 FIXED_POINT_TOL = 1e-8
@@ -163,6 +169,69 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
     return scale * cone, evaluations
 
 
+def _pcg(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Jacobi-preconditioned conjugate gradients for the symmetric
+    positive definite system a x = b: x and the iterations taken. It starts
+    from x = 0 and stops once ||b - a x||_2 <= CG_RTOL ||b||_2. x is None
+    when n // 8 iterations, n the unknowns, do not get there, or on a
+    breakdown: a diagonal entry or p^T a p that is not positive and
+    finite. Each iteration is one product with a. The Jacobi-scaled
+    Newton matrices have condition numbers growing like n^(2s), so CG
+    needs about n^s iterations where a factorization costs about n."""
+    diag = np.diagonal(a)
+    if not np.all((diag > 0.0) & (diag < np.inf)):
+        return None, 0
+    inv = 1.0 / diag
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = inv * r
+    p = z.copy()
+    rz = float(r @ z)
+    stop = CG_RTOL * CG_RTOL * float(b @ b)
+    cap = b.size // 8
+    for it in range(1, cap + 1):
+        q = a @ p
+        pq = float(p @ q)
+        if not 0.0 < pq < np.inf:
+            return None, it
+        step = rz / pq
+        x += step * p
+        r -= step * q
+        if float(r @ r) <= stop:
+            return x, it
+        z = inv * r
+        rz, rz_prev = float(r @ z), rz
+        p *= rz / rz_prev
+        p += z
+    return None, cap
+
+
+def _direction(jac: np.ndarray, r: np.ndarray, even: bool, s: float,
+               stats: dict) -> np.ndarray:
+    """The Newton direction on the live unknowns of `_newton`: the
+    solution of J delta = -r, J the Jacobian on them, from ``jac`` as
+    `assemble_matrix` returns it (with ``even``, the block that `fold`
+    reduces), which it overwrites. With at least CG_MIN_UNKNOWNS unknowns
+    and s <= CG_MAX_S it runs `_pcg` and adds its iterations and a
+    fallback to ``stats``; otherwise, or when CG gives up, it factorizes,
+    and a singular matrix raises LinAlgError.
+
+    The folded matrix is not symmetric, but with its rows scaled by
+    D = diag(2, ..., 2, 1) it is E^T J E, E the mirror map from the half
+    unknowns to all of them, so CG solves D fold(J) delta = -D r."""
+    a, b = (fold(jac) if even else jac), -r
+    if b.size >= CG_MIN_UNKNOWNS and s <= CG_MAX_S:
+        if even:
+            a[:-1] *= 2.0
+            b[:-1] *= 2.0
+        delta, iterations = _pcg(a, b)
+        stats["cg_iterations"] += iterations
+        stats["cg_fallbacks"] += delta is None
+        if delta is not None:
+            return delta
+    return np.linalg.solve(a, b)
+
+
 def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | None,
             what: str, even: bool = False) -> tuple[GridFunction, dict]:
     """Damped Newton for  A(u) = rhs(u)  with zero boundary values; load(u)
@@ -178,12 +247,22 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     (see `fractional`). The Jacobian is assembled only at accepted
     iterates, never at a line-search trial, where an overshoot may
     overflow its g and g' terms; it lives in the far-pair buffers, so a
-    step allocates no m x m array of its own. The
-    stats hold the Newton steps, the final residual sup, the residual
+    step allocates no m x m array of its own.
+
+    The direction (`_direction`) solves the Jacobian system in those
+    buffers. With at least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S it
+    is an inexact Newton step, `_pcg` to a relative residual of CG_RTOL,
+    which keeps Newton's convergence (Dembo, Eisenstat and Steihaug, SIAM
+    J. Numer. Anal. 19, 1982). A smaller system, a higher order, or a CG
+    run that gives up takes LAPACK's LU (`np.linalg.solve`), and a
+    singular matrix there raises lam.
+
+    The stats hold the Newton steps, the final residual sup, the residual
     evaluations in all and those spent on cone seeding (0 for a warm
-    start), the rejected line-search trials and the largest lam. A warm
-    start that vanishes identically counts as a cold start. A solve that
-    runs out of steps names the node of its largest residual entry.
+    start), the rejected line-search trials, the largest lam, the CG
+    iterations and the CG runs that fell back to the LU. A warm start that
+    vanishes identically counts as a cold start. A solve that runs out of
+    steps names the node of its largest residual entry.
 
     ``even`` (odd m, a load that maps even u to even rhs) solves for the
     interior nodes up to the centre only: the iterate is kept even, the
@@ -195,7 +274,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             f"{what}: warm start has {warm_start.mesh.m} nodes, the mesh {mesh.m}")
     stats = {"iterations": 0, "residual_sup": 0.0, "residual_evaluations": 0,
              "seed_evaluations": 0, "line_search_backtracks": 0,
-             "levenberg_shift_max": 0.0}
+             "levenberg_shift_max": 0.0, "cg_iterations": 0, "cg_fallbacks": 0}
     if warm_start is not None and warm_start.sup_norm() > 0.0:
         u = warm_start.values.copy()
     else:
@@ -232,7 +311,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             jac[diag] += lam * (float(np.max(np.abs(jac[diag]))) or 1.0)
             stats["levenberg_shift_max"] = max(stats["levenberg_shift_max"], lam)
         try:
-            delta = np.linalg.solve(fold(jac) if even else jac, -r)
+            delta = _direction(jac, r, even, cfg.s, stats)
         except np.linalg.LinAlgError:
             lam = max(lam * 10.0, 1e-8)
             continue

@@ -76,6 +76,19 @@ class TestExitCodes:
                               text=True, env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("cmd", ["solve", "convergence"])
+    def test_run_leaves_numpy_polynomial_unimported(self, tmp_path, cmd):
+        # the band's Gauss-Legendre rule is stored, not built by leggauss
+        cfg = write_cfg(tmp_path, BASE.replace("mesh = 33", "mesh = 17,33")
+                        if cmd == "convergence" else BASE)
+        code = ("import sys, fglap.cli; "
+                f"rc = fglap.cli.main([{cmd!r}, '--config', {cfg!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}, '--no-plot']); "
+                "sys.exit(rc or 3 * ('numpy.polynomial' in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("cmd", ["solve", "check-young"])
     def test_battery_leaves_numpy_random_and_openssl_unloaded(self, tmp_path,
                                                               cmd):

@@ -14,7 +14,6 @@ from fglap.fractional import (apply_interior, assemble_matrix, fold, mirror,
                               residual, weak_form)
 from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
                           modular_W_parts)
-from fglap.quadrature import gauss_legendre
 from fglap.young import DoublePowerYoung, PowerYoung
 
 from conftest import dense_far_kernels, traced_peak
@@ -213,7 +212,7 @@ class _Reference:
         self.dist = np.where(
             self.mask, np.abs(mesh.nodes[:, None] - mesh.nodes[None, :]), 1.0)
         self.ww = np.outer(mesh.weights, mesh.weights)
-        gx, gw = gauss_legendre(8)
+        gx, gw = np.polynomial.legendre.leggauss(8)
         xq = mesh.nodes[:-1, None] + (gx[None, :] + 1.0) * (mesh.h / 2.0)
         self.xw = np.broadcast_to(gw * (mesh.h / 2.0), xq.shape)
         self.radii = (np.minimum(mesh.h, 1.0 + xq), np.minimum(mesh.h, 1.0 - xq))

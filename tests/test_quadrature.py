@@ -15,8 +15,9 @@ from scipy.special import roots_genlaguerre
 import fglap.quadrature as quadrature
 from fglap.errors import ConvergenceError, DomainError
 from fglap.quadrature import (
+    LEGENDRE_8_NODES,
+    LEGENDRE_8_WEIGHTS,
     gauss_laguerre,
-    gauss_legendre,
     invert_monotone,
 )
 import fglap.young as young
@@ -159,12 +160,13 @@ class TestWindowInverter:
         np.testing.assert_allclose(got, [[1.0, 2.0], [0.0, 3.0]], rtol=1e-15)
 
 
-def test_gauss_legendre_cached_and_exact():
-    x, w = gauss_legendre(8)
+def test_legendre_8_is_leggauss_bit_for_bit():
+    x, w = np.array(LEGENDRE_8_NODES), np.array(LEGENDRE_8_WEIGHTS)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(8)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
     assert w.sum() == pytest.approx(2.0, rel=1e-14)
-    # degree-15 monomial integrated exactly by an 8-point rule
+    # a degree-14 monomial, integrated exactly by an 8-point rule
     assert np.sum(w * x**14) == pytest.approx(2.0 / 15.0, rel=1e-12)
-    assert gauss_legendre(8) is not None  # cache hit path
 
 
 RULES = [(64, 0.0), (64, 1.0), (8, 0.5)]

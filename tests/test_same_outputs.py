@@ -33,3 +33,13 @@ def test_cases_run_the_battery_on_each_family_config(same_outputs):
     assert checked == ["smoke_main1", "double_power", "log_type"]
     assert [(name, text) for name, command, text in same_outputs.cases()
             if command == "check-young"] == [(name, None) for name in checked]
+
+
+def test_largest_change_reads_numeric_cells_only(same_outputs):
+    moved = [(1, 1, "1.0e-03", "1.5e-03"), (2, 1, "2.0", "1.0"),
+             (3, 2, "True", "False"), (4, 0, same_outputs.MISSING, "1.0"),
+             (5, 1, "nan", "1.0")]
+    assert same_outputs.largest_change(moved) == 1.0
+    assert same_outputs.largest_change(moved[:1]) == pytest.approx(5e-4, rel=1e-12)
+    assert same_outputs.largest_change(moved[2:]) == 0.0
+    assert same_outputs.largest_change([]) == 0.0

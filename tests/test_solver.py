@@ -1,13 +1,17 @@
 """Solve pipeline: the auxiliary monotone problem, the frozen-coefficient
 fixed point, the stage scheme, barriers, and the report diagnostics."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import fglap.solver as solver
+from fglap.checks import check_comparison
 from fglap.errors import (ConfigurationError, ConvergenceError, DomainError,
                           InvariantError)
-from fglap.fractional import apply_interior, residual, weak_form
+from fglap.fractional import (apply_interior, assemble_matrix, fold, residual,
+                              weak_form)
 from fglap.orlicz import GridFunction, Mesh, OperatorConfig, modular_W
 from fglap.solver import (
     ProblemData,
@@ -647,6 +651,131 @@ class TestJacobianOnResidualG:
         assert failures == [0] and stats["levenberg_shift_max"] > 0.0
         assert [h for h, _ in checked[:3]] == [True, False, False]
         assert all(same for _, same in checked)
+
+
+def newton_system(cfg, m, even):
+    """A copy of the Jacobian block `_newton` assembles at an even iterate
+    near a stage solution, and the residual there under the load f = 1, on
+    the live rows."""
+    mesh = Mesh(m)
+    x = mesh.nodes
+    u = GridFunction(mesh, 0.8 * (1.0 - x ** 2) ** 0.3
+                     * (1.0 + 0.2 * np.cos(np.pi * x)))
+    live = slice(1, (m + 1) // 2 if even else m - 1)
+    r = residual(cfg, u, np.ones(m), even=even).values[live]
+    return assemble_matrix(cfg, u, even=even).copy(), r
+
+
+def cg_stats():
+    return {"cg_iterations": 0, "cg_fallbacks": 0}
+
+
+class TestNewtonDirection:
+    """Jacobi-preconditioned CG gives the Newton direction of a system of
+    at least CG_MIN_UNKNOWNS unknowns at s <= CG_MAX_S, and the LU every
+    other one and every one that CG gives up on."""
+
+    @pytest.mark.parametrize("name", ["power4", "log221"])
+    @pytest.mark.parametrize("even", [False, True])
+    def test_cg_direction_is_the_lu_direction(self, name, even, request):
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        jac, r = newton_system(cfg, 257, even)
+        ref = np.linalg.solve(fold(jac.copy()) if even else jac, -r)
+        stats = cg_stats()
+        delta = solver._direction(jac, r, even, cfg.s, stats)
+        assert ref.size == (128 if even else 255)
+        assert 0 < stats["cg_iterations"] <= ref.size // 8
+        assert stats["cg_fallbacks"] == 0
+        assert np.linalg.norm(delta - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", ["power4", "log221"])
+    def test_scaled_fold_is_symmetric(self, name, request):
+        # D fold(J) = E^T J E, D = diag(2, ..., 2, 1), E the mirror map
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        jac, _ = newton_system(cfg, 257, True)
+        a = fold(jac)
+        a[:-1] *= 2.0
+        assert np.max(np.abs(a - a.T)) <= 1e-14 * np.max(np.abs(a))
+
+    def test_cap_falls_back_to_the_lu(self):
+        # condition number 1e8, spread over a random basis so that the
+        # Jacobi scaling cannot undo it: n // 8 iterations fall far short
+        n = 128
+        rng = np.random.default_rng(128)
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (basis * np.logspace(0.0, 8.0, n)) @ basis.T
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal(n)
+        stats = cg_stats()
+        delta = solver._direction(a.copy(), -b, False, 0.3, stats)
+        assert stats == {"cg_iterations": n // 8, "cg_fallbacks": 1}
+        assert np.array_equal(delta, np.linalg.solve(a, b))
+
+    def test_singular_matrix_reaches_the_levenberg_shift(self, cfg, monkeypatch):
+        # a zero matrix breaks CG down at once and the LU then raises
+        mesh = Mesh(257)
+        assemble, calls = solver.assemble_matrix, [0]
+
+        def singular_first(cfg, u, *, even=False):
+            jac = assemble(cfg, u, even=even)
+            calls[0] += 1
+            if calls[0] == 1:
+                jac[...] = 0.0
+            return jac
+
+        monkeypatch.setattr(solver, "assemble_matrix", singular_first)
+        _, stats = solve_auxiliary(cfg, mesh, np.ones(mesh.m))
+        assert calls[0] >= 2 and stats["cg_fallbacks"] == 1
+        assert stats["levenberg_shift_max"] > 0.0 and stats["cg_iterations"] > 0
+
+    @pytest.fixture
+    def cg_sizes(self, monkeypatch):
+        sizes, pcg = [], solver._pcg
+
+        def spied(a, b):
+            sizes.append(b.size)
+            return pcg(a, b)
+
+        monkeypatch.setattr(solver, "_pcg", spied)
+        return sizes
+
+    @pytest.mark.parametrize("m,s,sizes", [
+        (129, 0.3, set()),          # 127 and 64 unknowns
+        (257, 0.7, set()),          # s > 1/2
+        (257, 0.5, {255, 128}),     # both at the gate
+    ])
+    def test_gate(self, power4_module, m, s, sizes, cg_sizes):
+        cfg = OperatorConfig(young=power4_module, s=s)
+        mesh = Mesh(m)
+        solve_auxiliary(cfg, mesh, np.ones(m))
+        monotone_scheme(cfg, unit_data(mesh), n_schedule=(1, 2))
+        assert set(cg_sizes) == sizes
+
+    def test_same_newton_steps_as_the_lu(self, cfg, monkeypatch):
+        mesh = Mesh(257)
+        newton, steps = solver._newton, []
+
+        def recorded(*args, **kw):
+            u, stats = newton(*args, **kw)
+            steps.append((stats["iterations"], stats["cg_iterations"] > 0))
+            return u, stats
+
+        def run():
+            steps.clear()
+            report = monotone_scheme(cfg, unit_data(mesh))
+            margin = check_comparison(cfg, mesh).worst_margin
+            return list(steps), report.solutions, margin
+
+        monkeypatch.setattr(solver, "_newton", recorded)
+        cg_steps, cg_u, cg_margin = run()
+        monkeypatch.setattr(solver, "CG_MIN_UNKNOWNS", sys.maxsize)
+        lu_steps, lu_u, lu_margin = run()
+        assert len(cg_steps) == 5 + 42
+        assert all(used for _, used in cg_steps) and not any(used for _, used in lu_steps)
+        assert [k for k, _ in cg_steps] == [k for k, _ in lu_steps]
+        assert max(np.max(np.abs(a.values - b.values))
+                   for a, b in zip(cg_u, lu_u, strict=True)) <= 1e-9
+        assert abs(cg_margin - lu_margin) <= 1e-9
 
 
 class TestBarrier:
