@@ -10,15 +10,17 @@ Every entry point takes an `orlicz.OperatorConfig` and reads all geometry
 from its cached `orlicz.Discretization` for the mesh size. With
 du = (u_i - u_j) / ds over its far-pair kernel, each far term is one
 expression: residual g(du) kr, Newton Jacobian 2 g'(du) kr / ds (the
-energy is G(du) kr ds). The kernel leaves out the half trapezoid weight of
-the end nodes, so the columns of nodes 0 and m - 1 are halved
-(`orlicz._halve_boundary`) before the rows are summed. The weak form is
-the residual paired with the test function's nodal values.
+energy is G(du) kr ds). The Jacobian's off-diagonal entries are one
+product g'(du) kj with the cached kernel kj = -2 kr / ds, and its
+diagonal is minus their row sums. The kernel leaves out the half
+trapezoid weight of the end nodes, so the columns of nodes 0 and m - 1
+are halved (`orlicz._halve_boundary`) before the rows are summed. The
+weak form is the residual paired with the test function's nodal values.
 
 The far terms are m x m arrays, evaluated in place in the far-pair
 buffers `orlicz._FAR`: three reused arrays (du, the Young values, and the
 Young kernels' scratch), per thread and of one mesh size at a time, which
-the energy in `orlicz` shares. ds and kr are read-only views, so no
+the energy in `orlicz` shares. ds, kr and kj are read-only views, so no
 evaluation allocates an m x m array. The Jacobian is assembled over the
 residual's g values and returned as a view of that buffer.
 
@@ -43,8 +45,9 @@ Jacobian's rows to the c half unknowns.
 
 The Newton solver in `solver` solves for its direction in the returned
 buffer view: by conjugate gradients, which need only products with the
-matrix and its diagonal, on systems of at least 128 unknowns at s <= 1/2,
-and by LAPACK's LU otherwise. The Jacobian is symmetric, and so is the
+matrix and its diagonal, to a tolerance that shrinks with the Newton
+residual, on systems of at least 128 unknowns at s <= 1/2, and by
+LAPACK's LU otherwise. The Jacobian is symmetric, and so is the
 folded block once its rows below the centre's are doubled (see `fold`).
 
 The strong-form evaluator is separate and deliberately different in
@@ -191,18 +194,17 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
              and np.array_equal(last[1], uv))
     G = last[3] if reuse else _local_G(yf, disc, x)
 
-    # far pairs: 2 g'(du) kr / ds, zero on near pairs and the diagonal,
-    # written over the residual's g values in the buffer whose interior is
-    # returned; a pass over a Toeplitz view is not one contiguous loop, so
-    # the factor 2 rides on the negation rather than on a pass of its own
+    # far pairs: the off-diagonal entries -2 g'(du) kr / ds, zero on near
+    # pairs and the diagonal, in one product with the kernel kj, written
+    # over the residual's g values in the buffer whose interior is
+    # returned; the diagonal is minus their row sums
     du, pair, work = (buf[:k] for buf in _FAR.take(disc.kr.shape))
     if not reuse:
         disc.quotients(uv, out=du)
     yf.g_prime(du, out=pair, work=work)
-    pair *= disc.kr[:k]
-    pair /= disc.ds[:k]
-    row = 2.0 * _halve_boundary(pair).sum(axis=1)
-    jac = np.multiply(pair, -2.0, out=pair)[rows, 1:-1]
+    pair *= disc.kj[:k]
+    row = -_halve_boundary(pair).sum(axis=1)
+    jac = pair[rows, 1:-1]
 
     # slope k couples nodes k and k + 1; node i sees slopes i and i - 1;
     # the centre row keeps its coupling to node c + 1, which `fold` maps

@@ -155,7 +155,9 @@ class Discretization:
 
     * far-pair kernel: ``ds = dist^s`` and ``kr = h^2 / dist^(1+s)`` on
       node pairs more than one index apart, ds = 1 and kr = 0 on near pairs,
-      so each far term is one expression in du = (u_i - u_j) / ds. Both
+      so each far term is one expression in du = (u_i - u_j) / ds, and
+      ``kj = -2 kr / ds``, the Jacobian's kernel, which folds its factor,
+      sign and quotient into one product with g'(du). All three
       depend on d = |i - j| alone and are read-only Toeplitz views of one
       vector of 2m - 1 values each (`_toeplitz`). kr carries the interior
       weights w_i w_j = h^2; the end nodes 0 and m - 1 weigh h/2, which
@@ -184,6 +186,7 @@ class Discretization:
     h: float
     ds: np.ndarray
     kr: np.ndarray
+    kj: np.ndarray
     loc_arg: np.ndarray
     loc_r: np.ndarray
     loc_w: np.ndarray
@@ -255,6 +258,7 @@ def _discretization(m: int, s: float) -> Discretization:
     loc_w = np.concatenate((band_w / (1.0 - s),
                             np.repeat(2.0 * mesh.weights[1:-1] / s, 2)))
     return Discretization(mesh.h, _toeplitz(ds), _toeplitz(kr),
+                          _toeplitz(-2.0 * kr / ds),
                           *map(_frozen, (loc_arg, loc_r, loc_w)), band_arg.size)
 
 

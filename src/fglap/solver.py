@@ -29,11 +29,13 @@ TOL_MONO = 1e-7
 # Newton steps allowed per solve, auxiliary or stage
 NEWTON_MAX_ITER = 200
 # the Newton direction of a system of at least CG_MIN_UNKNOWNS unknowns at an
-# order s of at most CG_MAX_S comes from `_pcg`, to a relative residual of
-# CG_RTOL; a smaller system, or one of a higher order, is factorized
+# order s of at most CG_MAX_S comes from `_pcg`, to a relative residual
+# that `_newton` forces to its own residual, clipped to [CG_RTOL,
+# CG_RTOL_MAX]; a smaller system, or one of a higher order, is factorized
 CG_MIN_UNKNOWNS = 128
 CG_MAX_S = 0.5
 CG_RTOL = 1e-6
+CG_RTOL_MAX = 1e-2
 # the oracle `fixed_point_S` stops once a sweep moves u by at most
 # FIXED_POINT_TOL in the sup norm, and gives up after FIXED_POINT_MAX_SWEEPS
 FIXED_POINT_TOL = 1e-8
@@ -169,10 +171,11 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
     return scale * cone, evaluations
 
 
-def _pcg(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _pcg(a: np.ndarray, b: np.ndarray,
+         rtol: float) -> tuple[np.ndarray | None, int]:
     """Jacobi-preconditioned conjugate gradients for the symmetric
     positive definite system a x = b: x and the iterations taken. It starts
-    from x = 0 and stops once ||b - a x||_2 <= CG_RTOL ||b||_2. x is None
+    from x = 0 and stops once ||b - a x||_2 <= rtol ||b||_2. x is None
     when n // 8 iterations, n the unknowns, do not get there, or on a
     breakdown: a diagonal entry or p^T a p that is not positive and
     finite. Each iteration is one product with a. The Jacobi-scaled
@@ -187,7 +190,7 @@ def _pcg(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, int]:
     z = inv * r
     p = z.copy()
     rz = float(r @ z)
-    stop = CG_RTOL * CG_RTOL * float(b @ b)
+    stop = rtol * rtol * float(b @ b)
     cap = b.size // 8
     for it in range(1, cap + 1):
         q = a @ p
@@ -206,15 +209,24 @@ def _pcg(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, int]:
     return None, cap
 
 
+def _forcing(rn: float, scale: float) -> float:
+    """The relative residual `_pcg` is run to in a Newton step: the
+    residual sup ``rn`` over ``scale`` = 1 + max|rhs|, the scale of the
+    stop test 1e-8 (1 + max|rhs|), clipped to [CG_RTOL, CG_RTOL_MAX]. Above
+    loads of order 1 it is the residual relative to the load, unchanged
+    when both are scaled together; the 1 makes it absolute below."""
+    return min(CG_RTOL_MAX, max(CG_RTOL, rn / scale))
+
+
 def _direction(jac: np.ndarray, r: np.ndarray, even: bool, s: float,
-               stats: dict) -> np.ndarray:
+               rtol: float, stats: dict) -> np.ndarray:
     """The Newton direction on the live unknowns of `_newton`: the
     solution of J delta = -r, J the Jacobian on them, from ``jac`` as
     `assemble_matrix` returns it (with ``even``, the block that `fold`
     reduces), which it overwrites. With at least CG_MIN_UNKNOWNS unknowns
-    and s <= CG_MAX_S it runs `_pcg` and adds its iterations and a
-    fallback to ``stats``; otherwise, or when CG gives up, it factorizes,
-    and a singular matrix raises LinAlgError.
+    and s <= CG_MAX_S it runs `_pcg` to the relative residual ``rtol`` and
+    adds its iterations and a fallback to ``stats``; otherwise, or when CG
+    gives up, it factorizes, and a singular matrix raises LinAlgError.
 
     The folded matrix is not symmetric, but with its rows scaled by
     D = diag(2, ..., 2, 1) it is E^T J E, E the mirror map from the half
@@ -224,7 +236,7 @@ def _direction(jac: np.ndarray, r: np.ndarray, even: bool, s: float,
         if even:
             a[:-1] *= 2.0
             b[:-1] *= 2.0
-        delta, iterations = _pcg(a, b)
+        delta, iterations = _pcg(a, b, rtol)
         stats["cg_iterations"] += iterations
         stats["cg_fallbacks"] += delta is None
         if delta is not None:
@@ -251,10 +263,14 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
 
     The direction (`_direction`) solves the Jacobian system in those
     buffers. With at least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S it
-    is an inexact Newton step, `_pcg` to a relative residual of CG_RTOL,
-    which keeps Newton's convergence (Dembo, Eisenstat and Steihaug, SIAM
-    J. Numer. Anal. 19, 1982). A smaller system, a higher order, or a CG
-    run that gives up takes LAPACK's LU (`np.linalg.solve`), and a
+    is an inexact Newton step, `_pcg` to the relative residual
+    eta = ||r||_inf / (1 + max|rhs|), the Newton residual on the scale of
+    the stop test, clipped to [CG_RTOL, CG_RTOL_MAX]: loose on the first
+    steps, and down to CG_RTOL as Newton converges. A forcing term of
+    order ||r|| keeps Newton's quadratic convergence (Dembo, Eisenstat
+    and Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat and Walker,
+    SIAM J. Sci. Comput. 17, 1996). A smaller system, a higher order, or
+    a CG run that gives up takes LAPACK's LU (`np.linalg.solve`), and a
     singular matrix there raises lam.
 
     The stats hold the Newton steps, the final residual sup, the residual
@@ -298,7 +314,8 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     rhs, d, r = evaluate(u)
     lam = 0.0
     for it in range(NEWTON_MAX_ITER):
-        lim = 1e-8 * (1.0 + float(np.max(np.abs(rhs))))
+        scale = 1.0 + float(np.max(np.abs(rhs)))
+        lim = 1e-8 * scale
         rn = float(np.max(np.abs(r)))
         if rn <= lim:
             break
@@ -311,7 +328,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             jac[diag] += lam * (float(np.max(np.abs(jac[diag]))) or 1.0)
             stats["levenberg_shift_max"] = max(stats["levenberg_shift_max"], lam)
         try:
-            delta = _direction(jac, r, even, cfg.s, stats)
+            delta = _direction(jac, r, even, cfg.s, _forcing(rn, scale), stats)
         except np.linalg.LinAlgError:
             lam = max(lam * 10.0, 1e-8)
             continue

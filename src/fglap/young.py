@@ -19,11 +19,13 @@ factor gamma(tau) = g(tau)/tau is tau^(p-2) for a power, the sum of two
 such powers, or tau^(a-1) log(b + c tau), the log evaluated as
 log b + log1p(c tau / b) so that it keeps its relative accuracy at b = 1
 as c tau -> 0. That takes no sign array, and each exponent is one lower
-than in sign(t) g(|t|): at p = 4 numpy's power squares instead of
-calling pow. ``g``, ``g_prime`` and ``G`` write into ``out=`` when given
-one, with ``work=`` as the scratch array the two-factor families need, so
-that callers can hand in reused storage, such as the far-pair buffers of
-`orlicz`; without them they allocate.
+than in sign(t) g(|t|). The power families take |t|^e through
+`_abs_power`, which squares at e = 2 (p = 4) and takes |t| at e = 1
+(p = 3) rather than call np.power, which is twice as slow. ``g``,
+``g_prime`` and ``G`` write into ``out=`` when given one, with ``work=``
+as the scratch array the two-factor families need, so that callers can
+hand in reused storage, such as the far-pair buffers of `orlicz`; without
+them they allocate.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ def _as_batch(t) -> tuple[np.ndarray, bool]:
 
 def _restore(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
+
+
+def _abs_power(t: np.ndarray, e: float, out=None) -> np.ndarray:
+    """|t|^e into ``out`` (allocated when None; it may be t itself): a
+    square for e = 2 and |t| for e = 1, bit for bit what np.power gives
+    and in about half its time, and np.power for any other exponent."""
+    if e == 2.0:
+        return np.square(t, out=out)
+    out = np.abs(t, out=out)
+    return out if e == 1.0 else np.power(out, e, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +281,7 @@ class PowerYoung(YoungFunction):
         return f"power(p={self.p:g})"
 
     def _gamma_abs(self, t, out, work):
-        out = np.abs(t, out=out)
-        return np.power(out, self.p - 2.0, out=out)
+        return _abs_power(t, self.p - 2.0, out)
 
     def _g_prime_pos(self, t, out=None, work=None):
         out = self._gamma_abs(t, out, work)
@@ -304,17 +315,15 @@ class DoublePowerYoung(YoungFunction):
         return f"double-power({self.p1:g},{self.p2:g})"
 
     def _gamma_abs(self, t, out, work):
-        out = np.abs(t, out=out)
-        work = np.power(out, self.p2 - 2.0, out=work)
-        np.power(out, self.p1 - 2.0, out=out)
+        work = _abs_power(t, self.p2 - 2.0, work)
+        out = _abs_power(t, self.p1 - 2.0, out)
         out += work
         return out
 
     def _g_prime_pos(self, t, out=None, work=None):
-        out = np.abs(t, out=out)
-        work = np.power(out, self.p2 - 2.0, out=work)
+        work = _abs_power(t, self.p2 - 2.0, work)
         work *= self.p2 - 1.0
-        np.power(out, self.p1 - 2.0, out=out)
+        out = _abs_power(t, self.p1 - 2.0, out)
         out *= self.p1 - 1.0
         out += work
         return out

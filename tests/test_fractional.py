@@ -372,13 +372,56 @@ class TestSharedDiscretization:
         assert [size for size in points if size] == [local_G.size]
         assert 0 < local_G.size <= 2 * m + 12 + 2 * (m - 2)
 
+    @pytest.mark.parametrize("m", [33, 257])
+    def test_jacobian_kernel_is_minus_twice_kr_over_ds(self, m):
+        # kj = -2 kr / ds, with the end nodes' half weights applied as kr's
+        disc = OperatorConfig(young=PowerYoung(4.0), s=0.3).discretization(m)
+        ds, kr = dense_far_kernels(Mesh(m), 0.3)
+        want = -2.0 * kr / ds
+        got = fractional._halve_boundary(np.array(disc.kj), rows=True)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert not disc.kj.flags.writeable
+        # a Toeplitz view spanning 2m - 1 values
+        low, high = np.lib.array_utils.byte_bounds(disc.kj)
+        assert high - low == (2 * m - 1) * disc.kj.itemsize
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    @pytest.mark.parametrize("even", [False, True])
+    def test_assembly_is_the_dense_kernel_jacobian(self, name, even, request):
+        # far pairs -2 g'(du) kr / ds off the diagonal and minus their row
+        # sums on it, from conftest's dense kernels, plus the local terms
+        yf = request.getfixturevalue(name)
+        cfg = OperatorConfig(young=yf, s=0.3)
+        m = 65
+        mesh = Mesh(m)
+        u = TestEvenFold.even_case(m)[0]
+        ds, kr = dense_far_kernels(mesh, 0.3)
+        far = 2.0 * yf.g_prime((u.values[:, None] - u.values) / ds) * kr / ds
+        want = np.diag(far.sum(axis=1)) - far
+        disc = cfg.discretization(m)
+        x = disc.local_args(u.values)
+        sums = fractional._local_sums(yf, disc, x,
+                                      fractional._local_G(yf, disc, x), newton=True)
+        cp = sums[:m - 1] / mesh.h ** 2
+        k = np.arange(m - 1)
+        for i, j, sign in ((k, k, 1.0), (k + 1, k + 1, 1.0), (k, k + 1, -1.0),
+                           (k + 1, k, -1.0)):
+            want[i, j] += sign * cp
+        want = want[1:-1, 1:-1]
+        want[np.diag_indices(m - 2)] += sums[m - 1:]
+        got = assemble_matrix(cfg, u, even=even)
+        want = want[:got.shape[0]]
+        assert got.shape == ((m - 1) // 2 if even else m - 2, m - 2)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_cached_arrays_are_read_only(self):
         cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)
         disc = cfg.discretization(33)
         assert disc is cfg.discretization(33)
         arrays = {name: val for name, val in vars(disc).items()
                   if isinstance(val, np.ndarray)}
-        assert sum(a.shape == (33, 33) for a in arrays.values()) == 2
+        # the Toeplitz views ds, kr and kj
+        assert sum(a.shape == (33, 33) for a in arrays.values()) == 3
         for name, arr in arrays.items():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0

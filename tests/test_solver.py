@@ -682,7 +682,7 @@ class TestNewtonDirection:
         jac, r = newton_system(cfg, 257, even)
         ref = np.linalg.solve(fold(jac.copy()) if even else jac, -r)
         stats = cg_stats()
-        delta = solver._direction(jac, r, even, cfg.s, stats)
+        delta = solver._direction(jac, r, even, cfg.s, solver.CG_RTOL, stats)
         assert ref.size == (128 if even else 255)
         assert 0 < stats["cg_iterations"] <= ref.size // 8
         assert stats["cg_fallbacks"] == 0
@@ -707,7 +707,8 @@ class TestNewtonDirection:
         a = 0.5 * (a + a.T)
         b = rng.standard_normal(n)
         stats = cg_stats()
-        delta = solver._direction(a.copy(), -b, False, 0.3, stats)
+        delta = solver._direction(a.copy(), -b, False, 0.3, solver.CG_RTOL,
+                                  stats)
         assert stats == {"cg_iterations": n // 8, "cg_fallbacks": 1}
         assert np.array_equal(delta, np.linalg.solve(a, b))
 
@@ -728,13 +729,21 @@ class TestNewtonDirection:
         assert calls[0] >= 2 and stats["cg_fallbacks"] == 1
         assert stats["levenberg_shift_max"] > 0.0 and stats["cg_iterations"] > 0
 
+    def test_loose_cg_meets_its_tolerance_sooner(self, cfg):
+        jac, r = newton_system(cfg, 257, False)
+        b = -r
+        runs = {rtol: solver._pcg(jac, b, rtol) for rtol in (1e-2, 1e-6)}
+        for rtol, (x, _) in runs.items():
+            assert np.linalg.norm(b - jac @ x) <= rtol * np.linalg.norm(b)
+        assert 0 < runs[1e-2][1] < runs[1e-6][1]
+
     @pytest.fixture
     def cg_sizes(self, monkeypatch):
         sizes, pcg = [], solver._pcg
 
-        def spied(a, b):
+        def spied(a, b, rtol):
             sizes.append(b.size)
-            return pcg(a, b)
+            return pcg(a, b, rtol)
 
         monkeypatch.setattr(solver, "_pcg", spied)
         return sizes
@@ -776,6 +785,78 @@ class TestNewtonDirection:
         assert max(np.max(np.abs(a.values - b.values))
                    for a, b in zip(cg_u, lu_u, strict=True)) <= 1e-9
         assert abs(cg_margin - lu_margin) <= 1e-9
+
+    def test_log_type_takes_the_lu_steps(self, log221, monkeypatch):
+        cfg = OperatorConfig(young=log221, s=0.3)
+        mesh = Mesh(257)
+        newton, steps = solver._newton, []
+
+        def recorded(*args, **kw):
+            u, stats = newton(*args, **kw)
+            steps.append((stats["iterations"], stats["cg_iterations"] > 0))
+            return u, stats
+
+        def run():
+            steps.clear()
+            report = monotone_scheme(cfg, unit_data(mesh))
+            margin = check_comparison(cfg, mesh).worst_margin
+            return list(steps), report.solutions, margin
+
+        monkeypatch.setattr(solver, "_newton", recorded)
+        cg_steps, cg_u, cg_margin = run()
+        monkeypatch.setattr(solver, "CG_MIN_UNKNOWNS", sys.maxsize)
+        lu_steps, lu_u, lu_margin = run()
+        assert len(cg_steps) == 5 + 40
+        assert all(used for _, used in cg_steps) and not any(used for _, used in lu_steps)
+        assert [k for k, _ in cg_steps] == [k for k, _ in lu_steps]
+        # measured: 2.0e-9 and 2.1e-12
+        assert max(np.max(np.abs(a.values - b.values))
+                   for a, b in zip(cg_u, lu_u, strict=True)) <= 4e-9
+        assert abs(cg_margin - lu_margin) <= 1e-9
+
+
+class TestForcing:
+    """`_newton` runs CG to the relative residual ||r||_inf / (1 + max|rhs|),
+    clipped to [CG_RTOL, CG_RTOL_MAX]."""
+
+    def test_clipped(self):
+        etas = [solver._forcing(rn, 3.0) for rn in np.logspace(-12.0, 3.0, 61)]
+        assert etas == sorted(etas)
+        assert etas[0] == solver.CG_RTOL == 1e-6
+        assert etas[-1] == solver.CG_RTOL_MAX == 1e-2
+        assert solver._forcing(3e-4, 1.5) == 3e-4 / 1.5
+
+    @pytest.mark.parametrize("rn", [1e3, 1e2, 1.0, 1e-6, 1e-12])
+    @pytest.mark.parametrize("c", [10.0, 1e3])
+    def test_residual_and_load_scaled_together(self, rn, c):
+        # unchanged up to the 1 in 1 + max|rhs|, which moves it by
+        # (c - 1) / (1 + c max|rhs|) relative; exactly where it is clipped
+        load = 1e6
+        eta = solver._forcing(rn, 1.0 + load)
+        scaled = solver._forcing(c * rn, 1.0 + c * load)
+        assert abs(scaled - eta) <= eta / load
+        if eta in (solver.CG_RTOL, solver.CG_RTOL_MAX):
+            assert scaled == eta
+
+    @pytest.fixture
+    def rtols(self, monkeypatch):
+        seen, pcg = [], solver._pcg
+
+        def spied(a, b, rtol):
+            seen.append(rtol)
+            return pcg(a, b, rtol)
+
+        monkeypatch.setattr(solver, "_pcg", spied)
+        return seen
+
+    def test_loose_first_and_tight_last(self, cfg, rtols):
+        # a fixed load: the residual falls at every accepted step, so the
+        # forcing does too, from the cap on the cold start to the floor
+        mesh = Mesh(257)
+        _, stats = solve_auxiliary(cfg, mesh, np.ones(mesh.m))
+        assert len(rtols) == stats["iterations"] >= 4
+        assert rtols == sorted(rtols, reverse=True)
+        assert rtols[0] == solver.CG_RTOL_MAX and rtols[-1] == solver.CG_RTOL
 
 
 class TestBarrier:

@@ -15,6 +15,7 @@ from fglap.checks import check_conjugate, check_growth_bounds
 from fglap.errors import ConfigurationError, DomainError
 from fglap.young import (
     _LAGUERRE_BLOCK,
+    _abs_power,
     FAMILIES,
     DoublePowerYoung,
     LogTypeYoung,
@@ -451,6 +452,44 @@ class TestKernels:
             assert np.array_equal(yf.g_prime(huge), np.full(4, np.inf))
             out, work = np.empty(4), np.empty(4)
             assert np.array_equal(yf.g_prime(huge, out=out, work=work), np.full(4, np.inf))
+
+
+class TestAbsPower:
+    """|t|^e of the power families: a square at e = 2 and |t| at e = 1,
+    both the bits of np.power, which takes every other exponent."""
+
+    T = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                  1e-160, 1e-150, -1e-150, 0.3, -7.5, 1e150, -1e150,
+                  1.3407807929942596e154, 1.3407807929942597e154, 1e155,
+                  -1e200, 1e300, -1.7e308, np.inf, -np.inf])
+
+    @pytest.mark.parametrize("e", [2.0, 1.0, 0.5, 1.5, 5.5])
+    def test_bits_of_np_power(self, e):
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.power(np.abs(self.T), e)
+            # finite entries that overflow, for the exponents above 1
+            assert (np.isinf(want) & np.isfinite(self.T)).any() == (e > 1.0)
+            assert want.tobytes() == _abs_power(self.T, e).tobytes()
+            out = np.full_like(self.T, np.nan)
+            assert _abs_power(self.T, e, out) is out
+            assert out.tobytes() == want.tobytes()
+            t = self.T.copy()
+            assert _abs_power(t, e, t) is t
+            assert t.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("yf", [PowerYoung(4.0), PowerYoung(3.0),
+                                    DoublePowerYoung(3.0, 4.0)],
+                             ids=lambda yf: yf.label)
+    def test_power_families_take_no_pow_at_integer_exponents(self, yf,
+                                                             monkeypatch):
+        # p = 3 and 4 make every exponent of gamma and g' 1 or 2
+        t = TestKernels.T
+        want = yf.g(t), yf.g_prime(t)
+        power = np.power
+        monkeypatch.setattr(np, "power", lambda *a, **kw: pytest.fail(
+            "np.power called") or power(*a, **kw))
+        assert np.array_equal(yf.g(t), want[0])
+        assert np.array_equal(yf.g_prime(t), want[1])
 
 
 def test_laguerre_blocks_allocate_below_the_mmap_threshold(log221):
