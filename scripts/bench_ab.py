@@ -13,10 +13,16 @@ benchmark. Pair k runs the base first when k is even and the working tree
 first when k is odd.
 
 For every end-to-end metric of BENCHMARK.json the script prints each
-pair's values, each side's median and quartiles, and the number of pairs
-the working tree won (ties count for neither). A gain is claimed only when
-the working tree wins at least nine tenths of the pairs and the medians
-differ by more than the base's quartile distance. ``--json`` writes all of
+pair's values, each side's median and quartiles, the median and quartiles
+of the per-pair ratios change/base, and the number of pairs the working
+tree won (ties count for neither). A gain is judged on the pairs: it is
+claimed when the working tree wins at least nine tenths of them and the
+ratios' upper quartile is below 1 (their lower quartile above 1 for a
+metric where higher is better). Machine drift between windows moves both
+sides of a pair alike, so it cancels in the ratios but widens each side's
+own spread. The earlier unpaired rule, at least nine tenths of the pairs
+won and the medians apart by more than the base's quartile distance, is
+kept beside it as ``gain_claimable_unpaired``. ``--json`` writes all of
 it, plus the environment (nproc, Python, numpy, BLAS and its thread
 variables) and the trees measured, to a file. Each side is named by its
 revision and a SHA-256 of its ``src/`` files; the working tree's revision
@@ -85,6 +91,9 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(base: list[float], change: list[float], better: str) -> dict:
+    """Both sides' spreads, the spread of the per-pair ratios change/base,
+    the pairs won, and the paired and the unpaired verdicts (see the
+    module docstring)."""
     def spread(vals):
         q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
         return {"median": statistics.median(vals), "q1": q1, "q3": q3}
@@ -93,13 +102,16 @@ def summary(base: list[float], change: list[float], better: str) -> dict:
     wins = sum(sign * (b - c) > 0.0 for b, c in zip(base, change))
     ties = sum(b == c for b, c in zip(base, change))
     b, c = spread(base), spread(change)
+    ratio = spread([y / x for x, y in zip(base, change)])
+    won = wins >= 0.9 * len(base)
     gap = sign * (b["median"] - c["median"])
     return {
-        "base": b, "change": c,
+        "base": b, "change": c, "ratio": ratio,
         "rel_change": c["median"] / b["median"] - 1.0,
         "wins": wins, "ties": ties, "pairs": len(base),
-        "gain_claimable": (wins >= 0.9 * len(base)
-                           and gap > b["q3"] - b["q1"]),
+        "gain_claimable": won and (ratio["q3"] < 1.0 if better == "lower"
+                                   else ratio["q1"] > 1.0),
+        "gain_claimable_unpaired": won and gap > b["q3"] - b["q1"],
     }
 
 
@@ -184,9 +196,11 @@ def main(argv: list[str] | None = None) -> int:
                       f" [{m['base']['q1']:.4g}, {m['base']['q3']:.4g}] -> "
                       f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, "
                       f"{m['change']['q3']:.4g}] {s['unit']}, "
-                      f"{m['rel_change']:+.1%}, won {m['wins']}/{m['pairs']}"
-                      f"{', gain claimable' if m['gain_claimable'] else ''}",
-                      flush=True)
+                      f"{m['rel_change']:+.1%}, pair ratio "
+                      f"{m['ratio']['median']:.4f} [{m['ratio']['q1']:.4f}, "
+                      f"{m['ratio']['q3']:.4f}], won {m['wins']}/{m['pairs']}, "
+                      f"gain claimable: paired {m['gain_claimable']}, "
+                      f"unpaired {m['gain_claimable_unpaired']}", flush=True)
             record["workloads"][workload] = metrics
     if args.json:
         args.json.write_text(json.dumps(record, indent=1) + "\n")

@@ -259,7 +259,11 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     (see `fractional`). The Jacobian is assembled only at accepted
     iterates, never at a line-search trial, where an overshoot may
     overflow its g and g' terms; it lives in the far-pair buffers, so a
-    step allocates no m x m array of its own.
+    step allocates no m x m array of its own. A warm start that is the
+    previous solve's last accepted iterate was evaluated there, so its
+    first residual only subtracts the new load from that evaluation's
+    record (see `fractional`); the stats count it as an evaluation all
+    the same.
 
     The direction (`_direction`) solves the Jacobian system in those
     buffers. With at least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S it
@@ -530,9 +534,12 @@ def holder_exponent_fit(u: GridFunction) -> tuple[float, float]:
 
     For every node distance d up to half that window's width, take the largest
     increment over node pairs at that distance (the increment envelope),
-    then fit log envelope against log d by least squares. The envelope
-    rather than all pairs: interior flats would otherwise drag the fitted
-    slope far below the true growth rate. Returns (exponent, seminorm).
+    then fit log envelope against log d by least squares, in closed form:
+    with x = log d and y = log envelope the slope is
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, which needs no
+    LAPACK solve. The envelope rather than all pairs: interior flats would
+    otherwise drag the fitted slope far below the true growth rate.
+    Returns (exponent, seminorm).
     """
     vals = u.values[u.mesh.middle_half()]
     if vals.size < 3:
@@ -548,7 +555,10 @@ def holder_exponent_fit(u: GridFunction) -> tuple[float, float]:
             env.append(e)
     if len(ds) < 2:
         return 1.0, 0.0
-    slope, _ = np.polyfit(np.log(ds), np.log(env), 1)
+    x = np.log(ds)
+    x -= x.mean()
+    y = np.log(env)
+    slope = (x @ (y - y.mean())) / (x @ x)
     if not np.isfinite(slope) or slope <= 0.0:
         return 1.0, 0.0
     alpha = float(min(slope, 1.0))

@@ -8,11 +8,12 @@ transforms built on top of them (conjugate, boundary weight).
 
 Every integral from zero (G and Lambda unless a family has a closed form,
 the conjugate, the boundary weight, and the strong form's first cell in
-`fractional`) comes from one generalized Gauss-Laguerre rule, built with
-numpy alone in ``quadrature.gauss_laguerre``, summed over its leading nodes
-(`_laguerre_rule`) after the substitution of `_laguerre_integral`. Every
-inverse is a log-log Newton bracketed by the growth window. All entry
-points accept scalars or arrays and are vectorized.
+`fractional`) comes from a generalized Gauss-Laguerre rule, after the
+substitution of `_laguerre_integral`: the leading nodes of the 64-point
+rule for the weight v^alpha e^(-v), alpha = 0 or 1, which `quadrature`
+stores (`_laguerre_rule`), so that no run builds a rule. Every inverse is
+a log-log Newton bracketed by the growth window. All entry points accept
+scalars or arrays and are vectorized.
 
 g is evaluated in the p-Laplacian form g(t) = t gamma(|t|), where the even
 factor gamma(tau) = g(tau)/tau is tau^(p-2) for a power, the sum of two
@@ -38,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .quadrature import gauss_laguerre, invert_monotone
+from .quadrature import (LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS,
+                         LAGUERRE_A1_NODES, LAGUERRE_A1_WEIGHTS, invert_monotone)
 
 # Standard sampling window for empirical constants: six decades around 1,
 # and the number of points the growth window, the submultiplicativity
@@ -49,13 +51,9 @@ GROWTH_GRID = 512
 SUBMULT_GRID = 256
 MVT_GRID = 512
 
-# Generalized Gauss-Laguerre nodes for every integral from zero, the share
-# of the rule's weight that its dropped trailing nodes may carry, and the
-# number of points expanded against the kept nodes at once. A 128 x 35
-# float64 block is 35 KiB, well under glibc's default mmap threshold
-# (128 KiB), so a block never gets freshly mapped pages.
-_LAGUERRE_NODES = 64
-_LAGUERRE_TAIL = 1e-20
+# The number of points expanded against the kept Laguerre nodes at once. A
+# 128 x 35 float64 block is 35 KiB, well under glibc's default mmap
+# threshold (128 KiB), so a block never gets freshly mapped pages.
 _LAGUERRE_BLOCK = 128
 
 
@@ -84,14 +82,13 @@ def _abs_power(t: np.ndarray, e: float, out=None) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _laguerre_rule(alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """The leading nodes and weights of the _LAGUERRE_NODES-point rule for
-    the weight v^alpha e^(-v): those whose trailing weight mass, their own
-    included, is at least _LAGUERRE_TAIL of the total (34 nodes for
+    """The stored nodes and weights for the weight v^alpha e^(-v), alpha = 0
+    or 1: the leading nodes of the 64-point rule whose trailing weight
+    mass, their own included, is at least 1e-20 of the total (34 nodes for
     alpha = 0, 35 for alpha = 1). The nodes dropped carry less."""
-    v, w = gauss_laguerre(_LAGUERRE_NODES, alpha)
-    tail = np.cumsum(w[::-1])[::-1]
-    n = int(np.count_nonzero(tail >= _LAGUERRE_TAIL * tail[0]))
-    return v[:n], w[:n]
+    v, w = {0: (LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS),
+            1: (LAGUERRE_A1_NODES, LAGUERRE_A1_WEIGHTS)}[alpha]
+    return np.array(v), np.array(w)
 
 
 def _laguerre_weights(k: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:

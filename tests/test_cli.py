@@ -89,6 +89,25 @@ class TestExitCodes:
                               text=True, env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("cmd", ["solve", "convergence"])
+    def test_run_calls_no_lapack_rule_builder_or_fit(self, tmp_path, cmd):
+        # the Laguerre rules are stored, not built by eigvalsh, and the
+        # Hoelder slope is a closed form, not polyfit's least squares; the
+        # solve runs at m = 257, where its Newton systems go to CG
+        body = (BASE.replace("mesh = 33", "mesh = 17,33") if cmd == "convergence"
+                else BASE.replace("mesh = 33", "mesh = 257"))
+        cfg = write_cfg(tmp_path, body)
+        code = ("import sys, numpy as np\n"
+                "def refuse(*args, **kw):\n"
+                "    raise AssertionError('a LAPACK-backed numpy call')\n"
+                "np.linalg.eigvalsh = np.linalg.lstsq = np.polyfit = refuse\n"
+                "import fglap.cli\n"
+                f"sys.exit(fglap.cli.main([{cmd!r}, '--config', {cfg!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}, '--no-plot']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("cmd", ["solve", "check-young"])
     def test_battery_leaves_numpy_random_and_openssl_unloaded(self, tmp_path,
                                                               cmd):

@@ -601,6 +601,33 @@ class TestFarPairWorkspace:
             jac, reused = self.assembly(cfg, u, quotient_passes)
             assert not reused and np.array_equal(jac, want)
 
+    def test_repeated_residual_reuses_the_unloaded_rows(self, power4, log221,
+                                                        quotient_passes):
+        # a second residual at the same config, values and rows subtracts
+        # its load from the recorded rows: bit for bit a fresh evaluation,
+        # without a quotient pass, and the record stays for the assembly
+        u, rhs = TestEvenFold.even_case(33)
+        for yf in (power4, log221):
+            cfg = OperatorConfig(young=yf, s=0.3)
+            for even in (False, True):
+                residual(cfg, u, rhs, even=even)
+                record = fractional._FAR.last
+                before = quotient_passes[0]
+                hit = residual(cfg, u, 2.0 * rhs, even=even).values
+                assert quotient_passes[0] == before
+                assert fractional._FAR.last is record
+                _, reused = self.assembly(cfg, u, quotient_passes, even)
+                assert reused
+                fractional._FAR.last = None
+                fresh = residual(cfg, u, 2.0 * rhs, even=even).values
+                assert quotient_passes[0] == before + 1
+                assert np.array_equal(hit, fresh)
+            # the other row count evaluates afresh, both ways
+            for even in (False, True):
+                before = quotient_passes[0]
+                residual(cfg, u, rhs, even=even)
+                assert quotient_passes[0] == before + 1
+
     def test_threads_reproduce_serial_results(self, power4, log221):
         # two meshes in flight at once: each thread must keep its own buffers
         cases = [(OperatorConfig(young=yf, s=0.3), random_interior(Mesh(m), m))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -15,17 +16,18 @@ from scipy.special import roots_genlaguerre
 import fglap.quadrature as quadrature
 from fglap.errors import ConvergenceError, DomainError
 from fglap.quadrature import (
+    LAGUERRE_A0_NODES,
+    LAGUERRE_A0_WEIGHTS,
+    LAGUERRE_A1_NODES,
+    LAGUERRE_A1_WEIGHTS,
     LEGENDRE_8_NODES,
     LEGENDRE_8_WEIGHTS,
-    gauss_laguerre,
     invert_monotone,
 )
 import fglap.young as young
 from fglap.fractional import _first_cell_integral
 from fglap.orlicz import OperatorConfig
 from fglap.young import (
-    _LAGUERRE_NODES,
-    _LAGUERRE_TAIL,
     DoublePowerYoung,
     LogTypeYoung,
     PhiWeight,
@@ -169,11 +171,56 @@ def test_legendre_8_is_leggauss_bit_for_bit():
     assert np.sum(w * x**14) == pytest.approx(2.0 / 15.0, rel=1e-12)
 
 
+# the rule whose leading nodes `quadrature` stores, and the share of its
+# weight that the dropped trailing nodes may carry
+LAGUERRE_NODES = 64
+LAGUERRE_TAIL = 1e-20
+
+
+def _laguerre_running_sum(n: int, alpha: float, x: np.ndarray):
+    """P_n(x) and P_n(x) - P_(n-1)(x), where P_k = L_k^alpha / C(k + alpha, k).
+
+    The running sum carries the difference d = P_k - P_(k-1) itself, so it
+    never cancels where P_n is near zero.
+    """
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
+        p = p + d
+    return p, d
+
+
+@lru_cache(maxsize=None)
+def gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre rule on [0, inf) with weight v^alpha e^(-v),
+    the builder of the stored rules.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch,
+    Math. Comp. 23, 1969), polished by one Newton step on L_n^alpha, whose
+    quotient L_n/L_n' is x P_n / (n (P_n - P_(n-1))). The weights come from
+    the closed form w ~ 1/(L_(n-1) L_n'), formed in logs and normalized to
+    sum to Gamma(alpha + 1): eigenvector weights lose all relative accuracy
+    below ~1e-40, and the Laguerre integrals multiply w by e^v, v up to ~220.
+    """
+    k = np.arange(1, n)
+    off = np.sqrt(k * (k + alpha))
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + alpha + 1.0)
+                           + np.diag(off, 1) + np.diag(off, -1))
+    p, d = _laguerre_running_sum(n, alpha, x)
+    x = x - x * p / (n * d)
+    p, d = _laguerre_running_sum(n, alpha, x)
+    log_w = -np.log(np.abs(p - d)) - np.log(np.abs(d / x))
+    w = np.exp(log_w - log_w.max())
+    return x, w * (math.gamma(alpha + 1.0) / w.sum())
+
+
 RULES = [(64, 0.0), (64, 1.0), (8, 0.5)]
 
 
 class TestGaussLaguerre:
-    """The numpy-built rule against scipy's, and exact on monomials."""
+    """The test-side builder of the stored rules against scipy's rule, and
+    exact on monomials."""
 
     @pytest.mark.parametrize("n,alpha", RULES)
     def test_matches_scipy(self, n, alpha):
@@ -206,19 +253,31 @@ class TestGaussLaguerre:
 
 
 class TestTruncatedRule:
-    """The Laguerre integrals sum the leading nodes of the 64-node rule and
-    drop a tail that carries under _LAGUERRE_TAIL of its weight."""
+    """The Laguerre integrals sum the stored leading nodes of the 64-node
+    rule and drop a tail that carries under LAGUERRE_TAIL of its weight."""
+
+    STORED = [(0, LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS, 34),
+              (1, LAGUERRE_A1_NODES, LAGUERRE_A1_WEIGHTS, 35)]
+
+    @pytest.mark.parametrize("alpha,nodes,weights,kept", STORED)
+    def test_stored_rule_is_the_builders_leading_nodes(self, alpha, nodes,
+                                                       weights, kept):
+        full_v, full_w = gauss_laguerre(LAGUERRE_NODES, alpha)
+        tail = np.cumsum(full_w[::-1])[::-1]
+        assert np.count_nonzero(tail >= LAGUERRE_TAIL * tail[0]) == kept
+        assert len(nodes) == len(weights) == kept
+        assert np.array_equal(np.array(nodes), full_v[:kept])
+        assert np.array_equal(np.array(weights), full_w[:kept])
+        v, w = _laguerre_rule(alpha)
+        assert np.array_equal(v, nodes) and np.array_equal(w, weights)
 
     @pytest.mark.parametrize("alpha,kept", [(0, 34), (1, 35)])
     def test_drops_only_a_rounding_level_tail(self, alpha, kept):
-        v, w = _laguerre_rule(alpha)
-        full_v, full_w = gauss_laguerre(_LAGUERRE_NODES, alpha)
-        assert v.size == w.size == kept < _LAGUERRE_NODES
-        assert np.array_equal(v, full_v[:kept]) and np.array_equal(w, full_w[:kept])
+        _, full_w = gauss_laguerre(LAGUERRE_NODES, alpha)
         total = full_w.sum()
-        assert full_w[kept:].sum() < _LAGUERRE_TAIL * total
+        assert full_w[kept:].sum() < LAGUERRE_TAIL * total
         # the last node kept is one that the threshold needs
-        assert full_w[kept - 1:].sum() >= _LAGUERRE_TAIL * total
+        assert full_w[kept - 1:].sum() >= LAGUERRE_TAIL * total
 
     @pytest.fixture
     def full_rule(self, monkeypatch):
@@ -226,7 +285,7 @@ class TestTruncatedRule:
         def run(fn, *args):
             with monkeypatch.context() as patch:
                 patch.setattr(young, "_laguerre_rule",
-                              lambda alpha: gauss_laguerre(_LAGUERRE_NODES, alpha))
+                              lambda alpha: gauss_laguerre(LAGUERRE_NODES, alpha))
                 return fn(*args)
         return run
 

@@ -447,6 +447,27 @@ class TestNewtonCounters:
         assert warm["seed_evaluations"] == 0
         assert warm["residual_evaluations"] == calls[0] - before >= 2
 
+    def test_warm_start_reuses_its_last_evaluation(self, cfg, mesh33,
+                                                   monkeypatch, quotient_passes):
+        # the previous solve's last accepted iterate was evaluated there, so
+        # the warm solve's first residual makes no quotient pass; the stats
+        # count it all the same
+        rhs = np.ones(mesh33.m)
+        u, _ = solve_auxiliary(cfg, mesh33, rhs)
+        passes, residual_ = [], solver.residual
+
+        def recorded(*args, **kw):
+            before = quotient_passes[0]
+            out = residual_(*args, **kw)
+            passes.append(quotient_passes[0] - before)
+            return out
+
+        monkeypatch.setattr(solver, "residual", recorded)
+        _, warm = solve_auxiliary(cfg, mesh33, 1.5 * rhs, warm_start=u)
+        assert warm["iterations"] > 0
+        assert warm["residual_evaluations"] == len(passes)
+        assert passes == [0] + [1] * (len(passes) - 1)
+
     def test_no_residual_repeated_in_a_cold_solve(self, cfg, mesh33, monkeypatch):
         calls, repeats = count_residuals(monkeypatch)
         solve_auxiliary(cfg, mesh33, np.ones(mesh33.m))
@@ -915,6 +936,21 @@ class TestDiagnostics:
         modular = boundary_energy_report(report)["modular"]
         assert len(modular) == len(report.n_values) == 3
         assert modular == [solver.modular_W(cfg, c) for c in report.carriers]
+
+    @pytest.mark.parametrize("m", [65, 129, 257, 513, 1025])
+    @pytest.mark.parametrize("profile", ["sqrt", "linear", "shifted"])
+    def test_holder_slope_is_the_least_squares_line(self, m, profile):
+        # the closed-form slope against np.polyfit on the same envelope
+        mesh = Mesh(m)
+        x = mesh.nodes
+        vals = {"sqrt": np.sqrt(np.abs(x)), "linear": np.abs(x),
+                "shifted": np.abs(x - 0.1) ** 0.4}[profile]
+        alpha, _ = holder_exponent_fit(GridFunction(mesh, vals))
+        mid = vals[mesh.middle_half()]
+        ks = range(1, (mid.size - 1) // 2 + 1)
+        env = [np.max(np.abs(mid[k:] - mid[:-k])) for k in ks]
+        slope = np.polyfit(np.log([k * mesh.h for k in ks]), np.log(env), 1)[0]
+        assert alpha == pytest.approx(min(slope, 1.0), rel=1e-14, abs=0.0)
 
     def test_holder_fit_closed_forms(self, mesh33):
         # the fit runs on the middle half, where |x|^(1/2) and |x| have
