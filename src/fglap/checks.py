@@ -25,11 +25,10 @@ import numpy as np
 
 from .orlicz import Mesh, OperatorConfig
 from .solver import solve_auxiliary
-from .young import GROWTH_GRID, PhiWeight, YoungFunction, eval_Gbar
+from .young import (GRID_HI, GRID_LO, GROWTH_GRID, PhiWeight, YoungFunction,
+                    eval_Gbar)
 
 DEFAULT_SEED = 0x5EED
-SAMPLE_LO = 1e-3
-SAMPLE_HI = 1e3
 # draws per sampled check, and points on the tail check's ladder
 SAMPLES = 1000
 # the reverse mean-value bound is sampled where max(x, y) >= PHI_MVT_EPS
@@ -89,7 +88,7 @@ class _Stream:
 
 
 def _log_uniform(rng, n) -> np.ndarray:
-    return np.exp(rng.uniform(np.log(SAMPLE_LO), np.log(SAMPLE_HI), n))
+    return np.exp(rng.uniform(np.log(GRID_LO), np.log(GRID_HI), n))
 
 
 def _signed_pairs(rng, n) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +200,7 @@ def check_phi_mvt(weight: PhiWeight, *, seed: int = DEFAULT_SEED) -> CheckOutcom
     max(x, y) >= eps = PHI_MVT_EPS, |phi(x) - phi(y)| >= C_M phi'(eps) |x - y|
     with C_M = min(theta, 1) and theta the weight's calibrated slope ratio."""
     rng = _Stream(seed, "phi_mvt")
-    hi = np.exp(rng.uniform(np.log(PHI_MVT_EPS), np.log(SAMPLE_HI), SAMPLES))
+    hi = np.exp(rng.uniform(np.log(PHI_MVT_EPS), np.log(GRID_HI), SAMPLES))
     low = rng.uniform(0.0, hi)
     swap = rng.random(SAMPLES) < 0.5
     x = np.where(swap, low, hi)

@@ -3,8 +3,8 @@
 Everything here is vectorized over numpy arrays: the heavy callers
 (conjugate evaluation, boundary-weight integrals, check batteries)
 evaluate thousands of points per call and cannot afford per-scalar
-adaptive quadrature. The quadrature rules are stored, not built: the two
-truncated Gauss-Laguerre rules that every integral from zero uses, and the
+adaptive quadrature. The quadrature rules are stored, not built: the one
+truncated Gauss-Laguerre rule that every integral from zero uses, and the
 eight-point Gauss-Legendre rule of the band.
 """
 
@@ -31,15 +31,16 @@ LEGENDRE_8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.31370664587788
                       0.22238103445337443, 0.10122853629037706)
 
 
-# the generalized Gauss-Laguerre rules for the weight v^alpha e^(-v) that
-# the integrals from zero use, alpha = 0 and 1: the leading nodes and weights
-# of the 64-point rule, those whose trailing weight mass, their own included,
-# is at least 1e-20 of the total (34 and 35 nodes). The nodes are the
-# eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969)
-# polished by one Newton step, and the weights come from the closed form
-# w ~ 1/(L_(n-1) L_n') in logs, normalized to sum to Gamma(alpha + 1); they
-# are stored to the last bit, so that no run calls LAPACK for them (the
-# tests rebuild them and pin every bit)
+# the Gauss-Laguerre rule for the weight e^(-v) that every integral from
+# zero uses: the leading 34 nodes and weights of the 64-point rule, those
+# whose trailing weight mass, their own included, is at least 1e-20 of the
+# total. The nodes dropped carry 1.2e-21 of the weight, and 5.7e-20 of the
+# v-weighted mass that Lambda's sums see through their factor v/k. The nodes
+# are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23,
+# 1969) polished by one Newton step, and the weights come from the closed
+# form w ~ 1/(L_63 L_64') in logs, normalized to sum to 1; they are stored
+# to the last bit, so that no run calls LAPACK for them (the tests rebuild
+# them and pin every bit)
 LAGUERRE_A0_NODES = (0.02241587414670528, 0.1181225120967705, 0.2903657440180365,
                      0.539286221227979, 0.865037004648114, 1.2678140407752414,
                      1.7478596260594363, 2.3054637393075086, 2.9409651567252517,
@@ -67,34 +68,6 @@ LAGUERRE_A0_WEIGHTS = (0.05625284233902836, 0.11902398731242647, 0.1574964038621
                        1.0740174034415918e-14, 9.575737231574438e-16,
                        7.697028023648616e-17, 5.5648811374540496e-18,
                        3.6097564090104356e-19, 2.0950953695489566e-20)
-LAGUERRE_A1_NODES = (0.05647320656425668, 0.18934772104680575, 0.39827820469549297,
-                     0.6833709835583146, 1.0447907917824677, 1.4827500622755947,
-                     1.997508098313454, 2.589371587380827, 3.2586955204404062,
-                     4.00588435015592, 4.831393354276043, 5.7357302024342065,
-                     6.719456735150557, 7.783190968801305, 8.927609343766134,
-                     10.153449236088811, 11.461511756232065, 12.852664862083799,
-                     14.327846817413901, 15.88807003160934, 17.53442532185635,
-                     19.268086645137384, 21.090316354639988, 23.002471043643737,
-                     25.006008049916254, 27.102492705424737, 29.293606430146262,
-                     31.581155785424983, 33.96708262228713, 36.45347548415412,
-                     39.042582452465695, 41.73682565908287, 44.53881773258445,
-                     47.451380498769836, 50.47756632153382)
-LAGUERRE_A1_WEIGHTS = (0.0050626117135460285, 0.02677610406487715, 0.06605305443298322,
-                       0.11152621219346656, 0.14687995587872726, 0.16032780993861354,
-                       0.14993660325935226, 0.12256053895462823, 0.08870679603124516,
-                       0.05735033261776171, 0.03332403717944028, 0.017479705440780622,
-                       0.008303305987807218, 0.0035802518197699247,
-                       0.0014035969938181732, 0.0005008859762982708,
-                       0.00016282825869696373, 4.8239133125368005e-05,
-                       1.3026048155972931e-05, 3.2057585030683426e-06,
-                       7.188265120843563e-07, 1.4678445632299096e-07,
-                       2.7277817051114986e-08, 4.609469236714187e-09,
-                       7.075741358588297e-10, 9.855337197689407e-11,
-                       1.2438817515316232e-11, 1.420541798737407e-12,
-                       1.4654909190387272e-13, 1.3632578075289509e-14,
-                       1.1412240939301743e-15, 8.578476966287301e-17,
-                       5.7763570042104085e-18, 3.4750710984650357e-19,
-                       1.8624950934760323e-20)
 
 
 def invert_monotone(func, y, window: tuple[float, float], *, deriv=None,

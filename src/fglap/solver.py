@@ -81,17 +81,18 @@ class ProblemData:
                     f"q reaches {q_strip:g} on the boundary strip, above "
                     f"q_star = {self.q_star:g}")
 
-    def validate_family(self, cfg: OperatorConfig) -> None:
+    def validate_family(self, cfg: OperatorConfig) -> PhiWeight | None:
         """Case main2 additionally needs a submultiplicative derivative and
-        an admissible weight exponent; both checked at run start."""
+        an admissible weight exponent; both checked at run start. Returns
+        the boundary weight of case main2, None in case main1."""
         if self.case != "main2":
-            return
+            return None
         const = submultiplicativity_constant(cfg.young)
         if const <= SUBMULT_GATE:
             raise ConfigurationError(
                 f"derivative is not usefully submultiplicative "
                 f"(constant {const:.3g}); case main2 is not available")
-        PhiWeight(cfg.young, self.q_star)  # raises if r q_star >= p_minus
+        return PhiWeight(cfg.young, self.q_star)  # raises if r q_star >= p_minus
 
     def truncated_load(self, n: int) -> np.ndarray:
         return np.minimum(self.f.values, float(n))
@@ -106,18 +107,17 @@ class ProblemData:
 @dataclass
 class SolveReport:
     """One list entry per stage: ``newton`` holds `_newton`'s stats as
-    returned, ``carriers`` the energy carriers (u_n, or Phi(u_n) in main2).
-    The scheme computes no energy; `boundary_energy_report` evaluates the
-    carriers' energies for the readers that want them."""
+    returned. ``weight`` is the boundary weight of case main2, None in
+    case main1. The scheme computes no energy; `boundary_energy_report`
+    evaluates the stages' energies for the readers that want them."""
 
     mesh: Mesh
     cfg: OperatorConfig
     n_values: list[int] = field(default_factory=list)
     solutions: list[GridFunction] = field(default_factory=list)
     newton: list[dict] = field(default_factory=list)
-    carriers: list[GridFunction] = field(default_factory=list)
     sup_diffs: list[float] = field(default_factory=list)
-    energy_case: str = ""
+    weight: PhiWeight | None = None
     converged: bool = False
     l_middle: float = 0.0
     alpha_hat: float = float("nan")
@@ -448,11 +448,7 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         raise ConfigurationError(
             f"the mesh has {mesh.m} nodes, the problem data {data.f.mesh.m}")
     check_schedule(n_schedule)
-    data.validate_family(cfg)
-
-    report = SolveReport(mesh=mesh, cfg=cfg)
-    weight = PhiWeight(cfg.young, data.q_star) if data.case == "main2" else None
-    report.energy_case = data.case
+    report = SolveReport(mesh=mesh, cfg=cfg, weight=data.validate_family(cfg))
     # the operator commutes with x -> -x, so even data have even stages
     even = mesh.m % 2 == 1 and data.f.is_even() and data.q.is_even()
     prev: GridFunction | None = None
@@ -462,9 +458,6 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
         report.n_values.append(n)
         report.solutions.append(u)
         report.newton.append(stats)
-        carrier = (u if weight is None else
-                   GridFunction(mesh, weight.phi(np.maximum(u.values, 0.0))))
-        report.carriers.append(carrier)
         if prev is not None:
             gap = u.values - prev.values
             drop = float(np.min(gap))
@@ -515,17 +508,22 @@ def barrier_check(cfg: OperatorConfig, mesh: Mesh) -> list[float]:
 
 
 def boundary_energy_report(report: SolveReport) -> dict:
-    """Energies of the report's carriers along the schedule: the solutions
-    in case main1, their composition with the boundary weight in case
-    main2. ``modular`` holds each stage's modular energy, ``energies`` its
-    gauge seminorm. Flags whether the seminorms stay within twice the
-    median of their last three entries."""
-    modular = [modular_W(report.cfg, c) for c in report.carriers]
-    energies = [luxemburg_seminorm_W(report.cfg, c) for c in report.carriers]
+    """Energies of the stages along the schedule, of their solutions in
+    case main1 and of the solutions' positive parts composed with the
+    report's boundary weight in case main2, which ``case`` names.
+    ``modular`` holds each stage's modular energy, ``energies`` its gauge
+    seminorm. Flags whether the seminorms stay within twice the median of
+    their last three entries."""
+    weight = report.weight
+    carriers = (report.solutions if weight is None else
+                [GridFunction(u.mesh, weight.phi(np.maximum(u.values, 0.0)))
+                 for u in report.solutions])
+    modular = [modular_W(report.cfg, c) for c in carriers]
+    energies = [luxemburg_seminorm_W(report.cfg, c) for c in carriers]
     last = sorted(energies[-3:]) or [0.0]
     ref = 0.5 * (last[(len(last) - 1) // 2] + last[len(last) // 2])
     bounded = all(e <= 2.0 * ref + 1e-12 for e in energies)
-    return {"case": report.energy_case, "modular": modular,
+    return {"case": "main1" if weight is None else "main2", "modular": modular,
             "energies": energies, "reference": ref, "bounded": bounded}
 
 

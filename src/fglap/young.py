@@ -8,12 +8,12 @@ transforms built on top of them (conjugate, boundary weight).
 
 Every integral from zero (G and Lambda unless a family has a closed form,
 the conjugate, the boundary weight, and the strong form's first cell in
-`fractional`) comes from a generalized Gauss-Laguerre rule, after the
-substitution of `_laguerre_integral`: the leading nodes of the 64-point
-rule for the weight v^alpha e^(-v), alpha = 0 or 1, which `quadrature`
-stores (`_laguerre_rule`), so that no run builds a rule. Every inverse is
-a log-log Newton bracketed by the growth window. All entry points accept
-scalars or arrays and are vectorized.
+`fractional`) comes from one Gauss-Laguerre rule, after the substitution
+of `_laguerre_integral`: the leading 34 nodes of the 64-point rule for the
+weight e^(-v), which `quadrature` stores, so that no run builds a rule.
+Lambda's log weight becomes the factor v/k, which its weights carry.
+Every inverse is a log-log Newton bracketed by the growth window. All
+entry points accept scalars or arrays and are vectorized.
 
 g is evaluated in the p-Laplacian form g(t) = t gamma(|t|), where the even
 factor gamma(tau) = g(tau)/tau is tau^(p-2) for a power, the sum of two
@@ -33,18 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .quadrature import (LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS,
-                         LAGUERRE_A1_NODES, LAGUERRE_A1_WEIGHTS, invert_monotone)
+from .quadrature import LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS, invert_monotone
 
-# Standard sampling window for empirical constants: six decades around 1,
-# and the number of points the growth window, the submultiplicativity
-# constant and the boundary weight's mean-value constant are sampled at.
+# Standard sampling window for empirical constants and the check battery's
+# draws: six decades around 1, and the number of points the growth window,
+# the submultiplicativity constant and the boundary weight's mean-value
+# constant are sampled at.
 GRID_LO = 1e-3
 GRID_HI = 1e3
 GROWTH_GRID = 512
@@ -52,9 +51,14 @@ SUBMULT_GRID = 256
 MVT_GRID = 512
 
 # The number of points expanded against the kept Laguerre nodes at once. A
-# 128 x 35 float64 block is 35 KiB, well under glibc's default mmap
+# 128 x 34 float64 block is 34 KiB, well under glibc's default mmap
 # threshold (128 KiB), so a block never gets freshly mapped pages.
 _LAGUERRE_BLOCK = 128
+
+# the stored Gauss-Laguerre nodes v_j and weights w_j, read-only
+_LAGUERRE_V = np.array(LAGUERRE_A0_NODES)
+_LAGUERRE_W = np.array(LAGUERRE_A0_WEIGHTS)
+_LAGUERRE_V.flags.writeable = _LAGUERRE_W.flags.writeable = False
 
 
 def standard_grid(n: int) -> np.ndarray:
@@ -80,23 +84,12 @@ def _abs_power(t: np.ndarray, e: float, out=None) -> np.ndarray:
     return out if e == 1.0 else np.power(out, e, out=out)
 
 
-@lru_cache(maxsize=None)
-def _laguerre_rule(alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stored nodes and weights for the weight v^alpha e^(-v), alpha = 0
-    or 1: the leading nodes of the 64-point rule whose trailing weight
-    mass, their own included, is at least 1e-20 of the total (34 nodes for
-    alpha = 0, 35 for alpha = 1). The nodes dropped carry less."""
-    v, w = {0: (LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS),
-            1: (LAGUERRE_A1_NODES, LAGUERRE_A1_WEIGHTS)}[alpha]
-    return np.array(v), np.array(w)
-
-
 def _laguerre_weights(k: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kept nodes under t = y s, s = e^(-v/k): the factors s_j and the
-    weights w_j e^(v_j) s_j / k^(1+alpha) of ``_laguerre_integral``."""
-    v, w = _laguerre_rule(alpha)
+    """The stored nodes under t = y s, s = e^(-v/k): the factors s_j and the
+    weights w_j e^(v_j) s_j (v_j/k)^alpha / k of ``_laguerre_integral``."""
+    v = _LAGUERRE_V
     shrink = np.exp(-v / k)
-    return shrink, w * np.exp(v) * shrink / k ** (1.0 + alpha)
+    return shrink, _LAGUERRE_W * np.exp(v) * shrink / k * (v / k) ** alpha
 
 
 def _block_sums(f, y: np.ndarray, row: np.ndarray, weights: np.ndarray,
@@ -125,22 +118,25 @@ def _block_sums(f, y: np.ndarray, row: np.ndarray, weights: np.ndarray,
 
 def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """int_0^y f(tau) log(y/tau)^alpha dtau as
-    (y/k^(1+alpha)) int_0^inf f(y e^(-v/k)) v^alpha e^(-v/k) dv.
+    """int_0^y f(tau) log(y/tau)^alpha dtau, alpha = 0 or 1, as
+    (y/k) int_0^inf f(y e^(-v/k)) (v/k)^alpha e^(-v/k) dv.
 
-    Against the Laguerre weight v^alpha e^(-v) the remaining factor
+    Against the Laguerre weight e^(-v) the remaining factor
     f(y s) s e^v, s = e^(-v/k), is constant when f is a pure power of
     exponent k - 1 and decays slowly while f's elasticity stays a little
     above k - 1, so k is one plus the integrand's lowest elasticity. A
     larger k lets the factor grow; a smaller one makes it decay fast (for
-    G at p = 40, k = 1 loses ~1e-2 with 64 nodes). With that k,
-    f(y s) <= s^(k-1) f(y), so node j adds at most w_j f(y) / k^(1+alpha):
-    the sum runs over the kept nodes of `_laguerre_rule` only (a truncated
-    Gauss-Laguerre rule, Mastroianni & Monegato, SIAM J. Numer. Anal. 41,
-    2003), and for an integrand of elasticity at most e_+ the dropped
-    nodes change the integral by a relative ((e_+ + 1)/k)^(1+alpha) 1e-20
-    at most. Points go through `_block_sums`, with ``f``, ``out`` and the
-    aliasing of ``out`` and y as documented there.
+    G at p = 40, k = 1 loses ~1e-2 with 64 nodes). The log weight is the
+    factor (v/k)^alpha, which the weights carry. With that k,
+    f(y s) <= s^(k-1) f(y), so node j adds at most
+    y w_j (v_j/k)^alpha f(y) / k: the sum runs over the 34 stored nodes
+    only (a truncated Gauss-Laguerre rule, Mastroianni & Monegato, SIAM J.
+    Numer. Anal. 41, 2003), and for an integrand of elasticity at most e_+
+    the dropped nodes change the integral by a relative
+    ((e_+ + 1)/k)^(1+alpha) times their share of the weight (1.2e-21) or of
+    the v-weighted mass (5.7e-20) at most. Points go through `_block_sums`,
+    with ``f``, ``out`` and the aliasing of ``out`` and y as documented
+    there.
     """
     shrink, weights = _laguerre_weights(k, alpha)
     return _block_sums(f, y, shrink, weights, np.multiply, out)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import fglap.orlicz as orlicz
 import fglap.solver as solver
 from fglap.cli import load_config, main
 from fglap.errors import ConvergenceError
-from fglap.young import FAMILIES
+from fglap.orlicz import GridFunction
+from fglap.young import FAMILIES, PhiWeight
 
 from conftest import stalled_matrix
 
@@ -132,6 +134,37 @@ class TestExitCodes:
     def test_unknown_key(self, tmp_path):
         code, _ = run(tmp_path, BASE + "\nmystery = 1\n")
         assert code == 2
+
+    def test_line_without_equals_sign(self, tmp_path, capsys):
+        code, out = run(tmp_path, BASE + "mesh 65\n")
+        assert code == 2
+        assert "config line 9 is not a key=value pair" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_order_s(self, tmp_path, capsys):
+        code, out = run(tmp_path, BASE.replace("s = 0.3\n", ""))
+        assert code == 2
+        assert "config key 's' is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        code = main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--no-plot"])
+        assert code == 2
+        assert f"config file not found: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("a,b,c,named", [(1, 2, 1, "needs a > 1"),
+                                             (2, 0.5, 1, "needs b >= 1"),
+                                             (2, 2, 0, "needs c > 0")])
+    def test_log_type_parameters_checked(self, tmp_path, capsys, a, b, c, named):
+        body = BASE.replace("family = power\np = 4\n",
+                            f"family = log-type\na = {a}\nb = {b}\nc = {c}\n")
+        code, out = run(tmp_path, body)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("family,param", [
         (tag, name) for tag, cls in FAMILIES.items() for name in cls.params])
@@ -334,6 +367,31 @@ class TestExitCodes:
         assert lines[0] == "pair,m_coarse,m_fine,sup_diff"
         assert lines[1].startswith("M17_vs_M33,")
 
+    def test_convergence_growing_diffs_exit_one(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a final stage of value m on m nodes: the sup diffs are 16 and 32
+        def growing(cfg, data, n_schedule):
+            mesh = data.f.mesh
+            return SimpleNamespace(
+                final=GridFunction(mesh, np.full(mesh.m, float(mesh.m))))
+
+        monkeypatch.setattr(cli, "monotone_scheme", growing)
+        code, out = run(tmp_path, BASE.replace("mesh = 33", "mesh = 17,33,65"),
+                        cmd="convergence")
+        assert code == 1
+        assert "not decreasing" in capsys.readouterr().err
+        assert (out / "convergence.csv").is_file()
+
+    def test_unbounded_energies_warn(self, tmp_path, monkeypatch, capsys):
+        report = cli.boundary_energy_report
+        monkeypatch.setattr(cli, "boundary_energy_report",
+                            lambda r: {**report(r), "bounded": False})
+        code, out = run(tmp_path, BASE)
+        assert code == 0
+        assert "warning: boundary energies exceed" in capsys.readouterr().err
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert "energies_bounded,,0" in rows
+
     def test_convergence_computes_no_energy(self, tmp_path, monkeypatch):
         # convergence writes no energy, so it evaluates none; solve, whose
         # energy report writes them, shows the counter works
@@ -350,6 +408,26 @@ class TestExitCodes:
                       cmd="convergence")
         assert code == 0 and calls == []
         code, _ = run(tmp_path, BASE.replace("mesh = 33", "mesh = 17"))
+        assert code == 0 and len(calls) > 0
+
+    def test_main2_convergence_composes_no_boundary_weight(self, tmp_path,
+                                                           monkeypatch):
+        # only the energy report reads Phi(u_n), and convergence writes no
+        # energy; a main2 solve, whose report composes them, shows the spy
+        # works
+        calls = []
+        phi = PhiWeight.phi
+
+        def counted(self, t):
+            calls.append(1)
+            return phi(self, t)
+
+        monkeypatch.setattr(PhiWeight, "phi", counted)
+        body = BASE + "case = main2\nq_star = 2\n"
+        code, _ = run(tmp_path, body.replace("mesh = 33", "mesh = 17,33"),
+                      cmd="convergence")
+        assert code == 0 and calls == []
+        code, _ = run(tmp_path, body.replace("mesh = 33", "mesh = 17"))
         assert code == 0 and len(calls) > 0
 
 
@@ -417,6 +495,13 @@ class TestFileFormats:
         main(["check-young", "--config", cfg, "--out", str(out2),
               "--no-plot", "--seed", "7"])
         assert (out1 / "checks.csv").read_bytes() != (out2 / "checks.csv").read_bytes()
+
+    def test_plot_off_in_the_file(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + "plot = off\n")
+        out = tmp_path / "outplot"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "solution.csv").is_file()
+        assert not (out / "solution.svg").exists()
 
     def test_plot_emitted_without_flag(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
@@ -506,6 +591,8 @@ MALFORMED = [
     ("f", "const:x", "'f'"),
     ("q", "file:missing.txt", "'q'"),
     ("f", "bump:1,2", "'f'"),
+    ("mesh", ",", "'mesh' is empty"),
+    ("plot", "maybe", "'plot'"),
 ]
 
 

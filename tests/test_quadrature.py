@@ -18,8 +18,6 @@ from fglap.errors import ConvergenceError, DomainError
 from fglap.quadrature import (
     LAGUERRE_A0_NODES,
     LAGUERRE_A0_WEIGHTS,
-    LAGUERRE_A1_NODES,
-    LAGUERRE_A1_WEIGHTS,
     LEGENDRE_8_NODES,
     LEGENDRE_8_WEIGHTS,
     invert_monotone,
@@ -34,7 +32,6 @@ from fglap.young import (
     PowerYoung,
     YoungFunction,
     _laguerre_integral,
-    _laguerre_rule,
     eval_Gbar,
     standard_grid,
 )
@@ -171,10 +168,12 @@ def test_legendre_8_is_leggauss_bit_for_bit():
     assert np.sum(w * x**14) == pytest.approx(2.0 / 15.0, rel=1e-12)
 
 
-# the rule whose leading nodes `quadrature` stores, and the share of its
-# weight that the dropped trailing nodes may carry
+# the rule whose leading nodes `quadrature` stores, the share of its
+# weight that the dropped trailing nodes may carry, and the share of its
+# v-weighted mass, which Lambda's log weight puts on them (5.6e-20 measured)
 LAGUERRE_NODES = 64
 LAGUERRE_TAIL = 1e-20
+LAGUERRE_V_TAIL = 1e-19
 
 
 def _laguerre_running_sum(n: int, alpha: float, x: np.ndarray):
@@ -252,14 +251,17 @@ class TestGaussLaguerre:
         assert val[0] == pytest.approx(2.0, rel=1e-14)
 
 
+def rebuilt(yf):
+    """A new family with yf's parameters, built on the rule in force."""
+    return type(yf)(*(getattr(yf, name) for name in yf.params))
+
+
 class TestTruncatedRule:
     """The Laguerre integrals sum the stored leading nodes of the 64-node
     rule and drop a tail that carries under LAGUERRE_TAIL of its weight."""
 
-    STORED = [(0, LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS, 34),
-              (1, LAGUERRE_A1_NODES, LAGUERRE_A1_WEIGHTS, 35)]
-
-    @pytest.mark.parametrize("alpha,nodes,weights,kept", STORED)
+    @pytest.mark.parametrize("alpha,nodes,weights,kept",
+                             [(0, LAGUERRE_A0_NODES, LAGUERRE_A0_WEIGHTS, 34)])
     def test_stored_rule_is_the_builders_leading_nodes(self, alpha, nodes,
                                                        weights, kept):
         full_v, full_w = gauss_laguerre(LAGUERRE_NODES, alpha)
@@ -268,8 +270,10 @@ class TestTruncatedRule:
         assert len(nodes) == len(weights) == kept
         assert np.array_equal(np.array(nodes), full_v[:kept])
         assert np.array_equal(np.array(weights), full_w[:kept])
-        v, w = _laguerre_rule(alpha)
-        assert np.array_equal(v, nodes) and np.array_equal(w, weights)
+        assert np.array_equal(young._LAGUERRE_V, nodes)
+        assert np.array_equal(young._LAGUERRE_W, weights)
+        assert not (young._LAGUERRE_V.flags.writeable
+                    or young._LAGUERRE_W.flags.writeable)
 
     @pytest.mark.parametrize("alpha,kept", [(0, 34), (1, 35)])
     def test_drops_only_a_rounding_level_tail(self, alpha, kept):
@@ -279,13 +283,21 @@ class TestTruncatedRule:
         # the last node kept is one that the threshold needs
         assert full_w[kept - 1:].sum() >= LAGUERRE_TAIL * total
 
+    def test_drops_only_a_rounding_level_share_of_the_log_weight(self):
+        # Lambda's weights carry the factor v/k, so the dropped nodes lose
+        # their share of the v-weighted mass
+        full_v, full_w = gauss_laguerre(LAGUERRE_NODES, 0.0)
+        mass = full_w * full_v
+        assert mass[len(LAGUERRE_A0_NODES):].sum() < LAGUERRE_V_TAIL * mass.sum()
+
     @pytest.fixture
     def full_rule(self, monkeypatch):
         """Evaluate the next call on all 64 nodes."""
         def run(fn, *args):
+            full_v, full_w = gauss_laguerre(LAGUERRE_NODES, 0.0)
             with monkeypatch.context() as patch:
-                patch.setattr(young, "_laguerre_rule",
-                              lambda alpha: gauss_laguerre(LAGUERRE_NODES, alpha))
+                patch.setattr(young, "_LAGUERRE_V", full_v)
+                patch.setattr(young, "_LAGUERRE_W", full_w)
                 return fn(*args)
         return run
 
@@ -297,17 +309,51 @@ class TestTruncatedRule:
         sigma = np.concatenate([-t[::16], [0.0], t[::16]])
         weight = PhiWeight(yf, 2.0)
         cfg = OperatorConfig(young=yf, s=0.3)
+
+        def own_sum(name):
+            # log-type builds its factored sums' weights with the family
+            return getattr(rebuilt(yf), name)(t)
+
         for fn, args in ((YoungFunction._G_pos, (yf, t)),
                          (YoungFunction._lambda_pos, (yf, t)),
+                         (own_sum, ("_G_pos",)),
+                         (own_sum, ("_lambda_pos",)),
                          (eval_Gbar, (yf, t)),
                          (weight.phi, (t[::4],)),
                          (_first_cell_integral, (cfg, sigma, 1.0 / 16))):
             np.testing.assert_allclose(fn(*args), full_rule(fn, *args),
                                        rtol=1e-15, atol=0.0)
 
+    @staticmethod
+    def alpha_one_weights(k):
+        """The rule that summed Lambda before its log weight moved into the
+        weights: the leading 35 nodes of the 64-node rule for v e^(-v),
+        under the substitution of `_laguerre_integral`."""
+        v, w = gauss_laguerre(LAGUERRE_NODES, 1.0)
+        v, w = v[:35], w[:35]
+        shrink = np.exp(-v / k)
+        return shrink, w * np.exp(v) * shrink / k ** 2
+
+    LAMBDA_FAMILIES = [PowerYoung(2.5), PowerYoung(20.0),
+                       DoublePowerYoung(2.1, 9.0), DoublePowerYoung(2.5, 8.0),
+                       LogTypeYoung(2.0, 2.0, 1.0), LogTypeYoung(1.5, 1.0, 3.0)]
+
+    @pytest.mark.parametrize("yf", LAMBDA_FAMILIES, ids=lambda yf: yf.label)
+    def test_lambda_matches_the_alpha_one_rule(self, yf, monkeypatch):
+        # the base-class rule, and log-type's factored sums, within 4e-15
+        # relative of the v e^(-v) rule (3.7e-15 measured, at power 20)
+        t = standard_grid(1025)
+        stored = [YoungFunction._lambda_pos(yf, t), yf._lambda_pos(t)]
+        weights = young._laguerre_weights
+        monkeypatch.setattr(young, "_laguerre_weights", lambda k, alpha: (
+            self.alpha_one_weights(k) if alpha else weights(k, alpha)))
+        before = [YoungFunction._lambda_pos(yf, t), rebuilt(yf)._lambda_pos(t)]
+        for got, ref in zip(stored, before):
+            np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
+
 
 def test_solve_runs_without_scipy(tmp_path):
-    # the log-type family builds both rules: alpha = 0 for G, 1 for Lambda
+    # the log-type family sums both G and Lambda on the stored rule
     cfg = tmp_path / "log_type.cfg"
     cfg.write_text("family = log-type\na = 2\nb = 2\nc = 1\ns = 0.3\nmesh = 33\n"
                    "f = bump:2\nq = abs-power:0.5,2\nn_schedule = 1,2\n",

@@ -218,11 +218,11 @@ class TestScheme:
         assert report.l_middle == pytest.approx(float(mid.min()), rel=1e-12)
 
     def test_energies_recorded(self, report):
-        # the scheme records the carriers; the energy report evaluates them
+        # the scheme records the stages; the energy report evaluates them
         modular = boundary_energy_report(report)["modular"]
-        assert len(modular) == len(report.carriers) == len(report.n_values) == 4
+        assert len(modular) == len(report.solutions) == len(report.n_values) == 4
         assert all(e > 0.0 for e in modular)
-        assert report.energy_case == "main1"
+        assert report.weight is None
 
     def test_alpha_estimate(self, report):
         assert 0.0 < report.alpha_hat <= 1.0
@@ -935,7 +935,13 @@ class TestDiagnostics:
         report = monotone_scheme(cfg, data, mesh=mesh33, n_schedule=(1, 2, 4))
         modular = boundary_energy_report(report)["modular"]
         assert len(modular) == len(report.n_values) == 3
-        assert modular == [solver.modular_W(cfg, c) for c in report.carriers]
+        # the carriers: u_n in case main1, Phi((u_n)_+) in case main2
+        weight = report.weight
+        assert (weight is None) == (case == "main1")
+        carriers = [u if weight is None else
+                    GridFunction(mesh33, weight.phi(np.maximum(u.values, 0.0)))
+                    for u in report.solutions]
+        assert modular == [solver.modular_W(cfg, c) for c in carriers]
 
     @pytest.mark.parametrize("m", [65, 129, 257, 513, 1025])
     @pytest.mark.parametrize("profile", ["sqrt", "linear", "shifted"])
