@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import sys
 import warnings
 from collections.abc import Callable
@@ -317,7 +318,7 @@ def cmd_solve(rc: RunConfig) -> int:
     mesh = Mesh(meshes[0])
     cfg = build_operator(rc, build_young(rc))
     data = build_data(rc, mesh)
-    data.validate_family(cfg)
+    weight = data.validate_family(cfg)
 
     # the inequalities below feed the convergence argument: a failed check
     # means the family cannot drive this pipeline
@@ -327,7 +328,7 @@ def cmd_solve(rc: RunConfig) -> int:
               file=sys.stderr)
         return 1
 
-    report = monotone_scheme(cfg, data, n_schedule=rc.n_schedule)
+    report = monotone_scheme(cfg, data, n_schedule=rc.n_schedule, weight=weight)
     diag = boundary_energy_report(report)
     _write_solution(rc, report)
     _write_diagnostics(rc, report, diag)
@@ -507,5 +508,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The console entry point: `main` on the command line, then exit with
+    its code. Before `main` runs, what the imports left is collected once
+    and frozen, so that neither the run's full collections nor the
+    interpreter's exit traverse numpy's and fglap's module objects again.
+    Tests call `main`, which leaves the collector alone."""
+    gc.collect()
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

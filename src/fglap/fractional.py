@@ -17,12 +17,19 @@ trapezoid weight of the end nodes, so the columns of nodes 0 and m - 1
 are halved (`orlicz._halve_boundary`) before the rows are summed. The
 weak form is the residual paired with the test function's nodal values.
 
-The far terms are m x m arrays, evaluated in place in the far-pair
-buffers `orlicz._FAR`: three reused arrays (du, the Young values, and the
-Young kernels' scratch), per thread and of one mesh size at a time, which
-the energy in `orlicz` shares. ds, kr and kj are read-only views, so no
-evaluation allocates an m x m array. The Jacobian is assembled over the
-residual's g values and returned as a view of that buffer.
+The far terms are m x m arrays, evaluated in the far-pair buffers
+`orlicz._FAR`, per thread and of one mesh size at a time, which the
+energy in `orlicz` shares: one reused m x m buffer and two row-block
+scratches of `orlicz.FAR_BLOCK_BYTES` each. Every far-pair pass runs
+over the buffer's rows in blocks (`_FarPairBuffers.blocks`), so that a
+block's Young values and their scratch stay in cache: `residual` writes
+du into the buffer block by block and sums g(du) kr per row in a
+scratch, and `assemble_matrix` evaluates g'(du) of a block over du, or
+in a scratch for a family whose kernel cannot write over its argument
+(`YoungFunction.g_prime_in_place`), and writes g'(du) kj over that block
+of du. The Jacobian is returned as a view of the one buffer. Rows are
+independent, so the blocks change no row's value. ds, kr and kj are
+read-only views, so no evaluation allocates an m x m array.
 
 The local terms are the `Discretization`'s list of local points.
 `_local_G` is their one G pass, and `_local_sums` sums each argument's
@@ -139,7 +146,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
     buffers nor the record.
 
     With ``even`` (u and rhs even, m odd) only rows 0 ... c, c = (m - 1) / 2,
-    are evaluated, on the first c + 1 rows of the workspace buffers, and
+    are evaluated, on the first c + 1 rows of the far-pair buffer, and
     mirrored onto the rest; they equal the full evaluation's rows bit for
     bit. The local terms, O(m), are summed over all their points either
     way."""
@@ -155,10 +162,15 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
     else:
         disc = cfg.discretization(mesh.m)
         yf = cfg.young
-        du, far_mat, work = (buf[:k] for buf in _FAR.take(disc.kr.shape))
-        yf.g(disc.quotients(uv, out=du), out=far_mat, work=work)
-        far_mat *= disc.kr[:k]
-        r = 2.0 * _halve_boundary(far_mat).sum(axis=1)
+        # the quotients stay in the buffer, g(du) kr lives in a scratch
+        _FAR.take(disc.kr.shape)
+        r = np.empty(k)
+        with np.errstate(over="ignore"):
+            for block, du, vals, work in _FAR.blocks(k):
+                yf._g_pos(disc.quotients(uv, du, block.start), vals, work)
+                vals *= disc.kr[block]
+                np.add.reduce(_halve_boundary(vals), 1, out=r[block])
+        r *= 2.0
 
         # the local sums per slope, scattered onto nodes by differencing
         # (slope i is (u_(i+1) - u_i) / h), then per interior node
@@ -180,7 +192,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
 def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
                     even: bool = False) -> np.ndarray:
     """Interior-node residual Jacobian: symmetric and positive
-    semidefinite. It is a view of the far-pair buffers (`orlicz._FAR`),
+    semidefinite. It is a view of the far-pair buffer (`orlicz._FAR`),
     the caller's to modify but valid only until the next far-pair
     evaluation on this thread; copy it to keep it.
 
@@ -206,14 +218,18 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
 
     # far pairs: the off-diagonal entries -2 g'(du) kr / ds, zero on near
     # pairs and the diagonal, in one product with the kernel kj, written
-    # over the residual's g values in the buffer whose interior is
-    # returned; the diagonal is minus their row sums
-    du, pair, work = (buf[:k] for buf in _FAR.take(disc.kr.shape))
-    if not reuse:
-        disc.quotients(uv, out=du)
-    yf.g_prime(du, out=pair, work=work)
-    pair *= disc.kj[:k]
-    row = -_halve_boundary(pair).sum(axis=1)
+    # over the quotients in the buffer whose interior is returned; the
+    # diagonal is minus their row sums
+    pair = _FAR.take(disc.kr.shape)
+    row = np.empty(k)
+    with np.errstate(over="ignore"):
+        for block, du, vals, work in _FAR.blocks(k):
+            if not reuse:
+                disc.quotients(uv, du, block.start)
+            gp = yf._g_prime_pos(du, du if yf.g_prime_in_place else vals, work)
+            np.multiply(gp, disc.kj[block], out=du)
+            np.add.reduce(_halve_boundary(du), 1, out=row[block])
+    np.negative(row, out=row)
     jac = pair[rows, 1:-1]
 
     # slope k couples nodes k and k + 1; node i sees slopes i and i - 1;

@@ -431,7 +431,8 @@ def check_schedule(n_schedule: tuple[int, ...]) -> None:
 
 def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
                     mesh: Mesh | None = None,
-                    n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16)) -> SolveReport:
+                    n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16),
+                    weight: PhiWeight | None = None) -> SolveReport:
     """Solve the truncated problems along the n schedule, enforcing nodal
     monotonicity between stages and stopping early once consecutive stages
     agree to TOL_STOP in the sup norm. Each stage is one coupled Newton
@@ -442,13 +443,19 @@ def monotone_scheme(cfg: OperatorConfig, data: ProblemData, *,
     When m is odd and f and q are even, every stage is even, and `_newton`
     solves it with ``even``; the stages equal the full system's to
     rounding, with the same Newton steps. Uneven data and even m take the
-    full system."""
+    full system.
+
+    ``weight`` is the boundary weight that ``data.validate_family(cfg)``
+    returned to a caller that validated the family already; without it
+    the family is validated here."""
     mesh = data.f.mesh if mesh is None else mesh
     if mesh.m != data.f.mesh.m:
         raise ConfigurationError(
             f"the mesh has {mesh.m} nodes, the problem data {data.f.mesh.m}")
     check_schedule(n_schedule)
-    report = SolveReport(mesh=mesh, cfg=cfg, weight=data.validate_family(cfg))
+    if weight is None:
+        weight = data.validate_family(cfg)
+    report = SolveReport(mesh=mesh, cfg=cfg, weight=weight)
     # the operator commutes with x -> -x, so even data have even stages
     even = mesh.m % 2 == 1 and data.f.is_even() and data.q.is_even()
     prev: GridFunction | None = None

@@ -25,8 +25,10 @@ than in sign(t) g(|t|). The power families take |t|^e through
 (p = 3) rather than call np.power, which is twice as slow. ``g``,
 ``g_prime`` and ``G`` write into ``out=`` when given one, with ``work=``
 as the scratch array the two-factor families need, so that callers can
-hand in reused storage, such as the far-pair buffers of `orlicz`; without
-them they allocate.
+hand in reused storage; without them they allocate. The far-pair passes
+of `orlicz` and `fractional`, which run once per block of rows, call the
+array kernels ``_g_pos``, ``_g_prime_pos`` and ``_G_pos`` on their
+buffers directly, under one ``np.errstate`` per pass.
 """
 
 from __future__ import annotations
@@ -153,7 +155,9 @@ class YoungFunction:
     closed forms or cheaper sums on the same rule; otherwise both come from
     the Gauss-Laguerre rule ``_laguerre_integral`` over ``_g_pos``,
     g(t) = t gamma(|t|). The public methods apply the odd/even extensions
-    and handle scalar passthrough.
+    and handle scalar passthrough. A family whose ``_g_prime_pos`` may
+    write over its argument (``out`` is t) sets ``g_prime_in_place``, and
+    the far-pair assembly in `fractional` then evaluates g' there.
 
     ``window`` is the growth window the constructor verified against
     ``growth``, its one sample of 1 + t g'/g, and every inverse and Laguerre
@@ -164,6 +168,7 @@ class YoungFunction:
     """
 
     family_tag = "abstract"
+    g_prime_in_place = False
 
     def __init__(self, p_minus: float, p_plus: float):
         if not (p_minus > 2.0):
@@ -264,6 +269,7 @@ class PowerYoung(YoungFunction):
 
     family_tag = "power"
     params = ("p",)
+    g_prime_in_place = True
 
     def __init__(self, p: float):
         self.p = float(p)
@@ -295,6 +301,7 @@ class DoublePowerYoung(YoungFunction):
 
     family_tag = "double-power"
     params = ("p1", "p2")
+    g_prime_in_place = True
 
     def __init__(self, p1: float, p2: float):
         if p2 < p1:

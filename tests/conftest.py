@@ -68,14 +68,15 @@ def smoke_corpus(mesh65):
 
 @pytest.fixture
 def quotient_passes(monkeypatch):
-    """The far-pair quotient passes (`Discretization.quotients`) made so
-    far, in a one-element list: an assembly that makes none reuses the
-    residual's quotients."""
+    """The far-pair quotient passes (`Discretization.quotients` from row 0
+    on, which a pass over several row blocks starts with) made so far, in
+    a one-element list: an assembly that makes none reuses the residual's
+    quotients."""
     calls, quotients = [0], Discretization.quotients
 
-    def counted(disc, uv, out):
-        calls[0] += 1
-        return quotients(disc, uv, out)
+    def counted(disc, uv, out, lo=0):
+        calls[0] += lo == 0
+        return quotients(disc, uv, out, lo)
 
     monkeypatch.setattr(Discretization, "quotients", counted)
     return calls

@@ -430,6 +430,26 @@ class TestExitCodes:
         code, _ = run(tmp_path, body.replace("mesh = 33", "mesh = 17"))
         assert code == 0 and len(calls) > 0
 
+    def test_main2_solve_validates_the_family_once(self, tmp_path, monkeypatch):
+        # the scheme takes the weight that the solve command validated; a
+        # scheme called without one validates on its own
+        calls = []
+        submult = solver.submultiplicativity_constant
+
+        def counted(yf):
+            calls.append(1)
+            return submult(yf)
+
+        monkeypatch.setattr(solver, "submultiplicativity_constant", counted)
+        body = BASE.replace("mesh = 33", "mesh = 17") + "case = main2\nq_star = 2\n"
+        code, _ = run(tmp_path, body)
+        assert code == 0 and len(calls) == 1
+        rc = load_config(write_cfg(tmp_path, body, "again.cfg"))
+        cfg = cli.build_operator(rc, cli.build_young(rc))
+        report = solver.monotone_scheme(cfg, cli.build_data(rc, orlicz.Mesh(17)),
+                                        n_schedule=(1,))
+        assert len(calls) == 2 and report.weight is not None
+
 
 class TestFileFormats:
     def test_solution_layout(self, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 from fglap.errors import ConfigurationError, DomainError
 import fglap.fractional as fractional
+import fglap.orlicz as orlicz
 from fglap.fractional import (apply_interior, assemble_matrix, fold, mirror,
                               residual, weak_form)
 from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
@@ -523,12 +524,12 @@ class TestFarPairWorkspace:
 
     def test_jacobian_lives_in_the_buffers(self, power4):
         # the Jacobian is the interior of the buffer that held the residual's
-        # g values, and the next far-pair evaluation overwrites it
+        # quotients, and the next far-pair evaluation overwrites it
         cfg = OperatorConfig(young=power4, s=0.3)
         u, _ = TestEvenFold.even_case(33)
         for even in (False, True):
             jac = assemble_matrix(cfg, u, even=even)
-            held = fractional._FAR.buffers[1]
+            held = fractional._FAR.buffer
             assert np.shares_memory(jac, held)
             assert np.array_equal(jac, held[1:jac.shape[0] + 1, 1:-1])
             keep = jac.copy()
@@ -655,6 +656,72 @@ class TestFarPairWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert matched == [rounds] * len(matched)
+
+
+class TestRowBlocks:
+    """At m = 1025 every far-pair pass takes the buffer's rows in several
+    blocks. Rows are independent and the energy keeps its one sum over
+    the whole buffer, so each result equals the dense one bit for bit."""
+
+    M = 1025
+
+    @pytest.fixture
+    def one_block(self, monkeypatch):
+        """Switch to scratches that hold all m rows, so that every pass is
+        one dense block over the whole buffer; the buffers are rebuilt at
+        the normal size afterwards."""
+        def switch():
+            monkeypatch.setattr(orlicz, "FAR_BLOCK_BYTES", 8 * self.M * self.M)
+            fractional._FAR.shape = None
+        yield switch
+        fractional._FAR.shape = None
+
+    @staticmethod
+    def evaluate(cfg, u, rhs):
+        out = {"far": modular_W_parts(cfg, u)["far"]}
+        for even in (False, True):
+            out[even] = residual(cfg, u, rhs, even=even).values
+            jac = assemble_matrix(cfg, u, even=even)
+            out[even, "jac"] = jac.copy()
+        out["fold"] = fold(jac).copy()
+        return out
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_blocks_equal_one_dense_block(self, name, request, one_block):
+        yf = request.getfixturevalue(name)
+        cfg = OperatorConfig(young=yf, s=0.3)
+        m = self.M
+        u, rhs = TestEvenFold.even_case(m)
+        got = self.evaluate(cfg, u, rhs)
+        for k in (m, (m + 1) // 2):
+            assert len(list(fractional._FAR.blocks(k))) >= 2
+        one_block()
+        want = self.evaluate(cfg, u, rhs)
+        assert len(list(fractional._FAR.blocks(m))) == 1
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        ds, kr = dense_far_kernels(Mesh(m), 0.3)
+        du = (u.values[:, None] - u.values) / ds
+        assert got["far"] == float((yf.G(du) * kr * ds).sum())
+
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_one_square_array_and_no_square_temporaries(self, name, request):
+        cfg = OperatorConfig(young=request.getfixturevalue(name), s=0.3)
+        m = self.M
+        u, rhs = TestEvenFold.even_case(m)
+        square = 8 * m * m
+        for even in (False, True):
+            assert traced_peak(lambda: residual(cfg, u, rhs, even=even)) < square
+            assert traced_peak(lambda: assemble_matrix(cfg, u, even=even)) < square
+        assert traced_peak(lambda: modular_W_parts(cfg, u)) < square
+        arrays = [val for val in vars(fractional._FAR).values()
+                  if isinstance(val, np.ndarray)]
+        arrays += list(fractional._FAR.scratch)
+        assert [a.shape for a in arrays].count((m, m)) == 1
+        assert sorted(a.nbytes for a in arrays)[:-1] == [
+            fractional._FAR.scratch[0].nbytes] * 2
+        assert fractional._FAR.scratch[0].nbytes <= orlicz.FAR_BLOCK_BYTES
 
 
 class TestMixedPowers:

@@ -505,7 +505,8 @@ CLOSED_G = {"power4": lambda a: a ** 4.0 / 4.0,
 
 @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
 def test_G_into_reused_storage(name, request):
-    # the far-pair energy hands G its workspace buffers: the values are the
+    # G into storage the caller hands in, or in place over |t| as the
+    # far-pair energy evaluates it in its buffer: the values are the
     # allocating call's, and the closed forms keep their operation order
     yf = request.getfixturevalue(name)
     t = np.linspace(-3.0, 3.0, 2 * 257).reshape(2, 257)
@@ -513,5 +514,21 @@ def test_G_into_reused_storage(name, request):
     got = yf.G(t, out=out, work=work)
     assert got is out
     assert np.array_equal(got, yf.G(t))
+    mag = np.abs(t)
+    assert yf._G_pos(mag, mag, work) is mag
+    assert np.array_equal(mag, got)
     if name in CLOSED_G:
         assert np.array_equal(got, CLOSED_G[name](np.abs(t)))
+
+
+@pytest.mark.parametrize("name", ["power3", "power4", "dp34"])
+def test_g_prime_over_its_argument(name, request):
+    # the far-pair assembly writes g' over the quotients in these families;
+    # log-type's kernel reads its argument after writing ``out``
+    yf = request.getfixturevalue(name)
+    t = np.linspace(-3.0, 3.0, 2 * 257).reshape(2, 257)
+    want = yf.g_prime(t)
+    assert yf.g_prime_in_place and not LogTypeYoung.g_prime_in_place
+    got = t.copy()
+    assert yf._g_prime_pos(got, got, np.empty(t.shape)) is got
+    assert np.array_equal(got, want)
