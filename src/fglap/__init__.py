@@ -20,16 +20,13 @@ from .orlicz import (
     GridFunction,
     Mesh,
     OperatorConfig,
-    luxemburg_norm_LG,
     luxemburg_seminorm_W,
-    modular_LG,
     modular_W,
 )
 from .solver import (
     ProblemData,
     SolveReport,
     boundary_energy_report,
-    fixed_point_S,
     monotone_scheme,
     solve_auxiliary,
 )
@@ -64,11 +61,8 @@ __all__ = [
     "apply_interior",
     "boundary_energy_report",
     "check_comparison",
-    "fixed_point_S",
-    "luxemburg_norm_LG",
     "luxemburg_seminorm_W",
     "make_young",
-    "modular_LG",
     "modular_W",
     "monotone_scheme",
     "run_check_suite",

@@ -32,7 +32,8 @@ from .young import FAMILIES, YoungFunction, make_young
 @dataclass
 class RunConfig:
     """Run settings. `load_config` checks them by building the library
-    objects that use them, so each condition is stated once, there."""
+    objects that use them, so each condition is stated once, there; it
+    tests ``case``, ``delta`` and ``q_star`` itself too, before any work."""
 
     family: str
     params: dict
@@ -160,6 +161,12 @@ def load_config(path: str | Path) -> RunConfig:
     if rc.case not in ("main1", "main2"):
         raise ConfigurationError(
             f"config key 'case' must be main1 or main2, got {rc.case!r}")
+    if not 0.0 < rc.delta < 1.0:
+        raise ConfigurationError(
+            f"config key 'delta' must lie in (0, 1), got {rc.delta:g}")
+    if not rc.q_star > 1.0:
+        raise ConfigurationError(
+            f"config key 'q_star' must exceed 1, got {rc.q_star:g}")
     build_operator(rc, build_young(rc))
     for m in rc.meshes:
         Mesh(m)
@@ -438,9 +445,11 @@ def cmd_convergence(rc: RunConfig) -> int:
     shared = [coarse.coarse_index_in(fine)
               for coarse, fine in zip(meshes, meshes[1:])]
     cfg = build_operator(rc, build_young(rc))
+    problems = [build_data(rc, mesh) for mesh in meshes]
+    weight = problems[0].validate_family(cfg)  # reads no mesh: once for all
 
-    finals = [monotone_scheme(cfg, build_data(rc, mesh),
-                              n_schedule=rc.n_schedule).final for mesh in meshes]
+    finals = [monotone_scheme(cfg, data, n_schedule=rc.n_schedule,
+                              weight=weight).final for data in problems]
     rows = []
     diffs = []
     for idx, coarse, fine in zip(shared, finals, finals[1:]):

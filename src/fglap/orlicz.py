@@ -10,8 +10,8 @@ geometry of both kinds of term for one mesh size. The energies here take
 an `OperatorConfig` and read that geometry, and evaluate their far terms
 in the far-pair buffers `_FAR`, a block of rows at a time, exactly as the
 residual, Jacobian and weak form in `fractional` do, so that the weak
-form is the exact gradient of the modular energy. The Luxemburg gauges
-invert the modular along u's ray with the growth-window inverter of
+form is the exact gradient of the modular energy. The Luxemburg gauge
+inverts the modular along u's ray with the growth-window inverter of
 `quadrature`.
 """
 
@@ -305,17 +305,7 @@ def _require_zero_boundary(u: GridFunction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# local modular and norm
-
-
-def modular_LG(u: GridFunction, yf: YoungFunction) -> float:
-    """Trapezoid integral of G(|u|) over the interval."""
-    return float(np.sum(u.mesh.weights * yf.G(u.values)))
-
-
-def luxemburg_norm_LG(u: GridFunction, yf: YoungFunction) -> float:
-    """Scaling lam with modular_LG(u/lam) = 1."""
-    return _luxemburg(lambda v: modular_LG(v, yf), u, yf.window)
+# Luxemburg gauge
 
 
 def _luxemburg(modular, u: GridFunction, window: tuple[float, float]) -> float:
@@ -372,5 +362,5 @@ def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
 
 
 def luxemburg_seminorm_W(cfg: OperatorConfig, u: GridFunction) -> float:
-    """Gauge seminorm of the nonlocal modular, found as for the local norm."""
+    """Gauge seminorm of the nonlocal modular, by `_luxemburg`."""
     return _luxemburg(lambda v: modular_W(cfg, v), u, cfg.young.window)

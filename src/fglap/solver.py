@@ -3,9 +3,8 @@
 The chain mirrors the existence construction: truncated problems indexed
 by n whose solutions increase toward the final one. One damped Newton loop
 solves the auxiliary problem with a fixed right-hand side and each stage
-with its singular term coupled in; `fixed_point_S`, the paper's iteration
-over the frozen term, is kept as the oracle. Barriers, boundary energies,
-and an interior regularity estimate provide the a posteriori diagnostics.
+with its singular term coupled in. Barriers, boundary energies, and an
+interior regularity estimate provide the a posteriori diagnostics.
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ CG_MIN_UNKNOWNS = 128
 CG_MAX_S = 0.5
 CG_RTOL = 1e-6
 CG_RTOL_MAX = 1e-2
-# the oracle `fixed_point_S` stops once a sweep moves u by at most
-# FIXED_POINT_TOL in the sup norm, and gives up after FIXED_POINT_MAX_SWEEPS
-FIXED_POINT_TOL = 1e-8
-FIXED_POINT_MAX_SWEEPS = 500
 # the scales alpha at which `barrier_check` evaluates its barrier
 BARRIER_SCALES = (2.0, 4.0, 8.0, 16.0)
 
@@ -384,29 +379,6 @@ def solve_auxiliary(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray, *,
         raise DomainError("the auxiliary problem expects a nonnegative load")
     return _newton(cfg, mesh, lambda u: (rhs_vals, None), warm_start,
                    "auxiliary solve")
-
-
-# ---------------------------------------------------------------------------
-# fixed point in the frozen singular term
-
-
-def fixed_point_S(cfg: OperatorConfig, data: ProblemData,
-                  n: int) -> tuple[GridFunction, dict]:
-    """Iterate  u_{k+1} = solve_auxiliary(f_n (u_k^+ + 1/n)^{-q})  on the
-    data's mesh from u_0 = 0 until the sup change drops below
-    FIXED_POINT_TOL."""
-    mesh = data.f.mesh
-    u = GridFunction.zeros(mesh)
-    for k in range(FIXED_POINT_MAX_SWEEPS):
-        rhs = data.singular_rhs(u, n)
-        u_next, aux_stats = solve_auxiliary(cfg, mesh, rhs, warm_start=u)
-        diff = float(np.max(np.abs(u_next.values - u.values)))
-        u = u_next
-        if diff <= FIXED_POINT_TOL:
-            return u, {"iterations": k + 1, "last_diff": diff,
-                       "residual_sup": aux_stats.get("residual_sup", 0.0)}
-    raise ConvergenceError(f"fixed point for n = {n} did not settle in "
-                           f"{FIXED_POINT_MAX_SWEEPS} sweeps")
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,11 @@ log b + log1p(c tau / b) so that it keeps its relative accuracy at b = 1
 as c tau -> 0. That takes no sign array, and each exponent is one lower
 than in sign(t) g(|t|). The power families take |t|^e through
 `_abs_power`, which squares at e = 2 (p = 4) and takes |t| at e = 1
-(p = 3) rather than call np.power, which is twice as slow. ``g``,
-``g_prime`` and ``G`` write into ``out=`` when given one, with ``work=``
-as the scratch array the two-factor families need, so that callers can
-hand in reused storage; without them they allocate. The far-pair passes
-of `orlicz` and `fractional`, which run once per block of rows, call the
-array kernels ``_g_pos``, ``_g_prime_pos`` and ``_G_pos`` on their
-buffers directly, under one ``np.errstate`` per pass.
+(p = 3) rather than call np.power, which is twice as slow. The public
+``g``, ``g_prime`` and ``G`` take t alone. The far-pair passes of `orlicz`
+and `fractional`, which run once per block of rows, call the array kernels
+``_g_pos``, ``_g_prime_pos`` and ``_G_pos`` into their buffers directly,
+under one ``np.errstate`` per pass.
 """
 
 from __future__ import annotations
@@ -224,28 +222,26 @@ class YoungFunction:
 
     # -- public vectorized surface ----------------------------------------
 
-    def g(self, t, out=None, work=None):
-        """g(t) = t gamma(|t|), into ``out`` if given (it must not overlap
-        t); ``work``, of t's shape, is scratch for two-factor gammas."""
+    def g(self, t):
+        """g(t) = t gamma(|t|)."""
         arr, scalar = _as_batch(t)
         with np.errstate(over="ignore"):
-            out = self._g_pos(arr, out, work)
-        return _restore(out, scalar)
+            vals = self._g_pos(arr)
+        return _restore(vals, scalar)
 
-    def g_prime(self, t, out=None, work=None):
-        """g'(|t|), with ``out`` and ``work`` as for ``g``."""
+    def g_prime(self, t):
+        """g'(|t|)."""
         arr, scalar = _as_batch(t)
         with np.errstate(over="ignore"):
-            out = self._g_prime_pos(arr, out, work)
-        return _restore(out, scalar)
+            vals = self._g_prime_pos(arr)
+        return _restore(vals, scalar)
 
-    def G(self, t, out=None, work=None):
-        """G(|t|), with ``out`` and ``work`` as for ``g``: |t| goes into
-        ``out``, and G is evaluated there in place."""
+    def G(self, t):
+        """G(|t|), evaluated in place over a fresh |t|."""
         arr, scalar = _as_batch(t)
-        mag = np.abs(arr, out=out)
+        mag = np.abs(arr)
         with np.errstate(over="ignore"):
-            vals = self._G_pos(mag, mag, work)
+            vals = self._G_pos(mag, mag)
         return _restore(vals, scalar)
 
     def lam(self, y):

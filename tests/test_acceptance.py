@@ -22,7 +22,6 @@ from fglap.solver import (
     ProblemData,
     barrier_check,
     boundary_energy_report,
-    fixed_point_S,
     holder_exponent_fit,
     monotone_scheme,
     solve_auxiliary,
@@ -33,6 +32,8 @@ from fglap.young import (
     PowerYoung,
     eval_Gbar,
 )
+
+from oracles import fixed_point_S
 
 # tail-domination exponent budget per family; the double-power family
 # fails the scan at 2.0 (a real counterexample, see test_checks), so its

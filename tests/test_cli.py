@@ -370,7 +370,7 @@ class TestExitCodes:
     def test_convergence_growing_diffs_exit_one(self, tmp_path, monkeypatch,
                                                 capsys):
         # a final stage of value m on m nodes: the sup diffs are 16 and 32
-        def growing(cfg, data, n_schedule):
+        def growing(cfg, data, n_schedule, weight):
             mesh = data.f.mesh
             return SimpleNamespace(
                 final=GridFunction(mesh, np.full(mesh.m, float(mesh.m))))
@@ -430,9 +430,10 @@ class TestExitCodes:
         code, _ = run(tmp_path, body.replace("mesh = 33", "mesh = 17"))
         assert code == 0 and len(calls) > 0
 
-    def test_main2_solve_validates_the_family_once(self, tmp_path, monkeypatch):
-        # the scheme takes the weight that the solve command validated; a
-        # scheme called without one validates on its own
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """One entry per call of the submultiplicativity scan that case
+        main2's family validation runs."""
         calls = []
         submult = solver.submultiplicativity_constant
 
@@ -441,6 +442,12 @@ class TestExitCodes:
             return submult(yf)
 
         monkeypatch.setattr(solver, "submultiplicativity_constant", counted)
+        return calls
+
+    def test_main2_solve_validates_the_family_once(self, tmp_path, validations):
+        # the scheme takes the weight that the solve command validated; a
+        # scheme called without one validates on its own
+        calls = validations
         body = BASE.replace("mesh = 33", "mesh = 17") + "case = main2\nq_star = 2\n"
         code, _ = run(tmp_path, body)
         assert code == 0 and len(calls) == 1
@@ -449,6 +456,14 @@ class TestExitCodes:
         report = solver.monotone_scheme(cfg, cli.build_data(rc, orlicz.Mesh(17)),
                                         n_schedule=(1,))
         assert len(calls) == 2 and report.weight is not None
+
+    def test_main2_convergence_validates_the_family_once(self, tmp_path,
+                                                         validations):
+        # the validation reads no mesh, so one serves every mesh's scheme
+        body = (BASE.replace("mesh = 33", "mesh = 17,33,65")
+                + "case = main2\nq_star = 2\n")
+        code, _ = run(tmp_path, body, cmd="convergence")
+        assert code == 0 and len(validations) == 1
 
 
 class TestFileFormats:
@@ -613,6 +628,8 @@ MALFORMED = [
     ("f", "bump:1,2", "'f'"),
     ("mesh", ",", "'mesh' is empty"),
     ("plot", "maybe", "'plot'"),
+    ("delta", "5", "'delta' must lie in (0, 1)"),
+    ("q_star", "0.5", "'q_star' must exceed 1"),
 ]
 
 

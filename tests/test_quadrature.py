@@ -247,7 +247,7 @@ class TestGaussLaguerre:
     def test_integral_of_singular_power(self):
         # int_0^1 t^(-1/2) dt = 2; with k = 1/2 the factor left against the
         # Laguerre weight is constant, whatever the blowup at zero
-        val = _laguerre_integral(lambda t, **_: t ** -0.5, np.array([1.0]), 0.5)
+        val = _laguerre_integral(lambda t: t ** -0.5, np.array([1.0]), 0.5)
         assert val[0] == pytest.approx(2.0, rel=1e-14)
 
 

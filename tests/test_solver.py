@@ -17,7 +17,6 @@ from fglap.solver import (
     ProblemData,
     barrier_check,
     boundary_energy_report,
-    fixed_point_S,
     holder_exponent_fit,
     monotone_scheme,
     solve_auxiliary,
@@ -25,6 +24,7 @@ from fglap.solver import (
 from fglap.young import LogTypeYoung, PowerYoung
 
 from conftest import stalled_matrix
+from oracles import fixed_point_S
 
 
 @pytest.fixture(scope="module")

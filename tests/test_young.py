@@ -129,9 +129,8 @@ def test_log_type_factored_sums_match_the_base_rule(abc):
     aliased = t.copy()
     assert yf._G_pos(aliased, out=aliased) is aliased
     assert np.array_equal(aliased, yf._G_pos(t))
-    aliased = -t
-    assert yf.G(aliased, out=aliased) is aliased
-    assert np.array_equal(aliased, yf._G_pos(t))
+    # G's even extension evaluates the same kernel in place over |t|
+    assert np.array_equal(yf.G(-t), yf._G_pos(t))
 
 
 def test_log_type_with_b_one_has_a_conjugate():
@@ -392,8 +391,9 @@ KERNEL_FAMILIES = [PowerYoung(4.0), PowerYoung(2.5), DoublePowerYoung(3.0, 4.0),
 
 
 class TestKernels:
-    """g(t) = t gamma(|t|) and g', with and without caller storage, against
-    the closed forms: zero, both signs, scalars, and overflow."""
+    """g(t) = t gamma(|t|) and g' against the closed forms: zero, both
+    signs, scalars, and overflow; and the array kernels into caller
+    storage."""
 
     # normal results in every family above, then values that overflow
     T = np.concatenate([[0.0], np.logspace(-40.0, 40.0, 161),
@@ -411,13 +411,15 @@ class TestKernels:
 
     @pytest.mark.parametrize("yf", KERNEL_FAMILIES, ids=lambda yf: yf.label)
     def test_out_and_work_give_the_same_bits(self, yf):
-        for fn in (yf.g, yf.g_prime):
-            want = fn(self.T)
+        # the kernels the far-pair passes call on their buffers
+        for public, kernel in ((yf.g, yf._g_pos), (yf.g_prime, yf._g_prime_pos)):
+            want = public(self.T)
+            assert np.array_equal(kernel(self.T), want)
             out, work = np.full_like(self.T, np.nan), np.full_like(self.T, np.nan)
-            assert fn(self.T, out=out) is out
+            assert kernel(self.T, out=out) is out
             assert np.array_equal(out, want)
             out[:] = np.nan
-            assert fn(self.T, out=out, work=work) is out
+            assert kernel(self.T, out=out, work=work) is out
             assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("yf", KERNEL_FAMILIES, ids=lambda yf: yf.label)
@@ -434,11 +436,16 @@ class TestKernels:
         # g overflows in every family here, g' only in the steeper ones
         g = yf.g(self.HUGE)
         assert np.array_equal(g, np.sign(self.HUGE) * np.inf)
-        out = np.empty(self.HUGE.shape)
-        assert np.array_equal(yf.g(self.HUGE, out=out), g)
         gp = yf.g_prime(self.HUGE)
         assert not np.isnan(gp).any()
         np.testing.assert_allclose(gp, _g_ref(yf, self.HUGE)[1], rtol=2e-15, atol=0.0)
+        # the kernels into caller storage, under the far-pair passes' errstate
+        out, work = np.empty(self.HUGE.shape), np.empty(self.HUGE.shape)
+        with np.errstate(over="ignore"):
+            assert yf._g_pos(self.HUGE, out, work) is out
+            assert np.array_equal(out, g)
+            assert yf._g_prime_pos(self.HUGE, out, work) is out
+            assert np.array_equal(out, gp)
 
     @pytest.mark.parametrize("abc", [(1.5, 1.0, 3.0), (1.2, 1.0, 1e10)])
     def test_log_type_g_prime_where_c_t_overflows(self, abc):
@@ -451,7 +458,9 @@ class TestKernels:
                 assert yf.g_prime(float(t)) == np.inf
             assert np.array_equal(yf.g_prime(huge), np.full(4, np.inf))
             out, work = np.empty(4), np.empty(4)
-            assert np.array_equal(yf.g_prime(huge, out=out, work=work), np.full(4, np.inf))
+            with np.errstate(over="ignore"):
+                assert yf._g_prime_pos(huge, out, work) is out
+            assert np.array_equal(out, np.full(4, np.inf))
 
 
 class TestAbsPower:
@@ -505,16 +514,16 @@ CLOSED_G = {"power4": lambda a: a ** 4.0 / 4.0,
 
 @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
 def test_G_into_reused_storage(name, request):
-    # G into storage the caller hands in, or in place over |t| as the
-    # far-pair energy evaluates it in its buffer: the values are the
-    # allocating call's, and the closed forms keep their operation order
+    # the kernel G into storage the caller hands in, or in place over |t|
+    # as the far-pair energy evaluates it in its buffer: the values are the
+    # public call's, and the closed forms keep their operation order
     yf = request.getfixturevalue(name)
     t = np.linspace(-3.0, 3.0, 2 * 257).reshape(2, 257)
     out, work = np.empty(t.shape), np.empty(t.shape)
-    got = yf.G(t, out=out, work=work)
+    mag = np.abs(t)
+    got = yf._G_pos(mag, out, work)
     assert got is out
     assert np.array_equal(got, yf.G(t))
-    mag = np.abs(t)
     assert yf._G_pos(mag, mag, work) is mag
     assert np.array_equal(mag, got)
     if name in CLOSED_G:
