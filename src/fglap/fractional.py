@@ -24,12 +24,11 @@ scratches of `orlicz.FAR_BLOCK_BYTES` each. Every far-pair pass runs
 over the buffer's rows in blocks (`_FarPairBuffers.blocks`), so that a
 block's Young values and their scratch stay in cache: `residual` writes
 du into the buffer block by block and sums g(du) kr per row in a
-scratch, and `assemble_matrix` evaluates g'(du) of a block over du, or
-in a scratch for a family whose kernel cannot write over its argument
-(`YoungFunction.g_prime_in_place`), and writes g'(du) kj over that block
-of du. The Jacobian is returned as a view of the one buffer. Rows are
-independent, so the blocks change no row's value. ds, kr and kj are
-read-only views, so no evaluation allocates an m x m array.
+scratch, and `assemble_matrix` evaluates g'(du) of a block in a scratch
+and writes g'(du) kj over that block of du. The Jacobian is returned as
+a view of the one buffer. Rows are independent, so the blocks change no
+row's value. ds, kr and kj are read-only views, so no evaluation
+allocates an m x m array.
 
 The local terms are the `Discretization`'s list of local points.
 `_local_G` is their one G pass, and `_local_sums` sums each argument's
@@ -226,8 +225,8 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
         for block, du, vals, work in _FAR.blocks(k):
             if not reuse:
                 disc.quotients(uv, du, block.start)
-            gp = yf._g_prime_pos(du, du if yf.g_prime_in_place else vals, work)
-            np.multiply(gp, disc.kj[block], out=du)
+            np.multiply(yf._g_prime_pos(du, vals, work), disc.kj[block],
+                        out=du)
             np.add.reduce(_halve_boundary(du), 1, out=row[block])
     np.negative(row, out=row)
     jac = pair[rows, 1:-1]
@@ -320,24 +319,19 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
     # first cell on each side: difference is exactly linear in tau there
     slopes = np.diff(uv) / h
     sig_l = slopes[interior - 1]    # u(x_i) - u(x_i - tau) = sig_l tau
-    sig_r = -slopes[interior]       # u(x_i) - u(x_i + tau) = -sig_r_raw tau
+    sig_r = -slopes[interior]       # u(x_i) - u(x_i + tau) = sig_r tau
     out = (_first_cell_integral(cfg, sig_l, h)
            + _first_cell_integral(cfg, sig_r, h))
 
-    # beyond the first cell: midpoint cells tile (h, distance to each
-    # endpoint) exactly; midpoint values of a hat-interpolant are averages
+    # beyond the first cells: midpoint cells tile the rest of (-1, 1)
+    # exactly; midpoint values of a hat-interpolant are averages. Cell c
+    # lies at tau = |i - c - 1/2| h from node i, and the two cells beside
+    # the node, at h / 2, are the first cells
     mids = 0.5 * (uv[:-1] + uv[1:])
-    ks = np.arange(1, m - 1)
-    tau_k = (ks + 0.5) * h
-    kern = tau_k ** (-1.0 - s)
-    ui = uv[interior][:, None]
-    for sgn, count in ((-1, interior), (1, (m - 1) - interior)):
-        live = ks[None, :] <= (count - 1)[:, None]
-        cell_idx = np.clip(interior[:, None] + sgn * (1 + ks[None, :])
-                           + (0 if sgn < 0 else -1), 0, m - 2)
-        diff = ui - mids[cell_idx]
-        vals = yf.g(diff / tau_k[None, :] ** s) * kern[None, :] * h
-        out += np.sum(vals * live, axis=1)
+    tau = np.abs(interior[:, None] - np.arange(m - 1) - 0.5) * h
+    vals = (yf.g((uv[interior][:, None] - mids) / tau ** s)
+            * tau ** (-1.0 - s) * h)
+    out += np.sum(vals, axis=1, where=tau > h)
 
     # exterior strips, closed form: the weak side's node sums with the
     # slopes zeroed, over their factor 2 w_i (both ordered pairs, and the

@@ -522,10 +522,8 @@ def holder_exponent_fit(u: GridFunction) -> tuple[float, float]:
     if vals.size < 3:
         return 1.0, 0.0
     h = u.mesh.h
-    width = (vals.size - 1) * h
-    k_max = max(int(np.floor(0.5 * width / h)), 1)
     ds, env = [], []
-    for k in range(1, k_max + 1):
+    for k in range(1, (vals.size - 1) // 2 + 1):
         e = float(np.max(np.abs(vals[k:] - vals[:-k])))
         if e > 0.0:
             ds.append(k * h)

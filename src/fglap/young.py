@@ -146,16 +146,15 @@ class YoungFunction:
     """Base class: odd derivative g, even primitive G, growth window.
 
     Each family class names its constructor's arguments, in order, in
-    ``params``. Subclasses implement ``_gamma_abs`` and ``_g_prime_pos``,
-    which write gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated
-    when None), using ``work`` as scratch, and may override ``_G_pos``
+    ``params``, and itself with their values in ``label``. Subclasses
+    implement ``_gamma_abs`` and ``_g_prime_pos``, which write
+    gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated when
+    None), using ``work`` as scratch, and may override ``_G_pos``
     (which takes ``out`` and ``work`` the same way) and ``_lambda_pos`` with
     closed forms or cheaper sums on the same rule; otherwise both come from
     the Gauss-Laguerre rule ``_laguerre_integral`` over ``_g_pos``,
     g(t) = t gamma(|t|). The public methods apply the odd/even extensions
-    and handle scalar passthrough. A family whose ``_g_prime_pos`` may
-    write over its argument (``out`` is t) sets ``g_prime_in_place``, and
-    the far-pair assembly in `fractional` then evaluates g' there.
+    and handle scalar passthrough.
 
     ``window`` is the growth window the constructor verified against
     ``growth``, its one sample of 1 + t g'/g, and every inverse and Laguerre
@@ -166,7 +165,6 @@ class YoungFunction:
     """
 
     family_tag = "abstract"
-    g_prime_in_place = False
 
     def __init__(self, p_minus: float, p_plus: float):
         if not (p_minus > 2.0):
@@ -184,11 +182,6 @@ class YoungFunction:
                 f"{self.p_plus:g}] (observed [{self.growth.p_minus_hat:.6g}, "
                 f"{self.growth.p_plus_hat:.6g}])")
         self.window = (self.p_minus, self.p_plus)
-
-    @property
-    def label(self) -> str:
-        """Family tag plus parameters, for reports and CSV rows."""
-        return self.family_tag
 
     # -- kernels on arrays, no scalar or overflow handling ----------------
 
@@ -265,7 +258,6 @@ class PowerYoung(YoungFunction):
 
     family_tag = "power"
     params = ("p",)
-    g_prime_in_place = True
 
     def __init__(self, p: float):
         self.p = float(p)
@@ -297,7 +289,6 @@ class DoublePowerYoung(YoungFunction):
 
     family_tag = "double-power"
     params = ("p1", "p2")
-    g_prime_in_place = True
 
     def __init__(self, p1: float, p2: float):
         if p2 < p1:

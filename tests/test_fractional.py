@@ -125,6 +125,34 @@ class TestStrongForm:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("name", ["power4", "dp34", "log221"])
+    def test_matches_the_cell_loop(self, name, request):
+        # per interior node: the two first cells from _first_cell_integral,
+        # the midpoint rule on every other cell of (-1, 1), and the
+        # exterior strips in closed form, int_d^inf g(u tau^(-s))
+        # tau^(-1-s) dtau = G(u d^(-s)) / (s u) for d = 1 -/+ x_i
+        yf = request.getfixturevalue(name)
+        s = 0.3
+        cfg = OperatorConfig(young=yf, s=s)
+        mesh = Mesh(17)
+        x, h = mesh.nodes, mesh.h
+        u = (1.0 - x ** 2) * (0.3 + np.sin(5.0 * x))
+        want = []
+        for i in range(1, mesh.m - 1):
+            sigma = np.array([u[i] - u[i - 1], u[i] - u[i + 1]]) / h
+            total = float(np.sum(fractional._first_cell_integral(cfg, sigma, h)))
+            for c in range(mesh.m - 1):
+                if c in (i - 1, i):
+                    continue
+                tau = abs(i - c - 0.5) * h
+                diff = u[i] - 0.5 * (u[c] + u[c + 1])
+                total += h * yf.g(diff / tau ** s) * tau ** (-1.0 - s)
+            for d in (1.0 + x[i], 1.0 - x[i]):
+                total += yf.G(u[i] * d ** -s) / (s * u[i])
+            want.append(total)
+        got = apply_interior(cfg, GridFunction(mesh, u))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     @pytest.mark.xfail(reason="observed Richardson ratio approaches 4 from "
                               "above at every mesh triple", strict=True)
     def test_richardson_ratio_bracket(self, power4):

@@ -943,10 +943,12 @@ class TestDiagnostics:
                     for u in report.solutions]
         assert modular == [solver.modular_W(cfg, c) for c in carriers]
 
-    @pytest.mark.parametrize("m", [65, 129, 257, 513, 1025])
+    @pytest.mark.parametrize("m", [65, 129, 257, 373, 513, 1025])
     @pytest.mark.parametrize("profile", ["sqrt", "linear", "shifted"])
     def test_holder_slope_is_the_least_squares_line(self, m, profile):
-        # the closed-form slope against np.polyfit on the same envelope
+        # the closed-form slope against np.polyfit on the same envelope;
+        # m = 373 is the first mesh size at which a window of distances
+        # computed in floats, 0.5 (n - 1) h / h, loses its last distance
         mesh = Mesh(m)
         x = mesh.nodes
         vals = {"sqrt": np.sqrt(np.abs(x)), "linear": np.abs(x),
