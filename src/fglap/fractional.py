@@ -17,8 +17,9 @@ trapezoid weight of the end nodes, so the columns of nodes 0 and m - 1
 are halved (`orlicz._halve_boundary`) before the rows are summed. The
 weak form is the residual paired with the test function's nodal values.
 
-The far terms are m x m arrays, evaluated in the far-pair buffers
-`orlicz._FAR`, per thread and of one mesh size at a time, which the
+Except on the FFT path below, the far terms are m x m arrays, evaluated
+in the far-pair buffers `orlicz._FAR`, per thread and of one mesh size
+at a time, which the
 energy in `orlicz` shares: one reused m x m buffer and two row-block
 scratches of `orlicz.FAR_BLOCK_BYTES` each. Every far-pair pass runs
 over the buffer's rows in blocks (`_FarPairBuffers.blocks`), so that a
@@ -47,13 +48,30 @@ subtracts its load from the recorded rows. Every `take` of the buffers
 clears the record, so it never outlives the quotients it describes, and
 since it keys on values, a caller may edit u in place between the calls.
 
+For g(t) = t^3 (power 4, the family of most shipped configs) at
+s <= 1/2 on meshes of at least 257 nodes, every far sum is a few products
+with one symmetric Toeplitz matrix, each one FFT (`orlicz.ToeplitzFar`):
+there `residual` expands the cube (`_toeplitz_rows`), the energy the
+fourth power, and the Newton step never forms J but takes products with
+it from a `JacobianProduct`; nothing there is an m x m array, and
+`_FAR` is released, not taken. That is where every Newton system of the
+mesh goes to conjugate gradients, so no factorization needs the matrix
+(the gate is `orlicz.OperatorConfig.toeplitz_far`). One full residual
+at m = 4097 takes about 2 to 6 ms there against 80 ms in the buffers,
+whose 8 m^2 bytes are 134 MB at that size. Its far rows sit within 1e-12 of
+the dense ones, relative to their largest entry (`orlicz.FFT_BAND`). Its
+record, ``_FAR.spectral``, does for it what ``_FAR.last`` does for the
+buffers, and also hands C u and C u^2 to the `JacobianProduct` at the
+same values.
+
 Even data on an odd mesh need only the rows of the nodes up to the centre
 c = (m - 1) / 2, because the operator commutes with x -> -x: `residual`
 and `assemble_matrix` take ``even=True`` for that, and `fold` reduces the
 Jacobian's rows to the c half unknowns.
 
 The Newton solver in `solver` solves for its direction in the returned
-buffer view: by conjugate gradients, which need only products with the
+buffer view, or with the `JacobianProduct`: by conjugate gradients,
+which need only products with the
 matrix and its diagonal, to a tolerance that shrinks with the Newton
 residual, on systems of at least 128 unknowns at s <= 1/2, and by
 LAPACK's LU otherwise. The Jacobian is symmetric, and so is the
@@ -70,10 +88,11 @@ slopes zeroed.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DomainError
 from .orlicz import (_FAR, Discretization, GridFunction, OperatorConfig,
-                     _halve_boundary, _require_zero_boundary)
+                     ToeplitzFar, _halve_boundary, _require_zero_boundary)
 from .young import YoungFunction, _laguerre_integral
 
 
@@ -121,6 +140,12 @@ def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     return float(v.values @ residual(cfg, u, np.zeros(u.mesh.m)).values)
 
 
+def diagonal_view(a: np.ndarray) -> np.ndarray:
+    """The entries a[i, i], i < len(a), of a 2-D array with at least as
+    many columns as rows, as a writable view."""
+    return as_strided(a, (len(a),), (a.strides[0] + a.strides[1],))
+
+
 def mirror(half: np.ndarray) -> np.ndarray:
     """The even extension of values at the nodes up to the centre:
     ``half`` followed by its reverse without the centre entry."""
@@ -138,8 +163,9 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
     Boundary entries are pinned to zero. It leaves the record
-    ``_FAR.last`` for `assemble_matrix` at the same u, and for itself:
-    called again under this config at u's values with the same rows, it
+    ``_FAR.last`` for `assemble_matrix` at the same u (on the FFT path
+    ``_FAR.spectral``, for `JacobianProduct`), and for itself: called
+    again under this config at u's values with the same rows, it
     subtracts the new load from the recorded unloaded rows, bit for bit
     what a fresh evaluation gives, and touches neither the far-pair
     buffers nor the record.
@@ -154,22 +180,27 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
     uv = u.values
     k = _rows(mesh.m, even)
     inner = slice(1, min(k, mesh.m - 1))
-    last = _FAR.last
+    toe = cfg.toeplitz_far(mesh.m)
+    last = _FAR.last if toe is None else _FAR.spectral
     if (last is not None and last[0] == cfg and last[2] == k
             and np.array_equal(last[1], uv)):
         r = last[4].copy()
     else:
         disc = cfg.discretization(mesh.m)
         yf = cfg.young
-        # the quotients stay in the buffer, g(du) kr lives in a scratch
-        _FAR.take(disc.kr.shape)
-        r = np.empty(k)
-        with np.errstate(over="ignore"):
-            for block, du, vals, work in _FAR.blocks(k):
-                yf._g_pos(disc.quotients(uv, du, block.start), vals, work)
-                vals *= disc.kr[block]
-                np.add.reduce(_halve_boundary(vals), 1, out=r[block])
-        r *= 2.0
+        r = np.zeros(k)
+        if toe is not None:
+            _FAR.release()
+            r[inner], cu = _toeplitz_rows(toe, uv, inner)
+        else:
+            # the quotients stay in the buffer, g(du) kr lives in a scratch
+            _FAR.take(disc.kr.shape)
+            with np.errstate(over="ignore"):
+                for block, du, vals, work in _FAR.blocks(k):
+                    yf._g_pos(disc.quotients(uv, du, block.start), vals, work)
+                    vals *= disc.kr[block]
+                    np.add.reduce(_halve_boundary(vals), 1, out=r[block])
+            r *= 2.0
 
         # the local sums per slope, scattered onto nodes by differencing
         # (slope i is (u_(i+1) - u_i) / h), then per interior node
@@ -180,12 +211,39 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
         r[1:] += cell[:k - 1]
         r[:inner.stop] -= cell[:inner.stop]
         r[inner] += sums[mesh.m - 1:][:inner.stop - 1]
-        _FAR.last = (cfg, uv.copy(), k, G, r.copy())
+        record = (cfg, uv.copy(), k, G, r.copy())
+        if toe is None:
+            _FAR.last = record
+        else:
+            _FAR.spectral = record + (cu,)
     r[inner] -= mesh.weights[inner] * rhs[inner]
     if even:
         r = mirror(r)
     r[0] = r[-1] = 0.0
     return GridFunction(mesh, r)
+
+
+def _toeplitz_rows(toe: ToeplitzFar, uv: np.ndarray,
+                   rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The far sums 2 sum_j c h_j (u_i - u_j)^3 of the interior nodes i in
+    ``rows`` on the FFT path: 2 [u^3 C h - 3 u^2 C u + 3 u C u^2 - C u^3]
+    beyond the near diagonals, and on them the differences cubed. Also
+    C u and C u^2 at every interior node, which `JacobianProduct` reuses."""
+    u = uv[1:-1]
+    pw = np.empty((3, u.size))
+    np.multiply(u, u, out=pw[1])
+    np.multiply(pw[1], u, out=pw[2])
+    pw[0] = u
+    products = toe.products(pw)
+    lo, hi = rows.start - 1, rows.stop - 1
+    u, pw, cu = u[lo:hi], pw[:, lo:hi], products[:, lo:hi]
+    far = pw[2] * toe.ch[lo:hi]
+    far -= 3.0 * pw[1] * cu[0]
+    far += 3.0 * u * cu[1]
+    far -= cu[2]
+    far += np.vecdot(toe.near_terms(uv, rows, 3), toe.near)
+    far *= 2.0
+    return far, products[:2]
 
 
 def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
@@ -243,6 +301,115 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     jac.flat[1::n + 1] -= cp[1:min(count, n - 1) + 1]
     jac.flat[n::n + 1] -= cp[1:count]
     return jac
+
+
+class JacobianProduct:
+    """The residual Jacobian at u on the FFT path (`orlicz.ToeplitzFar`) as
+    the product and diagonal that conjugate gradients take, with no m x m
+    array. Its unknowns are the interior nodes, or with ``even`` those up
+    to the centre c = (m - 1) / 2, where it stands for the symmetric
+    D fold(J) = E^T J E of `fold`: ``jac @ v`` is D times the rows up to
+    the centre of J mirror(v), and `diagonal` is D times J's diagonal
+    there, since the mirror entries vanish for even u.
+
+    The far terms off the diagonal are -6 c h_j (u_i - u_j)^2: by FFT,
+    -6 [u^2 C v - 2 u C (u v) + C (u^2 v)] beyond the near diagonals, and
+    on them one banded product over the offsets of ``ToeplitzFar.near``,
+    which also holds the local tridiagonal and, in its centre column,
+    ``diag``: J's diagonal on those rows, which the caller may shift
+    (`solver._newton` adds its load derivative and Levenberg shift there)
+    before the first product. `dense` assembles the same matrix for a
+    factorization."""
+
+    def __init__(self, cfg: OperatorConfig, u: GridFunction, toe: ToeplitzFar,
+                 even: bool):
+        mesh = u.mesh
+        uv = u.values
+        m = mesh.m
+        k = (m - 1) // 2 if even else m - 2
+        rows = slice(1, k + 1)
+        self.cfg, self.u, self.even, self.toe = cfg, u, even, toe
+        inner = uv[1:-1]
+        disc = cfg.discretization(m)
+        x = disc.local_args(uv)
+        # right after a `residual` at u's values, its record holds G and
+        # C u, C u^2 at every interior node
+        last = _FAR.spectral
+        if last is not None and last[0] == cfg and np.array_equal(last[1], uv):
+            G, cu = last[3], last[5][:, :k]
+        else:
+            G = _local_G(cfg.young, disc, x)
+            cu = toe.products(np.stack((inner, inner * inner)))[:, :k]
+        lead, sq = inner[:k], inner[:k] * inner[:k]
+        # C (u v) is weighed by 12 u on the rows, C (u^2 v) by -6 before the
+        # product, which `__matmul__` forms from these
+        self._coef = np.stack((-6.0 * sq, 12.0 * lead))
+        self._powers = np.stack((inner, -6.0 * inner * inner))
+        # the near diagonals and, in their centre column, the far diagonal
+        # 6 sum_j c h_j (u_i - u_j)^2 and the local terms, as
+        # `assemble_matrix` adds them
+        band = toe.near_terms(uv, rows, 2)
+        far = 6.0 * (sq * toe.ch[:k] - 2.0 * lead * cu[0] + cu[1]
+                     + np.vecdot(band, toe.near))
+        band *= -6.0 * toe.near
+        reach = band.shape[1] // 2
+        diag = band[:, reach]
+        diag[:] = far
+        sums = _local_sums(cfg.young, disc, x, G, newton=True)
+        cp = sums[:m - 1] / mesh.h ** 2
+        diag += cp[1:k + 1]
+        diag += cp[:k]
+        diag += sums[m - 1:][:k]
+        band[:, reach + 1] -= cp[1:k + 1]
+        band[:, reach - 1] -= cp[:k]
+        self.diag = diag
+        self._band = band
+        # the product's operands, with the near diagonals' zero margins, and
+        # the FFT's arrays
+        self._x = np.zeros((3, m - 2 + 2 * reach))
+        self._inner = self._x[:, reach:-reach]
+        self._window = toe.windows(self._x[0])[:k]
+        self._fft = (np.empty((3, toe.size // 2 + 1), complex),
+                     np.empty((3, toe.size)))
+
+    def diagonal(self) -> np.ndarray:
+        if not self.even:
+            return self.diag
+        out = 2.0 * self.diag
+        out[-1] = self.diag[-1]
+        return out
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        w = mirror(v) if self.even else v
+        x = self._inner
+        x[0] = w
+        np.multiply(self._powers, w, out=x[1:])
+        cv = self.toe.products(x, out=self._fft)[:, :self.diag.size]
+        out = np.multiply(self._coef, cv[:2]).sum(0)
+        out += cv[2]
+        out += np.vecdot(self._band, self._window)
+        if self.even:
+            out[:-1] *= 2.0
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The same matrix assembled, for a factorization: `assemble_matrix`
+        at u, folded with ``even``, with ``diag`` as its diagonal and, with
+        ``even``, the rows below the centre doubled."""
+        jac = assemble_matrix(self.cfg, self.u, even=self.even)
+        a = fold(jac) if self.even else jac
+        diagonal_view(a)[:] = self.diag
+        if self.even:
+            a[:-1] *= 2.0
+        return a
+
+
+def jacobian_product(cfg: OperatorConfig, u: GridFunction, *,
+                     even: bool = False) -> JacobianProduct | None:
+    """The Jacobian at u as a `JacobianProduct` where the far pairs go by
+    FFT (`orlicz.OperatorConfig.toeplitz_far`), None elsewhere."""
+    toe = cfg.toeplitz_far(u.mesh.m)
+    return None if toe is None else JacobianProduct(cfg, u, toe, even)
 
 
 def fold(block: np.ndarray) -> np.ndarray:

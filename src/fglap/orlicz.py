@@ -13,20 +13,30 @@ residual, Jacobian and weak form in `fractional` do, so that the weak
 form is the exact gradient of the modular energy. The Luxemburg gauge
 inverts the modular along u's ray with the growth-window inverter of
 `quadrature`.
+
+For power 4, g(t) = t^3, at s <= CG_MAX_S on meshes of at least 257
+nodes the far terms take no buffer: `ToeplitzFar` expands the powers of
+u_i - u_j into products with one Toeplitz matrix, each one FFT, and sums
+the nearest diagonals directly, so the energy, the residual and the
+Newton products cost O(m log m) time and O(m) memory where the buffers
+take 8 m^2 bytes (2.1 GB at m = 16385). There every Newton system goes
+to conjugate gradients, which need only products, so no matrix is ever
+formed (see `OperatorConfig.toeplitz_far`). Its far energy is summed in
+long double, since the expansion cancels up to 2e4-fold.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DomainError
 from .quadrature import LEGENDRE_8_NODES, LEGENDRE_8_WEIGHTS, invert_monotone
-from .young import YoungFunction
+from .young import PowerYoung, YoungFunction
 
 # sup-norm gap to its mirror image below which a grid function counts as even
 EVEN_TOL = 1e-9
@@ -41,6 +51,25 @@ EVEN_TOL = 1e-9
 # of calls.
 FAR_BLOCK_BYTES = 384 * 1024
 
+# `solver` solves a Newton system of at least CG_MIN_UNKNOWNS unknowns at an
+# order s of at most CG_MAX_S by conjugate gradients, which need only
+# products with the matrix. The power-4 far pairs go by FFT (`ToeplitzFar`)
+# exactly where every Newton system of the mesh does: s <= CG_MAX_S and
+# (m - 1) // 2 >= CG_MIN_UNKNOWNS, that is m >= 257, so that no Newton
+# matrix is formed there.
+CG_MIN_UNKNOWNS = 128
+CG_MAX_S = 0.5
+
+# Offsets d = 2 ... FFT_BAND of the FFT path's far pairs are summed
+# directly, in the difference form c_d (u_i - u_(i+d))^k, and only the
+# kernel beyond them goes by FFT: the FFT expands the power, whose terms
+# cancel most where c_d is largest. The residual's largest gap to the
+# dense sum, relative to its largest entry, over m = 257, 1025, 4097 and
+# s = 0.1, 0.3, 0.5 (`scripts/fft_band_sweep.py`), is at m = 4097,
+# s = 1/2: 1.1e-10 with no band, 3.6e-12 at 8, 1.1e-12 at 16, 7.2e-13 at
+# 20 and 3.5e-13 at 24. The band's work grows with its width.
+FFT_BAND = 20
+
 
 class _FarPairBuffers(threading.local):
     """The far-pair buffers that `fractional` describes, per thread and of
@@ -48,13 +77,16 @@ class _FarPairBuffers(threading.local):
     two row-block scratches of FAR_BLOCK_BYTES each, and ``last``, the
     record of the residual whose quotients the buffer holds (see
     `fractional`). Every `take` clears the record, since the buffer is
-    then overwritten."""
+    then overwritten. ``spectral`` is the record of the last residual on
+    the FFT path (`ToeplitzFar`), which holds no buffer: an evaluation
+    there `release`s them."""
 
     shape = None
     buffer = None
     scratch = ()
     views = None
     last = None
+    spectral = None
 
     def take(self, shape: tuple[int, int]) -> np.ndarray:
         if shape != self.shape:
@@ -68,6 +100,12 @@ class _FarPairBuffers(threading.local):
             self.shape = shape
         self.last = None
         return self.buffer
+
+    def release(self) -> None:
+        """Drop the buffers and the record: a mesh whose far pairs go by
+        FFT holds none."""
+        self.shape = self.buffer = self.views = self.last = None
+        self.scratch = ()
 
     def blocks(self, k: int) -> list:
         """The first k rows of the buffer in as few blocks of equal height
@@ -261,6 +299,17 @@ class OperatorConfig:
         (m, s) and keeps no Young family alive."""
         return _discretization(m, self.s)
 
+    def toeplitz_far(self, m: int) -> "ToeplitzFar | None":
+        """The far pairs of the m-node mesh by FFT where that path serves:
+        g(t) = t^3 (power 4), s <= CG_MAX_S and (m - 1) // 2 >=
+        CG_MIN_UNKNOWNS. None elsewhere, where they run in the buffers
+        `_FAR`. Cached on (m, s) like the discretization."""
+        yf = self.young
+        if (isinstance(yf, PowerYoung) and yf.p == 4.0 and self.s <= CG_MAX_S
+                and (m - 1) // 2 >= CG_MIN_UNKNOWNS):
+            return _toeplitz_far(m, self.s)
+        return None
+
 
 @lru_cache(maxsize=32)
 def _discretization(m: int, s: float) -> Discretization:
@@ -295,6 +344,134 @@ def _discretization(m: int, s: float) -> Discretization:
     return Discretization(mesh.h, _toeplitz(ds), _toeplitz(kr),
                           _toeplitz(-2.0 * kr / ds),
                           *map(_frozen, (loc_arg, loc_r, loc_w)), band_arg.size)
+
+
+@dataclass(frozen=True, eq=False)
+class ToeplitzFar:
+    """The far pairs of g(t) = t^3 on one mesh as products with one
+    symmetric Toeplitz matrix. With c_d = kr_d / ds_d^3 (0 for d <= 1)
+    every far term is c_|i-j| h_j (u_i - u_j)^k, h_j the end-node halving,
+    so expanding the power leaves sums of c against powers of u. Only the
+    kernel beyond the near diagonals, C with ``kernel`` c_d for
+    d > FFT_BAND, goes that way: `products` applies C to interior values
+    by one batched real FFT of length ``size``, a power of two of at least
+    2 (m - 2) - 1, on the circulant embedding (Chan and Ng, SIAM Rev. 38,
+    1996), whose spectrum is real: ``spectrum`` holds each of its values
+    twice, for the real and imaginary parts of a complex entry, which
+    multiplies the complex spectrum of x in one real pass. ``ch`` is C h at the
+    interior nodes. The near diagonals 2 <= |d| <= FFT_BAND are summed
+    directly (`near_terms`): ``near`` holds c_|d| over the offsets
+    d = -FFT_BAND ... FFT_BAND, zero for |d| <= 1, and ``halving`` the
+    weights h_j padded with FFT_BAND zeros at each end. Nothing here is an
+    m x m array, and `numpy.fft` is imported only when one is built.
+
+    The energy's expansion cancels far more than the residual's rows: its
+    terms are up to 2e4 times its value at m = 4097, s = 1/2. So
+    `energy` runs in long double, on a spectrum and a C h of its own that
+    its first call builds."""
+
+    size: int
+    kernel: np.ndarray
+    spectrum: np.ndarray
+    ch: np.ndarray
+    near: np.ndarray
+    halving: np.ndarray
+
+    def products(self, x: np.ndarray, spectrum: np.ndarray | None = None,
+                 out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """C applied to each row of x, the values at the m - 2 interior
+        nodes, in the precision of x and ``spectrum`` (by default
+        ``spectrum``). ``out``, arrays for the complex spectrum of x and
+        for the circular products, spares allocating them."""
+        spec, circ = (None, None) if out is None else out
+        spec = np.fft.rfft(x, self.size, out=spec)
+        view = spec.view(x.dtype)
+        np.multiply(view, self.spectrum if spectrum is None else spectrum, out=view)
+        return np.fft.irfft(spec, self.size, out=circ)[..., :x.shape[-1]]
+
+    def windows(self, pad: np.ndarray) -> np.ndarray:
+        """The rows pad[i : i + 2 FFT_BAND + 1] of a vector padded with
+        FFT_BAND entries at each end, as one strided view that shares
+        pad's memory: row i holds the values at the offsets of ``near``
+        from entry i of the unpadded vector. It is made in about a
+        microsecond, a tenth of what `sliding_window_view` takes."""
+        step = pad.strides[0]
+        return np.ndarray((pad.size - self.near.size + 1, self.near.size),
+                          pad.dtype, pad, strides=(step, step))
+
+    def near_terms(self, uv: np.ndarray, rows: slice, power: int) -> np.ndarray:
+        """h_(i+d) (u_i - u_(i+d))^power, power 2, 3 or 4, for the nodes i
+        of ``rows`` and the offsets d of ``near``, zero off the mesh, from
+        nodal values ``uv``: one row per node and one column per offset,
+        for ``near`` to weigh (`np.vecdot` sums a row against it)."""
+        reach = self.near.size // 2
+        pad = np.zeros(uv.size + 2 * reach)
+        pad[reach:-reach] = uv
+        diff = uv[rows, None] - self.windows(pad)[rows]
+        out = diff * diff
+        if power == 3:
+            out *= diff
+        elif power == 4:
+            out *= out
+        out *= self.windows(self.halving)[rows]
+        return out
+
+    @cached_property
+    def _wide(self) -> tuple[np.ndarray, np.ndarray]:
+        return _embedding(self.kernel.astype(np.longdouble), self.size)
+
+    def energy(self, uv: np.ndarray) -> float:
+        """The far part of the modular, the sum over ordered pairs of
+        G(du) kr ds h_i h_j = c h_i h_j (u_i - u_j)^4 / 4, for nodal values
+        uv vanishing at both ends: beyond the near diagonals, in long
+        double, 1/2 sum u^4 C h - 2 sum u^3 C u + 3/2 sum u^2 C u^2 over
+        the interior; on them, the differences to the fourth."""
+        spectrum, ch = self._wide
+        u = uv[1:-1].astype(np.longdouble)
+        sq = u * u
+        cu = self.products(np.stack((u, sq)), spectrum)
+        far = 0.5 * (sq @ (sq * ch)) - 2.0 * ((sq * u) @ cu[0]) + 1.5 * (sq @ cu[1])
+        rows = np.vecdot(self.near_terms(uv, slice(None), 4), self.near)
+        rows[::rows.size - 1] *= 0.5
+        return float(far) + 0.25 * float(rows.sum())
+
+
+def _embedding(kernel: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real spectrum of the circulant embedding of length ``size`` of
+    the Toeplitz matrix c_|i-j| on the m - 2 interior nodes, c = ``kernel``
+    over d = 0 ... m - 1, each value twice (see `ToeplitzFar`), and C h at
+    those nodes, in the kernel's precision."""
+    m = kernel.size
+    n = m - 2
+    # first column c_0 ... c_(n-1), zeros, c_(n-1) ... c_1
+    col = np.zeros(size, kernel.dtype)
+    col[:n] = kernel[:n]
+    col[size - n + 1:] = kernel[n - 1:0:-1]
+    # C h at interior node i: the offsets up to i and up to m - 1 - i, with
+    # the end nodes at half weight. The sum over d <= j is the total less
+    # the tail beyond j, summed from the far end, where c_d is smallest: a
+    # plain cumulative sum loses up to 1e-14 of C h, which the residual's
+    # expansion then magnifies
+    tail = np.append(np.cumsum(kernel[::-1])[::-1], 0.0)
+    head = tail[0] - tail[1:]
+    i = np.arange(1, m - 1)
+    ch = head[i] + head[m - 1 - i] - 0.5 * (kernel[i] + kernel[m - 1 - i])
+    return _frozen(np.repeat(np.fft.rfft(col).real, 2)), _frozen(ch)
+
+
+@lru_cache(maxsize=4)
+def _toeplitz_far(m: int, s: float) -> ToeplitzFar:
+    disc = _discretization(m, s)
+    c = disc.kr[0] / disc.ds[0] ** 3    # c_d for d = 0 ... m - 1
+    far = c.copy()
+    far[:FFT_BAND + 1] = 0.0
+    size = 1 << (2 * m - 6).bit_length()    # at least 2 (m - 2) - 1
+    near = c[np.abs(np.arange(-FFT_BAND, FFT_BAND + 1))]
+    halving = np.zeros(m + 2 * FFT_BAND)
+    halving[FFT_BAND:-FFT_BAND] = 1.0
+    halving[[FFT_BAND, -FFT_BAND - 1]] = 0.5
+    return ToeplitzFar(size, _frozen(far), *_embedding(far, size),
+                       _frozen(near), _frozen(halving))
 
 
 def _require_zero_boundary(u: GridFunction) -> None:
@@ -344,14 +521,19 @@ def modular_W_parts(cfg: OperatorConfig, u: GridFunction) -> dict:
     yf = cfg.young
     v = u.values
 
-    far_mat = _FAR.take(disc.kr.shape)
-    with np.errstate(over="ignore"):
-        for block, vals, work, _ in _FAR.blocks(len(far_mat)):
-            disc.quotients(v, vals, block.start)
-            yf._G_pos(np.abs(vals, out=vals), vals, work)
-            vals *= disc.kr[block]
-            vals *= disc.ds[block]
-    far = float(_halve_boundary(far_mat, rows=True).sum())
+    toe = cfg.toeplitz_far(u.mesh.m)
+    if toe is not None:
+        _FAR.release()
+        far = toe.energy(v)
+    else:
+        far_mat = _FAR.take(disc.kr.shape)
+        with np.errstate(over="ignore"):
+            for block, vals, work, _ in _FAR.blocks(len(far_mat)):
+                disc.quotients(v, vals, block.start)
+                yf._G_pos(np.abs(vals, out=vals), vals, work)
+                vals *= disc.kr[block]
+                vals *= disc.ds[block]
+        far = float(_halve_boundary(far_mat, rows=True).sum())
 
     local = disc.loc_w * yf.lam(np.abs(disc.local_args(v))[disc.loc_arg]
                                 * disc.loc_r)

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, InvariantError
-from .fractional import apply_interior, assemble_matrix, fold, mirror, residual
-from .orlicz import (GridFunction, Mesh, OperatorConfig, luxemburg_seminorm_W,
-                     modular_W)
+from .fractional import (JacobianProduct, apply_interior, assemble_matrix,
+                         diagonal_view, fold, jacobian_product, mirror,
+                         residual)
+from .orlicz import (CG_MAX_S, CG_MIN_UNKNOWNS, GridFunction, Mesh,
+                     OperatorConfig, luxemburg_seminorm_W, modular_W)
 from .quadrature import invert_monotone
 from .young import PhiWeight, submultiplicativity_constant
 
@@ -28,11 +30,10 @@ TOL_MONO = 1e-7
 # Newton steps allowed per solve, auxiliary or stage
 NEWTON_MAX_ITER = 200
 # the Newton direction of a system of at least CG_MIN_UNKNOWNS unknowns at an
-# order s of at most CG_MAX_S comes from `_pcg`, to a relative residual
-# that `_newton` forces to its own residual, clipped to [CG_RTOL,
-# CG_RTOL_MAX]; a smaller system, or one of a higher order, is factorized
-CG_MIN_UNKNOWNS = 128
-CG_MAX_S = 0.5
+# order s of at most CG_MAX_S (both from `orlicz`, whose power-4 FFT path
+# they gate too) comes from `_pcg`, to a relative residual that `_newton`
+# forces to its own residual, clipped to [CG_RTOL, CG_RTOL_MAX]; a smaller
+# system, or one of a higher order, is factorized
 CG_RTOL = 1e-6
 CG_RTOL_MAX = 1e-2
 # the scales alpha at which `barrier_check` evaluates its barrier
@@ -166,17 +167,18 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
     return scale * cone, evaluations
 
 
-def _pcg(a: np.ndarray, b: np.ndarray,
-         rtol: float) -> tuple[np.ndarray | None, int]:
+def _pcg(a, b: np.ndarray, rtol: float) -> tuple[np.ndarray | None, int]:
     """Jacobi-preconditioned conjugate gradients for the symmetric
-    positive definite system a x = b: x and the iterations taken. It starts
-    from x = 0 and stops once ||b - a x||_2 <= rtol ||b||_2. x is None
-    when n // 8 iterations, n the unknowns, do not get there, or on a
-    breakdown: a diagonal entry or p^T a p that is not positive and
-    finite. Each iteration is one product with a. The Jacobi-scaled
-    Newton matrices have condition numbers growing like n^(2s), so CG
-    needs about n^s iterations where a factorization costs about n."""
-    diag = np.diagonal(a)
+    positive definite system a x = b, a a matrix or a `JacobianProduct`
+    (anything with ``a @ x`` and ``a.diagonal()``): x and the iterations
+    taken. It starts from x = 0 and stops once ||b - a x||_2 <= rtol
+    ||b||_2. x is None when n // 8 iterations, n the unknowns, do not get
+    there, or on a breakdown: a diagonal entry or p^T a p that is not
+    positive and finite. Each iteration is one product with a. The
+    Jacobi-scaled Newton matrices have condition numbers growing like
+    n^(2s), so CG needs about n^s iterations where a factorization costs
+    about n."""
+    diag = a.diagonal()
     if not np.all((diag > 0.0) & (diag < np.inf)):
         return None, 0
     inv = 1.0 / diag
@@ -213,30 +215,57 @@ def _forcing(rn: float, scale: float) -> float:
     return min(CG_RTOL_MAX, max(CG_RTOL, rn / scale))
 
 
-def _direction(jac: np.ndarray, r: np.ndarray, even: bool, s: float,
-               rtol: float, stats: dict) -> np.ndarray:
+def _takes_cg(unknowns: int, s: float) -> bool:
+    """Whether `_direction` runs CG on a system of this size and order."""
+    return unknowns >= CG_MIN_UNKNOWNS and s <= CG_MAX_S
+
+
+def _jacobian(cfg: OperatorConfig, u: GridFunction, even: bool,
+              unknowns: int) -> tuple:
+    """The Newton matrix at u as `_direction` takes it, and a writable
+    view of its diagonal on the live unknowns: the `JacobianProduct` where
+    CG takes the system and the far pairs go by FFT, and otherwise the
+    matrix `assemble_matrix` returns."""
+    jac = jacobian_product(cfg, u, even=even) if _takes_cg(unknowns, cfg.s) else None
+    if jac is None:
+        jac = assemble_matrix(cfg, u, even=even)
+        return jac, diagonal_view(jac)
+    return jac, jac.diag
+
+
+def _direction(jac, r: np.ndarray, even: bool, s: float, rtol: float,
+               stats: dict) -> np.ndarray:
     """The Newton direction on the live unknowns of `_newton`: the
     solution of J delta = -r, J the Jacobian on them, from ``jac`` as
     `assemble_matrix` returns it (with ``even``, the block that `fold`
-    reduces), which it overwrites. With at least CG_MIN_UNKNOWNS unknowns
-    and s <= CG_MAX_S it runs `_pcg` to the relative residual ``rtol`` and
-    adds its iterations and a fallback to ``stats``; otherwise, or when CG
-    gives up, it factorizes, and a singular matrix raises LinAlgError.
+    reduces), which it overwrites, or as a `JacobianProduct`. With at
+    least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S, and always for a
+    `JacobianProduct`, it runs `_pcg` to the relative residual ``rtol``
+    and adds its iterations and a fallback to ``stats``; otherwise, or
+    when CG gives up, it factorizes (a `JacobianProduct` assembles its
+    matrix first), and a singular matrix raises LinAlgError.
 
     The folded matrix is not symmetric, but with its rows scaled by
     D = diag(2, ..., 2, 1) it is E^T J E, E the mirror map from the half
-    unknowns to all of them, so CG solves D fold(J) delta = -D r."""
-    a, b = (fold(jac) if even else jac), -r
-    if b.size >= CG_MIN_UNKNOWNS and s <= CG_MAX_S:
+    unknowns to all of them, so CG solves D fold(J) delta = -D r. A
+    `JacobianProduct` with ``even`` is D fold(J) already."""
+    b = -r
+    if isinstance(jac, JacobianProduct):
+        a = jac
+    else:
+        a = fold(jac) if even else jac
+        if not _takes_cg(b.size, s):
+            return np.linalg.solve(a, b)
         if even:
             a[:-1] *= 2.0
-            b[:-1] *= 2.0
-        delta, iterations = _pcg(a, b, rtol)
-        stats["cg_iterations"] += iterations
-        stats["cg_fallbacks"] += delta is None
-        if delta is not None:
-            return delta
-    return np.linalg.solve(a, b)
+    if even:
+        b[:-1] *= 2.0
+    delta, iterations = _pcg(a, b, rtol)
+    stats["cg_iterations"] += iterations
+    stats["cg_fallbacks"] += delta is None
+    if delta is not None:
+        return delta
+    return np.linalg.solve(a.dense() if isinstance(a, JacobianProduct) else a, b)
 
 
 def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | None,
@@ -254,7 +283,11 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     (see `fractional`). The Jacobian is assembled only at accepted
     iterates, never at a line-search trial, where an overshoot may
     overflow its g and g' terms; it lives in the far-pair buffers, so a
-    step allocates no m x m array of its own. A warm start that is the
+    step allocates no m x m array of its own. Where the far pairs go by
+    FFT (power 4 at s <= CG_MAX_S on at least 257 nodes, see
+    `orlicz.ToeplitzFar`) it is not assembled at all: `_jacobian` returns
+    a `JacobianProduct`, whose products CG takes, and the load derivative
+    and the Levenberg shift go onto its diagonal. A warm start that is the
     previous solve's last accepted iterate was evaluated there, so its
     first residual only subtracts the new load from that evaluation's
     record (see `fractional`); the stats count it as an evaluation all
@@ -269,8 +302,8 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     order ||r|| keeps Newton's quadratic convergence (Dembo, Eisenstat
     and Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat and Walker,
     SIAM J. Sci. Comput. 17, 1996). A smaller system, a higher order, or
-    a CG run that gives up takes LAPACK's LU (`np.linalg.solve`), and a
-    singular matrix there raises lam.
+    a CG run that gives up takes LAPACK's LU (`np.linalg.solve`), on the
+    assembled matrix, and a singular matrix there raises lam.
 
     The stats hold the Newton steps, the final residual sup, the residual
     evaluations in all and those spent on cone seeding (0 for a warm
@@ -319,12 +352,11 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         if rn <= lim:
             break
 
-        jac = assemble_matrix(cfg, GridFunction(mesh, u), even=even)
-        diag = np.diag_indices(len(jac))    # of the unfolded rows
+        jac, diag = _jacobian(cfg, GridFunction(mesh, u), even, r.size)
         if d is not None:
-            jac[diag] -= mesh.weights[live] * d[live]
+            diag -= mesh.weights[live] * d[live]
         if lam > 0.0:
-            jac[diag] += lam * (float(np.max(np.abs(jac[diag]))) or 1.0)
+            diag += lam * (float(np.max(np.abs(diag))) or 1.0)
             stats["levenberg_shift_max"] = max(stats["levenberg_shift_max"], lam)
         try:
             delta = _direction(jac, r, even, cfg.s, _forcing(rn, scale), stats)

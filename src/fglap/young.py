@@ -145,8 +145,9 @@ def _laguerre_integral(f, y: np.ndarray, k: float, alpha: int = 0,
 class YoungFunction:
     """Base class: odd derivative g, even primitive G, growth window.
 
-    Each family class names its constructor's arguments, in order, in
-    ``params``, and itself with their values in ``label``. Subclasses
+    Each family class names its family in ``family_tag``, its
+    constructor's arguments, in order, in ``params``, and itself with their
+    values in ``label``. Subclasses
     implement ``_gamma_abs`` and ``_g_prime_pos``, which write
     gamma(|t|) = g(|t|)/|t| and g'(|t|) into ``out`` (allocated when
     None), using ``work`` as scratch, and may override ``_G_pos``
@@ -163,8 +164,6 @@ class YoungFunction:
     ``declared_p_*`` keys do) moves what the checks compare against, not the
     numerics.
     """
-
-    family_tag = "abstract"
 
     def __init__(self, p_minus: float, p_plus: float):
         if not (p_minus > 2.0):

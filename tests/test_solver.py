@@ -734,8 +734,10 @@ class TestNewtonDirection:
         assert np.array_equal(delta, np.linalg.solve(a, b))
 
     def test_singular_matrix_reaches_the_levenberg_shift(self, cfg, monkeypatch):
-        # a zero matrix breaks CG down at once and the LU then raises
-        mesh = Mesh(257)
+        # a zero matrix breaks CG down at once and the LU then raises; at
+        # m = 255 CG takes the 253 unknowns, and power 4 assembles them
+        mesh = Mesh(255)
+        assert cfg.toeplitz_far(mesh.m) is None
         assemble, calls = solver.assemble_matrix, [0]
 
         def singular_first(cfg, u, *, even=False):

@@ -15,19 +15,33 @@ def step_costs(monkeypatch):
     return importlib.import_module("step_costs")
 
 
-def test_small_mesh(step_costs, capsys):
-    assert step_costs.main(["--m", "33", "--repeat", "1"]) == 0
+def table(step_costs, capsys, m):
+    assert step_costs.main(["--m", str(m), "--repeat", "1"]) == 0
     header, rule, *rows = capsys.readouterr().out.splitlines()
-    assert header.startswith("| family | m | path | residual |")
+    assert header.startswith("| family | m | path | far pairs | residual |")
     assert set(rule) <= set("|-")
     expected = [(family, path) for family in ("power", "double-power", "log-type")
                 for path in ("full", "even")]
-    for row, (family, path) in zip(rows, expected, strict=True):
-        cells = [c.strip() for c in row.strip("|").split("|")]
-        assert cells[0].startswith(family + "(") and cells[1:3] == ["33", path]
-        assert all(re.fullmatch(r"\d+ µs", c) for c in cells[3:6])
+    cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+    assert len(cells) == len(expected)
+    for row, (family, path) in zip(cells, expected):
+        assert row[0].startswith(family + "(") and row[1:3] == [str(m), path]
+        assert all(re.fullmatch(r"\d+ µs", c) for c in row[4:7])
+    return cells
+
+
+def test_small_mesh(step_costs, capsys):
+    for row in table(step_costs, capsys, 33):
         # 31 and 16 unknowns: below the CG gate, so the LU takes them
-        assert cells[6] == "0.0"
+        assert row[3] == "dense" and row[7] == "0.0"
+
+
+def test_fft_mesh(step_costs, capsys):
+    # at m = 257 power 4 takes the FFT path and matrix-free CG, the other
+    # families CG on the assembled matrix
+    for row in table(step_costs, capsys, 257):
+        assert row[3] == ("FFT" if row[0].startswith("power(") else "dense")
+        assert float(row[7]) > 0.0
 
 
 @pytest.mark.parametrize("argv", [["--m", "32"], ["--repeat", "0"]])
