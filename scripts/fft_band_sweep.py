@@ -28,8 +28,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fglap import orlicz  # noqa: E402
-from fglap.fractional import (assemble_matrix, fold, jacobian_product,  # noqa: E402
-                              residual)
+from fglap.fractional import assemble_matrix, fold, jacobian, residual  # noqa: E402
 from fglap.orlicz import GridFunction, Mesh, OperatorConfig, modular_W_parts  # noqa: E402
 from fglap.young import PowerYoung  # noqa: E402
 
@@ -41,18 +40,15 @@ QUANTITIES = ("residual", "J v", "J v even", "energy")
 
 @contextmanager
 def band(width: int):
-    """The FFT path with offsets 2 ... width summed directly, with no
-    record of an evaluation at another width."""
+    """The FFT path with offsets 2 ... width summed directly."""
     saved = orlicz.FFT_BAND
     orlicz.FFT_BAND = width
     orlicz._toeplitz_far.cache_clear()
-    orlicz._FAR.spectral = None
     try:
         yield
     finally:
         orlicz.FFT_BAND = saved
         orlicz._toeplitz_far.cache_clear()
-        orlicz._FAR.spectral = None
 
 
 @contextmanager
@@ -75,8 +71,8 @@ def evaluate(cfg: OperatorConfig, u: GridFunction, v: np.ndarray,
     out = {"residual": residual(cfg, u, np.zeros(m)).values,
            "energy": np.array([modular_W_parts(cfg, u)["far"]])}
     if fft:
-        out["J v"] = jacobian_product(cfg, u) @ v
-        half = jacobian_product(cfg, sym, even=True) @ v[:c]
+        out["J v"] = jacobian(cfg, u) @ v
+        half = jacobian(cfg, sym, even=True) @ v[:c]
         out["J v even"] = half * np.r_[np.full(c - 1, 0.5), 1.0]
     else:
         out["J v"] = assemble_matrix(cfg, u) @ v
@@ -114,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             for width in widths:
                 with band(width):
                     got = evaluate(cfg, u, v, fft=True)
-                    orlicz._FAR.spectral = None    # a fresh evaluation
+                    orlicz._FAR.last = None    # a fresh evaluation
                     t0 = time.process_time()
                     residual(cfg, u, np.zeros(m))
                     took = time.process_time() - t0

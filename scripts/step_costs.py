@@ -8,14 +8,15 @@ given (by default 65, 257 and 513) and both paths of `solver._newton`
 (all interior unknowns, and the half unknowns of even data on an odd
 mesh), it repeats one Newton step at a fixed iterate in this process,
 on the path that `_newton` takes there: `fractional.residual` under the
-load f = 1, the Jacobian right after it from `solver._jacobian` (so it
-reuses what the residual recorded, as in `_newton`), and
-`solver._direction` on it, with the relative CG tolerance that `_newton`
-would force at that residual. Where the far pairs go by FFT (power 4 from
-m = 257 on, column "far pairs"), the Jacobian is the set-up of a
-`fractional.JacobianProduct` and the direction is matrix-free CG;
-elsewhere it is `fractional.assemble_matrix` and CG or the LU on the
-assembled matrix. The iterate, 0.8 (1 - x^2)^0.3 (1 + 0.2 cos(pi x)), is
+load f = 1, the Jacobian right after it from `fractional.jacobian` (so
+it reuses what the residual recorded, as in `_newton`), and
+`solver._direction` on it, with CG where `solver._takes_cg` says so and
+the relative CG tolerance that `_newton` would force at that residual.
+Where the far pairs go by FFT (power 4 from m = 257 on, column "far
+pairs"), the Jacobian is the set-up of a `fractional.JacobianProduct`
+and the direction is matrix-free CG; elsewhere it is a
+`fractional.JacobianMatrix` over `fractional.assemble_matrix`, and CG
+or the LU on the assembled matrix. The iterate, 0.8 (1 - x^2)^0.3 (1 + 0.2 cos(pi x)), is
 even and near a stage solution.
 
 Each part is timed with `time.process_time`, and the table gives the best
@@ -39,7 +40,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fglap import solver  # noqa: E402
-from fglap.fractional import residual  # noqa: E402
+from fglap.fractional import jacobian, residual  # noqa: E402
 from fglap.orlicz import _FAR, GridFunction, Mesh, OperatorConfig  # noqa: E402
 from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung  # noqa: E402
 
@@ -66,16 +67,16 @@ def step_costs(cfg: OperatorConfig, m: int, even: bool, repeat: int) -> dict:
         if k == 1:    # count the timed steps only
             stats["cg_iterations"] = 0
         # evaluated afresh, as at a new iterate, not from an earlier record
-        _FAR.last = _FAR.spectral = None
+        _FAR.last = None
         t0 = time.process_time()
         r = residual(cfg, u, rhs, even=even).values[live]
         t1 = time.process_time()
         # `_newton` has the residual sup and the load's scale from its stop test
         rtol = solver._forcing(float(np.max(np.abs(r))), 1.0 + float(np.max(rhs)))
         t2 = time.process_time()
-        jac, _ = solver._jacobian(cfg, u, even, r.size)
+        jac = jacobian(cfg, u, even=even)
         t3 = time.process_time()
-        solver._direction(jac, r, even, cfg.s, rtol, stats)
+        solver._direction(jac, r, solver._takes_cg(r.size, cfg.s), rtol, stats)
         t4 = time.process_time()
         if k:
             for part, dt in zip(PARTS, (t1 - t0, t3 - t2, t4 - t3)):

@@ -37,16 +37,17 @@ first or second derivative with a ``np.bincount``.
 
 A Newton step evaluates the residual and then the Jacobian at one
 iterate, and both need the local G values and the quotients du. So
-`residual` records in ``_FAR.last`` its operator config, a copy of u's
-nodal values, the rows of du it filled, its G values and its unloaded
-rows (the far and local sums before the load is subtracted), and
-`assemble_matrix` reuses G and du when the config is equal, the values
-are equal and the rows suffice; otherwise it evaluates both. A second
-`residual` at the same config, values and rows, such as the first one of
-a Newton solve warm-started from the previous solve's last iterate,
-subtracts its load from the recorded rows. Every `take` of the buffers
-clears the record, so it never outlives the quotients it describes, and
-since it keys on values, a caller may edit u in place between the calls.
+`residual` records in ``_FAR.last`` its key, the operator config and the
+mesh's `orlicz.ToeplitzFar` (None in the buffers), a copy of u's nodal
+values, the rows it filled, its G values, its unloaded rows (the far and
+local sums before the load is subtracted) and on the FFT path C u and
+C u^2. The Jacobian at the same key and values reuses G with du in the
+buffers (if the rows suffice) or C u and C u^2; a second `residual` with
+the same rows, such as the first one of a Newton solve warm-started from
+the previous solve's last iterate, subtracts its load from the recorded
+rows. Every `take` and `release` of the buffers clears the record, so it
+never outlives the quotients it describes, and since it keys on values,
+a caller may edit u in place between the calls.
 
 For g(t) = t^3 (power 4, the family of most shipped configs) at
 s <= 1/2 on meshes of at least 257 nodes, every far sum is a few products
@@ -59,23 +60,20 @@ mesh goes to conjugate gradients, so no factorization needs the matrix
 (the gate is `orlicz.OperatorConfig.toeplitz_far`). One full residual
 at m = 4097 takes about 2 to 6 ms there against 80 ms in the buffers,
 whose 8 m^2 bytes are 134 MB at that size. Its far rows sit within 1e-12 of
-the dense ones, relative to their largest entry (`orlicz.FFT_BAND`). Its
-record, ``_FAR.spectral``, does for it what ``_FAR.last`` does for the
-buffers, and also hands C u and C u^2 to the `JacobianProduct` at the
-same values.
+the dense ones, relative to their largest entry (`orlicz.FFT_BAND`).
 
 Even data on an odd mesh need only the rows of the nodes up to the centre
 c = (m - 1) / 2, because the operator commutes with x -> -x: `residual`
 and `assemble_matrix` take ``even=True`` for that, and `fold` reduces the
 Jacobian's rows to the c half unknowns.
 
-The Newton solver in `solver` solves for its direction in the returned
-buffer view, or with the `JacobianProduct`: by conjugate gradients,
-which need only products with the
-matrix and its diagonal, to a tolerance that shrinks with the Newton
-residual, on systems of at least 128 unknowns at s <= 1/2, and by
-LAPACK's LU otherwise. The Jacobian is symmetric, and so is the
-folded block once its rows below the centre's are doubled (see `fold`).
+`solver` takes the Newton Jacobian from `jacobian`, a `JacobianProduct`
+on the FFT path and a `JacobianMatrix` over the buffer view elsewhere,
+and solves for its direction by conjugate gradients, which need only
+products with the matrix and its diagonal, on systems of at least 128
+unknowns at s <= 1/2, and by LAPACK's LU otherwise. The Jacobian is
+symmetric, and so is the folded block once its rows below the centre's
+are doubled (see `fold`), which CG takes and the LU does not.
 
 The strong-form evaluator is separate and deliberately different in
 texture: the first cell, where the |x - y|^(-1-s) singularity sits, on
@@ -163,12 +161,11 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
     """Nodal residual of the weak problem: the i-th entry is the pairing
     with the hat function at node i minus the trapezoid-weighted load.
     Boundary entries are pinned to zero. It leaves the record
-    ``_FAR.last`` for `assemble_matrix` at the same u (on the FFT path
-    ``_FAR.spectral``, for `JacobianProduct`), and for itself: called
-    again under this config at u's values with the same rows, it
-    subtracts the new load from the recorded unloaded rows, bit for bit
-    what a fresh evaluation gives, and touches neither the far-pair
-    buffers nor the record.
+    ``_FAR.last`` for the Jacobian at the same u (see `fractional`), and
+    for itself: called again under this config at u's values with the
+    same rows, it subtracts the new load from the recorded unloaded rows,
+    bit for bit what a fresh evaluation gives, and touches neither the
+    far-pair buffers nor the record.
 
     With ``even`` (u and rhs even, m odd) only rows 0 ... c, c = (m - 1) / 2,
     are evaluated, on the first c + 1 rows of the far-pair buffer, and
@@ -181,14 +178,15 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
     k = _rows(mesh.m, even)
     inner = slice(1, min(k, mesh.m - 1))
     toe = cfg.toeplitz_far(mesh.m)
-    last = _FAR.last if toe is None else _FAR.spectral
-    if (last is not None and last[0] == cfg and last[2] == k
+    last = _FAR.last
+    if (last is not None and last[0] == (cfg, toe) and last[2] == k
             and np.array_equal(last[1], uv)):
         r = last[4].copy()
     else:
         disc = cfg.discretization(mesh.m)
         yf = cfg.young
         r = np.zeros(k)
+        cu = None
         if toe is not None:
             _FAR.release()
             r[inner], cu = _toeplitz_rows(toe, uv, inner)
@@ -211,11 +209,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
         r[1:] += cell[:k - 1]
         r[:inner.stop] -= cell[:inner.stop]
         r[inner] += sums[mesh.m - 1:][:inner.stop - 1]
-        record = (cfg, uv.copy(), k, G, r.copy())
-        if toe is None:
-            _FAR.last = record
-        else:
-            _FAR.spectral = record + (cu,)
+        _FAR.last = ((cfg, toe), uv.copy(), k, G, r.copy(), cu)
     r[inner] -= mesh.weights[inner] * rhs[inner]
     if even:
         r = mirror(r)
@@ -256,9 +250,9 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     With ``even`` (u even, m odd) only the rows of the interior nodes up
     to the centre c = (m - 1) / 2 are assembled: the block J[1:c+1, 1:-1]
     of shape (c, m - 2), for `fold` to reduce in place to the half
-    unknowns. Right after a `residual` under this config at u's values
-    it reuses that residual's local G values and quotients; the g' terms
-    are always evaluated here."""
+    unknowns. Right after a `residual` in the buffers under this config
+    at u's values it reuses that residual's local G values and quotients;
+    the g' terms are always evaluated here."""
     disc = cfg.discretization(u.mesh.m)
     yf = cfg.young
     mesh = u.mesh
@@ -269,7 +263,7 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     count = rows.stop - 1
     x = disc.local_args(uv)
     last = _FAR.last
-    reuse = (last is not None and last[0] == cfg and last[2] >= k
+    reuse = (last is not None and last[0] == (cfg, None) and last[2] >= k
              and np.array_equal(last[1], uv))
     G = last[3] if reuse else _local_G(yf, disc, x)
 
@@ -303,14 +297,47 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     return jac
 
 
+def _scaled(x: np.ndarray, even: bool) -> np.ndarray:
+    """x with ``even`` scaled in place by D = diag(2, ..., 2, 1) of `fold`."""
+    if even:
+        x[:-1] *= 2.0
+    return x
+
+
+class JacobianMatrix:
+    """The Jacobian block that `assemble_matrix` returned, a view of the
+    far-pair buffer, with the interface of `JacobianProduct`: ``diag``, J's
+    diagonal on the unknowns, for the caller to shift first; ``jac @ v``
+    and `diagonal` of D fold(J) (of J without ``even``) for conjugate
+    gradients; `dense`, fold(J) for a factorization, folded in place."""
+
+    def __init__(self, block: np.ndarray, even: bool):
+        self.even = even
+        self.diag = diagonal_view(block)
+        self._block = block
+        self._folded = None
+
+    def dense(self) -> np.ndarray:
+        if self._folded is None:
+            self._folded = fold(self._block) if self.even else self._block
+        return self._folded
+
+    def diagonal(self) -> np.ndarray:
+        return _scaled(self.dense().diagonal().copy(), self.even)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return _scaled(self.dense() @ v, self.even)
+
+
 class JacobianProduct:
     """The residual Jacobian at u on the FFT path (`orlicz.ToeplitzFar`) as
     the product and diagonal that conjugate gradients take, with no m x m
-    array. Its unknowns are the interior nodes, or with ``even`` those up
-    to the centre c = (m - 1) / 2, where it stands for the symmetric
-    D fold(J) = E^T J E of `fold`: ``jac @ v`` is D times the rows up to
-    the centre of J mirror(v), and `diagonal` is D times J's diagonal
-    there, since the mirror entries vanish for even u.
+    array, with the interface of `JacobianMatrix`. Its unknowns are the
+    interior nodes, or with ``even`` those up to the centre
+    c = (m - 1) / 2, where it stands for the symmetric D fold(J) = E^T J E
+    of `fold`: ``jac @ v`` is D times the rows up to the centre of
+    J mirror(v), and `diagonal` is D times J's diagonal there, since the
+    mirror entries vanish for even u.
 
     The far terms off the diagonal are -6 c h_j (u_i - u_j)^2: by FFT,
     -6 [u^2 C v - 2 u C (u v) + C (u^2 v)] beyond the near diagonals, and
@@ -318,7 +345,7 @@ class JacobianProduct:
     which also holds the local tridiagonal and, in its centre column,
     ``diag``: J's diagonal on those rows, which the caller may shift
     (`solver._newton` adds its load derivative and Levenberg shift there)
-    before the first product. `dense` assembles the same matrix for a
+    before the first product. `dense` assembles fold(J) for a
     factorization."""
 
     def __init__(self, cfg: OperatorConfig, u: GridFunction, toe: ToeplitzFar,
@@ -332,10 +359,11 @@ class JacobianProduct:
         inner = uv[1:-1]
         disc = cfg.discretization(m)
         x = disc.local_args(uv)
-        # right after a `residual` at u's values, its record holds G and
-        # C u, C u^2 at every interior node
-        last = _FAR.spectral
-        if last is not None and last[0] == cfg and np.array_equal(last[1], uv):
+        # right after a `residual` at u's values on this path, its record
+        # holds G and C u, C u^2 at every interior node
+        last = _FAR.last
+        if (last is not None and last[0] == (cfg, toe)
+                and np.array_equal(last[1], uv)):
             G, cu = last[3], last[5][:, :k]
         else:
             G = _local_G(cfg.young, disc, x)
@@ -373,11 +401,7 @@ class JacobianProduct:
                      np.empty((3, toe.size)))
 
     def diagonal(self) -> np.ndarray:
-        if not self.even:
-            return self.diag
-        out = 2.0 * self.diag
-        out[-1] = self.diag[-1]
-        return out
+        return _scaled(self.diag.copy(), self.even)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         w = mirror(v) if self.even else v
@@ -388,28 +412,26 @@ class JacobianProduct:
         out = np.multiply(self._coef, cv[:2]).sum(0)
         out += cv[2]
         out += np.vecdot(self._band, self._window)
-        if self.even:
-            out[:-1] *= 2.0
-        return out
+        return _scaled(out, self.even)
 
     def dense(self) -> np.ndarray:
-        """The same matrix assembled, for a factorization: `assemble_matrix`
-        at u, folded with ``even``, with ``diag`` as its diagonal and, with
-        ``even``, the rows below the centre doubled."""
-        jac = assemble_matrix(self.cfg, self.u, even=self.even)
-        a = fold(jac) if self.even else jac
-        diagonal_view(a)[:] = self.diag
-        if self.even:
-            a[:-1] *= 2.0
-        return a
+        """`JacobianMatrix.dense` of `assemble_matrix` at u with ``diag``
+        as J's diagonal."""
+        jac = JacobianMatrix(assemble_matrix(self.cfg, self.u, even=self.even),
+                             self.even)
+        jac.diag[:] = self.diag
+        return jac.dense()
 
 
-def jacobian_product(cfg: OperatorConfig, u: GridFunction, *,
-                     even: bool = False) -> JacobianProduct | None:
-    """The Jacobian at u as a `JacobianProduct` where the far pairs go by
-    FFT (`orlicz.OperatorConfig.toeplitz_far`), None elsewhere."""
+def jacobian(cfg: OperatorConfig, u: GridFunction, *,
+             even: bool = False) -> JacobianMatrix | JacobianProduct:
+    """The Newton Jacobian at u: a `JacobianProduct` where the far pairs go
+    by FFT (`orlicz.OperatorConfig.toeplitz_far`), elsewhere a
+    `JacobianMatrix`, valid until the next far-pair evaluation."""
     toe = cfg.toeplitz_far(u.mesh.m)
-    return None if toe is None else JacobianProduct(cfg, u, toe, even)
+    if toe is None:
+        return JacobianMatrix(assemble_matrix(cfg, u, even=even), even)
+    return JacobianProduct(cfg, u, toe, even)
 
 
 def fold(block: np.ndarray) -> np.ndarray:

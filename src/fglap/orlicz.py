@@ -75,18 +75,16 @@ class _FarPairBuffers(threading.local):
     """The far-pair buffers that `fractional` describes, per thread and of
     one mesh size at a time: ``buffer``, one reused m x m float64 array,
     two row-block scratches of FAR_BLOCK_BYTES each, and ``last``, the
-    record of the residual whose quotients the buffer holds (see
-    `fractional`). Every `take` clears the record, since the buffer is
-    then overwritten. ``spectral`` is the record of the last residual on
-    the FFT path (`ToeplitzFar`), which holds no buffer: an evaluation
-    there `release`s them."""
+    record of the last residual (see `fractional`). Every `take` clears
+    the record, since the buffer is then overwritten, and so does every
+    `release`, which an evaluation on the FFT path (`ToeplitzFar`) makes
+    before it records, since it holds no buffer."""
 
     shape = None
     buffer = None
     scratch = ()
     views = None
     last = None
-    spectral = None
 
     def take(self, shape: tuple[int, int]) -> np.ndarray:
         if shape != self.shape:

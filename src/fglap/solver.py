@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, InvariantError
-from .fractional import (JacobianProduct, apply_interior, assemble_matrix,
-                         diagonal_view, fold, jacobian_product, mirror,
-                         residual)
+from .fractional import apply_interior, jacobian, mirror, residual
 from .orlicz import (CG_MAX_S, CG_MIN_UNKNOWNS, GridFunction, Mesh,
                      OperatorConfig, luxemburg_seminorm_W, modular_W)
 from .quadrature import invert_monotone
@@ -169,15 +167,15 @@ def _seed_from_cone(cfg: OperatorConfig, mesh: Mesh, rhs: np.ndarray,
 
 def _pcg(a, b: np.ndarray, rtol: float) -> tuple[np.ndarray | None, int]:
     """Jacobi-preconditioned conjugate gradients for the symmetric
-    positive definite system a x = b, a a matrix or a `JacobianProduct`
-    (anything with ``a @ x`` and ``a.diagonal()``): x and the iterations
-    taken. It starts from x = 0 and stops once ||b - a x||_2 <= rtol
-    ||b||_2. x is None when n // 8 iterations, n the unknowns, do not get
-    there, or on a breakdown: a diagonal entry or p^T a p that is not
-    positive and finite. Each iteration is one product with a. The
-    Jacobi-scaled Newton matrices have condition numbers growing like
-    n^(2s), so CG needs about n^s iterations where a factorization costs
-    about n."""
+    positive definite system a x = b, a a matrix or a Jacobian of
+    `fractional.jacobian` (anything with ``a @ x`` and ``a.diagonal()``):
+    x and the iterations taken. It starts from x = 0 and stops once
+    ||b - a x||_2 <= rtol ||b||_2. x is None when n // 8 iterations, n
+    the unknowns, do not get there, or on a breakdown: a diagonal entry
+    or p^T a p that is not positive and finite. Each iteration is one
+    product with a. The Jacobi-scaled Newton matrices have condition
+    numbers growing like n^(2s), so CG needs about n^s iterations where a
+    factorization costs about n."""
     diag = a.diagonal()
     if not np.all((diag > 0.0) & (diag < np.inf)):
         return None, 0
@@ -220,52 +218,28 @@ def _takes_cg(unknowns: int, s: float) -> bool:
     return unknowns >= CG_MIN_UNKNOWNS and s <= CG_MAX_S
 
 
-def _jacobian(cfg: OperatorConfig, u: GridFunction, even: bool,
-              unknowns: int) -> tuple:
-    """The Newton matrix at u as `_direction` takes it, and a writable
-    view of its diagonal on the live unknowns: the `JacobianProduct` where
-    CG takes the system and the far pairs go by FFT, and otherwise the
-    matrix `assemble_matrix` returns."""
-    jac = jacobian_product(cfg, u, even=even) if _takes_cg(unknowns, cfg.s) else None
-    if jac is None:
-        jac = assemble_matrix(cfg, u, even=even)
-        return jac, diagonal_view(jac)
-    return jac, jac.diag
-
-
-def _direction(jac, r: np.ndarray, even: bool, s: float, rtol: float,
+def _direction(jac, r: np.ndarray, cg: bool, rtol: float,
                stats: dict) -> np.ndarray:
     """The Newton direction on the live unknowns of `_newton`: the
-    solution of J delta = -r, J the Jacobian on them, from ``jac`` as
-    `assemble_matrix` returns it (with ``even``, the block that `fold`
-    reduces), which it overwrites, or as a `JacobianProduct`. With at
-    least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S, and always for a
-    `JacobianProduct`, it runs `_pcg` to the relative residual ``rtol``
-    and adds its iterations and a fallback to ``stats``; otherwise, or
-    when CG gives up, it factorizes (a `JacobianProduct` assembles its
-    matrix first), and a singular matrix raises LinAlgError.
-
-    The folded matrix is not symmetric, but with its rows scaled by
-    D = diag(2, ..., 2, 1) it is E^T J E, E the mirror map from the half
-    unknowns to all of them, so CG solves D fold(J) delta = -D r. A
-    `JacobianProduct` with ``even`` is D fold(J) already."""
-    b = -r
-    if isinstance(jac, JacobianProduct):
-        a = jac
-    else:
-        a = fold(jac) if even else jac
-        if not _takes_cg(b.size, s):
-            return np.linalg.solve(a, b)
-        if even:
-            a[:-1] *= 2.0
-    if even:
-        b[:-1] *= 2.0
-    delta, iterations = _pcg(a, b, rtol)
-    stats["cg_iterations"] += iterations
-    stats["cg_fallbacks"] += delta is None
-    if delta is not None:
-        return delta
-    return np.linalg.solve(a.dense() if isinstance(a, JacobianProduct) else a, b)
+    solution of J delta = -r, J the Jacobian on them as
+    `fractional.jacobian` returns it, which it may overwrite. With its
+    ``even`` that is fold(J) delta = -r (see `fractional.fold`), which is
+    not symmetric, but with its rows scaled by D = diag(2, ..., 2, 1) it
+    is E^T J E, E the mirror map from the half unknowns to all of them.
+    With ``cg`` it runs `_pcg` on D fold(J) delta = -D r, to the relative
+    residual ``rtol``, and adds its iterations and a fallback to
+    ``stats``. Without, or when CG gives up, LAPACK's LU factorizes
+    ``jac.dense()``, fold(J), and a singular matrix raises LinAlgError."""
+    if cg:
+        b = -r
+        if jac.even:
+            b[:-1] *= 2.0
+        delta, iterations = _pcg(jac, b, rtol)
+        stats["cg_iterations"] += iterations
+        stats["cg_fallbacks"] += delta is None
+        if delta is not None:
+            return delta
+    return np.linalg.solve(jac.dense(), -r)
 
 
 def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | None,
@@ -279,31 +253,30 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     tenfold after a failed line search and decays it tenfold after an
     accepted step. An accepted trial's load and residual carry over to
     the next step, so neither is evaluated twice at one iterate, and the
-    assembly there reuses the residual's local G values and quotients
-    (see `fractional`). The Jacobian is assembled only at accepted
+    Jacobian there reuses what the residual recorded (see `fractional`).
+    The Jacobian (`fractional.jacobian`) is formed only at accepted
     iterates, never at a line-search trial, where an overshoot may
-    overflow its g and g' terms; it lives in the far-pair buffers, so a
-    step allocates no m x m array of its own. Where the far pairs go by
-    FFT (power 4 at s <= CG_MAX_S on at least 257 nodes, see
-    `orlicz.ToeplitzFar`) it is not assembled at all: `_jacobian` returns
-    a `JacobianProduct`, whose products CG takes, and the load derivative
-    and the Levenberg shift go onto its diagonal. A warm start that is the
-    previous solve's last accepted iterate was evaluated there, so its
-    first residual only subtracts the new load from that evaluation's
-    record (see `fractional`); the stats count it as an evaluation all
-    the same.
+    overflow its g and g' terms, and the load derivative and the
+    Levenberg shift go onto its ``diag``. It lives in the far-pair
+    buffers, or where the far pairs go by FFT (power 4 at s <= CG_MAX_S
+    on at least 257 nodes, see `orlicz.ToeplitzFar`) is a product that CG
+    takes, so a step allocates no m x m array of its own. A warm start
+    that is the previous solve's last accepted iterate was evaluated
+    there, so its first residual only subtracts the new load from that
+    evaluation's record (see `fractional`); the stats count it as an
+    evaluation all the same.
 
-    The direction (`_direction`) solves the Jacobian system in those
-    buffers. With at least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S it
-    is an inexact Newton step, `_pcg` to the relative residual
-    eta = ||r||_inf / (1 + max|rhs|), the Newton residual on the scale of
-    the stop test, clipped to [CG_RTOL, CG_RTOL_MAX]: loose on the first
-    steps, and down to CG_RTOL as Newton converges. A forcing term of
-    order ||r|| keeps Newton's quadratic convergence (Dembo, Eisenstat
-    and Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat and Walker,
-    SIAM J. Sci. Comput. 17, 1996). A smaller system, a higher order, or
-    a CG run that gives up takes LAPACK's LU (`np.linalg.solve`), on the
-    assembled matrix, and a singular matrix there raises lam.
+    With at least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S the
+    direction (`_direction`) is an inexact Newton step, `_pcg` to the
+    relative residual eta = ||r||_inf / (1 + max|rhs|), the Newton
+    residual on the scale of the stop test, clipped to
+    [CG_RTOL, CG_RTOL_MAX]: loose on the first steps, and down to CG_RTOL
+    as Newton converges. A forcing term of order ||r|| keeps Newton's
+    quadratic convergence (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
+    Anal. 19, 1982; Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996).
+    A smaller system, a higher order, or a CG run that gives up takes
+    LAPACK's LU (`np.linalg.solve`), and a singular matrix there raises
+    lam.
 
     The stats hold the Newton steps, the final residual sup, the residual
     evaluations in all and those spent on cone seeding (0 for a warm
@@ -352,14 +325,15 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
         if rn <= lim:
             break
 
-        jac, diag = _jacobian(cfg, GridFunction(mesh, u), even, r.size)
+        jac = jacobian(cfg, GridFunction(mesh, u), even=even)
         if d is not None:
-            diag -= mesh.weights[live] * d[live]
+            jac.diag -= mesh.weights[live] * d[live]
         if lam > 0.0:
-            diag += lam * (float(np.max(np.abs(diag))) or 1.0)
+            jac.diag += lam * (float(np.max(np.abs(jac.diag))) or 1.0)
             stats["levenberg_shift_max"] = max(stats["levenberg_shift_max"], lam)
         try:
-            delta = _direction(jac, r, even, cfg.s, _forcing(rn, scale), stats)
+            delta = _direction(jac, r, _takes_cg(r.size, cfg.s),
+                               _forcing(rn, scale), stats)
         except np.linalg.LinAlgError:
             lam = max(lam * 10.0, 1e-8)
             continue

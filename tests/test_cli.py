@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fglap.cli as cli
+import fglap.fractional as fractional
 import fglap.orlicz as orlicz
 import fglap.solver as solver
 from fglap.cli import load_config, main
@@ -329,7 +330,7 @@ class TestExitCodes:
         scheme = cli.monotone_scheme
 
         def stalled_scheme(*args, **kw):
-            monkeypatch.setattr(solver, "assemble_matrix", stalled_matrix)
+            monkeypatch.setattr(fractional, "assemble_matrix", stalled_matrix)
             return scheme(*args, **kw)
 
         monkeypatch.setattr(cli, "monotone_scheme", stalled_scheme)

@@ -11,8 +11,8 @@ import pytest
 from fglap.errors import ConfigurationError, DomainError
 import fglap.fractional as fractional
 import fglap.orlicz as orlicz
-from fglap.fractional import (apply_interior, assemble_matrix, fold, mirror,
-                              residual, weak_form)
+from fglap.fractional import (apply_interior, assemble_matrix, fold, jacobian,
+                              mirror, residual, weak_form)
 from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
                           modular_W_parts)
 from fglap.young import DoublePowerYoung, PowerYoung
@@ -764,19 +764,23 @@ class TestRowBlocks:
 class TestMixedPowers:
     """The paper's (p, q)-Laplacian case: the double-power family's g is
     the sum of the two powers' g, so every quantity linear in G, g or g'
-    is the sum of the two power families' quantities. Largest gaps
-    measured, relative to the largest entry: 4.5e-16 (residual), 3.7e-16
-    (Jacobian), 2.1e-16 (modular), 2.2e-16 (strong form)."""
+    is the sum of the two power families' quantities. At m = 257 power 4
+    takes the FFT path (`orlicz.ToeplitzFar`), power 3 and the mixed
+    family the far-pair buffers. Largest gaps measured, relative to the
+    largest entry: 3.0e-15 (residual), 1.1e-15 (J v), 3.7e-16 (Jacobian),
+    2.1e-16 (modular), 2.2e-16 (strong form)."""
 
     QUANTITIES = {
         "residual": lambda cfg, u: residual(cfg, u, np.zeros(u.mesh.m)).values,
+        "jacobian": lambda cfg, u: jacobian(cfg, u) @ np.random.default_rng(
+            u.mesh.m).uniform(-1.0, 1.0, u.mesh.m - 2),
         "assemble_matrix": lambda cfg, u: assemble_matrix(cfg, u).copy(),
         "modular_W": lambda cfg, u: np.array([modular_W(cfg, u)]),
         "apply_interior": apply_interior,
     }
 
     @pytest.mark.parametrize("quantity", list(QUANTITIES))
-    @pytest.mark.parametrize("m", [33, 65])
+    @pytest.mark.parametrize("m", [33, 65, 257])
     @pytest.mark.parametrize("p1,p2", [(3.0, 4.0), (2.5, 8.0)])
     def test_sum_of_the_two_powers(self, p1, p2, m, quantity):
         mesh = Mesh(m)

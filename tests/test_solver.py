@@ -6,12 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+import fglap.fractional as fractional
+import fglap.orlicz as orlicz
 import fglap.solver as solver
 from fglap.checks import check_comparison
 from fglap.errors import (ConfigurationError, ConvergenceError, DomainError,
                           InvariantError)
-from fglap.fractional import (apply_interior, assemble_matrix, fold, residual,
-                              weak_form)
+from fglap.fractional import (JacobianMatrix, apply_interior, assemble_matrix,
+                              fold, residual, weak_form)
 from fglap.orlicz import GridFunction, Mesh, OperatorConfig, modular_W
 from fglap.solver import (
     ProblemData,
@@ -21,7 +23,7 @@ from fglap.solver import (
     monotone_scheme,
     solve_auxiliary,
 )
-from fglap.young import LogTypeYoung, PowerYoung
+from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung
 
 from conftest import stalled_matrix
 from oracles import fixed_point_S
@@ -312,7 +314,7 @@ class TestCoupledStages:
 
     def test_failure_names_the_stage(self, cfg, monkeypatch):
         mesh = Mesh(17)
-        monkeypatch.setattr(solver, "assemble_matrix", stalled_matrix)
+        monkeypatch.setattr(fractional, "assemble_matrix", stalled_matrix)
         with pytest.raises(ConvergenceError, match=r"^stage n = 3 \(m = 17\) exhausted"):
             monotone_scheme(cfg, unit_data(mesh), mesh=mesh, n_schedule=(3, 6))
         with pytest.raises(ConvergenceError, match=r"^auxiliary solve exhausted"):
@@ -322,7 +324,7 @@ class TestCoupledStages:
         # a spike in the load at node 5 (x = -0.375) holds the largest
         # residual entry while the stalled steps leave u near its seed
         mesh = Mesh(17)
-        monkeypatch.setattr(solver, "assemble_matrix", stalled_matrix)
+        monkeypatch.setattr(fractional, "assemble_matrix", stalled_matrix)
         rhs = np.ones(mesh.m)
         rhs[5] = 50.0
         with pytest.raises(ConvergenceError,
@@ -566,7 +568,7 @@ class TestJacobianOnResidualG:
     def assembled(self, log221, monkeypatch):
         """Per `assemble_matrix` call of a solve: (G calls made inside it,
         whether its matrix equals a fresh assembly at the same iterate)."""
-        out, inside, assemble_ = [], [False], solver.assemble_matrix
+        out, inside, assemble_ = [], [False], fractional.assemble_matrix
         G_ = log221.G
 
         def counted_G(t):
@@ -585,7 +587,7 @@ class TestJacobianOnResidualG:
             return jac
 
         monkeypatch.setattr(log221, "G", counted_G)
-        monkeypatch.setattr(solver, "assemble_matrix", recorded)
+        monkeypatch.setattr(fractional, "assemble_matrix", recorded)
         return out
 
     @pytest.mark.parametrize("even", [False, True])
@@ -606,7 +608,7 @@ class TestJacobianOnResidualG:
         """Per `assemble_matrix` call: (whether it reused the residual's
         quotients, that is made no quotient pass of its own, whether its
         matrix equals a fresh assembly)."""
-        out, assemble_ = [], solver.assemble_matrix
+        out, assemble_ = [], fractional.assemble_matrix
 
         def recorded(cfg, u, *, even=False):
             before = quotient_passes[0]
@@ -615,7 +617,7 @@ class TestJacobianOnResidualG:
             out.append((held, np.array_equal(jac, assemble_(cfg, u, even=even))))
             return jac
 
-        monkeypatch.setattr(solver, "assemble_matrix", recorded)
+        monkeypatch.setattr(fractional, "assemble_matrix", recorded)
         return out
 
     def test_jacobian_at_the_accepted_iterate(self, checked):
@@ -703,7 +705,8 @@ class TestNewtonDirection:
         jac, r = newton_system(cfg, 257, even)
         ref = np.linalg.solve(fold(jac.copy()) if even else jac, -r)
         stats = cg_stats()
-        delta = solver._direction(jac, r, even, cfg.s, solver.CG_RTOL, stats)
+        delta = solver._direction(JacobianMatrix(jac, even), r, True,
+                                  solver.CG_RTOL, stats)
         assert ref.size == (128 if even else 255)
         assert 0 < stats["cg_iterations"] <= ref.size // 8
         assert stats["cg_fallbacks"] == 0
@@ -728,17 +731,36 @@ class TestNewtonDirection:
         a = 0.5 * (a + a.T)
         b = rng.standard_normal(n)
         stats = cg_stats()
-        delta = solver._direction(a.copy(), -b, False, 0.3, solver.CG_RTOL,
-                                  stats)
+        delta = solver._direction(JacobianMatrix(a.copy(), False), -b, True,
+                                  solver.CG_RTOL, stats)
         assert stats == {"cg_iterations": n // 8, "cg_fallbacks": 1}
         assert np.array_equal(delta, np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("young,s,m", [
+        (PowerYoung(4.0), 0.3, 65),
+        (DoublePowerYoung(3.0, 4.0), 0.3, 65),
+        (LogTypeYoung(2.0, 2.0, 1.0), 0.3, 65),
+        (PowerYoung(2.5), 0.7, 129),
+    ], ids=["power4", "dp34", "log221", "power2.5-s0.7"])
+    def test_lu_solves_the_unscaled_fold(self, young, s, m):
+        # the LU takes fold(J) delta = -r as assembled; D-scaling both sides
+        # would move delta in the last bits for some systems: 6.4e-16
+        # relative for power 2.5 at s = 0.7, m = 129 (measured)
+        cfg = OperatorConfig(young=young, s=s)
+        jac, r = newton_system(cfg, m, True)
+        want = np.linalg.solve(fold(jac.copy()), -r)
+        stats = cg_stats()
+        delta = solver._direction(JacobianMatrix(jac, True), r, False,
+                                  solver.CG_RTOL, stats)
+        assert np.array_equal(delta, want)
+        assert stats == cg_stats()
 
     def test_singular_matrix_reaches_the_levenberg_shift(self, cfg, monkeypatch):
         # a zero matrix breaks CG down at once and the LU then raises; at
         # m = 255 CG takes the 253 unknowns, and power 4 assembles them
         mesh = Mesh(255)
         assert cfg.toeplitz_far(mesh.m) is None
-        assemble, calls = solver.assemble_matrix, [0]
+        assemble, calls = fractional.assemble_matrix, [0]
 
         def singular_first(cfg, u, *, even=False):
             jac = assemble(cfg, u, even=even)
@@ -747,7 +769,7 @@ class TestNewtonDirection:
                 jac[...] = 0.0
             return jac
 
-        monkeypatch.setattr(solver, "assemble_matrix", singular_first)
+        monkeypatch.setattr(fractional, "assemble_matrix", singular_first)
         _, stats = solve_auxiliary(cfg, mesh, np.ones(mesh.m))
         assert calls[0] >= 2 and stats["cg_fallbacks"] == 1
         assert stats["levenberg_shift_max"] > 0.0 and stats["cg_iterations"] > 0
@@ -800,7 +822,10 @@ class TestNewtonDirection:
 
         monkeypatch.setattr(solver, "_newton", recorded)
         cg_steps, cg_u, cg_margin = run()
+        # both gates closed: the far pairs in the buffers, every direction
+        # from the LU of the assembled matrix
         monkeypatch.setattr(solver, "CG_MIN_UNKNOWNS", sys.maxsize)
+        monkeypatch.setattr(orlicz, "CG_MIN_UNKNOWNS", sys.maxsize)
         lu_steps, lu_u, lu_margin = run()
         assert len(cg_steps) == 5 + 42
         assert all(used for _, used in cg_steps) and not any(used for _, used in lu_steps)

@@ -16,7 +16,7 @@ import fglap.fractional as fractional
 import fglap.orlicz as orlicz
 import fglap.solver as solver
 from fglap.fractional import (JacobianProduct, assemble_matrix, fold,
-                              jacobian_product, mirror, residual)
+                              jacobian, mirror, residual)
 from fglap.orlicz import GridFunction, Mesh, OperatorConfig, modular_W_parts
 from fglap.solver import ProblemData, monotone_scheme
 from fglap.young import DoublePowerYoung, LogTypeYoung, PowerYoung
@@ -100,7 +100,7 @@ class TestAgainstDense:
         u = profile(m, s)
         v = np.random.default_rng(m).uniform(-1.0, 1.0, m - 2)
         want = dense(lambda: assemble_matrix(cfg, u) @ v)
-        assert gap(jacobian_product(cfg, u) @ v, want) <= PRODUCT_GAP
+        assert gap(jacobian(cfg, u) @ v, want) <= PRODUCT_GAP
 
     def test_folded_jacobian_product(self, m, s, dense):
         # D fold(J), D = diag(2, ..., 2, 1), on the half unknowns
@@ -110,7 +110,7 @@ class TestAgainstDense:
         v = np.random.default_rng(m).uniform(-1.0, 1.0, c)
         scale = np.r_[np.full(c - 1, 2.0), 1.0]
         want = dense(lambda: scale * (fold(assemble_matrix(cfg, u, even=True)) @ v))
-        op = jacobian_product(cfg, u, even=True)
+        op = jacobian(cfg, u, even=True)
         assert gap(op @ v, want) <= PRODUCT_GAP
         diag = dense(lambda: scale * np.diag(fold(assemble_matrix(cfg, u, even=True))))
         assert gap(op.diagonal(), diag) <= PRODUCT_GAP
@@ -139,8 +139,8 @@ class TestFftPath:
         cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)
         u = even_part(profile(257, 0.3))
         v = np.random.default_rng(2).uniform(-1.0, 1.0, 128 if even else 255)
-        fractional._FAR.spectral = None
-        fresh = jacobian_product(cfg, u, even=even)
+        fractional._FAR.last = None
+        fresh = jacobian(cfg, u, even=even)
         residual(cfg, u, np.ones(257), even=even)
         calls, products = [0], orlicz.ToeplitzFar.products
 
@@ -149,7 +149,7 @@ class TestFftPath:
             return products(toe, x, *args, **kw)
 
         monkeypatch.setattr(orlicz.ToeplitzFar, "products", counted)
-        reused = jacobian_product(cfg, u, even=even)
+        reused = jacobian(cfg, u, even=even)
         assert calls[0] == 0
         assert np.array_equal(reused.diag, fresh.diag)
         assert np.array_equal(reused @ v, fresh @ v)
@@ -159,31 +159,50 @@ class TestFftPath:
         u = profile(257, 0.3)
         rhs = np.linspace(0.0, 2.0, 257)
         residual(cfg, u, rhs)
-        record = fractional._FAR.spectral
+        record = fractional._FAR.last
         hit = residual(cfg, u, 2.0 * rhs).values
-        assert fractional._FAR.spectral is record
-        fractional._FAR.spectral = None
+        assert fractional._FAR.last is record
+        fractional._FAR.last = None
         assert np.array_equal(hit, residual(cfg, u, 2.0 * rhs).values)
 
     def test_cg_fallback_factorizes_the_same_matrix(self, monkeypatch):
         # a CG run that gives up hands `_direction` to the LU of the
-        # assembled D fold(J), with the operator's shifted diagonal
+        # assembled fold(J), with the operator's shifted diagonal; the
+        # operator is D fold(J), D = diag(2, ..., 2, 1)
         cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)
         u = even_part(profile(257, 0.3))
         r = residual(cfg, u, np.ones(257), even=True).values[1:129]
-        op = jacobian_product(cfg, u, even=True)
+        op = jacobian(cfg, u, even=True)
         op.diag += 0.5
         assert isinstance(op, JacobianProduct)
         a = op.dense().copy()
         v = np.random.default_rng(3).uniform(-1.0, 1.0, 128)
-        assert gap(a @ v, op @ v) <= PRODUCT_GAP
+        scale = np.r_[np.full(127, 2.0), 1.0]
+        assert gap(scale * (a @ v), op @ v) <= PRODUCT_GAP
         monkeypatch.setattr(solver, "_pcg", lambda a, b, rtol: (None, 16))
         stats = {"cg_iterations": 0, "cg_fallbacks": 0}
-        delta = solver._direction(op, r.copy(), True, cfg.s, solver.CG_RTOL, stats)
-        b = -r
-        b[:-1] *= 2.0
+        delta = solver._direction(op, r.copy(), True, solver.CG_RTOL, stats)
         assert stats == {"cg_iterations": 16, "cg_fallbacks": 1}
-        assert np.allclose(delta, np.linalg.solve(a, b), rtol=1e-10, atol=0.0)
+        assert np.allclose(delta, np.linalg.solve(a, -r), rtol=1e-10, atol=0.0)
+
+    def test_record_of_another_kernel_is_not_reused(self):
+        # a residual's record holds C u and C u^2 of the `ToeplitzFar` it
+        # ran on; once FFT_BAND changes and the cached one is rebuilt, the
+        # product at the same u is the one built with no record
+        cfg = OperatorConfig(young=PowerYoung(4.0), s=0.3)
+        u = profile(257, 0.3)
+        v = np.random.default_rng(4).uniform(-1.0, 1.0, 255)
+        residual(cfg, u, np.ones(257))
+        saved = orlicz.FFT_BAND
+        try:
+            orlicz.FFT_BAND = 4
+            orlicz._toeplitz_far.cache_clear()
+            got = jacobian(cfg, u) @ v
+            fractional._FAR.last = None
+            assert np.array_equal(got, jacobian(cfg, u) @ v)
+        finally:
+            orlicz.FFT_BAND = saved
+            orlicz._toeplitz_far.cache_clear()
 
     def test_scheme_matches_the_dense_path(self, dense):
         # same Newton steps and CG iterations per stage, stages within 1e-11
