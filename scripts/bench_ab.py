@@ -6,11 +6,14 @@
 
 Run from anywhere inside the repository. REV's committed files are exported
 with ``git archive`` into a temporary directory (nothing is registered in
-the repository), and ``python3 perfbench/run.py --trace 0`` then runs
-alternately in that copy and in the working tree, each in its own
-directory, so both sides use their own sources and their own copy of the
-benchmark. Pair k runs the base first when k is even and the working tree
-first when k is odd.
+the repository), and the working tree's files into a sibling directory:
+the tracked files with their working contents and the untracked files
+that are not ignored. ``python3 perfbench/run.py --trace 0`` then runs
+alternately in the two exports, so both sides use their own sources and
+their own copy of the benchmark, from the same kind of tree: the tree's
+location alone moved refine-scheme's peak RSS by up to 0.15 MB. Pair k
+runs the base first when k is even and the working tree first when k is
+odd.
 
 For every end-to-end metric of BENCHMARK.json the script prints each
 pair's values, each side's median and quartiles, the median and quartiles
@@ -37,6 +40,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +66,19 @@ def export(rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def export_worktree(dest: Path) -> None:
+    """The working tree's files under ``dest``, as a commit of the tree
+    would hold them: the tracked files with their working contents (those
+    deleted there are left out) and the untracked files that are not
+    ignored."""
+    for name in git("ls-files", "-z", "--cached", "--others",
+                    "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def src_sha256(tree: Path, files: list[str]) -> str:
@@ -169,10 +186,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         base_tree = Path(tmp) / "base"
         export(args.base, base_tree)
+        change_tree = Path(tmp) / "change"
+        export_worktree(change_tree)
         record = {"command": ["python3", "scripts/bench_ab.py", *argv],
                   "env": environment(args.base, base_tree), "seed": args.seed,
                   "seconds": args.seconds, "workloads": {}}
-        trees = {"base": base_tree, "change": ROOT}
+        trees = {"base": base_tree, "change": change_tree}
         for workload in args.workload:
             runs = {"base": [], "change": []}
             for k in range(args.pairs):

@@ -7,7 +7,7 @@ given (by default s = 0.3, 0.5, 0.7, 0.9 and m = 129, 257, 513, 1025) it
 times one workload on power 4 in this process, once with every Newton
 direction from LAPACK's LU, and every far pair in the dense buffers, and
 once with the shipped rule (Jacobi-preconditioned CG on systems of at
-least `solver.CG_MIN_UNKNOWNS` unknowns at s <= `solver.CG_MAX_S`, the
+least `orlicz.CG_MIN_UNKNOWNS` unknowns at s <= `orlicz.CG_MAX_S`, the
 LU otherwise; from m = 257 at s <= 1/2 the far pairs go by FFT):
 
 - three ordered load pairs solved as one warm chain, as the comparison
@@ -77,17 +77,17 @@ def workload(cfg: OperatorConfig, mesh: Mesh) -> dict:
 
 def timed(cfg: OperatorConfig, mesh: Mesh, lu: bool) -> tuple[float, dict]:
     """Wall time and stats of one workload; ``lu`` routes every Newton
-    direction to the LU of the assembled matrix, with both CG gates, the
-    solver's and the FFT path's, closed."""
-    gates = solver.CG_MIN_UNKNOWNS, orlicz.CG_MIN_UNKNOWNS
+    direction to the LU of the assembled matrix, with the CG gate, which
+    is the FFT path's too (`OperatorConfig.takes_cg`), closed."""
+    gate = orlicz.CG_MIN_UNKNOWNS
     if lu:
-        solver.CG_MIN_UNKNOWNS = orlicz.CG_MIN_UNKNOWNS = sys.maxsize
+        orlicz.CG_MIN_UNKNOWNS = sys.maxsize
     try:
         start = time.perf_counter()
         totals = workload(cfg, mesh)
         return time.perf_counter() - start, totals
     finally:
-        solver.CG_MIN_UNKNOWNS, orlicz.CG_MIN_UNKNOWNS = gates
+        orlicz.CG_MIN_UNKNOWNS = gate
 
 
 def sweep(orders, meshes, repeat: int):

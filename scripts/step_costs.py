@@ -10,8 +10,9 @@ mesh), it repeats one Newton step at a fixed iterate in this process,
 on the path that `_newton` takes there: `fractional.residual` under the
 load f = 1, the Jacobian right after it from `fractional.jacobian` (so
 it reuses what the residual recorded, as in `_newton`), and
-`solver._direction` on it, with CG where `solver._takes_cg` says so and
-the relative CG tolerance that `_newton` would force at that residual.
+`solver._direction` on it, with CG where `OperatorConfig.takes_cg` says
+so and the relative CG tolerance that `_newton` would force at that
+residual.
 Where the far pairs go by FFT (power 4 from m = 257 on, column "far
 pairs"), the Jacobian is the set-up of a `fractional.JacobianProduct`
 and the direction is matrix-free CG; elsewhere it is a
@@ -24,7 +25,7 @@ of ``--repeat`` steps in microseconds per call, after one untimed step:
 the machine's load only ever adds time, and CPU time does not count the
 waits of a preempted process. It also gives the CG iterations per
 `_direction` call (0 where the LU takes the system: fewer than
-`solver.CG_MIN_UNKNOWNS` unknowns). Above m = 4097 only the FFT path's
+`orlicz.CG_MIN_UNKNOWNS` unknowns). Above m = 4097 only the FFT path's
 rows are run, since the dense buffers would take 8 m^2 bytes.
 """
 
@@ -76,7 +77,7 @@ def step_costs(cfg: OperatorConfig, m: int, even: bool, repeat: int) -> dict:
         t2 = time.process_time()
         jac = jacobian(cfg, u, even=even)
         t3 = time.process_time()
-        solver._direction(jac, r, solver._takes_cg(r.size, cfg.s), rtol, stats)
+        solver._direction(jac, r, cfg.takes_cg(r.size), rtol, stats)
         t4 = time.process_time()
         if k:
             for part, dt in zip(PARTS, (t1 - t0, t3 - t2, t4 - t3)):

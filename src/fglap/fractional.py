@@ -40,9 +40,9 @@ iterate, and both need the local G values and the quotients du. So
 `residual` records in ``_FAR.last`` its key, the operator config and the
 mesh's `orlicz.ToeplitzFar` (None in the buffers), a copy of u's nodal
 values, the rows it filled, its G values, its unloaded rows (the far and
-local sums before the load is subtracted) and on the FFT path C u and
-C u^2. The Jacobian at the same key and values reuses G with du in the
-buffers (if the rows suffice) or C u and C u^2; a second `residual` with
+local sums before the load is subtracted) and on the FFT path C u, C u^2
+and C u^3. The Jacobian at the same key and values reuses G with du in
+the buffers (if the rows suffice) or C u and C u^2; a second `residual` with
 the same rows, such as the first one of a Newton solve warm-started from
 the previous solve's last iterate, subtracts its load from the recorded
 rows. Every `take` and `release` of the buffers clears the record, so it
@@ -52,8 +52,9 @@ a caller may edit u in place between the calls.
 For g(t) = t^3 (power 4, the family of most shipped configs) at
 s <= 1/2 on meshes of at least 257 nodes, every far sum is a few products
 with one symmetric Toeplitz matrix, each one FFT (`orlicz.ToeplitzFar`):
-there `residual` expands the cube (`_toeplitz_rows`), the energy the
-fourth power, and the Newton step never forms J but takes products with
+there one binomial expansion, `ToeplitzFar.sums`, gives the residual's
+rows (the cube), the Jacobian's far diagonal (the square) and the
+energy, and the Newton step never forms J but takes products with
 it from a `JacobianProduct`; nothing there is an m x m array, and
 `_FAR` is released, not taken. That is where every Newton system of the
 mesh goes to conjugate gradients, so no factorization needs the matrix
@@ -189,7 +190,8 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
         cu = None
         if toe is not None:
             _FAR.release()
-            r[inner], cu = _toeplitz_rows(toe, uv, inner)
+            far, cu, _ = toe.sums(uv, inner, 3)
+            r[inner] = 2.0 * far
         else:
             # the quotients stay in the buffer, g(du) kr lives in a scratch
             _FAR.take(disc.kr.shape)
@@ -215,29 +217,6 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
         r = mirror(r)
     r[0] = r[-1] = 0.0
     return GridFunction(mesh, r)
-
-
-def _toeplitz_rows(toe: ToeplitzFar, uv: np.ndarray,
-                   rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The far sums 2 sum_j c h_j (u_i - u_j)^3 of the interior nodes i in
-    ``rows`` on the FFT path: 2 [u^3 C h - 3 u^2 C u + 3 u C u^2 - C u^3]
-    beyond the near diagonals, and on them the differences cubed. Also
-    C u and C u^2 at every interior node, which `JacobianProduct` reuses."""
-    u = uv[1:-1]
-    pw = np.empty((3, u.size))
-    np.multiply(u, u, out=pw[1])
-    np.multiply(pw[1], u, out=pw[2])
-    pw[0] = u
-    products = toe.products(pw)
-    lo, hi = rows.start - 1, rows.stop - 1
-    u, pw, cu = u[lo:hi], pw[:, lo:hi], products[:, lo:hi]
-    far = pw[2] * toe.ch[lo:hi]
-    far -= 3.0 * pw[1] * cu[0]
-    far += 3.0 * u * cu[1]
-    far -= cu[2]
-    far += np.vecdot(toe.near_terms(uv, rows, 3), toe.near)
-    far *= 2.0
-    return far, products[:2]
 
 
 def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
@@ -342,8 +321,10 @@ class JacobianProduct:
     The far terms off the diagonal are -6 c h_j (u_i - u_j)^2: by FFT,
     -6 [u^2 C v - 2 u C (u v) + C (u^2 v)] beyond the near diagonals, and
     on them one banded product over the offsets of ``ToeplitzFar.near``,
-    which also holds the local tridiagonal and, in its centre column,
-    ``diag``: J's diagonal on those rows, which the caller may shift
+    whose band is the near block of `ToeplitzFar.sums` of the square. It
+    also holds the local tridiagonal and, in its centre column, ``diag``:
+    J's diagonal on those rows, six times those sums plus the local
+    terms, which the caller may shift
     (`solver._newton` adds its load derivative and Levenberg shift there)
     before the first product. `dense` assembles fold(J) for a
     factorization."""
@@ -360,29 +341,24 @@ class JacobianProduct:
         disc = cfg.discretization(m)
         x = disc.local_args(uv)
         # right after a `residual` at u's values on this path, its record
-        # holds G and C u, C u^2 at every interior node
+        # holds G and C u^l at every interior node
         last = _FAR.last
-        if (last is not None and last[0] == (cfg, toe)
-                and np.array_equal(last[1], uv)):
-            G, cu = last[3], last[5][:, :k]
-        else:
-            G = _local_G(cfg.young, disc, x)
-            cu = toe.products(np.stack((inner, inner * inner)))[:, :k]
-        lead, sq = inner[:k], inner[:k] * inner[:k]
+        reuse = (last is not None and last[0] == (cfg, toe)
+                 and np.array_equal(last[1], uv))
+        G = last[3] if reuse else _local_G(cfg.young, disc, x)
+        lead = inner[:k]
         # C (u v) is weighed by 12 u on the rows, C (u^2 v) by -6 before the
         # product, which `__matmul__` forms from these
-        self._coef = np.stack((-6.0 * sq, 12.0 * lead))
+        self._coef = np.stack((-6.0 * (lead * lead), 12.0 * lead))
         self._powers = np.stack((inner, -6.0 * inner * inner))
         # the near diagonals and, in their centre column, the far diagonal
         # 6 sum_j c h_j (u_i - u_j)^2 and the local terms, as
         # `assemble_matrix` adds them
-        band = toe.near_terms(uv, rows, 2)
-        far = 6.0 * (sq * toe.ch[:k] - 2.0 * lead * cu[0] + cu[1]
-                     + np.vecdot(band, toe.near))
+        far, _, band = toe.sums(uv, rows, 2, last[5] if reuse else None)
         band *= -6.0 * toe.near
         reach = band.shape[1] // 2
         diag = band[:, reach]
-        diag[:] = far
+        diag[:] = 6.0 * far
         sums = _local_sums(cfg.young, disc, x, G, newton=True)
         cp = sums[:m - 1] / mesh.h ** 2
         diag += cp[1:k + 1]

@@ -15,14 +15,15 @@ inverts the modular along u's ray with the growth-window inverter of
 `quadrature`.
 
 For power 4, g(t) = t^3, at s <= CG_MAX_S on meshes of at least 257
-nodes the far terms take no buffer: `ToeplitzFar` expands the powers of
-u_i - u_j into products with one Toeplitz matrix, each one FFT, and sums
-the nearest diagonals directly, so the energy, the residual and the
-Newton products cost O(m log m) time and O(m) memory where the buffers
-take 8 m^2 bytes (2.1 GB at m = 16385). There every Newton system goes
-to conjugate gradients, which need only products, so no matrix is ever
-formed (see `OperatorConfig.toeplitz_far`). Its far energy is summed in
-long double, since the expansion cancels up to 2e4-fold.
+nodes the far terms take no buffer: `ToeplitzFar.sums` expands the
+powers of u_i - u_j into products with one Toeplitz matrix, each one
+FFT, and sums the nearest diagonals directly, so the energy, the
+residual and the Newton products cost O(m log m) time and O(m) memory
+where the buffers take 8 m^2 bytes (2.1 GB at m = 16385). There every
+Newton system goes to conjugate gradients, which need only products, so
+no matrix is ever formed (see `OperatorConfig.toeplitz_far`). The far
+energy is the residual's row sums weighed by u, and they are summed in
+long double for it, since its expansion cancels up to 2e4-fold.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -53,10 +55,10 @@ FAR_BLOCK_BYTES = 384 * 1024
 
 # `solver` solves a Newton system of at least CG_MIN_UNKNOWNS unknowns at an
 # order s of at most CG_MAX_S by conjugate gradients, which need only
-# products with the matrix. The power-4 far pairs go by FFT (`ToeplitzFar`)
-# exactly where every Newton system of the mesh does: s <= CG_MAX_S and
-# (m - 1) // 2 >= CG_MIN_UNKNOWNS, that is m >= 257, so that no Newton
-# matrix is formed there.
+# products with the matrix (`OperatorConfig.takes_cg`). The power-4 far
+# pairs go by FFT (`ToeplitzFar`) exactly where every Newton system of the
+# mesh does: s <= CG_MAX_S and (m - 1) // 2 >= CG_MIN_UNKNOWNS, that is
+# m >= 257, so that no Newton matrix is formed there.
 CG_MIN_UNKNOWNS = 128
 CG_MAX_S = 0.5
 
@@ -67,7 +69,9 @@ CG_MAX_S = 0.5
 # dense sum, relative to its largest entry, over m = 257, 1025, 4097 and
 # s = 0.1, 0.3, 0.5 (`scripts/fft_band_sweep.py`), is at m = 4097,
 # s = 1/2: 1.1e-10 with no band, 3.6e-12 at 8, 1.1e-12 at 16, 7.2e-13 at
-# 20 and 3.5e-13 at 24. The band's work grows with its width.
+# 20 and 3.5e-13 at 24. The band's work grows with its width. At 20 the
+# largest energy gap, relative to the dense energy, is 3.9e-15, and that of
+# the products J v 7.5e-15, both at m = 4097, s = 1/2.
 FFT_BAND = 20
 
 
@@ -297,14 +301,20 @@ class OperatorConfig:
         (m, s) and keeps no Young family alive."""
         return _discretization(m, self.s)
 
+    def takes_cg(self, unknowns: int) -> bool:
+        """Whether `solver` solves a Newton system of this many unknowns by
+        conjugate gradients: at least CG_MIN_UNKNOWNS of them, s <= CG_MAX_S."""
+        return unknowns >= CG_MIN_UNKNOWNS and self.s <= CG_MAX_S
+
     def toeplitz_far(self, m: int) -> "ToeplitzFar | None":
         """The far pairs of the m-node mesh by FFT where that path serves:
-        g(t) = t^3 (power 4), s <= CG_MAX_S and (m - 1) // 2 >=
-        CG_MIN_UNKNOWNS. None elsewhere, where they run in the buffers
-        `_FAR`. Cached on (m, s) like the discretization."""
+        g(t) = t^3 (power 4), and `takes_cg` for the (m - 1) // 2 half
+        unknowns, the fewest a Newton system of the mesh has. None
+        elsewhere, where they run in the buffers `_FAR`. Cached on (m, s)
+        like the discretization."""
         yf = self.young
-        if (isinstance(yf, PowerYoung) and yf.p == 4.0 and self.s <= CG_MAX_S
-                and (m - 1) // 2 >= CG_MIN_UNKNOWNS):
+        if (isinstance(yf, PowerYoung) and yf.p == 4.0
+                and self.takes_cg((m - 1) // 2)):
             return _toeplitz_far(m, self.s)
         return None
 
@@ -363,10 +373,12 @@ class ToeplitzFar:
     weights h_j padded with FFT_BAND zeros at each end. Nothing here is an
     m x m array, and `numpy.fft` is imported only when one is built.
 
-    The energy's expansion cancels far more than the residual's rows: its
-    terms are up to 2e4 times its value at m = 4097, s = 1/2. So
-    `energy` runs in long double, on a spectrum and a C h of its own that
-    its first call builds."""
+    `sums` is the one expansion: the residual's rows (the cube), the
+    Jacobian's far diagonal (the square) and the energy (the cube's rows
+    weighed by u) all take it. The energy cancels far more than the
+    residual's rows, its terms up to 2e4 times its value at m = 4097,
+    s = 1/2, so its rows run in long double, on a spectrum and a C h of
+    their own (``_wide``) that its first call builds."""
 
     size: int
     kernel: np.ndarray
@@ -398,8 +410,8 @@ class ToeplitzFar:
                           pad.dtype, pad, strides=(step, step))
 
     def near_terms(self, uv: np.ndarray, rows: slice, power: int) -> np.ndarray:
-        """h_(i+d) (u_i - u_(i+d))^power, power 2, 3 or 4, for the nodes i
-        of ``rows`` and the offsets d of ``near``, zero off the mesh, from
+        """h_(i+d) (u_i - u_(i+d))^power, power 2 or 3, for the nodes i of
+        ``rows`` and the offsets d of ``near``, zero off the mesh, from
         nodal values ``uv``: one row per node and one column per offset,
         for ``near`` to weigh (`np.vecdot` sums a row against it)."""
         reach = self.near.size // 2
@@ -409,8 +421,6 @@ class ToeplitzFar:
         out = diff * diff
         if power == 3:
             out *= diff
-        elif power == 4:
-            out *= out
         out *= self.windows(self.halving)[rows]
         return out
 
@@ -418,20 +428,38 @@ class ToeplitzFar:
     def _wide(self) -> tuple[np.ndarray, np.ndarray]:
         return _embedding(self.kernel.astype(np.longdouble), self.size)
 
+    def sums(self, uv: np.ndarray, rows: slice, power: int,
+             cu: np.ndarray | None = None, wide: bool = False):
+        """sum_j c h_j (u_i - u_j)^power, power 2 or 3, at the interior
+        nodes i of ``rows`` of nodal values ``uv``: u^power C h, then
+        binom(power, l) u^(power - l) (-1)^l C u^l for l = 1 ... power,
+        then the near block `near_terms` weighed by ``near``. Returns the
+        sums, the products C u^l at every interior node (``cu`` if given)
+        and the near block. ``wide`` runs the expansion in long double, on
+        the spectrum and C h of ``_wide``."""
+        spectrum, ch = self._wide if wide else (self.spectrum, self.ch)
+        pw = [uv[1:-1].astype(ch.dtype, copy=False)]
+        for _ in range(power - 1):
+            pw.append(pw[-1] * pw[0])
+        if cu is None:
+            cu = self.products(np.stack(pw), spectrum)
+        at = slice(rows.start - 1, rows.stop - 1)
+        low = [1] + [x[at] for x in pw]    # u^0 ... u^power on the rows
+        out = low[power] * ch[at]
+        for l in range(1, power + 1):
+            out += (-1) ** l * comb(power, l) * low[power - l] * cu[l - 1, at]
+        near = self.near_terms(uv, rows, power)
+        out += np.vecdot(near, self.near)
+        return out, cu, near
+
     def energy(self, uv: np.ndarray) -> float:
-        """The far part of the modular, the sum over ordered pairs of
-        G(du) kr ds h_i h_j = c h_i h_j (u_i - u_j)^4 / 4, for nodal values
-        uv vanishing at both ends: beyond the near diagonals, in long
-        double, 1/2 sum u^4 C h - 2 sum u^3 C u + 3/2 sum u^2 C u^2 over
-        the interior; on them, the differences to the fourth."""
-        spectrum, ch = self._wide
-        u = uv[1:-1].astype(np.longdouble)
-        sq = u * u
-        cu = self.products(np.stack((u, sq)), spectrum)
-        far = 0.5 * (sq @ (sq * ch)) - 2.0 * ((sq * u) @ cu[0]) + 1.5 * (sq @ cu[1])
-        rows = np.vecdot(self.near_terms(uv, slice(None), 4), self.near)
-        rows[::rows.size - 1] *= 0.5
-        return float(far) + 0.25 * float(rows.sum())
+        """The far part of the modular, sum over ordered pairs of
+        c h_i h_j (u_i - u_j)^4 / 4 (= G(du) kr ds h_i h_j), for uv zero at
+        both ends. With its mirror pair it is 1/2 sum_i u_i times the cube's
+        rows of `sums`, here in long double: weighing rows already summed
+        cancels far less than weighing each term of the expansion."""
+        rows = self.sums(uv, slice(1, uv.size - 1), 3, wide=True)[0]
+        return 0.5 * float(uv[1:-1] @ rows)
 
 
 def _embedding(kernel: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

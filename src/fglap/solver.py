@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, InvariantError
 from .fractional import apply_interior, jacobian, mirror, residual
-from .orlicz import (CG_MAX_S, CG_MIN_UNKNOWNS, GridFunction, Mesh,
-                     OperatorConfig, luxemburg_seminorm_W, modular_W)
+from .orlicz import (GridFunction, Mesh, OperatorConfig, luxemburg_seminorm_W,
+                     modular_W)
 from .quadrature import invert_monotone
 from .young import PhiWeight, submultiplicativity_constant
 
@@ -27,11 +27,11 @@ TOL_STOP = 1e-6
 TOL_MONO = 1e-7
 # Newton steps allowed per solve, auxiliary or stage
 NEWTON_MAX_ITER = 200
-# the Newton direction of a system of at least CG_MIN_UNKNOWNS unknowns at an
-# order s of at most CG_MAX_S (both from `orlicz`, whose power-4 FFT path
-# they gate too) comes from `_pcg`, to a relative residual that `_newton`
-# forces to its own residual, clipped to [CG_RTOL, CG_RTOL_MAX]; a smaller
-# system, or one of a higher order, is factorized
+# the Newton direction of a system that `orlicz.OperatorConfig.takes_cg`
+# admits (the gate of the power-4 FFT path too) comes from `_pcg`, to a
+# relative residual that `_newton` forces to its own residual, clipped to
+# [CG_RTOL, CG_RTOL_MAX]; a smaller system, or one of a higher order, is
+# factorized
 CG_RTOL = 1e-6
 CG_RTOL_MAX = 1e-2
 # the scales alpha at which `barrier_check` evaluates its barrier
@@ -213,11 +213,6 @@ def _forcing(rn: float, scale: float) -> float:
     return min(CG_RTOL_MAX, max(CG_RTOL, rn / scale))
 
 
-def _takes_cg(unknowns: int, s: float) -> bool:
-    """Whether `_direction` runs CG on a system of this size and order."""
-    return unknowns >= CG_MIN_UNKNOWNS and s <= CG_MAX_S
-
-
 def _direction(jac, r: np.ndarray, cg: bool, rtol: float,
                stats: dict) -> np.ndarray:
     """The Newton direction on the live unknowns of `_newton`: the
@@ -258,18 +253,18 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
     iterates, never at a line-search trial, where an overshoot may
     overflow its g and g' terms, and the load derivative and the
     Levenberg shift go onto its ``diag``. It lives in the far-pair
-    buffers, or where the far pairs go by FFT (power 4 at s <= CG_MAX_S
-    on at least 257 nodes, see `orlicz.ToeplitzFar`) is a product that CG
+    buffers, or where the far pairs go by FFT (power 4 at s <= 1/2 on at
+    least 257 nodes, see `orlicz.ToeplitzFar`) is a product that CG
     takes, so a step allocates no m x m array of its own. A warm start
     that is the previous solve's last accepted iterate was evaluated
     there, so its first residual only subtracts the new load from that
     evaluation's record (see `fractional`); the stats count it as an
     evaluation all the same.
 
-    With at least CG_MIN_UNKNOWNS unknowns and s <= CG_MAX_S the
-    direction (`_direction`) is an inexact Newton step, `_pcg` to the
-    relative residual eta = ||r||_inf / (1 + max|rhs|), the Newton
-    residual on the scale of the stop test, clipped to
+    Where `cfg.takes_cg` admits the system (at least 128 unknowns at
+    s <= 1/2) the direction (`_direction`) is an inexact Newton step,
+    `_pcg` to the relative residual eta = ||r||_inf / (1 + max|rhs|), the
+    Newton residual on the scale of the stop test, clipped to
     [CG_RTOL, CG_RTOL_MAX]: loose on the first steps, and down to CG_RTOL
     as Newton converges. A forcing term of order ||r|| keeps Newton's
     quadratic convergence (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
@@ -332,7 +327,7 @@ def _newton(cfg: OperatorConfig, mesh: Mesh, load, warm_start: GridFunction | No
             jac.diag += lam * (float(np.max(np.abs(jac.diag))) or 1.0)
             stats["levenberg_shift_max"] = max(stats["levenberg_shift_max"], lam)
         try:
-            delta = _direction(jac, r, _takes_cg(r.size, cfg.s),
+            delta = _direction(jac, r, cfg.takes_cg(r.size),
                                _forcing(rn, scale), stats)
         except np.linalg.LinAlgError:
             lam = max(lam * 10.0, 1e-8)

@@ -1,7 +1,8 @@
-"""How scripts/bench_ab.py names the two trees it measured, with git
-replaced by a stub."""
+"""How scripts/bench_ab.py exports the working tree and names the two
+trees it measured, with git replaced by a stub for the names."""
 
 import importlib
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,27 @@ def test_dirty_tree_is_labelled_and_hashed_apart(tmp_path, monkeypatch,
     assert env["change"] == HEAD + "+dirty"
     assert env["change_dirty"]
     assert env["change_src_sha256"] != env["base_src_sha256"]
+
+
+def test_worktree_export_is_what_a_commit_would_hold(tmp_path, monkeypatch,
+                                                     bench_ab):
+    # tracked files with their working contents, untracked files unless
+    # ignored, and no tracked file that the working tree deleted
+    repo = make_tree(tmp_path / "repo", {**SOURCES, ".gitignore": "*.log\n",
+                                         "gone.py": "", "notes.log": "x\n"})
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(["git", "add", "src", ".gitignore", "gone.py"], cwd=repo,
+                   check=True)
+    (repo / "src/pkg/core.py").write_text("X = 2\n")
+    (repo / "gone.py").unlink()
+    make_tree(repo, {"src/pkg/new.py": "Y = 1\n"})
+    monkeypatch.setattr(bench_ab, "ROOT", repo)
+    dest = tmp_path / "change"
+    bench_ab.export_worktree(dest)
+    got = {f.relative_to(dest).as_posix(): f.read_text()
+           for f in dest.rglob("*") if f.is_file()}
+    assert got == {".gitignore": "*.log\n", "src/pkg/__init__.py": "",
+                   "src/pkg/core.py": "X = 2\n", "src/pkg/new.py": "Y = 1\n"}
 
 
 def test_digest_covers_file_names(tmp_path, bench_ab):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import fglap.solver as solver
+import fglap.orlicz as orlicz
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,9 +19,9 @@ def linsolve_sweep(monkeypatch):
 
 def test_smallest_case(linsolve_sweep, capsys, monkeypatch):
     monkeypatch.setattr(linsolve_sweep, "MIN_TIMED_S", 0.0)
-    gate = solver.CG_MIN_UNKNOWNS
+    gate = orlicz.CG_MIN_UNKNOWNS
     assert linsolve_sweep.main(["--s", "0.3", "--m", "129", "--repeat", "1"]) == 0
-    assert solver.CG_MIN_UNKNOWNS == gate
+    assert orlicz.CG_MIN_UNKNOWNS == gate
     header, rule, row = capsys.readouterr().out.splitlines()
     assert header.startswith("| s | m | LU | rule |") and set(rule) <= set("|-")
     cells = [c.strip() for c in row.strip("|").split("|")]

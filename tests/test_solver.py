@@ -822,9 +822,8 @@ class TestNewtonDirection:
 
         monkeypatch.setattr(solver, "_newton", recorded)
         cg_steps, cg_u, cg_margin = run()
-        # both gates closed: the far pairs in the buffers, every direction
-        # from the LU of the assembled matrix
-        monkeypatch.setattr(solver, "CG_MIN_UNKNOWNS", sys.maxsize)
+        # the CG gate closed, and with it the FFT path's: the far pairs in
+        # the buffers, every direction from the LU of the assembled matrix
         monkeypatch.setattr(orlicz, "CG_MIN_UNKNOWNS", sys.maxsize)
         lu_steps, lu_u, lu_margin = run()
         assert len(cg_steps) == 5 + 42
@@ -852,7 +851,7 @@ class TestNewtonDirection:
 
         monkeypatch.setattr(solver, "_newton", recorded)
         cg_steps, cg_u, cg_margin = run()
-        monkeypatch.setattr(solver, "CG_MIN_UNKNOWNS", sys.maxsize)
+        monkeypatch.setattr(orlicz, "CG_MIN_UNKNOWNS", sys.maxsize)
         lu_steps, lu_u, lu_margin = run()
         assert len(cg_steps) == 5 + 40
         assert all(used for _, used in cg_steps) and not any(used for _, used in lu_steps)

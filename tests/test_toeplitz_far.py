@@ -26,19 +26,20 @@ ROOT = Path(__file__).resolve().parents[1]
 # largest gaps to the dense path over these cases, relative to the largest
 # dense entry (to the dense value for the energy), in
 # `scripts/fft_band_sweep.py` at FFT_BAND = 20: residual 7.2e-13, J v
-# 7.5e-15, energy 1.1e-13, each at m = 4097, s = 1/2
+# 7.5e-15, energy 3.9e-15, each at m = 4097, s = 1/2
 RESIDUAL_GAP = 1e-12
 PRODUCT_GAP = 1e-13
-ENERGY_GAP = 1e-12
+ENERGY_GAP = 2e-14
 
 
 @pytest.fixture
 def dense(monkeypatch):
-    """Run a callable with the FFT path's gate closed, so that every far
-    pair goes through the dense buffers, which are dropped afterwards."""
+    """Run a callable with the FFT path closed, so that every far pair
+    goes through the dense buffers, which are dropped afterwards. The CG
+    gate stays open, so Newton directions still come from CG."""
     def run(fn):
         with monkeypatch.context() as patch:
-            patch.setattr(orlicz, "CG_MIN_UNKNOWNS", sys.maxsize)
+            patch.setattr(OperatorConfig, "toeplitz_far", lambda cfg, m: None)
             return fn()
     yield run
     fractional._FAR.release()
@@ -78,11 +79,11 @@ class TestGate:
     def test_newton_systems_there_take_cg(self):
         # the gate is the CG gate of `solver`: every Newton system on an FFT
         # mesh, full or folded, has at least CG_MIN_UNKNOWNS unknowns
-        assert solver.CG_MIN_UNKNOWNS is orlicz.CG_MIN_UNKNOWNS
-        assert solver.CG_MAX_S is orlicz.CG_MAX_S
+        cfg = OperatorConfig(young=PowerYoung(4.0), s=orlicz.CG_MAX_S)
         m = 257
-        assert (m - 1) // 2 == solver.CG_MIN_UNKNOWNS
-        assert solver._takes_cg((m - 1) // 2, solver.CG_MAX_S)
+        assert (m - 1) // 2 == orlicz.CG_MIN_UNKNOWNS
+        assert cfg.takes_cg(128)
+        assert cfg.toeplitz_far(m) is not None
 
 
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.5])
