@@ -28,12 +28,15 @@ du into the buffer block by block and sums g(du) kr per row in a
 scratch, and `assemble_matrix` evaluates g'(du) of a block in a scratch
 and writes g'(du) kj over that block of du. The Jacobian is returned as
 a view of the one buffer. Rows are independent, so the blocks change no
-row's value. ds, kr and kj are read-only views, so no evaluation
-allocates an m x m array.
+row's value. ds, kr and kj are read-only views, so neither the residual
+nor the Jacobian nor the energy allocates an m x m array. The strong form
+`apply_interior` is the exception: its far cells are (m - 2) x (m - 1)
+arrays.
 
 The local terms are the `Discretization`'s list of local points.
-`_local_G` is their one G pass, and `_local_sums` sums each argument's
-first or second derivative with a ``np.bincount``.
+`_local_sums` is their one pass: it gathers the live points, evaluates G
+there and sums each argument's first or second derivative with a
+``np.bincount``.
 
 A Newton step evaluates the residual and then the Jacobian at one
 iterate, and both need the local G values and the quotients du. So
@@ -87,7 +90,6 @@ slopes zeroed.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DomainError
 from .orlicz import (_FAR, Discretization, GridFunction, OperatorConfig,
@@ -95,36 +97,27 @@ from .orlicz import (_FAR, Discretization, GridFunction, OperatorConfig,
 from .young import YoungFunction, _laguerre_integral
 
 
-def _live(disc: Discretization, x: np.ndarray):
-    """The local points of `disc` whose argument in x (`local_args`) is
-    nonzero: their index into x, x there, their factor r and weight W."""
+def _local_sums(yf: YoungFunction, disc: Discretization, x: np.ndarray,
+                G: np.ndarray | None = None,
+                newton: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The one pass of the local terms at the arguments x (`local_args`):
+    per argument, the x-derivative of the local energy W Lambda(|x| r)
+    summed over its points, W G(x r) / x, or with ``newton`` its second
+    derivative W (g(x r) r x - G(x r)) / x^2. Both are odd in x and zero
+    at zero, so only the live points, where x is nonzero, are summed, with
+    a ``np.bincount``. Returns the sums and G(x r) at the live points,
+    evaluated here unless the caller passes them as G."""
     arg = disc.loc_arg
     xp = x[arg]
     live = xp != 0.0
-    return arg[live], xp[live], disc.loc_r[live], disc.loc_w[live]
-
-
-def _local_G(yf: YoungFunction, disc: Discretization,
-             x: np.ndarray) -> np.ndarray:
-    """The one G pass of the local terms at the arguments x: G(x r) at
-    the live points."""
-    _, xp, r, _ = _live(disc, x)
-    return yf.G(xp * r)
-
-
-def _local_sums(yf: YoungFunction, disc: Discretization, x: np.ndarray,
-                G: np.ndarray, newton: bool = False) -> np.ndarray:
-    """Per argument of x, the x-derivative of the local energy
-    W Lambda(|x| r) summed over its points, W G(x r) / x, or with
-    ``newton`` its second derivative W (g(x r) r x - G(x r)) / x^2, from
-    G at the live points (`_local_G`). Both are odd in x and zero at
-    zero."""
-    arg, xp, r, w = _live(disc, x)
+    arg, xp, r, w = arg[live], xp[live], disc.loc_r[live], disc.loc_w[live]
+    if G is None:
+        G = yf.G(xp * r)
     if newton:
         val = (yf.g(xp * r) * r * xp - G) / xp ** 2
     else:
         val = G / xp
-    return np.bincount(arg, weights=w * val, minlength=x.size)
+    return np.bincount(arg, weights=w * val, minlength=x.size), G
 
 
 def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
@@ -137,12 +130,6 @@ def weak_form(cfg: OperatorConfig, u: GridFunction, v: GridFunction) -> float:
     if v.mesh.m != u.mesh.m:
         raise DomainError("u and v must share a mesh")
     return float(v.values @ residual(cfg, u, np.zeros(u.mesh.m)).values)
-
-
-def diagonal_view(a: np.ndarray) -> np.ndarray:
-    """The entries a[i, i], i < len(a), of a 2-D array with at least as
-    many columns as rows, as a writable view."""
-    return as_strided(a, (len(a),), (a.strides[0] + a.strides[1],))
 
 
 def mirror(half: np.ndarray) -> np.ndarray:
@@ -205,8 +192,7 @@ def residual(cfg: OperatorConfig, u: GridFunction, rhs: np.ndarray, *,
         # the local sums per slope, scattered onto nodes by differencing
         # (slope i is (u_(i+1) - u_i) / h), then per interior node
         x = disc.local_args(uv)
-        G = _local_G(yf, disc, x)
-        sums = _local_sums(yf, disc, x, G)
+        sums, G = _local_sums(yf, disc, x)
         cell = sums[:mesh.m - 1] / mesh.h
         r[1:] += cell[:k - 1]
         r[:inner.stop] -= cell[:inner.stop]
@@ -244,7 +230,6 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     last = _FAR.last
     reuse = (last is not None and last[0] == (cfg, None) and last[2] >= k
              and np.array_equal(last[1], uv))
-    G = last[3] if reuse else _local_G(yf, disc, x)
 
     # far pairs: the off-diagonal entries -2 g'(du) kr / ds, zero on near
     # pairs and the diagonal, in one product with the kernel kj, written
@@ -265,7 +250,7 @@ def assemble_matrix(cfg: OperatorConfig, u: GridFunction, *,
     # slope k couples nodes k and k + 1; node i sees slopes i and i - 1;
     # the centre row keeps its coupling to node c + 1, which `fold` maps
     # back onto node c - 1
-    sums = _local_sums(yf, disc, x, G, newton=True)
+    sums, _ = _local_sums(yf, disc, x, last[3] if reuse else None, newton=True)
     cp = sums[:mesh.m - 1] / mesh.h ** 2
     diag = row[rows] + cp[1:count + 1]
     diag += cp[:count]
@@ -292,7 +277,7 @@ class JacobianMatrix:
 
     def __init__(self, block: np.ndarray, even: bool):
         self.even = even
-        self.diag = diagonal_view(block)
+        self.diag = np.einsum("ii->i", block[:, :len(block)])
         self._block = block
         self._folded = None
 
@@ -345,7 +330,6 @@ class JacobianProduct:
         last = _FAR.last
         reuse = (last is not None and last[0] == (cfg, toe)
                  and np.array_equal(last[1], uv))
-        G = last[3] if reuse else _local_G(cfg.young, disc, x)
         lead = inner[:k]
         # C (u v) is weighed by 12 u on the rows, C (u^2 v) by -6 before the
         # product, which `__matmul__` forms from these
@@ -359,7 +343,8 @@ class JacobianProduct:
         reach = band.shape[1] // 2
         diag = band[:, reach]
         diag[:] = 6.0 * far
-        sums = _local_sums(cfg.young, disc, x, G, newton=True)
+        sums, _ = _local_sums(cfg.young, disc, x, last[3] if reuse else None,
+                              newton=True)
         cp = sums[:m - 1] / mesh.h ** 2
         diag += cp[1:k + 1]
         diag += cp[:k]
@@ -504,7 +489,6 @@ def apply_interior(cfg: OperatorConfig, u: GridFunction) -> np.ndarray:
     disc = cfg.discretization(m)
     x = disc.local_args(uv)
     x[:m - 1] = 0.0
-    out += (_local_sums(yf, disc, x, _local_G(yf, disc, x))[m - 1:]
-            / (2.0 * mesh.weights[1:-1]))
+    out += _local_sums(yf, disc, x)[0][m - 1:] / (2.0 * mesh.weights[1:-1])
     return out
 

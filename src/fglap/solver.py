@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, InvariantError
-from .fractional import apply_interior, jacobian, mirror, residual
+from .fractional import _scaled, apply_interior, jacobian, mirror, residual
 from .orlicz import (GridFunction, Mesh, OperatorConfig, luxemburg_seminorm_W,
                      modular_W)
 from .quadrature import invert_monotone
@@ -226,10 +226,7 @@ def _direction(jac, r: np.ndarray, cg: bool, rtol: float,
     ``stats``. Without, or when CG gives up, LAPACK's LU factorizes
     ``jac.dense()``, fold(J), and a singular matrix raises LinAlgError."""
     if cg:
-        b = -r
-        if jac.even:
-            b[:-1] *= 2.0
-        delta, iterations = _pcg(jac, b, rtol)
+        delta, iterations = _pcg(jac, _scaled(-r, jac.even), rtol)
         stats["cg_iterations"] += iterations
         stats["cg_fallbacks"] += delta is None
         if delta is not None:

@@ -11,8 +11,8 @@ import pytest
 from fglap.errors import ConfigurationError, DomainError
 import fglap.fractional as fractional
 import fglap.orlicz as orlicz
-from fglap.fractional import (apply_interior, assemble_matrix, fold, jacobian,
-                              mirror, residual, weak_form)
+from fglap.fractional import (JacobianMatrix, apply_interior, assemble_matrix,
+                              fold, jacobian, mirror, residual, weak_form)
 from fglap.orlicz import (GridFunction, Mesh, OperatorConfig, modular_W,
                           modular_W_parts)
 from fglap.young import DoublePowerYoung, PowerYoung
@@ -400,8 +400,7 @@ class TestSharedDiscretization:
         G = yf.G
         monkeypatch.setattr(yf, "G", lambda t: points.append(np.size(t)) or G(t))
         x = disc.local_args(random_interior(Mesh(m), 9).values)
-        local_G = fractional._local_G(yf, disc, x)
-        fractional._local_sums(yf, disc, x, local_G, newton=newton)
+        _, local_G = fractional._local_sums(yf, disc, x, newton=newton)
         assert [size for size in points if size] == [local_G.size]
         assert 0 < local_G.size <= 2 * m + 12 + 2 * (m - 2)
 
@@ -433,8 +432,7 @@ class TestSharedDiscretization:
         want = np.diag(far.sum(axis=1)) - far
         disc = cfg.discretization(m)
         x = disc.local_args(u.values)
-        sums = fractional._local_sums(yf, disc, x,
-                                      fractional._local_G(yf, disc, x), newton=True)
+        sums, _ = fractional._local_sums(yf, disc, x, newton=True)
         cp = sums[:m - 1] / mesh.h ** 2
         k = np.arange(m - 1)
         for i, j, sign in ((k, k, 1.0), (k + 1, k + 1, 1.0), (k, k + 1, -1.0),
@@ -517,6 +515,23 @@ class TestEvenFold:
         want = (assemble_matrix(cfg, u) @ mirror(dh))[:c]
         got = fold(block) @ dh
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_shift_on_diag_lands_before_the_fold(self, power4, even):
+        # JacobianMatrix.diag is a writable view of block[i, i], i < len(block),
+        # so a shift added there is in `dense`, the fold taken after it
+        cfg = OperatorConfig(young=power4, s=0.3)
+        u, _ = self.even_case(65)
+        block = assemble_matrix(cfg, u, even=even).copy()
+        want = block.copy()
+        jac = JacobianMatrix(block, even)
+        i = np.arange(len(block))
+        assert jac.diag.flags.writeable and np.shares_memory(jac.diag, block)
+        assert np.array_equal(jac.diag, want[i, i])
+        shift = np.random.default_rng(7).uniform(1.0, 2.0, len(block))
+        jac.diag += shift
+        want[i, i] += shift
+        assert np.array_equal(jac.dense(), fold(want) if even else want)
 
 
 class TestFarPairWorkspace:
